@@ -10,6 +10,7 @@ integrity failure, 2 usage/domain/format errors (error name on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import codec, core, estimator
@@ -171,6 +172,8 @@ def _repair(series: core.SampleSeries, implicated: list[int], a: complex) -> cor
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise DomainError(f"--tol must be finite and non-negative, got {args.tol}")
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
     findings = codec.detect_errors(series, a, args.tol)
@@ -190,14 +193,8 @@ def cmd_check(args) -> int:
 def cmd_fit(args) -> int:
     series = codec.load_sig1(_read(args.input))
     result = estimator.fit_series(series, r_max=args.r_max)
-    if series.step == 1.0:
-        report = core.estimate_invariant(series)
-    else:
-        m = round(1.0 / series.step)
-        report = core.estimate_invariant(
-            core.SampleSeries(series.t0, series.values[::m], kind=series.kind))
     p = result.params
-    print(f"a_hat={codec.fmt_complex(report.a_hat)}")
+    print(f"a_hat={codec.fmt_complex(result.invariant.a_hat)}")
     print(f"p={codec.fmt_complex(p.p)}")
     print(f"q1={codec.fmt_complex(p.q1)}")
     print(f"q2={codec.fmt_complex(p.q2)}")

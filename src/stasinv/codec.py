@@ -133,11 +133,14 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     residual_i = |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| normalized by the
     window's max slot magnitude.  Localization matches flag patterns: a
     single corrupted sample j perturbs exactly the valid windows covering j,
-    so sample j is implicated when its covering-window set equals the
-    maximal run of consecutive flagged windows around it.  Corruptions at
-    least 7 samples apart produce disjoint runs and localize independently;
-    closer ones merge their runs and are reported window-level only.  Each
-    flagged window reports the implicated samples it covers.
+    the range max(0, j-3) .. min(j, n_windows-1), so sample j is implicated
+    when that range equals a maximal run of consecutive flagged windows.
+    Each run is kept by its endpoints (first, last), and the at most four
+    samples j in [last, first+3] are tested against them, so localization is
+    linear in the number of samples.  Corruptions at least 7 samples apart
+    produce disjoint runs and localize independently; closer ones merge
+    their runs and are reported window-level only.  Each flagged window
+    reports the implicated samples it covers.
     """
     if series.step != 1.0:
         raise DomainError("integrity checking requires a unit-spaced series")
@@ -152,16 +155,17 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
         residuals.append(abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale)
     flagged = {i for i, r in enumerate(residuals) if r > tol}
 
-    def covering(j: int) -> set[int]:
-        return set(range(max(0, j - 3), min(j, n_windows - 1) + 1))
-
-    runs = []
+    runs = []  # (first, last) window of each maximal run of flagged windows
     for i in sorted(flagged):
-        if runs and i == max(runs[-1]) + 1:
-            runs[-1].add(i)
+        if runs and i == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], i)
         else:
-            runs.append({i})
-    implicated = {j for j in range(n) for run in runs if covering(j) == run}
+            runs.append((i, i))
+    # Sample j is covered by windows max(0, j-3) .. min(j, n_windows-1); only
+    # j in [last, first+3] can have a covering range equal to a run.
+    implicated = {j for first, last in runs
+                  for j in range(last, min(first + 3, n - 1) + 1)
+                  if max(0, j - 3) == first and min(j, n_windows - 1) == last}
     findings = []
     for i in range(n_windows):
         if i in flagged:

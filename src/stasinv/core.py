@@ -121,6 +121,8 @@ class SampleSeries:
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if self.kind not in ("f", "s"):
             raise DomainError(f"kind must be 'f' or 's', got {self.kind!r}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.step)):
+            raise DomainError(f"t0 and step must be finite, got t0={self.t0}, step={self.step}")
         if self.step == 0:
             raise DomainError("step must be non-zero")
 

@@ -20,10 +20,13 @@ tie.
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass, replace
 from math import cos, fsum, inf, pi, sin, sqrt
+from operator import mul
 
-from .core import SampleSeries, StasParams, estimate_invariant, _pow, _reduced_phase
+from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
+                   _pow, _reduced_phase)
 from .errors import DegenerateParameter, DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -47,13 +50,16 @@ class FitResult:
     tied_frequencies lists every (r1, r2) pair whose residual matches the
     winner's to within rounding; aliasing on coarse grids makes distinct
     odd pairs literally indistinguishable, and the tie set reports that
-    instead of asserting uniqueness.
+    instead of asserting uniqueness.  `invariant` is the estimate of
+    a = 1/p^2 that fit_series derived p from; search_frequencies, which is
+    given p, leaves it None.
     """
 
     params: StasParams
     residual_rms: float
     p_sign_ambiguous: bool
     tied_frequencies: tuple[tuple[int, int], ...] = ()
+    invariant: InvariantReport | None = None
 
 
 def recover_p(a: complex) -> tuple[complex, complex]:
@@ -96,31 +102,70 @@ def disambiguate_p(candidates: tuple[complex, complex],
     return (candidates[0] if m0 <= m1 else candidates[1], ambiguous)
 
 
-def _trig_columns(grid, r1: int, r2: int) -> tuple[list[float], list[float]]:
-    s = [sin(pi * _reduced_phase(r1, t)) for t in grid]
-    c = [cos(pi * _reduced_phase(r2, t)) for t in grid]
-    return s, c
+class _TrigBasis:
+    """The pair-independent parts of the (q1, q2) fit for one series and base p.
+
+    The grid, p^t and y = g - p^t are computed once.  Each odd frequency's
+    sine and cosine columns, with their squared norms and projections on y,
+    are computed once on first use and shared by every pair that needs them.
+    Columns are array('d'), 8 bytes a sample against 32 for a list of
+    floats, which keeps the search's peak memory near that of a per-pair fit.
+    """
+
+    def __init__(self, series: SampleSeries, p: complex):
+        self.series = series
+        self.p = p
+        self.grid = series.grid()
+        self.pt = [_pow(p, t) for t in self.grid]
+        y = [v - w for v, w in zip(series.values, self.pt)]
+        self._y_re = array("d", [z.real for z in y])
+        self._y_im = array("d", [z.imag for z in y])
+        self._sin: dict[int, tuple] = {}
+        self._cos: dict[int, tuple] = {}
+
+    def _column(self, cache: dict, fn, r: int) -> tuple[array, float, complex]:
+        """(column, squared norm, projection on y) of fn(r*pi*t) over the grid."""
+        entry = cache.get(r)
+        if entry is None:
+            col = array("d", [fn(pi * _reduced_phase(r, t)) for t in self.grid])
+            proj = complex(fsum(map(mul, col, self._y_re)), fsum(map(mul, col, self._y_im)))
+            entry = cache[r] = (col, fsum(map(mul, col, col)), proj)
+        return entry
+
+    def sine(self, r: int) -> tuple[array, float, complex]:
+        return self._column(self._sin, sin, r)
+
+    def cosine(self, r: int) -> tuple[array, float, complex]:
+        return self._column(self._cos, cos, r)
+
+    def residual_rms(self, params: StasParams) -> float:
+        """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid."""
+        q1, q2 = params.q1, params.q2
+        total = 0.0
+        for w, x, z, v in zip(self.pt, self.sine(params.r1)[0],
+                              self.cosine(params.r2)[0], self.series.values):
+            total += abs(w + q1 * x + q2 * z - v) ** 2
+        return sqrt(total / len(self.pt))
 
 
-def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int) -> tuple[complex, complex]:
+def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
+             basis: _TrigBasis | None = None) -> tuple[complex, complex]:
     """Least-squares (q1, q2) for fixed p, r1, r2 via 2x2 normal equations.
 
     Minimizes sum |g_i - p^{t_i} - q1*sin(r1*pi*t_i) - q2*cos(r2*pi*t_i)|^2.
     Raises IllConditioned when the normal matrix condition exceeds 1e12,
     which happens in particular on integer grids (the sine column vanishes
     for every odd r) and on unit-spaced grids (the two columns are
-    collinear).
+    collinear).  `basis`, built for the same series and p, shares columns
+    between calls; without one a single-use basis is built.
     """
-    g = series.values
-    if len(g) < 4:
-        raise NoValidWindows(f"need at least 4 samples, got {len(g)}")
-    grid = series.grid()
-    s, c = _trig_columns(grid, r1, r2)
-    y = [g[i] - _pow(p, grid[i]) for i in range(len(g))]
-
-    m00 = fsum(x * x for x in s)
-    m01 = fsum(x * z for x, z in zip(s, c))
-    m11 = fsum(z * z for z in c)
+    if len(series) < 4:
+        raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
+    if basis is None:
+        basis = _TrigBasis(series, p)
+    s, m00, b0 = basis.sine(r1)
+    c, m11, b1 = basis.cosine(r2)
+    m01 = fsum(map(mul, s, c))
     # eigenvalues of the symmetric 2x2 normal matrix
     tr = m00 + m11
     disc = sqrt(max((m00 - m11) ** 2 + 4.0 * m01 * m01, 0.0))
@@ -132,10 +177,6 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int) -> tuple[comple
             f"normal matrix condition {cond:.3e} exceeds {COND_LIMIT:.0e} "
             f"for (r1, r2) = ({r1}, {r2})")
 
-    b0 = complex(fsum(x * z.real for x, z in zip(s, y)),
-                 fsum(x * z.imag for x, z in zip(s, y)))
-    b1 = complex(fsum(x * z.real for x, z in zip(c, y)),
-                 fsum(x * z.imag for x, z in zip(c, y)))
     det = m00 * m11 - m01 * m01
     q1 = (m11 * b0 - m01 * b1) / det
     q2 = (m00 * b1 - m01 * b0) / det
@@ -143,15 +184,7 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int) -> tuple[comple
 
 
 def _residual_rms(series: SampleSeries, params: StasParams) -> float:
-    g = series.values
-    grid = series.grid()
-    total = 0.0
-    for i, t in enumerate(grid):
-        s = sin(pi * _reduced_phase(params.r1, t))
-        c = cos(pi * _reduced_phase(params.r2, t))
-        model = _pow(params.p, t) + params.q1 * s + params.q2 * c
-        total += abs(model - g[i]) ** 2
-    return sqrt(total / len(g))
+    return _TrigBasis(series, params.p).residual_rms(params)
 
 
 def search_frequencies(series: SampleSeries, p: complex,
@@ -161,23 +194,30 @@ def search_frequencies(series: SampleSeries, p: complex,
     Returns the minimal-residual fit; exact residual ties are broken by the
     lexicographically smaller pair and the full tie set is reported.
     Raises IllConditioned only when every pair fails.
+
+    p^t, y = g - p^t and each odd frequency's sine and cosine columns, with
+    their squared norms and projections on y, are computed once per call and
+    shared by all pairs, so a pair costs one cross product of its two
+    columns, the 2x2 solve and one residual pass.  Every float comes from the
+    same operations as a fit_trig/_residual_rms call made on its own.
     """
     if r_max < 1 or r_max % 2 == 0:
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
     if len(series) < 8:
         raise NoValidWindows(f"need at least 8 samples, got {len(series)}")
+    basis = _TrigBasis(series, p)
     odd = range(1, r_max + 1, 2)
     fits = []
     failure: IllConditioned | None = None
     for r1 in odd:
         for r2 in odd:
             try:
-                q1, q2 = fit_trig(series, p, r1, r2)
+                q1, q2 = fit_trig(series, p, r1, r2, basis=basis)
             except IllConditioned as exc:
                 failure = exc
                 continue
             params = StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2)
-            fits.append((_residual_rms(series, params), (r1, r2), params))
+            fits.append((basis.residual_rms(params), (r1, r2), params))
     if not fits:
         assert failure is not None
         raise failure
@@ -208,4 +248,4 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     candidates = recover_p(report.a_hat)
     p, ambiguous = disambiguate_p(candidates, unit)
     result = search_frequencies(series, p, r_max)
-    return replace(result, p_sign_ambiguous=ambiguous)
+    return replace(result, p_sign_ambiguous=ambiguous, invariant=report)

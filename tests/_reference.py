@@ -34,3 +34,100 @@ def ref_invariant(p, q1, q2, r1, r2, t):
 def ref_seq(n):
     """((1/2)^n + (-1)^n) / n via plain Fraction arithmetic."""
     return (Fraction(1, 2) ** n + (-1) ** n) / n
+
+
+# -- integrity localization ---------------------------------------------------
+
+def ref_localize(flagged, n):
+    """Samples implicated by a set of flagged window indices on n samples.
+
+    Per-sample comparison of each sample's covering-window set against every
+    maximal run of consecutive flagged windows, O(n * runs).
+    """
+    n_windows = n - 3
+
+    def covering(j):
+        return set(range(max(0, j - 3), min(j, n_windows - 1) + 1))
+
+    runs = []
+    for i in sorted(flagged):
+        if runs and i == max(runs[-1]) + 1:
+            runs[-1].add(i)
+        else:
+            runs.append({i})
+    return {j for j in range(n) for run in runs if covering(j) == run}
+
+
+# -- frequency search ---------------------------------------------------------
+
+class RefIllConditioned(Exception):
+    pass
+
+
+def _ref_pow(p, t):
+    if float(t).is_integer():
+        return p ** int(t)
+    return cmath.exp(t * cmath.log(p))
+
+
+def _ref_reduced_phase(r, t):
+    w = math.fmod(r * t, 2.0)
+    return w + 2.0 if w < 0.0 else w
+
+
+def ref_fit_trig(t0, step, g, p, r1, r2):
+    """Least-squares (q1, q2) for one pair, every column built from scratch."""
+    grid = [t0 + i * step for i in range(len(g))]
+    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in grid]
+    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in grid]
+    y = [g[i] - _ref_pow(p, grid[i]) for i in range(len(g))]
+    m00 = math.fsum(x * x for x in s)
+    m01 = math.fsum(x * z for x, z in zip(s, c))
+    m11 = math.fsum(z * z for z in c)
+    tr = m00 + m11
+    disc = math.sqrt(max((m00 - m11) ** 2 + 4.0 * m01 * m01, 0.0))
+    lo = (tr - disc) / 2.0
+    hi = (tr + disc) / 2.0
+    cond = hi / lo if lo > 0.0 else math.inf
+    if cond > 1e12:
+        raise RefIllConditioned((r1, r2))
+    b0 = complex(math.fsum(x * z.real for x, z in zip(s, y)),
+                 math.fsum(x * z.imag for x, z in zip(s, y)))
+    b1 = complex(math.fsum(x * z.real for x, z in zip(c, y)),
+                 math.fsum(x * z.imag for x, z in zip(c, y)))
+    det = m00 * m11 - m01 * m01
+    return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m01 * b0) / det
+
+
+def ref_residual_rms(t0, step, g, p, q1, q2, r1, r2):
+    total = 0.0
+    for i in range(len(g)):
+        t = t0 + i * step
+        s = math.sin(math.pi * _ref_reduced_phase(r1, t))
+        c = math.cos(math.pi * _ref_reduced_phase(r2, t))
+        model = _ref_pow(p, t) + q1 * s + q2 * c
+        total += abs(model - g[i]) ** 2
+    return math.sqrt(total / len(g))
+
+
+def ref_search_frequencies(t0, step, g, p, r_max):
+    """Exhaustive per-pair search: ((p, q1, q2, r1, r2), rms, ties).
+
+    Raises RefIllConditioned when every pair is ill-conditioned.
+    """
+    fits = []
+    for r1 in range(1, r_max + 1, 2):
+        for r2 in range(1, r_max + 1, 2):
+            try:
+                q1, q2 = ref_fit_trig(t0, step, g, p, r1, r2)
+            except RefIllConditioned:
+                continue
+            rms = ref_residual_rms(t0, step, g, p, q1, q2, r1, r2)
+            fits.append((rms, (r1, r2), (p, q1, q2, r1, r2)))
+    if not fits:
+        raise RefIllConditioned(r_max)
+    best_rms, _, best = min(fits, key=lambda item: (item[0], item[1]))
+    data_scale = math.sqrt(math.fsum(abs(v) ** 2 for v in g) / len(g))
+    tie_band = best_rms + 1e-9 * max(data_scale, 1.0)
+    ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
+    return best, best_rms, ties

@@ -250,3 +250,25 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--input", str(src), "--r-max", "9")
         assert code == 2
         assert "IllConditioned" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("header", ["t0=0.1 kind=f count=8 step=nan",
+                                        "t0=nan kind=f count=8 step=0.125"])
+    def test_fit_rejects_non_finite_grid(self, capsys, tmp_path, header):
+        src = tmp_path / "in.sig1"
+        src.write_text("SIG1\n" + header + "\n" + "1,0\n" * 8)
+        code, out, err = run_cli(capsys, "fit", "--input", str(src))
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+    def test_check_rejects_bad_tol(self, capsys, tmp_path, tol):
+        src = tmp_path / "in.sig1"
+        src.write_text(dump_sig1(sample_series(BASE, 1.0, 16)))
+        code, out, err = run_cli(capsys, "check", "--p", "0.5,0", "--input", str(src),
+                                 f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err

@@ -1,7 +1,7 @@
 """4-to-3 block codec and sliding-window integrity detection."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stasinv import (
@@ -20,6 +20,8 @@ from stasinv import (
 from stasinv.codec import EncodedStream
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
+
+from _reference import ref_localize
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -198,3 +200,34 @@ class TestDetect:
         for f in detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6):
             w = range(f.window_index, f.window_index + 4)
             assert all(j in w for j in f.implicated_samples)
+
+
+def _corrupted(n, faults):
+    values = list(sample_series(BASE, 1.0, n).values)
+    for j in faults:
+        values[j] += (1.0 + abs(values[j])) * (0.5 + 0.5j)
+    return SampleSeries(1.0, tuple(values))
+
+
+fault_cases = st.integers(4, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=8, unique=True)))
+
+
+class TestLocalizationOracle:
+    @given(fault_cases)
+    @example((4, [2]))
+    @example((5, [0, 4]))
+    @example((20, [0, 7, 19]))
+    @example((20, [5, 8]))
+    def test_matches_per_sample_reference(self, case):
+        n, faults = case
+        findings = detect_errors(_corrupted(n, faults), 4.0, 1e-6)
+        flagged = {f.window_index for f in findings if f.verdict == "flagged"}
+        implicated = ref_localize(flagged, n)
+        expected = [tuple(j for j in range(i, i + 4) if j in implicated) if i in flagged else ()
+                    for i in range(n - 3)]
+        assert [f.implicated_samples for f in findings] == expected
+
+    def test_single_window_implicates_all_four(self):
+        findings = detect_errors(_corrupted(4, [2]), 4.0, 1e-6)
+        assert [f.implicated_samples for f in findings] == [(0, 1, 2, 3)]

@@ -3,15 +3,19 @@
 import cmath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stasinv import (
     DegenerateParameter,
     DomainError,
+    FitResult,
     IllConditioned,
     NoValidWindows,
     SampleSeries,
     StasParams,
     disambiguate_p,
+    estimate_invariant,
     fit_series,
     fit_trig,
     recover_p,
@@ -20,6 +24,9 @@ from stasinv import (
 )
 from stasinv.estimator import _residual_rms
 from stasinv.rng import SplitMix64
+
+from _reference import RefIllConditioned, ref_search_frequencies
+from conftest import params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -182,6 +189,26 @@ class TestSearchFrequencies:
             assert _residual_rms(series, perturbed) >= result.residual_rms
 
 
+class TestSearchOracle:
+    @given(params_st,
+           st.sampled_from([0.125, 0.0625, 1.0]),
+           st.sampled_from(range(1, 16, 2)),
+           st.integers(8, 40),
+           st.one_of(st.floats(-3, 3), st.integers(-3, 3).map(float)))
+    @settings(max_examples=80)
+    def test_matches_per_pair_search(self, params, step, r_max, count, t0):
+        series = sample_series(params, t0, count, step=step)
+        try:
+            (p, q1, q2, r1, r2), rms, ties = ref_search_frequencies(
+                series.t0, series.step, series.values, params.p, r_max)
+        except RefIllConditioned:
+            with pytest.raises(IllConditioned):
+                search_frequencies(series, params.p, r_max)
+            return
+        want = FitResult(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), rms, False, ties)
+        assert search_frequencies(series, params.p, r_max) == want
+
+
 class TestFitSeries:
     def test_full_pipeline_on_eighth_grid(self):
         # Step 1/8 aliases r with 16 - r: at t0 = 0.1 the sine and cosine
@@ -216,3 +243,9 @@ class TestFitSeries:
         series = sample_series(BASE, 0.1, 16, step=0.3)
         with pytest.raises(DomainError):
             fit_series(series)
+
+    def test_reports_invariant_of_unit_subseries(self):
+        series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
+                               0.1, 64, step=0.125)
+        unit = SampleSeries(0.1, series.values[::8])
+        assert fit_series(series, r_max=9).invariant == estimate_invariant(unit)

@@ -1,0 +1,44 @@
+"""Run time of localization and of the frequency fit grows linearly with input size.
+
+Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
+per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
+of a shared machine); code quadratic in N reads 16.
+"""
+
+import time
+
+from stasinv import SampleSeries, StasParams, detect_errors, fit_series, sample_series
+
+RATIO_LIMIT = 10.0
+REPEATS = 3
+
+
+def _best_times(fn, inputs):
+    best = [float("inf")] * len(inputs)
+    for _ in range(REPEATS):
+        for k, x in enumerate(inputs):
+            start = time.perf_counter()
+            fn(x)
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best
+
+
+def _every_tenth_faulted(n):
+    values = list(sample_series(StasParams(p=0.9999, q2=1.0), 1.0, n).values)
+    for j in range(0, n, 10):
+        values[j] += (1.0 + abs(values[j])) * (0.5 + 0.5j)
+    return SampleSeries(1.0, tuple(values))
+
+
+def test_detect_errors_linear_in_faulted_stream_length():
+    a = 1.0 / 0.9999 ** 2
+    small, large = _best_times(lambda s: detect_errors(s, a, 1e-6),
+                               [_every_tenth_faulted(1000), _every_tenth_faulted(4000)])
+    assert large / small < RATIO_LIMIT
+
+
+def test_fit_series_linear_in_eighth_grid_length():
+    params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
+    small, large = _best_times(lambda s: fit_series(s),
+                               [sample_series(params, 0.1, n, step=0.125) for n in (512, 2048)])
+    assert large / small < RATIO_LIMIT

@@ -41,6 +41,12 @@ class TestSampleSeries:
         with pytest.raises(DomainError):
             SampleSeries(0.0, (1, 2), step=0.0)
 
+    @pytest.mark.parametrize("t0, step", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                          (0.0, float("nan")), (0.0, float("-inf"))])
+    def test_rejects_non_finite_grid(self, t0, step):
+        with pytest.raises(DomainError):
+            SampleSeries(t0, (1, 2), step=step)
+
     def test_rejects_bad_kind(self):
         with pytest.raises(DomainError):
             SampleSeries(0.0, (1,), kind="g")

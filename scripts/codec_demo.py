@@ -12,14 +12,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from stasinv import (
     SampleSeries,
     StasParams,
-    Window,
     closed_form_invariant,
     decode_stream,
     detect_errors,
     encode_stream,
     estimate_invariant,
     fit_series,
-    recover_missing,
+    repair_samples,
     sample_series,
 )
 
@@ -57,9 +56,7 @@ def main() -> int:
           f"{[f.window_index for f in flagged]} and implicated samples {implicated}")
 
     j = implicated[0]
-    i = max(0, min(j - 3, len(corrupted) - 4))
-    slots = tuple(None if i + m == j else corrupted[i + m] for m in range(4))
-    repaired = recover_missing(Window(slots, missing=j - i), a)
+    repaired = repair_samples(bad, [j], a).values[j]
     print(f"repaired sample {j}: error after repair "
           f"{abs(repaired - series.values[j]):.2e}\n")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import StasParams, closed_form_invariant, invariant_ratio
+from stasinv.core import EXCLUDED_T
 from stasinv.rng import SplitMix64
 
 
@@ -51,7 +52,7 @@ def main() -> int:
         worst = 0.0
         for _ in range(args.points):
             t = rng.uniform(args.t_min, args.t_max)
-            while t in (0.0, -1.0, -2.0, -3.0):
+            while t in EXCLUDED_T:
                 t = rng.uniform(args.t_min, args.t_max)
             ratio = invariant_ratio(params, t)
             dev = abs(ratio - a) / abs(a)

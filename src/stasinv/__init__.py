@@ -18,6 +18,7 @@ from .codec import (
     encode_stream,
     load_sig1,
     load_stasc1,
+    repair_samples,
 )
 from .core import (
     InvariantReport,
@@ -65,7 +66,7 @@ __all__ = [
     "sample_series", "estimate_invariant",
     "Window", "recover_missing", "predict_next",
     "EncodedStream", "IntegrityFinding",
-    "encode_stream", "decode_stream", "detect_errors",
+    "encode_stream", "decode_stream", "detect_errors", "repair_samples",
     "dump_sig1", "load_sig1", "dump_stasc1", "load_stasc1",
     "FitResult", "recover_p", "disambiguate_p", "fit_trig",
     "search_frequencies", "fit_series",

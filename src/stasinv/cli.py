@@ -15,7 +15,6 @@ import sys
 
 from . import codec, core, estimator
 from .errors import DomainError, StasError
-from .reconstruct import Window, recover_missing
 from .rng import SplitMix64
 
 P_RE_BOUNDS = (0.3, 1.0)
@@ -23,7 +22,6 @@ P_IM_BOUNDS = (-1.5, 1.5)
 Q_BOUNDS = (-2.0, 2.0)
 R_BOUNDS = (1, 15)
 T_PER_TRIAL = 5
-EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
 DEGENERATE_P_TOL = 1e-6
 
 
@@ -130,7 +128,7 @@ def cmd_verify(args) -> int:
         a = core.closed_form_invariant(params)
         for _ in range(T_PER_TRIAL):
             t = rng.uniform(args.t_min, args.t_max)
-            while t in EXCLUDED_T:
+            while t in core.EXCLUDED_T:
                 t = rng.uniform(args.t_min, args.t_max)
             dev = abs(core.invariant_ratio(params, t) - a) / abs(a)
             max_dev = max(max_dev, dev)
@@ -160,17 +158,6 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _repair(series: core.SampleSeries, implicated: list[int], a: complex) -> core.SampleSeries:
-    """Recompute each implicated sample from a covering window."""
-    values = list(series.values)
-    n_windows = len(values) - 3
-    for j in implicated:
-        i = max(0, min(j - 3, n_windows - 1))
-        slots = [None if i + m == j else values[i + m] for m in range(4)]
-        values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
-    return core.SampleSeries(series.t0, tuple(values), kind="f")
-
-
 def cmd_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise DomainError(f"--tol must be finite and non-negative, got {args.tol}")
@@ -185,7 +172,7 @@ def cmd_check(args) -> int:
         if not args.output:
             raise DomainError("--repair needs --output for the repaired series")
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
-        _write(args.output, codec.dump_sig1(_repair(series, implicated, a)))
+        _write(args.output, codec.dump_sig1(codec.repair_samples(series, implicated, a)))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")
     return 1 if flagged else 0
 

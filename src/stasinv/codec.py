@@ -25,9 +25,13 @@ on load.  A non-unit grid step may be recorded with an optional trailing
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
-from .core import SampleSeries
+from .core import SampleSeries, _window_residuals
 from .errors import (
     DegenerateParameter,
     DomainError,
@@ -35,7 +39,7 @@ from .errors import (
     IdentityViolation,
     NoValidWindows,
 )
-from .reconstruct import predict_next
+from .reconstruct import Window, predict_next, recover_missing
 
 __all__ = [
     "EncodedStream",
@@ -43,6 +47,7 @@ __all__ = [
     "encode_stream",
     "decode_stream",
     "detect_errors",
+    "repair_samples",
     "fmt_float",
     "fmt_complex",
     "parse_complex",
@@ -53,7 +58,6 @@ __all__ = [
 ]
 
 ENCODE_TOL = 1e-6
-_SCALE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,9 @@ class EncodedStream:
     def __post_init__(self):
         if self.a == 0:
             raise FormatError("encoded stream requires a != 0")
+        if not (cmath.isfinite(self.a) and math.isfinite(self.t0)):
+            raise FormatError(
+                f"encoded stream requires finite a and t0, got a={self.a}, t0={self.t0}")
         if not 0 <= len(self.remainder) <= 3:
             raise FormatError(f"remainder must hold 0..3 samples, got {len(self.remainder)}")
         if self.count != 4 * len(self.blocks) + len(self.remainder):
@@ -77,8 +84,7 @@ class EncodedStream:
                 f"+ {len(self.remainder)} remainder samples")
 
 
-@dataclass(frozen=True)
-class IntegrityFinding:
+class IntegrityFinding(NamedTuple):
     """Per-window verdict from the sliding-window check."""
 
     window_index: int
@@ -87,35 +93,27 @@ class IntegrityFinding:
     verdict: str  # "flagged" | "clean"
 
 
-def _window_scale(g, i: int) -> float:
-    return max(abs(g[i + j]) for j in range(4))
-
-
 def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     """Compress disjoint 4-blocks to their first three slots.
 
     Every full block is verified against the identity (relative residual
-    <= 1e-6) before its final slot is dropped; a failing block raises
-    IdentityViolation rather than encoding lossy data silently.  Samples
-    past the last full block are stored verbatim.
+    <= 1e-6, as in detect_errors) before its final slot is dropped; a
+    failing block raises IdentityViolation rather than encoding lossy data
+    silently.  Samples past the last full block are stored verbatim.  A
+    non-finite invariant or sample raises DomainError.
     """
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     if series.step != 1.0:
         raise DomainError("encoding requires a unit-spaced series")
     g = series.values
-    n_blocks = len(g) // 4
-    blocks = []
-    for b in range(n_blocks):
-        i = 4 * b
-        scale = max(_window_scale(g, i), _SCALE_FLOOR)
-        residual = abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale
+    for b, residual in enumerate(_window_residuals(g, a, stride=4)):
         if residual > ENCODE_TOL:
             raise IdentityViolation(b, residual)
-        blocks.append((g[i], g[i + 1], g[i + 2]))
-    remainder = tuple(g[4 * n_blocks:])
+    end = len(g) - len(g) % 4
     return EncodedStream(a=a, t0=series.t0, count=len(g),
-                         blocks=tuple(blocks), remainder=remainder)
+                         blocks=tuple(zip(g[0:end:4], g[1:end:4], g[2:end:4])),
+                         remainder=g[end:])
 
 
 def decode_stream(enc: EncodedStream) -> SampleSeries:
@@ -131,10 +129,11 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     """Sweep all windows; flag residuals above tol and localize single errors.
 
     residual_i = |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| normalized by the
-    window's max slot magnitude.  Localization matches flag patterns: a
-    single corrupted sample j perturbs exactly the valid windows covering j,
-    the range max(0, j-3) .. min(j, n_windows-1), so sample j is implicated
-    when that range equals a maximal run of consecutive flagged windows.
+    window's max slot magnitude; a non-finite invariant or sample raises
+    DomainError.  Localization matches flag patterns: a single corrupted
+    sample j perturbs exactly the valid windows covering j, the range
+    max(0, j-3) .. min(j, n_windows-1), so sample j is implicated when that
+    range equals a maximal run of consecutive flagged windows.
     Each run is kept by its endpoints (first, last), and the at most four
     samples j in [last, first+3] are tested against them, so localization is
     linear in the number of samples.  Corruptions at least 7 samples apart
@@ -144,19 +143,15 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     """
     if series.step != 1.0:
         raise DomainError("integrity checking requires a unit-spaced series")
-    g = series.values
-    n = len(g)
+    n = len(series)
     if n < 4:
         raise NoValidWindows(f"need at least 4 samples, got {n}")
     n_windows = n - 3
-    residuals = []
-    for i in range(n_windows):
-        scale = max(_window_scale(g, i), _SCALE_FLOOR)
-        residuals.append(abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale)
-    flagged = {i for i, r in enumerate(residuals) if r > tol}
+    residuals = _window_residuals(series.values, a)
+    flagged = [i for i, r in enumerate(residuals) if r > tol]
 
     runs = []  # (first, last) window of each maximal run of flagged windows
-    for i in sorted(flagged):
+    for i in flagged:
         if runs and i == runs[-1][1] + 1:
             runs[-1] = (runs[-1][0], i)
         else:
@@ -166,14 +161,28 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     implicated = {j for first, last in runs
                   for j in range(last, min(first + 3, n - 1) + 1)
                   if max(0, j - 3) == first and min(j, n_windows - 1) == last}
-    findings = []
-    for i in range(n_windows):
-        if i in flagged:
-            hits = tuple(j for j in range(i, i + 4) if j in implicated)
-            findings.append(IntegrityFinding(i, residuals[i], hits, "flagged"))
-        else:
-            findings.append(IntegrityFinding(i, residuals[i], (), "clean"))
+    findings = list(map(IntegrityFinding._make,
+                        zip(range(n_windows), residuals, repeat(()), repeat("clean"))))
+    for i in flagged:
+        hits = tuple(j for j in range(i, i + 4) if j in implicated)
+        findings[i] = IntegrityFinding(i, residuals[i], hits, "flagged")
     return findings
+
+
+def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries:
+    """Recompute each implicated sample from a covering window.
+
+    Each sample j is solved from the four-point identity of the window
+    starting at max(0, min(j-3, n_windows-1)), with the other three slots
+    taken from the series as it stands after the earlier repairs.
+    """
+    values = list(series.values)
+    n_windows = len(values) - 3
+    for j in implicated:
+        i = max(0, min(j - 3, n_windows - 1))
+        slots = [None if i + m == j else values[i + m] for m in range(4)]
+        values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
+    return SampleSeries(series.t0, tuple(values), kind="f")
 
 
 # -- text serialization -------------------------------------------------------

@@ -25,7 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
+from itertools import islice
+from math import fsum, isfinite
 from statistics import median
 
 from .errors import DomainError, NoValidWindows, SingularWindow
@@ -48,7 +49,11 @@ __all__ = [
 
 DEFAULT_SKIP_THRESHOLD = 1e-9
 
-_EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
+# Arguments where the s-form of the four-point ratio has a pole.
+EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
+
+# Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
+_SCALE_FLOOR = 1e-300
 
 
 class Rational(Fraction):
@@ -237,7 +242,7 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     of that form excludes t in {0, -1, -2, -3}, and the exclusion is enforced
     even though the f-form stays finite there.
     """
-    if t in _EXCLUDED_T:
+    if t in EXCLUDED_T:
         raise DomainError(f"t = {t} is outside the invariant's domain")
     num, den = _window_pair_sums(params, t)
     if den == 0:
@@ -313,6 +318,67 @@ def sample_series(params: StasParams, t0: float, count: int,
     return SampleSeries(t0, tuple(values), kind="f", step=step)
 
 
+def _magnitudes(g) -> list[float]:
+    """|g_i| of every sample; DomainError for a sample with a nan or inf part
+    or with a magnitude past the float range."""
+    try:
+        mags = [abs(v) for v in g]
+    except OverflowError:
+        raise DomainError("a sample's magnitude exceeds the float range") from None
+    if not all(map(isfinite, mags)):
+        raise DomainError("samples must be finite, found nan or inf")
+    return mags
+
+
+def _window_terms(g, stride: int = 1):
+    """The window kernel: (lo, hi, scales) of windows 0, stride, 2*stride, ...
+
+    Window i has lo = g_i + g_{i+1}, hi = g_{i+2} + g_{i+3} and scale
+    max(m_i, m_{i+2}), with pairwise maxima m_j = max(|g_j|, |g_{j+1}|).
+    Stride 1 sweeps every window, so each pair sum is window i's lo and
+    window i-2's hi; stride 4 takes the codec's disjoint blocks, whose pairs
+    start at even samples.  Every magnitude (see _magnitudes), pair sum and
+    pairwise maximum is computed once.  lo can run past the last window.
+    """
+    # Pairs start every `step` samples; window k uses pairs k*hop and k*hop + span.
+    step = 1 if stride == 1 else 2
+    hop, span = stride // step, 2 // step
+    mags = _magnitudes(g)
+    peaks = [x if x >= y else y
+             for x, y in zip(islice(mags, 0, None, step), islice(mags, 1, None, step))]
+    del mags
+    scales = [x if x >= y else y
+              for x, y in zip(islice(peaks, 0, None, hop), islice(peaks, span, None, hop))]
+    del peaks
+    sums = [x + y for x, y in zip(islice(g, 0, None, step), islice(g, 1, None, step))]
+    return islice(sums, 0, None, hop), islice(sums, span, None, hop), scales
+
+
+def _defect(lo, hi, a):
+    """|lo - a*hi| for pair sums lo = g0 + g1, hi = g2 + g3: how far a window
+    is from the four-point identity g0 + g1 = a*(g2 + g3)."""
+    return abs(lo - a * hi)
+
+
+def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
+    """_defect / max(scale, _SCALE_FLOOR) of windows 0, stride, 2*stride, ... of g.
+
+    Raises DomainError for a non-finite invariant or sample.
+    """
+    if not cmath.isfinite(a):
+        raise DomainError(f"the invariant must be finite, got {a}")
+    lo, hi, scales = _window_terms(g, stride)
+    return [_defect(x, y, a) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
+            for x, y, c in zip(lo, hi, scales)]
+
+
+def _window_ratios(g, skip_threshold: float) -> list[complex]:
+    """lo / hi of every window not skipped as near-singular (see estimate_invariant)."""
+    lo, hi, scales = _window_terms(g)
+    return [x / y for x, y, c in zip(lo, hi, scales)
+            if not (y == 0 or abs(y) < skip_threshold * c)]
+
+
 def estimate_invariant(series: SampleSeries,
                        skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
@@ -321,7 +387,7 @@ def estimate_invariant(series: SampleSeries,
     windows whose denominator magnitude falls below skip_threshold times the
     window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
-    over retained windows.
+    over retained windows.  A non-finite sample raises DomainError.
     """
     if series.step != 1.0:
         raise DomainError("invariant estimation requires a unit-spaced series")
@@ -329,19 +395,11 @@ def estimate_invariant(series: SampleSeries,
     n = len(g)
     if n < 4:
         raise NoValidWindows(f"need at least 4 samples, got {n}")
-    ratios = []
-    skipped = 0
-    for i in range(n - 3):
-        den = g[i + 2] + g[i + 3]
-        scale = max(abs(g[i + j]) for j in range(4))
-        if den == 0 or abs(den) < skip_threshold * scale:
-            skipped += 1
-            continue
-        ratios.append((g[i] + g[i + 1]) / den)
+    ratios = _window_ratios(g, skip_threshold)
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))
     norm = max(abs(a_hat), 1.0)
     max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev,
-                           windows_used=len(ratios), windows_skipped=skipped)
+                           windows_used=len(ratios), windows_skipped=n - 3 - len(ratios))

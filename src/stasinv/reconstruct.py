@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _defect
 from .errors import ContractViolation, DegenerateParameter
 
 __all__ = ["Window", "recover_missing", "predict_next"]
@@ -47,7 +48,7 @@ class Window:
         if self.missing is not None:
             raise ContractViolation("residual needs a complete window")
         g = self.g
-        return abs(g[0] + g[1] - a * (g[2] + g[3]))
+        return _defect(g[0] + g[1], g[2] + g[3], a)
 
 
 def recover_missing(window: Window, a):

@@ -7,6 +7,7 @@ package, so agreement between the two routes is meaningful.
 
 import cmath
 import math
+import statistics
 from fractions import Fraction
 
 
@@ -131,3 +132,73 @@ def ref_search_frequencies(t0, step, g, p, r_max):
     tie_band = best_rms + 1e-9 * max(data_scale, 1.0)
     ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
     return best, best_rms, ties
+
+
+# -- window residuals, invariant estimate, block check ------------------------
+# The per-window loops as first written: each window's scale is a max over a
+# generator of its four magnitudes, and its sums are formed in place.
+
+SCALE_FLOOR = 1e-300
+ENCODE_TOL = 1e-6
+
+
+class RefIdentityViolation(Exception):
+    pass
+
+
+class RefNoValidWindows(Exception):
+    pass
+
+
+def ref_window_scale(g, i):
+    return max(abs(g[i + j]) for j in range(4))
+
+
+def ref_residuals(g, a):
+    """Scale-relative residual of every window, as detect_errors reports it."""
+    residuals = []
+    for i in range(len(g) - 3):
+        scale = max(ref_window_scale(g, i), SCALE_FLOOR)
+        residuals.append(abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale)
+    return residuals
+
+
+def ref_defects(g, a):
+    """Unnormalized residual |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| of every window."""
+    return [abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) for i in range(len(g) - 3)]
+
+
+def ref_estimate_invariant(g, skip_threshold=1e-9):
+    """(a_hat, max_rel_dev, windows_used, windows_skipped) by the median of window ratios."""
+    if len(g) < 4:
+        raise RefNoValidWindows(len(g))
+    ratios = []
+    skipped = 0
+    for i in range(len(g) - 3):
+        den = g[i + 2] + g[i + 3]
+        scale = ref_window_scale(g, i)
+        if den == 0 or abs(den) < skip_threshold * scale:
+            skipped += 1
+            continue
+        ratios.append((g[i] + g[i + 1]) / den)
+    if not ratios:
+        raise RefNoValidWindows(len(g))
+    a_hat = complex(statistics.median(r.real for r in ratios),
+                    statistics.median(r.imag for r in ratios))
+    norm = max(abs(a_hat), 1.0)
+    max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
+    return a_hat, max_rel_dev, len(ratios), skipped
+
+
+def ref_encode_blocks(g, a):
+    """(blocks, remainder) of the 4-to-3 encoding; RefIdentityViolation(b, residual) on a bad block."""
+    n_blocks = len(g) // 4
+    blocks = []
+    for b in range(n_blocks):
+        i = 4 * b
+        scale = max(ref_window_scale(g, i), SCALE_FLOOR)
+        residual = abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale
+        if residual > ENCODE_TOL:
+            raise RefIdentityViolation(b, residual)
+        blocks.append((g[i], g[i + 1], g[i + 2]))
+    return tuple(blocks), tuple(g[4 * n_blocks:])

@@ -272,3 +272,31 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "DomainError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sample", ["nan,0", "0,inf", "1.5e308,1.5e308"])
+    @pytest.mark.parametrize("argv", [("check", "--p", "2,0"), ("check", "--estimate"),
+                                      ("encode", "--p", "2,0"), ("encode", "--estimate")])
+    def test_codec_commands_reject_non_finite_sample(self, capsys, tmp_path, sample, argv):
+        src = tmp_path / "in.sig1"
+        dst = tmp_path / "out.stasc1"
+        lines = dump_sig1(sample_series(BASE, 1.0, 8)).splitlines()
+        lines[2 + 5] = sample
+        src.write_text("\n".join(lines) + "\n")
+        extra = ("--output", str(dst)) if argv[0] == "encode" else ()
+        code, out, err = run_cli(capsys, *argv, "--input", str(src), *extra)
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("header", ["a=nan,0 t0=1 count=4", "a=0,inf t0=1 count=4",
+                                        "a=4,0 t0=nan count=4"])
+    def test_decode_rejects_non_finite_header(self, capsys, tmp_path, header):
+        src = tmp_path / "in.stasc1"
+        dst = tmp_path / "out.sig1"
+        src.write_text(f"STASC1\n{header}\n1,0;2,0;3,0\nrem=0\n")
+        code, out, err = run_cli(capsys, "decode", "--input", str(src), "--output", str(dst))
+        assert code == 2
+        assert out == ""
+        assert "FormatError" in err and "Traceback" not in err
+        assert not dst.exists()

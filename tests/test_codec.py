@@ -6,14 +6,18 @@ from hypothesis import strategies as st
 
 from stasinv import (
     DegenerateParameter,
+    DomainError,
     IdentityViolation,
+    InvariantReport,
     NoValidWindows,
     SampleSeries,
     StasParams,
+    Window,
     closed_form_invariant,
     decode_stream,
     detect_errors,
     encode_stream,
+    estimate_invariant,
     sample_series,
     seq_a,
 )
@@ -21,7 +25,16 @@ from stasinv.codec import EncodedStream
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
-from _reference import ref_localize
+from conftest import complexes, params_st
+from _reference import (
+    RefIdentityViolation,
+    RefNoValidWindows,
+    ref_defects,
+    ref_encode_blocks,
+    ref_estimate_invariant,
+    ref_localize,
+    ref_residuals,
+)
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -54,6 +67,12 @@ class TestEncodedStream:
         with pytest.raises(FormatError):
             EncodedStream(a=0.0, t0=1.0, count=0, blocks=(), remainder=())
 
+    @pytest.mark.parametrize("a, t0", [(complex("nan"), 1.0), (complex(0, float("inf")), 1.0),
+                                       (4.0, float("nan")), (4.0, float("-inf"))])
+    def test_non_finite_header_rejected(self, a, t0):
+        with pytest.raises(FormatError):
+            EncodedStream(a=a, t0=t0, count=0, blocks=(), remainder=())
+
 
 class TestEncode:
     def test_base_block(self):
@@ -83,6 +102,20 @@ class TestEncode:
         series = sample_series(BASE, 1.0, 4)
         with pytest.raises(DegenerateParameter):
             encode_stream(series, 0.0)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(4.0, float("nan"))])
+    def test_non_finite_invariant_rejected(self, a):
+        with pytest.raises(DomainError):
+            encode_stream(sample_series(BASE, 1.0, 8), a)
+
+    @pytest.mark.parametrize("index", [2, 5])  # in a block and in the verbatim tail
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")),
+                                     complex(1.5e308, 1.5e308)])
+    def test_non_finite_sample_rejected(self, index, bad):
+        values = list(sample_series(BASE, 1.0, 6).values)
+        values[index] = bad
+        with pytest.raises(DomainError):
+            encode_stream(SampleSeries(1.0, tuple(values)), 4.0)
 
     @given(st.integers(0, 40))
     def test_storage_count(self, count):
@@ -144,6 +177,19 @@ class TestDetect:
     def test_too_few_samples(self):
         with pytest.raises(NoValidWindows):
             detect_errors(SampleSeries(1.0, (1, 2, 3)), 4.0, 1e-6)
+
+    @pytest.mark.parametrize("a", [float("nan"), complex(float("-inf"), 0.0)])
+    def test_non_finite_invariant_rejected(self, a):
+        with pytest.raises(DomainError):
+            detect_errors(sample_series(BASE, 1.0, 8), a, 1e-6)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(float("inf"), 0.0),
+                                     complex(-1.5e308, 1.5e308)])
+    def test_non_finite_sample_rejected(self, bad):
+        values = list(sample_series(BASE, 1.0, 8).values)
+        values[3] = bad
+        with pytest.raises(DomainError):
+            detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6)
 
     def test_boundary_corruption_localized(self):
         series = sample_series(BASE, 1.0, 16)
@@ -231,3 +277,69 @@ class TestLocalizationOracle:
     def test_single_window_implicates_all_four(self):
         findings = detect_errors(_corrupted(4, [2]), 4.0, 1e-6)
         assert [f.implicated_samples for f in findings] == [(0, 1, 2, 3)]
+
+
+# Values that reach every branch of the window kernel: exact zeros (the scale
+# floor), magnitudes below the floor, pairs whose sum is exactly or nearly
+# zero (windows skipped as near-singular), and generic values.
+kernel_values = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, -1 + 1e-12j, 1e-305 + 0j, -1e-305j, 3e-310 + 0j]),
+    complexes(-10, 10, -10, 10),
+)
+arbitrary_streams = st.tuples(st.lists(kernel_values, min_size=4, max_size=40),
+                              complexes(-8, 8, -8, 8).filter(lambda a: a != 0))
+# Family members with their own invariant, so that most blocks encode.
+family_streams = st.builds(
+    lambda params, t0, n: (list(sample_series(params, t0, n).values), closed_form_invariant(params)),
+    params_st, st.floats(-5, 5), st.integers(4, 40))
+kernel_streams = st.one_of(arbitrary_streams, family_streams)
+
+
+class TestWindowKernelOracle:
+    """The shared window kernel against the per-window loops it replaced, bit for bit."""
+
+    @given(kernel_streams)
+    @example(([0j] * 4, 4.0))
+    @example(([1 + 0j, -1 + 0j] * 3, 2.0))
+    @example(([1e-305 + 0j, 3e-310 + 0j, 0j, -1e-305j, 2 + 0j], 0.5j))
+    def test_residuals(self, case):
+        values, a = case
+        series = SampleSeries(1.0, values)
+        g = series.values
+        got = [f.residual for f in detect_errors(series, a, 1e-6)]
+        assert repr(got) == repr(ref_residuals(g, a))
+        windows = [Window(g[i:i + 4]).residual(a) for i in range(len(g) - 3)]
+        assert repr(windows) == repr(ref_defects(g, a))
+
+    @given(kernel_streams, st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
+    @example(([0j] * 4, 4.0), 1e-9)
+    @example(([1 + 0j, 2 + 0j, 1 + 0j, -1 + 0j], 4.0), 1e-9)
+    @example(([1 + 0j, 2 + 0j, 1 + 0j, -1 + 1e-12j, 1 + 0j], 4.0), 1e-9)
+    @example(([2 + 0j, 0j, 1 + 0j, 0j], 4.0), 0.5)  # |hi| equals the skip bound: kept
+    def test_estimate_invariant(self, case, skip_threshold):
+        values, _ = case
+        series = SampleSeries(1.0, values)
+        try:
+            want = InvariantReport(*ref_estimate_invariant(series.values, skip_threshold))
+        except RefNoValidWindows:
+            with pytest.raises(NoValidWindows):
+                estimate_invariant(series, skip_threshold)
+        else:
+            assert repr(estimate_invariant(series, skip_threshold)) == repr(want)
+
+    @given(kernel_streams)
+    @example(([0j] * 5, 4.0))
+    @example(([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j], 4.0))
+    def test_encode_stream(self, case):
+        values, a = case
+        series = SampleSeries(1.0, values)
+        try:
+            blocks, remainder = ref_encode_blocks(series.values, a)
+        except RefIdentityViolation as exc:
+            with pytest.raises(IdentityViolation) as info:
+                encode_stream(series, a)
+            assert (info.value.block_index, repr(info.value.residual)) == \
+                (exc.args[0], repr(exc.args[1]))
+        else:
+            assert encode_stream(series, a) == EncodedStream(
+                a=a, t0=1.0, count=len(values), blocks=blocks, remainder=remainder)

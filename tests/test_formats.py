@@ -128,6 +128,8 @@ class TestStasc1:
         "STASC1\na=1,0 t0=0 count=0\n",
         "STASC1\na=1,0 t0=0 count=2\nrem=2\n1,0\n",
         "STASC1\na=0,0 t0=0 count=0\nrem=0\n",
+        "STASC1\na=nan,0 t0=0 count=0\nrem=0\n",
+        "STASC1\na=1,0 t0=inf count=0\nrem=0\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):

@@ -1,4 +1,4 @@
-"""Run time of localization and of the frequency fit grows linearly with input size.
+"""Run time of the window sweeps, localization and the frequency fit grows linearly with input size.
 
 Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
 per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
@@ -7,7 +7,14 @@ of a shared machine); code quadratic in N reads 16.
 
 import time
 
-from stasinv import SampleSeries, StasParams, detect_errors, fit_series, sample_series
+from stasinv import (
+    SampleSeries,
+    StasParams,
+    detect_errors,
+    estimate_invariant,
+    fit_series,
+    sample_series,
+)
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -28,6 +35,21 @@ def _every_tenth_faulted(n):
     for j in range(0, n, 10):
         values[j] += (1.0 + abs(values[j])) * (0.5 + 0.5j)
     return SampleSeries(1.0, tuple(values))
+
+
+def _clean(n):
+    return sample_series(StasParams(p=0.9999, q1=0.5j, q2=1.0, r1=3), 1.0, n)
+
+
+def test_estimate_invariant_linear_in_clean_stream_length():
+    small, large = _best_times(estimate_invariant, [_clean(2500), _clean(10000)])
+    assert large / small < RATIO_LIMIT
+
+
+def test_detect_errors_linear_in_clean_stream_length():
+    a = 1.0 / 0.9999 ** 2
+    small, large = _best_times(lambda s: detect_errors(s, a, 1e-6), [_clean(2500), _clean(10000)])
+    assert large / small < RATIO_LIMIT
 
 
 def test_detect_errors_linear_in_faulted_stream_length():

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Randomized invariant experiment with per-trial detail.
 
-Draws random family members (complex base with Re in [0.3, 1], Im in
-[-1.5, 1.5], amplitudes in [-2, 2]^2, odd frequencies up to 15), evaluates
-the four-point ratio at several random t, and reports each trial's spread
-around the closed form 1/p^2.
+Draws random family members as `stasinv verify` does (complex base with Re
+in [0.3, 1], Im in [-1.5, 1.5], amplitudes in [-2, 2]^2, odd frequencies up
+to 15), evaluates the four-point ratio at several random t, and reports each
+trial's spread around the closed form 1/p^2.
 """
 
 import argparse
@@ -13,23 +13,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stasinv import StasParams, closed_form_invariant, invariant_ratio
+from stasinv import closed_form_invariant, invariant_ratio
+from stasinv.cli import _draw_trial_params
 from stasinv.core import EXCLUDED_T
 from stasinv.rng import SplitMix64
-
-
-def draw_params(rng: SplitMix64) -> StasParams:
-    while True:
-        p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
-        if abs(1 + p) >= 1e-6:
-            break
-    return StasParams(
-        p=p,
-        q1=rng.uniform_complex(-2, 2, -2, 2),
-        q2=rng.uniform_complex(-2, 2, -2, 2),
-        r1=rng.odd_int(1, 15),
-        r2=rng.odd_int(1, 15),
-    )
 
 
 def main() -> int:
@@ -44,7 +31,7 @@ def main() -> int:
     overall = 0.0
     for trial in range(args.trials):
         rng = SplitMix64.for_trial(args.seed, trial)
-        params = draw_params(rng)
+        params, _ = _draw_trial_params(rng)
         a = closed_form_invariant(params)
         print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
               f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")

@@ -14,19 +14,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import StasParams, sample_series
+from stasinv.cli import _complex_flag
 from stasinv.codec import dump_sig1
-
-
-def parse_complex(text: str) -> complex:
-    re, im = text.split(",")
-    return complex(float(re), float(im))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--p", type=parse_complex, required=True)
-    ap.add_argument("--q1", type=parse_complex, default=0j)
-    ap.add_argument("--q2", type=parse_complex, default=0j)
+    ap.add_argument("--p", type=_complex_flag, required=True)
+    ap.add_argument("--q1", type=_complex_flag, default=0j)
+    ap.add_argument("--q2", type=_complex_flag, default=0j)
     ap.add_argument("--r1", type=int, default=1)
     ap.add_argument("--r2", type=int, default=1)
     ap.add_argument("--t0", type=float, default=0.25)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: eval, invariant, table, verify, encode, decode, check, fit.
-Complex flags take a single `re,im` argument.  All randomness flows through
+Complex flags take a single `re,im` argument; parameter flags and `--t` must
+be finite.  All randomness flows through
 the seeded SplitMix64 generator (see rng.py), so identical flags and seed
 reproduce identical output.  Exit codes: 0 success/clean, 1 verification or
 integrity failure, 2 usage/domain/format errors (error name on stderr).
@@ -10,11 +11,12 @@ integrity failure, 2 usage/domain/format errors (error name on stderr).
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
 from . import codec, core, estimator
-from .errors import DomainError, StasError
+from .errors import DomainError, FormatError, StasError
 from .rng import SplitMix64
 
 P_RE_BOUNDS = (0.3, 1.0)
@@ -25,14 +27,21 @@ T_PER_TRIAL = 5
 DEGENERATE_P_TOL = 1e-6
 
 
-def _complex_flag(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad complex value {text!r}")
+def _finite_flag(parse):
+    """An argparse type: parse(text), refusing a malformed or non-finite value."""
+    def flag(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, FormatError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+        return value
+    return flag
+
+
+_complex_flag = _finite_flag(codec.parse_complex)
+_float_flag = _finite_flag(float)
 
 
 def _fmt_value(z: complex) -> str:
@@ -117,8 +126,10 @@ def _draw_trial_params(rng: SplitMix64) -> tuple[core.StasParams, int]:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    if not args.t_min < args.t_max:
-        raise DomainError("--t-min must be below --t-max")
+    # A positive, finite span also rules out a nan or infinite bound.
+    if not 0.0 < args.t_max - args.t_min < math.inf:
+        raise DomainError(
+            f"need --t-min < --t-max with a finite span, got {args.t_min}, {args.t_max}")
     max_dev = 0.0
     resampled = 0
     for trial in range(args.trials):
@@ -131,7 +142,8 @@ def cmd_verify(args) -> int:
             while t in core.EXCLUDED_T:
                 t = rng.uniform(args.t_min, args.t_max)
             dev = abs(core.invariant_ratio(params, t) - a) / abs(a)
-            max_dev = max(max_dev, dev)
+            # max() keeps a nan first argument but drops a nan second one
+            max_dev = dev if math.isnan(dev) else max(max_dev, dev)
     print(f"trials={args.trials} seed={args.seed} "
           f"t_min={codec.fmt_float(args.t_min)} t_max={codec.fmt_float(args.t_max)} "
           f"resampled={resampled}")
@@ -211,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("eval", help="evaluate f(t) or s(t)")
     _add_param_flags(p_eval)
-    p_eval.add_argument("--t", type=float, required=True)
+    p_eval.add_argument("--t", type=_float_flag, required=True)
     p_eval.add_argument("--kind", choices=("f", "s"), default="f")
     p_eval.set_defaults(func=cmd_eval)
 
     p_inv = subs.add_parser("invariant",
                             help="closed-form invariant 1/p^2, or the ratio at --t")
     _add_param_flags(p_inv)
-    p_inv.add_argument("--t", type=float, default=None)
+    p_inv.add_argument("--t", type=_float_flag, default=None)
     p_inv.set_defaults(func=cmd_invariant)
 
     p_table = subs.add_parser("table", help="exact rational four-point table")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .core import SampleSeries, _window_residuals
@@ -62,7 +62,10 @@ ENCODE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EncodedStream:
-    """Header (invariant, grid) plus 4->3 compressed blocks and verbatim tail."""
+    """Header (invariant, grid) plus 4->3 compressed blocks and verbatim tail.
+
+    a, t0 and every stored sample must be finite, else FormatError.
+    """
 
     a: complex
     t0: float
@@ -76,6 +79,9 @@ class EncodedStream:
         if not (cmath.isfinite(self.a) and math.isfinite(self.t0)):
             raise FormatError(
                 f"encoded stream requires finite a and t0, got a={self.a}, t0={self.t0}")
+        if not all(map(cmath.isfinite, chain(chain.from_iterable(self.blocks),
+                                             self.remainder))):
+            raise FormatError("encoded stream samples must be finite, found nan or inf")
         if not 0 <= len(self.remainder) <= 3:
             raise FormatError(f"remainder must hold 0..3 samples, got {len(self.remainder)}")
         if self.count != 4 * len(self.blocks) + len(self.remainder):
@@ -108,7 +114,7 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
         raise DomainError("encoding requires a unit-spaced series")
     g = series.values
     for b, residual in enumerate(_window_residuals(g, a, stride=4)):
-        if residual > ENCODE_TOL:
+        if not residual <= ENCODE_TOL:
             raise IdentityViolation(b, residual)
     end = len(g) - len(g) % 4
     return EncodedStream(a=a, t0=series.t0, count=len(g),
@@ -126,14 +132,15 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
 
 
 def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[IntegrityFinding]:
-    """Sweep all windows; flag residuals above tol and localize single errors.
+    """Sweep all windows; flag residuals not within tol and localize single errors.
 
     residual_i = |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| normalized by the
-    window's max slot magnitude; a non-finite invariant or sample raises
-    DomainError.  Localization matches flag patterns: a single corrupted
-    sample j perturbs exactly the valid windows covering j, the range
-    max(0, j-3) .. min(j, n_windows-1), so sample j is implicated when that
-    range equals a maximal run of consecutive flagged windows.
+    window's max slot magnitude; it is nan, and flagged, where a pair sum
+    overflows.  A non-finite invariant or sample raises DomainError.
+    Localization matches flag patterns: a single corrupted sample j perturbs
+    exactly the valid windows covering j, the range max(0, j-3) ..
+    min(j, n_windows-1), so sample j is implicated when that range equals a
+    maximal run of consecutive flagged windows.
     Each run is kept by its endpoints (first, last), and the at most four
     samples j in [last, first+3] are tested against them, so localization is
     linear in the number of samples.  Corruptions at least 7 samples apart
@@ -148,7 +155,7 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
         raise NoValidWindows(f"need at least 4 samples, got {n}")
     n_windows = n - 3
     residuals = _window_residuals(series.values, a)
-    flagged = [i for i, r in enumerate(residuals) if r > tol]
+    flagged = [i for i, r in enumerate(residuals) if not r <= tol]
 
     runs = []  # (first, last) window of each maximal run of flagged windows
     for i in flagged:

@@ -141,14 +141,14 @@ class SampleSeries:
         t0 = float(t0)
         step = float(step)
         values = tuple(values)
-        grid = [t0 + i * step for i in range(len(values))]
-        if any(t == 0.0 for t in grid):
+        grid = _grid(t0, step, len(values))
+        if 0.0 in grid:
             raise DomainError("s-value series has a grid point at t = 0")
         g = tuple(t * complex(v) for t, v in zip(grid, values))
         return cls(t0, g, kind="s", step=step)
 
     def grid(self) -> list[float]:
-        return [self.t0 + i * self.step for i in range(len(self.values))]
+        return _grid(self.t0, self.step, len(self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -164,15 +164,20 @@ class InvariantReport:
     windows_skipped: int
 
 
-def _pow(p: complex, t: float) -> complex:
-    """p^t on the principal branch: exp(t*(ln|p| + i*Arg p)), Arg p in (-pi, pi].
+def _grid(t0: float, step: float, count: int) -> list[float]:
+    """The sample arguments t0 + i*step, i = 0 .. count-1."""
+    return [t0 + i * step for i in range(count)]
+
+
+def _powers(p: complex, ts) -> list[complex]:
+    """p^t for each t in ts, on the principal branch: exp(t*(ln|p| + i*Arg p)),
+    Arg p in (-pi, pi].
 
     Integer t uses exact integer powering, which agrees with the principal
     branch there (e^{i*pi*n} = (-1)^n) and is exact for dyadic bases.
     """
-    if float(t).is_integer():
-        return p ** int(t)
-    return cmath.exp(t * cmath.log(p))
+    log_p = cmath.log(p)
+    return [p ** int(t) if float(t).is_integer() else cmath.exp(t * log_p) for t in ts]
 
 
 def _reduced_phase(r: int, t: float) -> float:
@@ -193,7 +198,7 @@ def _trig_part(params: StasParams, t: float) -> complex:
 
 def eval_f(params: StasParams, t: float) -> complex:
     """f(t) = p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t); defined for all real t."""
-    return _pow(params.p, t) + _trig_part(params, t)
+    return _powers(params.p, (t,))[0] + _trig_part(params, t)
 
 
 def eval_s(params: StasParams, t: float) -> complex:
@@ -213,38 +218,25 @@ def _csum(terms) -> complex:
     return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
 
 
-def _window_pair_sums(params: StasParams, t: float) -> tuple[complex, complex]:
-    """(f(t)+f(t+1), f(t+2)+f(t+3)) evaluated coherently across the window.
-
-    The oscillatory part is evaluated once at the exactly reduced base phase;
-    a unit shift multiplies both terms by (-1)^r = -1 for odd r, which is
-    applied as an exact sign flip.  Pair sums are accumulated with fsum.
-    Without this, the rounding of four independent trig evaluations swamps
-    the exponential part wherever |p^t| is many orders below |q1| + |q2|.
-    """
-    p = params.p
-    if float(t).is_integer():
-        n = int(t)
-        exps = [p ** (n + m) for m in range(4)]
-    else:
-        log_p = cmath.log(p)
-        exps = [cmath.exp((t + m) * log_p) for m in range(4)]
-    trig = _trig_part(params, t)
-    num = _csum([exps[0], trig, exps[1], -trig])
-    den = _csum([exps[2], trig, exps[3], -trig])
-    return num, den
-
-
 def invariant_ratio(params: StasParams, t: float) -> complex:
     """The four-point ratio (f(t)+f(t+1)) / (f(t+2)+f(t+3)) at real t.
 
     The defining form uses s(t)*t terms, whose t-factors cancel; the domain
     of that form excludes t in {0, -1, -2, -3}, and the exclusion is enforced
     even though the f-form stays finite there.
+
+    The window is evaluated coherently: the oscillatory part once at the
+    exactly reduced base phase, since a unit shift multiplies both terms by
+    (-1)^r = -1 for odd r, an exact sign flip, and the pair sums with fsum.
+    Without this, the rounding of four independent trig evaluations swamps
+    the exponential part wherever |p^t| is many orders below |q1| + |q2|.
     """
     if t in EXCLUDED_T:
         raise DomainError(f"t = {t} is outside the invariant's domain")
-    num, den = _window_pair_sums(params, t)
+    exps = _powers(params.p, (t, t + 1, t + 2, t + 3))
+    trig = _trig_part(params, t)
+    num = _csum([exps[0], trig, exps[1], -trig])
+    den = _csum([exps[2], trig, exps[3], -trig])
     if den == 0:
         raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
     return num / den
@@ -297,24 +289,13 @@ def sample_series(params: StasParams, t0: float, count: int,
         raise DomainError("count must be non-negative")
     t0 = float(t0)
     step = float(step)
-    p = params.p
-    log_p = cmath.log(p)
-
-    def exp_at(t: float) -> complex:
-        if t.is_integer():
-            return p ** int(t)
-        return cmath.exp(t * log_p)
-
-    values = []
+    grid = _grid(t0, step, count)
+    pt = _powers(params.p, grid)
     if step == 1.0:
         trig0 = _trig_part(params, t0)
-        for i in range(count):
-            sign = -1.0 if i % 2 else 1.0
-            values.append(exp_at(t0 + i) + sign * trig0)
+        values = [w + (-1.0 if i % 2 else 1.0) * trig0 for i, w in enumerate(pt)]
     else:
-        for i in range(count):
-            t = t0 + i * step
-            values.append(exp_at(t) + _trig_part(params, t))
+        values = [w + _trig_part(params, t) for w, t in zip(pt, grid)]
     return SampleSeries(t0, tuple(values), kind="f", step=step)
 
 

@@ -26,7 +26,7 @@ from math import cos, fsum, inf, pi, sin, sqrt
 from operator import mul
 
 from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _pow, _reduced_phase)
+                   _magnitudes, _powers, _reduced_phase)
 from .errors import DegenerateParameter, DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -88,13 +88,12 @@ def disambiguate_p(candidates: tuple[complex, complex],
 
     def mean_mismatch(pb: complex) -> float:
         total = 0.0
-        pairs = len(g) - 1
-        for i in range(pairs):
-            obs = g[i] + g[i + 1]
-            pred = _pow(pb, grid[i]) * (1.0 + pb)
+        for g0, g1, pt in zip(g, g[1:], _powers(pb, grid)):
+            obs = g0 + g1
+            pred = pt * (1.0 + pb)
             scale = max(abs(obs), abs(pred))
             total += abs(obs - pred) / scale if scale > 0 else 0.0
-        return total / pairs
+        return total / (len(g) - 1)
 
     m0 = mean_mismatch(candidates[0])
     m1 = mean_mismatch(candidates[1])
@@ -105,18 +104,20 @@ def disambiguate_p(candidates: tuple[complex, complex],
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series and base p.
 
-    The grid, p^t and y = g - p^t are computed once.  Each odd frequency's
-    sine and cosine columns, with their squared norms and projections on y,
-    are computed once on first use and shared by every pair that needs them.
+    A non-finite sample raises DomainError.  The grid, p^t and y = g - p^t
+    are computed once.  Each odd frequency's sine and cosine columns, with
+    their squared norms and projections on y, are computed once on first use
+    and shared by every pair that needs them.
     Columns are array('d'), 8 bytes a sample against 32 for a list of
     floats, which keeps the search's peak memory near that of a per-pair fit.
     """
 
     def __init__(self, series: SampleSeries, p: complex):
+        _magnitudes(series.values)
         self.series = series
         self.p = p
         self.grid = series.grid()
-        self.pt = [_pow(p, t) for t in self.grid]
+        self.pt = _powers(p, self.grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
         self._y_re = array("d", [z.real for z in y])
         self._y_im = array("d", [z.imag for z in y])

@@ -54,29 +54,24 @@ class Window:
 def recover_missing(window: Window, a):
     """Solve g0 + g1 = a*(g2 + g3) for the single missing slot.
 
-    Missing slot 0 or 1 needs no division; slots 2 and 3 divide by a, so
-    a = 0 is rejected there.  Arithmetic stays in the input number types.
+    Missing slot 0 or 1 needs no division; slots 2 and 3 divide by a (see
+    predict_next), so a = 0 is rejected there.  Arithmetic stays in the input
+    number types.
     """
     m = window.missing
     if m is None:
         raise ContractViolation("window has no missing slot")
     g = window.g
-    if m == 0:
-        return a * (g[2] + g[3]) - g[1]
-    if m == 1:
-        return a * (g[2] + g[3]) - g[0]
-    if a == 0:
-        raise DegenerateParameter("a = 0 cannot determine slots 2 or 3")
-    if m == 2:
-        return (g[0] + g[1]) / a - g[3]
-    return (g[0] + g[1]) / a - g[2]
+    if m < 2:
+        return a * (g[2] + g[3]) - g[1 - m]
+    return predict_next(g[0], g[1], g[5 - m], a)
 
 
 def predict_next(g0, g1, g2, a):
     """Next weighted sample after (g0, g1, g2): (g0 + g1)/a - g2.
 
-    Identical to recover_missing with the final slot missing.
+    recover_missing solves either of a window's last two slots with it.
     """
     if a == 0:
-        raise DegenerateParameter("a = 0 cannot predict the next sample")
+        raise DegenerateParameter("a = 0 cannot determine slots 2 or 3")
     return (g0 + g1) / a - g2

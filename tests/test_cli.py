@@ -2,7 +2,7 @@
 
 import pytest
 
-from stasinv import StasParams, load_sig1, sample_series
+from stasinv import StasParams, core, load_sig1, sample_series
 from stasinv.cli import main
 from stasinv.codec import dump_sig1
 
@@ -300,3 +300,75 @@ class TestNonFiniteInput:
         assert out == ""
         assert "FormatError" in err and "Traceback" not in err
         assert not dst.exists()
+
+    @pytest.mark.parametrize("body", ["1,0;nan,0;3,0\nrem=0\n", "1,0;2,0;3,0\nrem=1\ninf,0\n"])
+    def test_decode_rejects_non_finite_sample(self, capsys, tmp_path, body):
+        src = tmp_path / "in.stasc1"
+        dst = tmp_path / "out.sig1"
+        count = 4 + body.count("rem=1")
+        src.write_text(f"STASC1\na=1,0 t0=1 count={count}\n{body}")
+        code, out, err = run_cli(capsys, "decode", "--input", str(src), "--output", str(dst))
+        assert code == 2
+        assert out == ""
+        assert "FormatError" in err and "Traceback" not in err
+        assert not dst.exists()
+
+    def test_overflowing_pair_sum_is_never_clean(self, capsys, tmp_path):
+        # finite samples whose pair sums overflow: window 0's residual is nan
+        src = tmp_path / "in.sig1"
+        dst = tmp_path / "out.stasc1"
+        src.write_text("SIG1\nt0=1 kind=f count=8\n" + "1e308,0\n" * 4 + "1,0\n" * 4)
+        code, out, _ = run_cli(capsys, "check", "--p", "1,0", "--input", str(src))
+        assert code == 1
+        assert out.startswith("window=0 residual=nan ")
+        code, out, err = run_cli(capsys, "encode", "--p", "1,0",
+                                 "--input", str(src), "--output", str(dst))
+        assert code == 2
+        assert out == ""
+        assert "IdentityViolation" in err and "Traceback" not in err
+        assert not dst.exists()
+
+    def test_fit_rejects_non_finite_sample_off_unit_subgrid(self, capsys, tmp_path):
+        lines = dump_sig1(sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
+                                        0.1, 64, step=0.125)).splitlines()
+        lines[2 + 3] = "nan,0"  # sample 3 is not on the every-8th unit subgrid
+        src = tmp_path / "in.sig1"
+        src.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(src), "--r-max", "9")
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("eval", "--p", "nan,0", "--t", "1"),
+                                      ("eval", "--p", "1,0", "--q1", "0,inf", "--t", "1"),
+                                      ("eval", "--p", "1,0", "--q2=-inf,0", "--t", "1"),
+                                      ("eval", "--p", "0.5,0", "--t", "inf"),
+                                      ("invariant", "--p", "0.5,0", "--t", "nan")])
+    def test_flags_reject_non_finite_values(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert captured.out == ""
+        assert "must be finite" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bounds", [("--t-min=-inf",), ("--t-max=inf",), ("--t-min=nan",),
+                                        ("--t-min=-1e308", "--t-max=1e308")])
+    def test_verify_rejects_non_finite_bounds(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "verify", "--trials", "3", *bounds)
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+
+    def test_verify_nan_deviation_fails(self, capsys, monkeypatch):
+        ratio = core.invariant_ratio
+        calls = []
+
+        def nan_first(params, t):
+            calls.append(t)
+            return complex("nan") if len(calls) == 1 else ratio(params, t)
+
+        monkeypatch.setattr(core, "invariant_ratio", nan_first)
+        code, out, _ = run_cli(capsys, "verify", "--trials", "3")
+        assert code == 1
+        assert out.splitlines()[1:] == ["max_rel_dev=nan", "FAIL"]

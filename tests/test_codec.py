@@ -117,6 +117,13 @@ class TestEncode:
         with pytest.raises(DomainError):
             encode_stream(SampleSeries(1.0, tuple(values)), 4.0)
 
+    def test_overflowing_pair_sum_raises(self):
+        # finite samples whose pair sums overflow give a nan residual
+        series = SampleSeries(1.0, (1e308,) * 4 + (1.0,) * 4)
+        with pytest.raises(IdentityViolation) as exc_info:
+            encode_stream(series, 1.0)
+        assert exc_info.value.block_index == 0
+
     @given(st.integers(0, 40))
     def test_storage_count(self, count):
         series = sample_series(BASE, 1.0, count)
@@ -190,6 +197,12 @@ class TestDetect:
         values[3] = bad
         with pytest.raises(DomainError):
             detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6)
+
+    def test_overflowing_pair_sum_flagged(self):
+        findings = detect_errors(SampleSeries(1.0, (1e308,) * 4 + (1.0,) * 4), 1.0, 1e-6)
+        assert findings[0].verdict == "flagged"
+        assert findings[0].residual != findings[0].residual  # nan
+        assert [f.verdict for f in findings[1:]] == ["flagged"] * 3 + ["clean"]
 
     def test_boundary_corruption_localized(self):
         series = sample_series(BASE, 1.0, 16)

@@ -130,6 +130,8 @@ class TestStasc1:
         "STASC1\na=0,0 t0=0 count=0\nrem=0\n",
         "STASC1\na=nan,0 t0=0 count=0\nrem=0\n",
         "STASC1\na=1,0 t0=inf count=0\nrem=0\n",
+        "STASC1\na=1,0 t0=0 count=4\n1,0;nan,0;3,0\nrem=0\n",
+        "STASC1\na=1,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n0,-inf\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):

@@ -14,8 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import closed_form_invariant, invariant_ratio
-from stasinv.cli import _draw_trial_params
-from stasinv.core import EXCLUDED_T
+from stasinv.core import EXCLUDED_T, draw_trial_params
 from stasinv.rng import SplitMix64
 
 
@@ -31,7 +30,7 @@ def main() -> int:
     overall = 0.0
     for trial in range(args.trials):
         rng = SplitMix64.for_trial(args.seed, trial)
-        params, _ = _draw_trial_params(rng)
+        params, _ = draw_trial_params(rng)
         a = closed_form_invariant(params)
         print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
               f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")

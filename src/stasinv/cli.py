@@ -19,12 +19,7 @@ from . import codec, core, estimator
 from .errors import DomainError, FormatError, StasError
 from .rng import SplitMix64
 
-P_RE_BOUNDS = (0.3, 1.0)
-P_IM_BOUNDS = (-1.5, 1.5)
-Q_BOUNDS = (-2.0, 2.0)
-R_BOUNDS = (1, 15)
 T_PER_TRIAL = 5
-DEGENERATE_P_TOL = 1e-6
 
 
 def _finite_flag(parse):
@@ -57,14 +52,12 @@ def _params_from(args) -> core.StasParams:
     return core.StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
 
 
-def _invariant_from(args, series: core.SampleSeries | None) -> complex:
-    """The invariant for codec commands: from --p, or estimated from data."""
+def _invariant_from(args, series: core.SampleSeries) -> complex:
+    """The invariant for codec commands: 1/p^2 from --p, or estimated from data."""
     if args.estimate:
-        if series is None:
-            raise DomainError("--estimate needs an input series")
         return core.estimate_invariant(series).a_hat
     if args.p is not None:
-        return core.closed_form_invariant(_params_from(args))
+        return core.closed_form_invariant(core.StasParams(p=args.p))
     raise DomainError("need --p or --estimate to determine the invariant")
 
 
@@ -108,21 +101,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _draw_trial_params(rng: SplitMix64) -> tuple[core.StasParams, int]:
-    """One trial's parameters in the documented draw order; returns resample count."""
-    resampled = 0
-    while True:
-        p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
-        if abs(1.0 + p) >= DEGENERATE_P_TOL:
-            break
-        resampled += 1
-    q1 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
-    q2 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
-    r1 = rng.odd_int(*R_BOUNDS)
-    r2 = rng.odd_int(*R_BOUNDS)
-    return core.StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), resampled
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
@@ -134,7 +112,7 @@ def cmd_verify(args) -> int:
     resampled = 0
     for trial in range(args.trials):
         rng = SplitMix64.for_trial(args.seed, trial)
-        params, n_resampled = _draw_trial_params(rng)
+        params, n_resampled = core.draw_trial_params(rng)
         resampled += n_resampled
         a = core.closed_form_invariant(params)
         for _ in range(T_PER_TRIAL):
@@ -206,8 +184,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _add_param_flags(sub) -> None:
+def _add_param_flags(sub, *, p_only: bool = False) -> None:
     sub.add_argument("--p", type=_complex_flag, default=None, help="base, as re,im")
+    if p_only:
+        return
     sub.add_argument("--q1", type=_complex_flag, default=0j, help="sine amplitude, re,im")
     sub.add_argument("--q2", type=_complex_flag, default=0j, help="cosine amplitude, re,im")
     sub.add_argument("--r1", type=int, default=1, help="odd sine frequency multiplier")
@@ -246,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_enc = subs.add_parser("encode", help="SIG1 -> STASC1 4-to-3 encoding")
-    _add_param_flags(p_enc)
+    _add_param_flags(p_enc, p_only=True)
     p_enc.add_argument("--input", required=True)
     p_enc.add_argument("--output", required=True)
     p_enc.add_argument("--estimate", action="store_true",
@@ -259,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decode)
 
     p_check = subs.add_parser("check", help="sliding-window integrity check")
-    _add_param_flags(p_check)
+    _add_param_flags(p_check, p_only=True)
     p_check.add_argument("--input", required=True)
     p_check.add_argument("--output", default=None)
     p_check.add_argument("--tol", type=float, default=1e-6)

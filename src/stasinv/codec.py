@@ -48,9 +48,6 @@ __all__ = [
     "decode_stream",
     "detect_errors",
     "repair_samples",
-    "fmt_float",
-    "fmt_complex",
-    "parse_complex",
     "dump_sig1",
     "load_sig1",
     "dump_stasc1",
@@ -128,7 +125,7 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
     for g0, g1, g2 in enc.blocks:
         values.extend((g0, g1, g2, predict_next(g0, g1, g2, enc.a)))
     values.extend(enc.remainder)
-    return SampleSeries(enc.t0, tuple(values), kind="f")
+    return SampleSeries(enc.t0, tuple(values))
 
 
 def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[IntegrityFinding]:
@@ -189,7 +186,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
         i = max(0, min(j - 3, n_windows - 1))
         slots = [None if i + m == j else values[i + m] for m in range(4)]
         values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
-    return SampleSeries(series.t0, tuple(values), kind="f")
+    return SampleSeries(series.t0, tuple(values))
 
 
 # -- text serialization -------------------------------------------------------
@@ -262,7 +259,7 @@ def load_sig1(text: str) -> SampleSeries:
     values = tuple(parse_complex(line.strip()) for line in body)
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
-    return SampleSeries.from_f(t0, values, step=step)
+    return SampleSeries(t0, values, step=step)
 
 
 def dump_stasc1(enc: EncodedStream) -> str:

@@ -16,7 +16,7 @@ the exponential survives.
 The discrete specialization p=1/2, q1=0, q2=1, r1=r2=1 restricted to integer
 arguments is a_n = ((1/2)^n + (-1)^n)/n, which satisfies an exact two-step
 recurrence and a four-term integer-coefficient identity; those are verified
-here in exact rational arithmetic.
+here in exact rational arithmetic (fractions.Fraction).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from math import fsum, isfinite
 from statistics import median
 
 from .errors import DomainError, NoValidWindows, SingularWindow
+from .rng import SplitMix64
 
 __all__ = [
-    "Rational",
     "StasParams",
     "SampleSeries",
     "InvariantReport",
@@ -55,26 +55,11 @@ EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
 # Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
 _SCALE_FLOOR = 1e-300
 
-
-class Rational(Fraction):
-    """Exact arbitrary-precision fraction, always reduced with positive denominator.
-
-    Thin subclass of fractions.Fraction adding the num/den field names; the
-    canonical zero is 0/1.
-    """
-
-    __slots__ = ()
-
-    @property
-    def num(self) -> int:
-        return self.numerator
-
-    @property
-    def den(self) -> int:
-        return self.denominator
-
-    def __repr__(self) -> str:
-        return f"Rational({self.numerator}, {self.denominator})"
+P_RE_BOUNDS = (0.3, 1.0)
+P_IM_BOUNDS = (-1.5, 1.5)
+Q_BOUNDS = (-2.0, 2.0)
+R_BOUNDS = (1, 15)
+DEGENERATE_P_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,29 +96,22 @@ class StasParams:
 class SampleSeries:
     """Weighted samples g(t0 + i*step) = f(t0 + i*step) on an evenly spaced grid.
 
-    The canonical stored values are f-values; series ingested as s-values are
-    converted via g = t*s on load.  `kind` records the original form.  The
+    The stored values are always f-values; series ingested as s-values are
+    converted via g = t*s by from_s, and their original form is not kept.  The
     four-point machinery (invariant estimation, codec) requires step == 1;
     the least-squares fitting accepts denser grids.
     """
 
     t0: float
     values: tuple[complex, ...]
-    kind: str = "f"
     step: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        if self.kind not in ("f", "s"):
-            raise DomainError(f"kind must be 'f' or 's', got {self.kind!r}")
         if not (math.isfinite(self.t0) and math.isfinite(self.step)):
             raise DomainError(f"t0 and step must be finite, got t0={self.t0}, step={self.step}")
         if self.step == 0:
             raise DomainError("step must be non-zero")
-
-    @classmethod
-    def from_f(cls, t0: float, values, step: float = 1.0) -> "SampleSeries":
-        return cls(float(t0), tuple(values), kind="f", step=float(step))
 
     @classmethod
     def from_s(cls, t0: float, values, step: float = 1.0) -> "SampleSeries":
@@ -145,7 +123,7 @@ class SampleSeries:
         if 0.0 in grid:
             raise DomainError("s-value series has a grid point at t = 0")
         g = tuple(t * complex(v) for t, v in zip(grid, values))
-        return cls(t0, g, kind="s", step=step)
+        return cls(t0, g, step=step)
 
     def grid(self) -> list[float]:
         return _grid(self.t0, self.step, len(self.values))
@@ -175,17 +153,25 @@ def _powers(p: complex, ts) -> list[complex]:
 
     Integer t uses exact integer powering, which agrees with the principal
     branch there (e^{i*pi*n} = (-1)^n) and is exact for dyadic bases.
+    A power past the float range raises DomainError.
     """
     log_p = cmath.log(p)
-    return [p ** int(t) if float(t).is_integer() else cmath.exp(t * log_p) for t in ts]
+    try:
+        return [p ** int(t) if float(t).is_integer() else cmath.exp(t * log_p) for t in ts]
+    except (OverflowError, ZeroDivisionError):  # the latter: 1 / (p^-t underflowed to 0)
+        raise DomainError(f"p^t exceeds the float range for p = {p}") from None
 
 
 def _reduced_phase(r: int, t: float) -> float:
     """w in [0, 2) with r*t congruent to w (mod 2), so sin(r*pi*t) = sin(pi*w).
 
-    fmod is exact; the only rounding is in the product r*t.
+    fmod is exact; the only rounding is in the product r*t.  A product past
+    the float range raises DomainError.
     """
-    w = math.fmod(r * t, 2.0)
+    try:
+        w = math.fmod(r * t, 2.0)
+    except (OverflowError, ValueError):
+        raise DomainError(f"the phase r*t = {r}*{t} is outside the float range") from None
     return w + 2.0 if w < 0.0 else w
 
 
@@ -209,13 +195,19 @@ def eval_s(params: StasParams, t: float) -> complex:
 
 
 def closed_form_invariant(params: StasParams) -> complex:
-    """The constant value of the four-point ratio: 1/p^2."""
-    return 1.0 / (params.p * params.p)
+    """The constant value of the four-point ratio: 1/p^2; DomainError where p^2 underflows to 0."""
+    p2 = params.p * params.p
+    if p2 == 0:
+        raise DomainError(f"p^2 underflows to 0 for p = {params.p}")
+    return 1.0 / p2
 
 
 def _csum(terms) -> complex:
-    """Exactly rounded complex sum via per-component fsum."""
-    return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+    """Exactly rounded complex sum via per-component fsum; DomainError on overflow."""
+    try:
+        return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+    except OverflowError:
+        raise DomainError("a pair sum exceeds the float range") from None
 
 
 def invariant_ratio(params: StasParams, t: float) -> complex:
@@ -242,17 +234,33 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     return num / den
 
 
+def draw_trial_params(rng: SplitMix64) -> tuple[StasParams, int]:
+    """One random family member, drawn in the order p, q1, q2, r1, r2; returns
+    the parameters and how often p was redrawn for lying too close to -1."""
+    resampled = 0
+    while True:
+        p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
+        if abs(1.0 + p) >= DEGENERATE_P_TOL:
+            break
+        resampled += 1
+    q1 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
+    q2 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
+    r1 = rng.odd_int(*R_BOUNDS)
+    r2 = rng.odd_int(*R_BOUNDS)
+    return StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), resampled
+
+
 # -- exact discrete sequence -------------------------------------------------
 
-def seq_a(n: int) -> Rational:
+def seq_a(n: int) -> Fraction:
     """a_n = ((1/2)^n + (-1)^n) / n, exactly, for n >= 1."""
     if n < 1:
         raise DomainError(f"sequence index must be >= 1, got {n}")
     sign = 1 if n % 2 == 0 else -1
-    return Rational(Fraction(1 + sign * 2**n, n * 2**n))
+    return Fraction(1 + sign * 2**n, n * 2**n)
 
 
-def recurrence_next(n: int, a_prev2: Fraction) -> Rational:
+def recurrence_next(n: int, a_prev2: Fraction) -> Fraction:
     """a_n from a_{n-2} via the exact two-step recurrence.
 
     a_n = ((n-2) * a_{n-2} + 3*(-1)^n) / (4n), for n >= 3.
@@ -260,10 +268,10 @@ def recurrence_next(n: int, a_prev2: Fraction) -> Rational:
     if n < 3:
         raise DomainError(f"recurrence needs n >= 3, got {n}")
     sign = 1 if n % 2 == 0 else -1
-    return Rational(((n - 2) * a_prev2 + 3 * sign) / (4 * n))
+    return Fraction((n - 2) * a_prev2 + 3 * sign) / (4 * n)
 
 
-def four_term_residual(n: int) -> Rational:
+def four_term_residual(n: int) -> Fraction:
     """4n*a_n + 4(n-1)*a_{n-1} - (n-2)*a_{n-2} - (n-3)*a_{n-3}, exactly.
 
     Identically zero for n >= 4; computed, not assumed.
@@ -272,7 +280,7 @@ def four_term_residual(n: int) -> Rational:
         raise DomainError(f"four-term identity needs n >= 4, got {n}")
     lhs = 4 * n * seq_a(n) + 4 * (n - 1) * seq_a(n - 1)
     rhs = (n - 2) * seq_a(n - 2) + (n - 3) * seq_a(n - 3)
-    return Rational(lhs - rhs)
+    return lhs - rhs
 
 
 # -- series generation and empirical invariant -------------------------------
@@ -296,7 +304,7 @@ def sample_series(params: StasParams, t0: float, count: int,
         values = [w + (-1.0 if i % 2 else 1.0) * trig0 for i, w in enumerate(pt)]
     else:
         values = [w + _trig_part(params, t) for w, t in zip(pt, grid)]
-    return SampleSeries(t0, tuple(values), kind="f", step=step)
+    return SampleSeries(t0, tuple(values), step=step)
 
 
 def _magnitudes(g) -> list[float]:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+__all__ = ["StasError", "DomainError", "SingularWindow", "NoValidWindows",
+           "DegenerateParameter", "ContractViolation", "IdentityViolation",
+           "FormatError", "IllConditioned"]
+
 
 class StasError(Exception):
     """Base class for all errors raised by this package."""

@@ -104,7 +104,7 @@ def disambiguate_p(candidates: tuple[complex, complex],
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series and base p.
 
-    A non-finite sample raises DomainError.  The grid, p^t and y = g - p^t
+    A non-finite sample or y raises DomainError.  The grid, p^t and y = g - p^t
     are computed once.  Each odd frequency's sine and cosine columns, with
     their squared norms and projections on y, are computed once on first use
     and shared by every pair that needs them.
@@ -113,12 +113,12 @@ class _TrigBasis:
     """
 
     def __init__(self, series: SampleSeries, p: complex):
-        _magnitudes(series.values)
         self.series = series
         self.p = p
         self.grid = series.grid()
         self.pt = _powers(p, self.grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
+        _magnitudes(y)
         self._y_re = array("d", [z.real for z in y])
         self._y_im = array("d", [z.imag for z in y])
         self._sin: dict[int, tuple] = {}
@@ -235,7 +235,7 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
 
     The invariant and sign stages need unit spacing; for a series sampled at
     step 1/m they run on the every-m-th subseries while the frequency search
-    uses the full grid.
+    uses the full grid.  A sum past the float range raises DomainError.
     """
     if series.step == 1.0:
         unit = series
@@ -244,9 +244,12 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
         if m < 1 or m * series.step != 1.0:
             raise DomainError(
                 f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
-        unit = SampleSeries(series.t0, series.values[::m], kind=series.kind)
-    report = estimate_invariant(unit)
-    candidates = recover_p(report.a_hat)
-    p, ambiguous = disambiguate_p(candidates, unit)
-    result = search_frequencies(series, p, r_max)
+        unit = SampleSeries(series.t0, series.values[::m])
+    try:
+        report = estimate_invariant(unit)
+        candidates = recover_p(report.a_hat)
+        p, ambiguous = disambiguate_p(candidates, unit)
+        result = search_frequencies(series, p, r_max)
+    except OverflowError:
+        raise DomainError("a sum of the fit exceeds the float range") from None
     return replace(result, p_sign_ambiguous=ambiguous, invariant=report)

@@ -21,6 +21,8 @@ raw output of the root stream.
 
 from __future__ import annotations
 
+__all__ = ["SplitMix64"]
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 

@@ -1,10 +1,18 @@
 """Command-line interface: outputs, exit codes, file round trips, determinism."""
 
-import pytest
+import contextlib
+import io
 
-from stasinv import StasParams, core, load_sig1, sample_series
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stasinv import (StasParams, closed_form_invariant, core, encode_stream, load_sig1,
+                     sample_series)
 from stasinv.cli import main
-from stasinv.codec import dump_sig1
+from stasinv.codec import dump_sig1, dump_stasc1
+
+from conftest import params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -150,6 +158,18 @@ class TestCodecCommands:
                                "--output", str(tmp_path / "o"))
         assert code == 2
         assert "DomainError" in err
+
+    @pytest.mark.parametrize("argv", [("encode", "--q1", "1,0", "--output", "o"),
+                                      ("encode", "--r2", "3", "--output", "o"),
+                                      ("check", "--r1", "3"), ("check", "--q2", "0,1")])
+    def test_codec_commands_take_only_p(self, capsys, tmp_path, argv):
+        # their invariant 1/p^2 reads only --p, so the amplitude and frequency flags are gone
+        src = tmp_path / "in.sig1"
+        src.write_text(dump_sig1(sample_series(BASE, 1.0, 8)))
+        with pytest.raises(SystemExit) as exc_info:
+            main([argv[0], "--p", "0.5,0", "--input", str(src), *argv[1:]])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_encode_corrupt_input_fails(self, capsys, tmp_path):
         values = list(sample_series(BASE, 1.0, 8).values)
@@ -360,6 +380,32 @@ class TestNonFiniteInput:
         assert out == ""
         assert "DomainError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--trials", "3", "--t-min=-1e6", "--t-max=-1e5"),  # p^t overflows
+        ("eval", "--p", "2,0", "--t", "1500.5"),
+        ("invariant", "--p", "2,0", "--t", "2000"),                   # integer power overflows
+        ("invariant", "--p", "0.5,0", "--t=-1023.5"),                 # pair sum overflows
+        ("eval", "--p", "1,0", "--r1", "15", "--t", "1e308"),         # r*t is infinite
+        ("invariant", "--p", "1e-320,0"),                             # p^2 underflows to 0
+    ])
+    def test_out_of_range_evaluation_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DomainError: ") and "Traceback" not in err
+
+    def test_fit_sum_overflow_is_domain_error(self, capsys, tmp_path):
+        # finite samples whose squares overflow the least-squares sums
+        lines = dump_sig1(sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
+                                        0.1, 40, step=0.125)).splitlines()
+        lines[2 + 31] = "2000,1e308"
+        src = tmp_path / "in.sig1"
+        src.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DomainError: ") and "Traceback" not in err
+
     def test_verify_nan_deviation_fails(self, capsys, monkeypatch):
         ratio = core.invariant_ratio
         calls = []
@@ -372,3 +418,127 @@ class TestNonFiniteInput:
         code, out, _ = run_cli(capsys, "verify", "--trials", "3")
         assert code == 1
         assert out.splitlines()[1:] == ["max_rel_dev=nan", "FAIL"]
+
+
+# -- fuzzing the command-line boundary ------------------------------------------
+
+# Finite extremes, drawn four times as often as the malformed or non-finite values.
+FUZZ_FINITE = ["0", "-1", "1", "0.5", "2", "-20", "2000", "1500.5", "-1023.5",
+               "1e308", "-1e308", "1e-320"]
+FUZZ_BAD = ["nan", "inf", "-inf", "1..2", "", "x"]
+fuzz_float = st.sampled_from(FUZZ_FINITE * 4 + FUZZ_BAD)
+fuzz_int = st.sampled_from(["0", "-1", "1", "2", "3", "15", "1" + "0" * 400 + "1"] * 4
+                           + ["1e308", "x"])
+fuzz_complex = st.one_of(st.builds("{},0".format, st.sampled_from(FUZZ_FINITE)),
+                         st.builds("{},{}".format, fuzz_float, fuzz_float),
+                         st.sampled_from(["1", "1,2,3", ",", "nan"]))
+
+
+@st.composite
+def fuzz_sig1(draw):
+    """SIG1 text: family data, possibly with one line replaced, or loose tokens."""
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.0, 0.125]))
+        series = sample_series(draw(params_st), draw(st.sampled_from([-3.5, 0.1, 1.0, 40.0])),
+                               draw(st.integers(0, 40)), step=step)
+        lines = dump_sig1(series).splitlines()
+        if len(lines) > 2 and draw(st.booleans()):
+            lines[draw(st.integers(2, len(lines) - 1))] = draw(fuzz_complex)
+        return "\n".join(lines) + "\n"
+    samples = draw(st.lists(fuzz_complex, max_size=10))
+    header = [f"t0={draw(fuzz_float)}", f"kind={draw(st.sampled_from('fsq'))}",
+              f"count={draw(st.sampled_from([len(samples), len(samples) + 1, -1]))}"]
+    if draw(st.booleans()):
+        header.append(f"step={draw(fuzz_float)}")
+    return "\n".join(["SIG1", " ".join(header), *samples]) + "\n"
+
+
+@st.composite
+def fuzz_stasc1(draw):
+    """STASC1 text: an encoding of family data, possibly with one line replaced, or loose tokens."""
+    if draw(st.booleans()):
+        params = draw(params_st)
+        series = sample_series(params, 1.0, draw(st.integers(0, 16)))
+        lines = dump_stasc1(encode_stream(series, closed_form_invariant(params))).splitlines()
+        if draw(st.booleans()):
+            lines[draw(st.integers(1, len(lines) - 1))] = draw(fuzz_complex)
+        return "\n".join(lines) + "\n"
+    count = draw(st.integers(-1, 9))
+    blocks = [";".join(draw(st.lists(fuzz_complex, min_size=2, max_size=4)))
+              for _ in range(max(count, 0) // 4)]
+    rem = draw(st.lists(fuzz_complex, max_size=4))
+    return "\n".join(["STASC1", f"a={draw(fuzz_complex)} t0={draw(fuzz_float)} count={count}",
+                      *blocks, f"rem={len(rem)}", *rem]) + "\n"
+
+
+AMPLITUDE_FLAGS = {"--q1": fuzz_complex, "--q2": fuzz_complex,
+                   "--r1": fuzz_int, "--r2": fuzz_int}
+# Per subcommand, the flags always given and those drawn; a None strategy is a
+# switch.  Small --trials, --n-max and files keep every example cheap.
+FUZZ_COMMANDS = {
+    "eval": ({"--p": fuzz_complex, "--t": fuzz_float},
+             {**AMPLITUDE_FLAGS, "--kind": st.sampled_from("fs")}),
+    "invariant": ({"--p": fuzz_complex}, {**AMPLITUDE_FLAGS, "--t": fuzz_float}),
+    "table": ({}, {"--n-max": st.sampled_from(["-1", "0", "4", "12", "40", "x"])}),
+    "verify": ({"--trials": st.sampled_from(["-1", "0", "1", "3", "x"])},
+               {"--seed": fuzz_int, "--t-min": fuzz_float, "--t-max": fuzz_float,
+                "--tol": fuzz_float}),
+    "encode": ({"--input": fuzz_sig1(), "--output": st.just("OUT")},
+               {"--p": fuzz_complex, "--estimate": None}),
+    "decode": ({"--input": fuzz_stasc1(), "--output": st.just("OUT")}, {}),
+    "check": ({"--input": fuzz_sig1()},
+              {"--p": fuzz_complex, "--estimate": None, "--repair": None, "--tol": fuzz_float,
+               "--output": st.just("OUT")}),
+    "fit": ({"--input": fuzz_sig1()}, {"--r-max": st.sampled_from(["-1", "1", "2", "9", "x"])}),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv, input text): a subcommand with its required flags and a random subset
+    of the others; encode and check now and then get a flag they no longer take."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    flags = {**required, **optional}
+    chosen = [*required, *(flag for flag in optional if draw(st.booleans()))]
+    if command in ("encode", "check") and draw(st.integers(0, 9)) == 0:
+        removed = draw(st.sampled_from(sorted(AMPLITUDE_FLAGS)))
+        flags[removed] = AMPLITUDE_FLAGS[removed]
+        chosen.append(removed)
+    argv = [command]
+    text = None
+    for flag in chosen:
+        strategy = flags[flag]
+        if strategy is None:
+            argv.append(flag)
+        elif flag == "--input":
+            text = draw(strategy)
+            argv.append(f"{flag}={draw(st.sampled_from(['IN'] * 9 + ['MISSING']))}")
+        else:
+            argv.append(f"{flag}={draw(strategy)}")
+    return argv, text
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(fuzz_argv())
+    def test_every_argv_exits_cleanly(self, tmp_path_factory, case):
+        # exit 0, 1 or 2, or argparse's SystemExit(2); no other exception escapes
+        argv, text = case
+        workdir = tmp_path_factory.mktemp("fuzz")
+        if text is not None:
+            (workdir / "in").write_text(text)
+        paths = {"IN": workdir / "in", "MISSING": workdir / "missing", "OUT": workdir / "out"}
+        for i, arg in enumerate(argv):
+            flag, _, value = arg.partition("=")
+            if value in paths:
+                argv[i] = f"{flag}={paths[value]}"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

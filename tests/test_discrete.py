@@ -5,27 +5,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stasinv import DomainError, Rational, four_term_residual, recurrence_next, seq_a
+from stasinv import DomainError, four_term_residual, recurrence_next, seq_a
 
 from _reference import ref_seq
-
-
-class TestRational:
-    def test_reduced_and_positive_denominator(self):
-        r = Rational(6, -4)
-        assert (r.num, r.den) == (-3, 2)
-
-    def test_canonical_zero(self):
-        r = Rational(0, 7)
-        assert (r.num, r.den) == (0, 1)
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
-    def test_invariants_hold(self, num, den):
-        import math
-        r = Rational(num, den)
-        assert r.den >= 1
-        assert math.gcd(abs(r.num), r.den) == 1
-        assert r == Fraction(num, den)
 
 
 class TestSeqA:
@@ -54,6 +36,10 @@ class TestRecurrence:
     def test_examples(self, n, a_prev2, expected):
         assert recurrence_next(n, a_prev2) == expected
 
+    def test_integer_input_is_exact(self):
+        # an int a_{n-2}: the division must stay exact, not round through a float
+        assert recurrence_next(3, 1) == Fraction(-1, 6)
+
     def test_rejects_n_below_3(self):
         with pytest.raises(DomainError):
             recurrence_next(2, Fraction(1))
@@ -71,7 +57,7 @@ class TestFourTermIdentity:
     @pytest.mark.parametrize("n", [4, 5, 64])
     def test_examples_are_exactly_zero(self, n):
         r = four_term_residual(n)
-        assert (r.num, r.den) == (0, 1)
+        assert (r.numerator, r.denominator) == (0, 1)
 
     def test_rejects_n_below_4(self):
         with pytest.raises(DomainError):

@@ -75,7 +75,6 @@ class TestSig1:
     def test_s_kind_converted_on_load(self):
         text = "SIG1\nt0=1 kind=s count=2\n-0.5,0\n0.625,0\n"
         series = load_sig1(text)
-        assert series.kind == "s"
         # g = t * s
         assert series.values == (-0.5, 1.25)
 

@@ -30,7 +30,6 @@ class TestSampleSeries:
     def test_from_s_converts_to_weighted_values(self):
         s_values = [eval_s(BASE, t) for t in (1.0, 2.0, 3.0)]
         series = SampleSeries.from_s(1.0, s_values)
-        assert series.kind == "s"
         assert series.values == (-0.5, 1.25, -0.875)
 
     def test_from_s_rejects_zero_grid_point(self):
@@ -46,10 +45,6 @@ class TestSampleSeries:
     def test_rejects_non_finite_grid(self, t0, step):
         with pytest.raises(DomainError):
             SampleSeries(t0, (1, 2), step=step)
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(DomainError):
-            SampleSeries(0.0, (1,), kind="g")
 
 
 class TestSampleGeneration:

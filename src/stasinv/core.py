@@ -343,6 +343,9 @@ def _window_terms(g, stride: int = 1):
     return islice(sums, 0, None, hop), islice(sums, span, None, hop), scales
 
 
+_PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
+
+
 def _defect(lo, hi, a):
     """|lo - a*hi| for pair sums lo = g0 + g1, hi = g2 + g3: how far a window
     is from the four-point identity g0 + g1 = a*(g2 + g3)."""
@@ -352,20 +355,30 @@ def _defect(lo, hi, a):
 def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
     """_defect / max(scale, _SCALE_FLOOR) of windows 0, stride, 2*stride, ... of g.
 
-    Raises DomainError for a non-finite invariant or sample.
+    Raises DomainError for a non-finite invariant or sample, and for a
+    defect whose magnitude exceeds the float range.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
     lo, hi, scales = _window_terms(g, stride)
-    return [_defect(x, y, a) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
-            for x, y, c in zip(lo, hi, scales)]
+    try:
+        return [_defect(x, y, a) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
+                for x, y, c in zip(lo, hi, scales)]
+    except OverflowError:
+        raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
 def _window_ratios(g, skip_threshold: float) -> list[complex]:
-    """lo / hi of every window not skipped as near-singular (see estimate_invariant)."""
+    """lo / hi of every window not skipped as near-singular (see estimate_invariant).
+
+    A pair sum whose magnitude exceeds the float range raises DomainError.
+    """
     lo, hi, scales = _window_terms(g)
-    return [x / y for x, y, c in zip(lo, hi, scales)
-            if not (y == 0 or abs(y) < skip_threshold * c)]
+    try:
+        return [x / y for x, y, c in zip(lo, hi, scales)
+                if not (y == 0 or abs(y) < skip_threshold * c)]
+    except OverflowError:
+        raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
 def estimate_invariant(series: SampleSeries,

@@ -20,8 +20,10 @@ tie.
 from __future__ import annotations
 
 import cmath
+import sys
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import cos, fsum, inf, pi, sin, sqrt
 from operator import mul
 
@@ -41,6 +43,24 @@ __all__ = [
 COND_LIMIT = 1e12
 SIGN_AMBIGUITY_TOL = 1e-6
 DEFAULT_R_MAX = 15
+
+# Bounds of the closed-form screen in search_frequencies, by first-order error
+# analysis with unit roundoff u = _EPS / 2:
+# - fsum(T0 .. T5) is within 15u * sum |T_k| of the exact squared norm: yy,
+#   m00, m11 are within 2u, b0, b1, m01 within 2u of their absolute sums, and
+#   2|q1|*sqrt(m00*yy) <= T3 + T0 (AM-GM) turns those into multiples of |T_k|;
+# - a sample of the exact pass, w + q1*s + q2*c - v, is within
+#   4u * (|w| + |q1*s| + |q2*c| + |v|), and y = v - w within u*|y|; with
+#   rms(w) <= rms(v) + rms(y) that moves the rms by less than
+#   8u * (rms(v) + rms(y) + rms(q1*s) + rms(q2*c));
+# - abs, the square, the n-term sum, /n and sqrt add a relative (n + 7) * u / 2.
+# Each constant is at least twice its bound, which also covers the roundings
+# of the bounds themselves.  A pair whose |T_k| sum past _SCREEN_LIMIT, or are
+# not finite, is kept, so a pass that would overflow still runs and raises.
+_EPS = sys.float_info.epsilon
+_CF_ERR = 16 * _EPS
+_PASS_ERR = 8 * _EPS
+_SCREEN_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -123,6 +143,8 @@ class _TrigBasis:
         self._y_im = array("d", [z.imag for z in y])
         self._sin: dict[int, tuple] = {}
         self._cos: dict[int, tuple] = {}
+        self._cross: dict[tuple[int, int], float] = {}
+        self._yy: float | None = None
 
     def _column(self, cache: dict, fn, r: int) -> tuple[array, float, complex]:
         """(column, squared norm, projection on y) of fn(r*pi*t) over the grid."""
@@ -138,6 +160,48 @@ class _TrigBasis:
 
     def cosine(self, r: int) -> tuple[array, float, complex]:
         return self._column(self._cos, cos, r)
+
+    def cross(self, r1: int, r2: int) -> float:
+        """m01, the inner product of the sine column of r1 and the cosine column
+        of r2, computed once per pair."""
+        m01 = self._cross.get((r1, r2))
+        if m01 is None:
+            m01 = self._cross[r1, r2] = fsum(map(mul, self.sine(r1)[0], self.cosine(r2)[0]))
+        return m01
+
+    def rms_bounds(self, params: StasParams, data_scale: float) -> tuple[float, float]:
+        """(lo, hi) with lo <= residual_rms(params) <= hi, from the closed form
+        in search_frequencies' docstring: its six terms T0 .. T5, in that
+        order, summed with fsum.  The error bounds are derived above _CF_ERR;
+        data_scale is rms |g|.  A pair past _SCREEN_LIMIT gets (-inf, inf).
+        """
+        if self._yy is None:
+            try:
+                self._yy = fsum(chain(map(mul, self._y_re, self._y_re),
+                                      map(mul, self._y_im, self._y_im)))
+            except OverflowError:
+                self._yy = inf
+        q1, q2, r1, r2 = params.q1, params.q2, params.r1, params.r2
+        _, m00, b0 = self.sine(r1)
+        _, m11, b1 = self.cosine(r2)
+        t3 = (q1.real * q1.real + q1.imag * q1.imag) * m00
+        t4 = (q2.real * q2.real + q2.imag * q2.imag) * m11
+        terms = (self._yy,
+                 -2.0 * (q1.real * b0.real + q1.imag * b0.imag),
+                 -2.0 * (q2.real * b1.real + q2.imag * b1.imag),
+                 t3, t4,
+                 2.0 * self.cross(r1, r2) * (q1.real * q2.real + q1.imag * q2.imag))
+        size = sum(map(abs, terms))
+        if not size <= _SCREEN_LIMIT:
+            return -inf, inf
+        n = len(self.pt)
+        total = fsum(terms)
+        err = _CF_ERR * size
+        pass_err = _PASS_ERR * (data_scale + sqrt(self._yy / n) + sqrt(t3 / n) + sqrt(t4 / n))
+        rel = (n + 8) * _EPS
+        lo = (sqrt(max(total - err, 0.0) / n) - pass_err) * (1.0 - rel)
+        hi = (sqrt(max(total + err, 0.0) / n) + pass_err) * (1.0 + rel)
+        return lo, hi
 
     def residual_rms(self, params: StasParams) -> float:
         """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid."""
@@ -164,9 +228,9 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
         raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
     if basis is None:
         basis = _TrigBasis(series, p)
-    s, m00, b0 = basis.sine(r1)
-    c, m11, b1 = basis.cosine(r2)
-    m01 = fsum(map(mul, s, c))
+    _, m00, b0 = basis.sine(r1)
+    _, m11, b1 = basis.cosine(r2)
+    m01 = basis.cross(r1, r2)
     # eigenvalues of the symmetric 2x2 normal matrix
     tr = m00 + m11
     disc = sqrt(max((m00 - m11) ** 2 + 4.0 * m01 * m01, 0.0))
@@ -198,9 +262,21 @@ def search_frequencies(series: SampleSeries, p: complex,
 
     p^t, y = g - p^t and each odd frequency's sine and cosine columns, with
     their squared norms and projections on y, are computed once per call and
-    shared by all pairs, so a pair costs one cross product of its two
-    columns, the 2x2 solve and one residual pass.  Every float comes from the
-    same operations as a fit_trig/_residual_rms call made on its own.
+    shared by all pairs, so a pair costs one cross product m01 of its two
+    columns and the 2x2 solve.  Every float comes from the same operations as
+    a fit_trig/_residual_rms call made on its own.
+
+    The per-sample residual pass is screened.  For each solved (q1, q2) the
+    closed form
+        ||y - q1 s - q2 c||^2 = ||y||^2 - 2Re(conj(q1) b0) - 2Re(conj(q2) b1)
+                                + |q1|^2 m00 + |q2|^2 m11 + 2 m01 Re(conj(q1) q2)
+    holds for any (q1, q2), so it needs no optimality of the rounded solve.
+    It costs a few products, and with first-order bounds on its rounding and
+    on that of the pass it gives lo <= residual_rms <= hi
+    (_TrigBasis.rms_bounds).  A pair whose lo exceeds the least hi plus the
+    tie band's 1e-9 * max(rms |g|, 1) can neither win nor tie, and is
+    dropped; the others, always including the winner and every tie, take the
+    exact pass, and the result comes from the exact residuals alone.
     """
     if r_max < 1 or r_max % 2 == 0:
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
@@ -208,7 +284,7 @@ def search_frequencies(series: SampleSeries, p: complex,
         raise NoValidWindows(f"need at least 8 samples, got {len(series)}")
     basis = _TrigBasis(series, p)
     odd = range(1, r_max + 1, 2)
-    fits = []
+    solved = []
     failure: IllConditioned | None = None
     for r1 in odd:
         for r2 in odd:
@@ -217,14 +293,18 @@ def search_frequencies(series: SampleSeries, p: complex,
             except IllConditioned as exc:
                 failure = exc
                 continue
-            params = StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2)
-            fits.append((basis.residual_rms(params), (r1, r2), params))
-    if not fits:
+            solved.append(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2))
+    if not solved:
         assert failure is not None
         raise failure
-    best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
     data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
-    tie_band = best_rms + 1e-9 * max(data_scale, 1.0)
+    tie_slack = 1e-9 * max(data_scale, 1.0)
+    bounds = [basis.rms_bounds(params, data_scale) for params in solved]
+    bar = min(hi for _, hi in bounds) + tie_slack
+    fits = [(basis.residual_rms(params), (params.r1, params.r2), params)
+            for params, (lo, _) in zip(solved, bounds) if not lo > bar]
+    best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
+    tie_band = best_rms + tie_slack
     ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
     return FitResult(params=best_params, residual_rms=best_rms,
                      p_sign_ambiguous=False, tied_frequencies=ties)

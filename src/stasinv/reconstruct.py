@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _defect
-from .errors import ContractViolation, DegenerateParameter
+from .core import _PAIR_SUM_OVERFLOW, _defect
+from .errors import ContractViolation, DegenerateParameter, DomainError
 
 __all__ = ["Window", "recover_missing", "predict_next"]
 
@@ -44,11 +44,15 @@ class Window:
                 f"empty slots {holes} but only index {self.missing} is marked missing")
 
     def residual(self, a) -> float:
-        """|g0 + g1 - a*(g2 + g3)| for a complete window."""
+        """|g0 + g1 - a*(g2 + g3)| for a complete window; DomainError where that
+        magnitude exceeds the float range."""
         if self.missing is not None:
             raise ContractViolation("residual needs a complete window")
         g = self.g
-        return _defect(g[0] + g[1], g[2] + g[3], a)
+        try:
+            return _defect(g[0] + g[1], g[2] + g[3], a)
+        except OverflowError:
+            raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
 def recover_missing(window: Window, a):

@@ -4,7 +4,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasinv import (StasParams, closed_form_invariant, core, encode_stream, load_sig1,
@@ -348,6 +348,20 @@ class TestNonFiniteInput:
         assert "IdentityViolation" in err and "Traceback" not in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("argv", [("check", "--p", "1,0"), ("check", "--estimate"),
+                                      ("encode", "--p", "1,0"), ("encode", "--estimate")])
+    def test_pair_sum_magnitude_overflow_is_domain_error(self, capsys, tmp_path, argv):
+        # finite parts, but |g2 + g3| = |(1.3e308, 1.3e308)| exceeds the float range
+        src = tmp_path / "in.sig1"
+        dst = tmp_path / "out.stasc1"
+        src.write_text("SIG1\nt0=1 kind=f count=4\n1,0\n1,0\n1e308,1e308\n3e307,3e307\n")
+        extra = ("--output", str(dst)) if argv[0] == "encode" else ()
+        code, out, err = run_cli(capsys, *argv, "--input", str(src), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DomainError: ") and "Traceback" not in err
+        assert not dst.exists()
+
     def test_fit_rejects_non_finite_sample_off_unit_subgrid(self, capsys, tmp_path):
         lines = dump_sig1(sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
                                         0.1, 64, step=0.125)).splitlines()
@@ -429,9 +443,12 @@ FUZZ_BAD = ["nan", "inf", "-inf", "1..2", "", "x"]
 fuzz_float = st.sampled_from(FUZZ_FINITE * 4 + FUZZ_BAD)
 fuzz_int = st.sampled_from(["0", "-1", "1", "2", "3", "15", "1" + "0" * 400 + "1"] * 4
                            + ["1e308", "x"])
+# 1e308,1e308 next to 3e307,3e307 makes a pair sum with finite parts whose
+# magnitude exceeds the float range.
 fuzz_complex = st.one_of(st.builds("{},0".format, st.sampled_from(FUZZ_FINITE)),
                          st.builds("{},{}".format, fuzz_float, fuzz_float),
-                         st.sampled_from(["1", "1,2,3", ",", "nan"]))
+                         st.sampled_from(["1", "1,2,3", ",", "nan",
+                                          "1e308,1e308", "3e307,3e307"]))
 
 
 @st.composite
@@ -522,6 +539,8 @@ def fuzz_argv(draw):
 class TestFuzz:
     @settings(max_examples=500, deadline=None)
     @given(fuzz_argv())
+    @example((["check", "--p=1,0", "--input=IN"],
+              "SIG1\nt0=1 kind=f count=4\n1,0\n1,0\n1e308,1e308\n3e307,3e307\n"))
     def test_every_argv_exits_cleanly(self, tmp_path_factory, case):
         # exit 0, 1 or 2, or argparse's SystemExit(2); no other exception escapes
         argv, text = case

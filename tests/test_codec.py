@@ -204,6 +204,17 @@ class TestDetect:
         assert findings[0].residual != findings[0].residual  # nan
         assert [f.verdict for f in findings[1:]] == ["flagged"] * 3 + ["clean"]
 
+    def test_pair_sum_magnitude_overflow_is_domain_error(self):
+        # finite parts, but |g2 + g3| = |(1.3e308, 1.3e308)| exceeds the float range
+        g = (1 + 0j, 1 + 0j, complex(1e308, 1e308), complex(3e307, 3e307))
+        series = SampleSeries(1.0, g)
+        for call in (lambda: detect_errors(series, 1.0, 1e-6),
+                     lambda: encode_stream(series, 1.0),
+                     lambda: estimate_invariant(series),
+                     lambda: Window(g).residual(1.0)):
+            with pytest.raises(DomainError, match="exceeds the float range"):
+                call()
+
     def test_boundary_corruption_localized(self):
         series = sample_series(BASE, 1.0, 16)
         scale = max(abs(v) for v in series.values)

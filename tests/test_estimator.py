@@ -1,6 +1,7 @@
 """Parameter recovery: invariant root, sign disambiguation, amplitude fit, search."""
 
 import cmath
+from math import fsum, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from stasinv import (
     sample_series,
     search_frequencies,
 )
-from stasinv.estimator import _residual_rms
+from stasinv.estimator import _TrigBasis, _residual_rms
 from stasinv.rng import SplitMix64
 
 from _reference import RefIllConditioned, ref_search_frequencies
@@ -189,6 +190,34 @@ class TestSearchFrequencies:
             assert _residual_rms(series, perturbed) >= result.residual_rms
 
 
+def assert_search_matches_oracle(series, p, r_max):
+    """search_frequencies equals the per-pair reference search; returns its result."""
+    try:
+        best, rms, ties = ref_search_frequencies(series.t0, series.step, series.values,
+                                                 p, r_max)
+    except RefIllConditioned:
+        with pytest.raises(IllConditioned):
+            search_frequencies(series, p, r_max)
+        return None
+    want = FitResult(StasParams(*best), rms, False, ties)
+    result = search_frequencies(series, p, r_max)
+    assert result == want
+    return result
+
+
+def noisy(series, relative, seed):
+    """series plus seeded uniform noise of `relative` times its largest magnitude."""
+    size = relative * max(abs(v) for v in series.values)
+    rng = SplitMix64(seed)
+    values = tuple(v + size * rng.uniform_complex(-1, 1, -1, 1) for v in series.values)
+    return SampleSeries(series.t0, values, step=series.step)
+
+
+# At step 1/8 and t0 = 0.1, every pair drawn from {7, 9}^2 fits these data exactly.
+ALIAS_CLASS = {(7, 7), (7, 9), (9, 7), (9, 9)}
+ALIAS_PARAMS = StasParams(p=0.9 + 0.2j, q1=1.5 - 0.5j, q2=-0.7 + 1.2j, r1=7, r2=9)
+
+
 class TestSearchOracle:
     @given(params_st,
            st.sampled_from([0.125, 0.0625, 1.0]),
@@ -198,15 +227,109 @@ class TestSearchOracle:
     @settings(max_examples=80)
     def test_matches_per_pair_search(self, params, step, r_max, count, t0):
         series = sample_series(params, t0, count, step=step)
-        try:
-            (p, q1, q2, r1, r2), rms, ties = ref_search_frequencies(
-                series.t0, series.step, series.values, params.p, r_max)
-        except RefIllConditioned:
-            with pytest.raises(IllConditioned):
-                search_frequencies(series, params.p, r_max)
-            return
-        want = FitResult(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), rms, False, ties)
-        assert search_frequencies(series, params.p, r_max) == want
+        assert_search_matches_oracle(series, params.p, r_max)
+
+    @given(params_st,
+           st.sampled_from([0.125, 0.0625]),
+           st.integers(8, 64),
+           st.floats(-3, 3),
+           st.integers(0, 2**64 - 1),
+           st.floats(-9, 0))
+    @settings(max_examples=60)
+    def test_matches_per_pair_search_on_noisy_data(self, params, step, count, t0, seed,
+                                                    exponent):
+        # noise of relative size 1e-9 .. 1 leaves many pairs with comparable
+        # residuals, so the screen must keep every pair that could tie
+        series = noisy(sample_series(params, t0, count, step=step), 10.0 ** exponent, seed)
+        assert_search_matches_oracle(series, params.p, 15)
+
+    def test_near_exact_fit(self):
+        # the winner's six closed-form terms are of order n and cancel to
+        # below their own rounding
+        params = StasParams(p=0.8 + 0.3j, q1=1.5 - 0.5j, q2=-0.7 + 1.2j, r1=5, r2=11)
+        result = assert_search_matches_oracle(sample_series(params, 0.1, 256, step=0.0625),
+                                              params.p, 15)
+        assert result.residual_rms < 1e-12
+        assert result.tied_frequencies == ((5, 11),)
+
+    def test_near_tie_inside_the_band(self):
+        # g = p^t + x_a + k*x_b with x_a the trig part of pair a = (3, 5) and
+        # x_b a cos(7*pi*t) term: pair a's residual is k times that at k = 1,
+        # pair b = (3, 7)'s does not depend on k, and every other pair misses
+        # more.  k puts pair a half a tie band behind b; both must tie.
+        a = StasParams(p=0.8 + 0.3j, q1=1.5 - 0.5j, q2=-0.7 + 1.2j, r1=3, r2=5)
+        b = StasParams(p=a.p, q2=1.1 - 0.2j, r1=3, r2=7)
+        base = sample_series(a, 0.1, 256, step=0.0625)
+        x_b = [v - w for v, w in zip(sample_series(b, 0.1, 256, step=0.0625).values,
+                                     sample_series(StasParams(p=a.p), 0.1, 256,
+                                                   step=0.0625).values)]
+
+        def series_at(k):
+            return SampleSeries(0.1, tuple(v + k * x for v, x in zip(base.values, x_b)),
+                                step=0.0625)
+
+        def rms(series, pair):
+            q1, q2 = fit_trig(series, a.p, pair.r1, pair.r2)
+            return _residual_rms(series, StasParams(p=a.p, q1=q1, q2=q2, r1=pair.r1, r2=pair.r2))
+
+        unit = series_at(1.0)
+        band = 1e-9 * max(sqrt(fsum(abs(v) ** 2 for v in unit.values) / len(unit)), 1.0)
+        series = series_at((rms(unit, b) + band / 2) / rms(unit, a))
+        assert 0.4 * band < rms(series, a) - rms(series, b) < 0.6 * band
+        result = assert_search_matches_oracle(series, a.p, 15)
+        assert result.tied_frequencies == ((3, 5), (3, 7))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6, 1.0])
+    def test_alias_class_all_tie(self, noise):
+        # the four pairs fit the same plane, so they tie at any noise level
+        series = noisy(sample_series(ALIAS_PARAMS, 0.1, 128, step=0.125), noise, 7)
+        result = assert_search_matches_oracle(series, ALIAS_PARAMS.p, 15)
+        assert set(result.tied_frequencies) == ALIAS_CLASS
+
+
+class TestSearchScreen:
+    @pytest.fixture
+    def exact_passes(self, monkeypatch):
+        calls = []
+        exact = _TrigBasis.residual_rms
+
+        def counted(basis, params):
+            calls.append((params.r1, params.r2))
+            return exact(basis, params)
+
+        monkeypatch.setattr(_TrigBasis, "residual_rms", counted)
+        return calls
+
+    @pytest.mark.parametrize("params, count", [
+        (StasParams(p=0.999 * cmath.exp(0.7j), q1=1.2 + 0.4j, q2=-0.3 + 0.9j, r1=3, r2=5),
+         4096),
+        (ALIAS_PARAMS, 128),
+    ])
+    def test_only_candidates_take_the_exact_pass(self, exact_passes, params, count):
+        series = sample_series(params, 0.1, count, step=0.125)
+        result = search_frequencies(series, params.p, 15)
+        assert set(result.tied_frequencies) <= set(exact_passes)
+        assert len(result.tied_frequencies) <= len(exact_passes) <= 8
+
+    @given(params_st,
+           st.sampled_from([0.125, 0.0625]),
+           st.integers(8, 64),
+           st.floats(-3, 3),
+           st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+    @settings(max_examples=40)
+    def test_bounds_enclose_the_exact_pass(self, params, step, count, t0, noise):
+        series = noisy(sample_series(params, t0, count, step=step), noise, count)
+        basis = _TrigBasis(series, params.p)
+        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / count)
+        for r1 in range(1, 16, 2):
+            for r2 in range(1, 16, 2):
+                try:
+                    q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
+                except IllConditioned:
+                    continue
+                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
+                lo, hi = basis.rms_bounds(pair, data_scale)
+                assert lo <= basis.residual_rms(pair) <= hi
 
 
 class TestFitSeries:

@@ -120,10 +120,16 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
 
 
 def decode_stream(enc: EncodedStream) -> SampleSeries:
-    """Reconstruct the full series: slot 3 of each block is (g0+g1)/a - g2."""
+    """Reconstruct the full series: slot 3 of each block is (g0+g1)/a - g2.
+
+    A slot 3 that overflows to nan or inf raises DomainError naming its block.
+    """
     values = []
-    for g0, g1, g2 in enc.blocks:
-        values.extend((g0, g1, g2, predict_next(g0, g1, g2, enc.a)))
+    for b, (g0, g1, g2) in enumerate(enc.blocks):
+        g3 = predict_next(g0, g1, g2, enc.a)
+        if not cmath.isfinite(g3):
+            raise DomainError(f"block {b}: reconstructed slot 3 is not finite ({g3})")
+        values.extend((g0, g1, g2, g3))
     values.extend(enc.remainder)
     return SampleSeries(enc.t0, tuple(values))
 
@@ -201,13 +207,29 @@ def fmt_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
+    re_part, sep, im_part = text.partition(",")
+    if not sep or "," in im_part:
         raise FormatError(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise FormatError(f"bad complex literal {text!r}") from exc
+
+
+def _parse_samples(lines: list[str], count: int, what: str) -> tuple[complex, ...]:
+    """The count non-blank lines of a body, one 're,im' sample each."""
+    body = list(filter(str.strip, lines))
+    if len(body) != count:
+        raise FormatError(f"expected {count} {what} lines, found {len(body)}")
+    return tuple(map(parse_complex, body))
+
+
+def _format_lines(values, k: int) -> str:
+    """LF-ended lines of k fmt_complex fields joined by ';', formatted by one '%'."""
+    parts = [0.0] * (2 * len(values))
+    parts[0::2] = [v.real for v in values]
+    parts[1::2] = [v.imag for v in values]
+    return (";".join(["%.17g,%.17g"] * k) + "\n") * (len(values) // k) % tuple(parts)
 
 
 def _parse_fields(line: str, expected: tuple[str, ...],
@@ -230,9 +252,7 @@ def dump_sig1(series: SampleSeries) -> str:
     header = f"t0={fmt_float(series.t0)} kind=f count={len(series)}"
     if series.step != 1.0:
         header += f" step={fmt_float(series.step)}"
-    lines = ["SIG1", header]
-    lines.extend(fmt_complex(v) for v in series.values)
-    return "\n".join(lines) + "\n"
+    return f"SIG1\n{header}\n" + _format_lines(series.values, 1)
 
 
 def load_sig1(text: str) -> SampleSeries:
@@ -253,22 +273,16 @@ def load_sig1(text: str) -> SampleSeries:
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
     if count < 0:
         raise FormatError("count must be non-negative")
-    body = [line for line in lines[2:] if line.strip()]
-    if len(body) != count:
-        raise FormatError(f"expected {count} sample lines, found {len(body)}")
-    values = tuple(parse_complex(line.strip()) for line in body)
+    values = _parse_samples(lines[2:], count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
     return SampleSeries(t0, values, step=step)
 
 
 def dump_stasc1(enc: EncodedStream) -> str:
-    lines = ["STASC1",
-             f"a={fmt_complex(enc.a)} t0={fmt_float(enc.t0)} count={enc.count}"]
-    lines.extend(";".join(fmt_complex(v) for v in block) for block in enc.blocks)
-    lines.append(f"rem={len(enc.remainder)}")
-    lines.extend(fmt_complex(v) for v in enc.remainder)
-    return "\n".join(lines) + "\n"
+    return (f"STASC1\na={fmt_complex(enc.a)} t0={fmt_float(enc.t0)} count={enc.count}\n"
+            + _format_lines(tuple(chain.from_iterable(enc.blocks)), 3)
+            + f"rem={len(enc.remainder)}\n" + _format_lines(enc.remainder, 1))
 
 
 def load_stasc1(text: str) -> EncodedStream:
@@ -286,29 +300,20 @@ def load_stasc1(text: str) -> EncodedStream:
         raise FormatError(f"bad STASC1 header: {lines[1]!r}") from exc
     if count < 0:
         raise FormatError("count must be non-negative")
-    n_blocks = count // 4
-    pos = 2
-    blocks = []
-    for _ in range(n_blocks):
-        if pos >= len(lines):
-            raise FormatError("truncated STASC1 block section")
-        parts = lines[pos].split(";")
-        if len(parts) != 3:
-            raise FormatError(f"block line needs 3 samples, got {lines[pos]!r}")
-        blocks.append(tuple(parse_complex(p) for p in parts))
-        pos += 1
+    pos = 2 + count // 4  # the rem= line follows the count // 4 block lines
+    if len(lines) < pos:
+        raise FormatError("truncated STASC1 block section")
+    for line in lines[2:pos]:
+        if line.count(";") != 2:
+            raise FormatError(f"block line needs 3 samples, got {line!r}")
     if pos >= len(lines) or not lines[pos].startswith("rem="):
         raise FormatError("missing rem= line")
     try:
         k = int(lines[pos][4:])
     except ValueError as exc:
         raise FormatError(f"bad rem= line: {lines[pos]!r}") from exc
-    if k != count - 4 * n_blocks:
+    if k != count % 4:
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    pos += 1
-    tail = [line for line in lines[pos:] if line.strip()]
-    if len(tail) != k:
-        raise FormatError(f"expected {k} remainder lines, found {len(tail)}")
-    remainder = tuple(parse_complex(line.strip()) for line in tail)
-    return EncodedStream(a=a, t0=t0, count=count,
-                         blocks=tuple(blocks), remainder=remainder)
+    it = map(parse_complex, ";".join(lines[2:pos]).split(";") if pos > 2 else ())
+    return EncodedStream(a=a, t0=t0, count=count, blocks=tuple(zip(it, it, it)),
+                         remainder=_parse_samples(lines[pos + 1:], k, "remainder"))

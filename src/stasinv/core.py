@@ -107,7 +107,7 @@ class SampleSeries:
     step: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(complex, self.values)))
         if not (math.isfinite(self.t0) and math.isfinite(self.step)):
             raise DomainError(f"t0 and step must be finite, got t0={self.t0}, step={self.step}")
         if self.step == 0:

@@ -202,3 +202,132 @@ def ref_encode_blocks(g, a):
             raise RefIdentityViolation(b, residual)
         blocks.append((g[i], g[i + 1], g[i + 2]))
     return tuple(blocks), tuple(g[4 * n_blocks:])
+
+
+# -- SIG1 / STASC1 text -------------------------------------------------------
+# The line-by-line parsers and formatters as first written: every body line is
+# stripped, split and parsed on its own, and every value is formatted with an
+# f-string.  The loaders return the parsed fields instead of package objects
+# and raise RefFormatError wherever the text itself is rejected.
+
+class RefFormatError(Exception):
+    pass
+
+
+def _ref_fmt_float(x):
+    return f"{x:.17g}"
+
+
+def _ref_fmt_complex(z):
+    return f"{_ref_fmt_float(z.real)},{_ref_fmt_float(z.imag)}"
+
+
+def ref_parse_complex(text):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise RefFormatError(f"expected 're,im', got {text!r}")
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        raise RefFormatError(f"bad complex literal {text!r}") from exc
+
+
+def _ref_parse_fields(line, expected, optional=()):
+    fields = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep or key in fields:
+            raise RefFormatError(f"bad header token {token!r}")
+        fields[key] = value
+    missing = [k for k in expected if k not in fields]
+    extra = [k for k in fields if k not in expected + optional]
+    if missing or extra:
+        raise RefFormatError(f"header fields: missing {missing}, unexpected {extra}")
+    return fields
+
+
+def ref_dump_sig1(series):
+    """SIG1 text of anything with t0, step and values attributes."""
+    header = f"t0={_ref_fmt_float(series.t0)} kind=f count={len(series.values)}"
+    if series.step != 1.0:
+        header += f" step={_ref_fmt_float(series.step)}"
+    lines = ["SIG1", header]
+    lines.extend(_ref_fmt_complex(v) for v in series.values)
+    return "\n".join(lines) + "\n"
+
+
+def ref_load_sig1(text):
+    """(t0, kind, step, values) of SIG1 text."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "SIG1":
+        raise RefFormatError("missing SIG1 magic line")
+    if len(lines) < 2:
+        raise RefFormatError("missing SIG1 header line")
+    fields = _ref_parse_fields(lines[1], ("t0", "kind", "count"), optional=("step",))
+    try:
+        t0 = float(fields["t0"])
+        count = int(fields["count"])
+        step = float(fields.get("step", "1"))
+    except ValueError as exc:
+        raise RefFormatError(f"bad SIG1 header: {lines[1]!r}") from exc
+    kind = fields["kind"]
+    if kind not in ("f", "s"):
+        raise RefFormatError(f"kind must be 'f' or 's', got {kind!r}")
+    if count < 0:
+        raise RefFormatError("count must be non-negative")
+    body = [line for line in lines[2:] if line.strip()]
+    if len(body) != count:
+        raise RefFormatError(f"expected {count} sample lines, found {len(body)}")
+    return t0, kind, step, tuple(ref_parse_complex(line.strip()) for line in body)
+
+
+def ref_dump_stasc1(enc):
+    """STASC1 text of anything with a, t0, count, blocks and remainder attributes."""
+    lines = ["STASC1",
+             f"a={_ref_fmt_complex(enc.a)} t0={_ref_fmt_float(enc.t0)} count={enc.count}"]
+    lines.extend(";".join(_ref_fmt_complex(v) for v in block) for block in enc.blocks)
+    lines.append(f"rem={len(enc.remainder)}")
+    lines.extend(_ref_fmt_complex(v) for v in enc.remainder)
+    return "\n".join(lines) + "\n"
+
+
+def ref_load_stasc1(text):
+    """(a, t0, count, blocks, remainder) of STASC1 text."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "STASC1":
+        raise RefFormatError("missing STASC1 magic line")
+    if len(lines) < 2:
+        raise RefFormatError("missing STASC1 header line")
+    fields = _ref_parse_fields(lines[1], ("a", "t0", "count"))
+    a = ref_parse_complex(fields["a"])
+    try:
+        t0 = float(fields["t0"])
+        count = int(fields["count"])
+    except ValueError as exc:
+        raise RefFormatError(f"bad STASC1 header: {lines[1]!r}") from exc
+    if count < 0:
+        raise RefFormatError("count must be non-negative")
+    n_blocks = count // 4
+    pos = 2
+    blocks = []
+    for _ in range(n_blocks):
+        if pos >= len(lines):
+            raise RefFormatError("truncated STASC1 block section")
+        parts = lines[pos].split(";")
+        if len(parts) != 3:
+            raise RefFormatError(f"block line needs 3 samples, got {lines[pos]!r}")
+        blocks.append(tuple(ref_parse_complex(p) for p in parts))
+        pos += 1
+    if pos >= len(lines) or not lines[pos].startswith("rem="):
+        raise RefFormatError("missing rem= line")
+    try:
+        k = int(lines[pos][4:])
+    except ValueError as exc:
+        raise RefFormatError(f"bad rem= line: {lines[pos]!r}") from exc
+    if k != count - 4 * n_blocks:
+        raise RefFormatError(f"rem={k} inconsistent with count={count}")
+    pos += 1
+    tail = [line for line in lines[pos:] if line.strip()]
+    if len(tail) != k:
+        raise RefFormatError(f"expected {k} remainder lines, found {len(tail)}")
+    return a, t0, count, tuple(blocks), tuple(ref_parse_complex(line.strip()) for line in tail)

@@ -333,6 +333,16 @@ class TestNonFiniteInput:
         assert "FormatError" in err and "Traceback" not in err
         assert not dst.exists()
 
+    def test_decode_rejects_overflowing_slot_3(self, capsys, tmp_path):
+        src = tmp_path / "in.stasc1"
+        dst = tmp_path / "out.sig1"
+        src.write_text("STASC1\na=1e-310,0 t0=0 count=4\n1,0;1,0;1,0\nrem=0\n")
+        code, out, err = run_cli(capsys, "decode", "--input", str(src), "--output", str(dst))
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+        assert not dst.exists()
+
     def test_overflowing_pair_sum_is_never_clean(self, capsys, tmp_path):
         # finite samples whose pair sums overflow: window 0's residual is nan
         src = tmp_path / "in.sig1"

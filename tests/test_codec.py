@@ -143,6 +143,13 @@ class TestDecode:
         enc = EncodedStream(a=4.0, t0=0.5, count=0, blocks=(), remainder=())
         assert decode_stream(enc).values == ()
 
+    def test_overflowing_slot_3_names_block(self):
+        # (g0 + g1)/a overflows for a tiny invariant: slot 3 of block 1 would be inf
+        enc = EncodedStream(a=1e-310, t0=0.0, count=8,
+                            blocks=((0j, 0j, 0j), (1 + 0j, 1 + 0j, 1 + 0j)), remainder=())
+        with pytest.raises(DomainError, match="block 1"):
+            decode_stream(enc)
+
     def test_round_trip_random_series(self):
         for trial in range(50):
             rng = SplitMix64.for_trial(31, trial)

@@ -1,7 +1,10 @@
 """SIG1 and STASC1 text serialization."""
 
+import cmath
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasinv import (
@@ -22,6 +25,15 @@ from stasinv.codec import (
 )
 from stasinv.errors import FormatError
 
+from _reference import (
+    RefFormatError,
+    ref_dump_sig1,
+    ref_dump_stasc1,
+    ref_load_sig1,
+    ref_load_stasc1,
+    ref_parse_complex,
+)
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_complexes = st.builds(complex, finite_floats, finite_floats)
 
@@ -39,6 +51,13 @@ class TestFloatFormatting:
         for text in ("1", "1,2,3", "a,b", ""):
             with pytest.raises(FormatError):
                 parse_complex(text)
+
+    @pytest.mark.parametrize("text, message", [("1", "expected 're,im'"),
+                                               ("1,2,3", "expected 're,im'"),
+                                               ("1,x", "bad complex literal")])
+    def test_parse_complex_names_the_fault(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse_complex(text)
 
 
 class TestSig1:
@@ -92,6 +111,7 @@ class TestSig1:
         "SIG1\nt0=0 kind=f count=0 bogus=1\n",
         "SIG1\nt0=0 kind=q count=1\n1,0\n",
         "SIG1\nt0=zz kind=f count=0\n",
+        "SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
@@ -131,7 +151,142 @@ class TestStasc1:
         "STASC1\na=1,0 t0=inf count=0\nrem=0\n",
         "STASC1\na=1,0 t0=0 count=4\n1,0;nan,0;3,0\nrem=0\n",
         "STASC1\na=1,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n0,-inf\n",
+        "STASC1\na=1,0 t0=0 count=4\n1,0;2,0;3,0;\nrem=0\n",
+        "STASC1\na=1,0 t0=0 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n",
+        "STASC1\na=1,0 t0=0 count=4\n\n1,0;2,0;3,0\nrem=0\n",
+        "STASC1\na=1,0 t0=0 count=6\n1,0;2,0;3,0\nrem=2\n1,2,3\n4\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             load_stasc1(text)
+
+
+class TestBodyGrammar:
+    def test_whitespace_around_fields_and_blank_lines(self):
+        series = load_sig1("SIG1\nt0=0 kind=f count=2\n\n 1 ,\t-2 \n  \n3,4\n")
+        assert series.values == (1 - 2j, 3 + 4j)
+        enc = load_stasc1("STASC1\na=2,0 t0=0 count=5\n 1,0 ; 2,0;3 , 0\nrem=1\n\n 5,0 \n")
+        assert enc.blocks == ((1, 2, 3),) and enc.remainder == (5,)
+
+    def test_unit_separator_is_not_whitespace(self):
+        # str.strip removes U+001F but float() does not; fields are trimmed by float()
+        with pytest.raises(FormatError):
+            load_sig1("SIG1\nt0=0 kind=f count=1\n1,0\x1f\n")
+
+
+# -- differential tests against the line-by-line reference --------------------
+
+GOOD_FIELDS = ["0", "-0", "1", "2.5", "-3e-5", "1e-310", "1.7976931348623157e308",
+               "1_0", " 2 ", "\t-4"]
+BAD_FIELDS = ["1e400", "nan", "inf", "-inf", "x", "", "1.5.2", "0x10", "1__0"]
+good_fields = st.sampled_from(GOOD_FIELDS)
+fields = st.sampled_from(GOOD_FIELDS + BAD_FIELDS)
+good_tokens = st.builds("{},{}".format, good_fields, good_fields)
+complex_tokens = st.one_of(good_tokens, good_tokens, st.builds("{},{}".format, fields, fields),
+                           st.sampled_from(["1,2,3", "4", "1,", ",1", " 1,0 ", "1;0"]))
+sample_lines = st.one_of(good_tokens, good_tokens, good_tokens, complex_tokens,
+                         st.sampled_from(["", "  ", "\t", ";", "1,0;"]))
+good_blocks = st.lists(good_tokens, min_size=3, max_size=3).map(";".join)
+block_lines = st.one_of(good_blocks, good_blocks,
+                        st.lists(complex_tokens, min_size=3, max_size=3).map(";".join),
+                        st.lists(complex_tokens, min_size=1, max_size=4).map(";".join),
+                        st.lists(good_tokens, min_size=2, max_size=4).map(";".join),
+                        st.sampled_from(["", ";;", "1,0;2,0;3,0;", "rem=0"]))
+deltas = st.sampled_from([0, 0, 0, -1, 1])
+newlines = st.sampled_from(["\n", "\r\n"])
+
+
+def _bits(*values):
+    return b"".join(struct.pack("<dd", complex(v).real, complex(v).imag) for v in values)
+
+
+def _outcome(load, text):
+    """Equal-comparable result of load(text): the bits of what it returns, or the error class."""
+    try:
+        obj = load(text)
+    except (FormatError, RefFormatError):
+        return "FormatError"
+    except DomainError:
+        return "DomainError"
+    if isinstance(obj, complex):
+        return _bits(obj)
+    if isinstance(obj, SampleSeries):
+        return _bits(obj.t0, obj.step, *obj.values)
+    return (_bits(obj.a, obj.t0, *obj.remainder), obj.count,
+            tuple(_bits(*block) for block in obj.blocks))
+
+
+def _ref_sig1(text):
+    t0, kind, step, values = ref_load_sig1(text)
+    build = SampleSeries.from_s if kind == "s" else SampleSeries
+    return build(t0, values, step=step)
+
+
+def _ref_stasc1(text):
+    return EncodedStream(*ref_load_stasc1(text))
+
+
+@st.composite
+def sig1_texts(draw):
+    body = draw(st.lists(sample_lines, max_size=8))
+    count = sum(1 for line in body if line.strip()) + draw(deltas)
+    kind = draw(st.sampled_from(["f", "f", "s"]))
+    t0 = draw(st.sampled_from(["0", "1", "-2.5"]))
+    lines = [draw(st.sampled_from(["SIG1"] * 5 + ["SIG2"])),
+             f"t0={t0} kind={kind} count={count}", *body]
+    return draw(newlines).join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def stasc1_texts(draw):
+    blocks = draw(st.lists(block_lines, max_size=4))
+    tail = draw(st.lists(sample_lines, max_size=4))
+    k = min(3, sum(1 for line in tail if line.strip()))
+    rem = draw(st.sampled_from([f"rem={k}"] * 4 + [f"rem={k + 1}", "rem=x", "rem", None]))
+    count = 4 * len(blocks) + k + draw(deltas)
+    a = draw(st.sampled_from(["2,0", "2,0", "0.5,-1", "0.5,-1", "1e-310,0", "0,0", "1"]))
+    lines = ["STASC1", f"a={a} t0=1 count={count}", *blocks,
+             *([rem] if rem is not None else []), *tail]
+    return draw(newlines).join(lines) + "\n"
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0])
+random_floats = st.integers(0, 2 ** 64 - 1).map(
+    lambda n: struct.unpack("<d", n.to_bytes(8, "little"))[0])
+any_floats = st.one_of(special_floats, random_floats)
+any_complexes = st.builds(complex, any_floats, any_floats)
+finite_any_complexes = any_complexes.filter(cmath.isfinite)
+
+
+class TestAgainstLineByLineReference:
+    @given(complex_tokens)
+    def test_parse_complex(self, text):
+        assert _outcome(parse_complex, text) == _outcome(ref_parse_complex, text)
+
+    @settings(max_examples=300)
+    @given(sig1_texts())
+    @example("SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n")
+    def test_load_sig1(self, text):
+        assert _outcome(load_sig1, text) == _outcome(_ref_sig1, text)
+
+    @settings(max_examples=300)
+    @given(stasc1_texts())
+    @example("STASC1\na=2,0 t0=1 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n")
+    def test_load_stasc1(self, text):
+        assert _outcome(load_stasc1, text) == _outcome(_ref_stasc1, text)
+
+    @given(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([1.0, 0.125, -3.0]),
+           st.lists(any_complexes, max_size=12))
+    def test_dump_sig1_bytes(self, t0, step, values):
+        series = SampleSeries(t0, tuple(values), step=step)
+        assert dump_sig1(series) == ref_dump_sig1(series)
+
+    @given(finite_any_complexes.filter(lambda z: z != 0), finite_floats,
+           st.lists(st.tuples(finite_any_complexes, finite_any_complexes, finite_any_complexes),
+                    max_size=5),
+           st.lists(finite_any_complexes, max_size=3))
+    def test_dump_stasc1_bytes(self, a, t0, blocks, remainder):
+        enc = EncodedStream(a=a, t0=t0, count=4 * len(blocks) + len(remainder),
+                            blocks=tuple(blocks), remainder=tuple(remainder))
+        assert dump_stasc1(enc) == ref_dump_stasc1(enc)

@@ -1,4 +1,4 @@
-"""Run time of the window sweeps, localization and the frequency fit grows linearly with input size.
+"""Run time of the window sweeps, localization, the frequency fit and text I/O is linear in N.
 
 Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
 per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
@@ -11,10 +11,12 @@ from stasinv import (
     SampleSeries,
     StasParams,
     detect_errors,
+    encode_stream,
     estimate_invariant,
     fit_series,
     sample_series,
 )
+from stasinv.codec import dump_sig1, dump_stasc1, load_sig1, load_stasc1
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -63,4 +65,29 @@ def test_fit_series_linear_in_eighth_grid_length():
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
     small, large = _best_times(lambda s: fit_series(s),
                                [sample_series(params, 0.1, n, step=0.125) for n in (512, 2048)])
+    assert large / small < RATIO_LIMIT
+
+
+def _encoded(n):
+    return encode_stream(_clean(n), 1.0 / 0.9999 ** 2)
+
+
+def test_load_sig1_linear_in_sample_count():
+    small, large = _best_times(load_sig1, [dump_sig1(_clean(2500)), dump_sig1(_clean(10000))])
+    assert large / small < RATIO_LIMIT
+
+
+def test_dump_sig1_linear_in_sample_count():
+    small, large = _best_times(dump_sig1, [_clean(2500), _clean(10000)])
+    assert large / small < RATIO_LIMIT
+
+
+def test_load_stasc1_linear_in_sample_count():
+    small, large = _best_times(load_stasc1,
+                               [dump_stasc1(_encoded(2500)), dump_stasc1(_encoded(10000))])
+    assert large / small < RATIO_LIMIT
+
+
+def test_dump_stasc1_linear_in_sample_count():
+    small, large = _best_times(dump_stasc1, [_encoded(2500), _encoded(10000)])
     assert large / small < RATIO_LIMIT

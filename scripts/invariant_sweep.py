@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Randomized invariant experiment with per-trial detail.
 
-Draws random family members as `stasinv verify` does (complex base with Re
-in [0.3, 1], Im in [-1.5, 1.5], amplitudes in [-2, 2]^2, odd frequencies up
-to 15), evaluates the four-point ratio at several random t, and reports each
-trial's spread around the closed form 1/p^2.
+Prints each trial of `stasinv verify` (stasinv.core.verify_trials): the random
+family member (complex base with Re in [0.3, 1], Im in [-1.5, 1.5], amplitudes
+in [-2, 2]^2, odd frequencies up to 15), its closed form 1/p^2, and the ratio
+and its spread at several random t.  Errors exit 2, as in the CLI.
 """
 
 import argparse
@@ -13,9 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stasinv import closed_form_invariant, invariant_ratio
-from stasinv.core import EXCLUDED_T, draw_trial_params
-from stasinv.rng import SplitMix64
+from stasinv.core import verify_trials
+from stasinv.errors import StasError
 
 
 def main() -> int:
@@ -27,24 +26,17 @@ def main() -> int:
     ap.add_argument("--t-max", type=float, default=-10.0)
     args = ap.parse_args()
 
-    overall = 0.0
-    for trial in range(args.trials):
-        rng = SplitMix64.for_trial(args.seed, trial)
-        params, _ = draw_trial_params(rng)
-        a = closed_form_invariant(params)
-        print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
-              f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")
-        print(f"  closed form 1/p^2 = {a:.6f}")
-        worst = 0.0
-        for _ in range(args.points):
-            t = rng.uniform(args.t_min, args.t_max)
-            while t in EXCLUDED_T:
-                t = rng.uniform(args.t_min, args.t_max)
-            ratio = invariant_ratio(params, t)
-            dev = abs(ratio - a) / abs(a)
-            worst = max(worst, dev)
-            print(f"  ratio at t = {t:9.4f}: {ratio:.6f}   rel dev {dev:.2e}")
-        overall = max(overall, worst)
+    try:
+        for trial, (params, _, a, rows, overall) in enumerate(
+                verify_trials(args.seed, args.trials, args.t_min, args.t_max, args.points)):
+            print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
+                  f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")
+            print(f"  closed form 1/p^2 = {a:.6f}")
+            for t, ratio, dev in rows:
+                print(f"  ratio at t = {t:9.4f}: {ratio:.6f}   rel dev {dev:.2e}")
+    except StasError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(f"max relative deviation over {args.trials} trials: {overall:.2e}")
     return 0
 

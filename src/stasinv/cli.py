@@ -17,9 +17,6 @@ import sys
 
 from . import codec, core, estimator
 from .errors import DomainError, FormatError, StasError
-from .rng import SplitMix64
-
-T_PER_TRIAL = 5
 
 
 def _finite_flag(parse):
@@ -102,26 +99,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    # A positive, finite span also rules out a nan or infinite bound.
-    if not 0.0 < args.t_max - args.t_min < math.inf:
-        raise DomainError(
-            f"need --t-min < --t-max with a finite span, got {args.t_min}, {args.t_max}")
-    max_dev = 0.0
     resampled = 0
-    for trial in range(args.trials):
-        rng = SplitMix64.for_trial(args.seed, trial)
-        params, n_resampled = core.draw_trial_params(rng)
+    for _, n_resampled, _, _, max_dev in core.verify_trials(
+            args.seed, args.trials, args.t_min, args.t_max):
         resampled += n_resampled
-        a = core.closed_form_invariant(params)
-        for _ in range(T_PER_TRIAL):
-            t = rng.uniform(args.t_min, args.t_max)
-            while t in core.EXCLUDED_T:
-                t = rng.uniform(args.t_min, args.t_max)
-            dev = abs(core.invariant_ratio(params, t) - a) / abs(a)
-            # max() keeps a nan first argument but drops a nan second one
-            max_dev = dev if math.isnan(dev) else max(max_dev, dev)
     print(f"trials={args.trials} seed={args.seed} "
           f"t_min={codec.fmt_float(args.t_min)} t_max={codec.fmt_float(args.t_max)} "
           f"resampled={resampled}")

@@ -61,7 +61,8 @@ ENCODE_TOL = 1e-6
 class EncodedStream:
     """Header (invariant, grid) plus 4->3 compressed blocks and verbatim tail.
 
-    a, t0 and every stored sample must be finite, else FormatError.
+    Every block holds 3 samples; a, t0 and every stored sample must be
+    finite, else FormatError.
     """
 
     a: complex
@@ -71,6 +72,8 @@ class EncodedStream:
     remainder: tuple[complex, ...]
 
     def __post_init__(self):
+        if any(len(block) != 3 for block in self.blocks):
+            raise FormatError("every encoded block must hold exactly 3 samples")
         if self.a == 0:
             raise FormatError("encoded stream requires a != 0")
         if not (cmath.isfinite(self.a) and math.isfinite(self.t0)):
@@ -184,7 +187,8 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 
     Each sample j is solved from the four-point identity of the window
     starting at max(0, min(j-3, n_windows-1)), with the other three slots
-    taken from the series as it stands after the earlier repairs.
+    taken from the series as it stands after the earlier repairs.  A repaired
+    value that is not finite raises DomainError naming its sample.
     """
     values = list(series.values)
     n_windows = len(values) - 3
@@ -192,6 +196,8 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
         i = max(0, min(j - 3, n_windows - 1))
         slots = [None if i + m == j else values[i + m] for m in range(4)]
         values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
+        if not cmath.isfinite(values[j]):
+            raise DomainError(f"sample {j}: repaired value is not finite ({values[j]})")
     return SampleSeries(series.t0, tuple(values))
 
 

@@ -80,6 +80,8 @@ class StasParams:
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "q1", complex(self.q1))
         object.__setattr__(self, "q2", complex(self.q2))
+        if not all(map(cmath.isfinite, (self.p, self.q1, self.q2))):
+            raise DomainError(f"p, q1 and q2 must be finite, got {self.p}, {self.q1}, {self.q2}")
         if self.p == 0:
             raise DomainError("p must be non-zero")
         if self.p == -1:
@@ -217,18 +219,16 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     of that form excludes t in {0, -1, -2, -3}, and the exclusion is enforced
     even though the f-form stays finite there.
 
-    The window is evaluated coherently: the oscillatory part once at the
-    exactly reduced base phase, since a unit shift multiplies both terms by
-    (-1)^r = -1 for odd r, an exact sign flip, and the pair sums with fsum.
-    Without this, the rounding of four independent trig evaluations swamps
-    the exponential part wherever |p^t| is many orders below |q1| + |q2|.
+    Only the powers are summed: a unit shift flips the sign of both oscillatory
+    terms exactly (odd r), and fsum rounds the exact sum once, so fsum of
+    [e0, trig, e1, -trig] equals fsum of [e0, e1].  The ratio is independent
+    of q1, q2, r1 and r2 by construction, and large amplitudes cannot overflow it.
     """
     if t in EXCLUDED_T:
         raise DomainError(f"t = {t} is outside the invariant's domain")
     exps = _powers(params.p, (t, t + 1, t + 2, t + 3))
-    trig = _trig_part(params, t)
-    num = _csum([exps[0], trig, exps[1], -trig])
-    den = _csum([exps[2], trig, exps[3], -trig])
+    num = _csum(exps[:2])
+    den = _csum(exps[2:])
     if den == 0:
         raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
     return num / den
@@ -248,6 +248,36 @@ def draw_trial_params(rng: SplitMix64) -> tuple[StasParams, int]:
     r1 = rng.odd_int(*R_BOUNDS)
     r2 = rng.odd_int(*R_BOUNDS)
     return StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), resampled
+
+
+def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
+    """The trials of `stasinv verify`: per trial, draw_trial_params on
+    SplitMix64.for_trial(seed, trial), then the ratio at `points` t uniform in
+    [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields, per trial,
+    (params, resampled, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
+    dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
+    """
+    if trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {trials}")
+    # A positive, finite span also rules out a nan or infinite bound.
+    if not 0.0 < t_max - t_min < math.inf:
+        raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
+    worst = 0.0
+    for trial in range(trials):
+        rng = SplitMix64.for_trial(seed, trial)
+        params, resampled = draw_trial_params(rng)
+        a = closed_form_invariant(params)
+        rows = []
+        for _ in range(points):
+            t = rng.uniform(t_min, t_max)
+            while t in EXCLUDED_T:
+                t = rng.uniform(t_min, t_max)
+            ratio = invariant_ratio(params, t)
+            dev = abs(ratio - a) / abs(a)
+            # max() keeps a nan first argument but drops a nan second one
+            worst = dev if math.isnan(dev) else max(worst, dev)
+            rows.append((t, ratio, dev))
+        yield params, resampled, a, rows, worst
 
 
 # -- exact discrete sequence -------------------------------------------------

@@ -76,6 +76,20 @@ def _ref_reduced_phase(r, t):
     return w + 2.0 if w < 0.0 else w
 
 
+def ref_invariant_ratio_coherent(p, q1, q2, r1, r2, t):
+    """The four-point ratio with the oscillatory part evaluated once at the
+    reduced base phase and carried, sign-flipped, through both pair sums:
+    fsum of [p^t, trig, p^(t+1), -trig] over fsum of [p^(t+2), trig, p^(t+3), -trig]."""
+    e = [_ref_pow(p, t + k) for k in range(4)]
+    trig = (q1 * math.sin(math.pi * _ref_reduced_phase(r1, t))
+            + q2 * math.cos(math.pi * _ref_reduced_phase(r2, t)))
+
+    def csum(terms):
+        return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+    return csum([e[0], trig, e[1], -trig]) / csum([e[2], trig, e[3], -trig])
+
+
 def ref_fit_trig(t0, step, g, p, r1, r2):
     """Least-squares (q1, q2) for one pair, every column built from scratch."""
     grid = [t0 + i * step for i in range(len(g))]

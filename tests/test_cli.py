@@ -68,6 +68,13 @@ class TestInvariant:
         assert code == 0
         assert out == "4\n"
 
+    def test_huge_amplitudes_do_not_reach_the_ratio(self, capsys):
+        # q1*sin + q2*cos overflows, but the oscillatory terms cancel exactly
+        code, out, err = run_cli(capsys, "invariant", "--p", "0.5,0", "--q1", "1.7e308,0",
+                                 "--q2", "1.7e308,0", "--t", "0.25")
+        assert code == 0 and err == ""
+        assert abs(float(out) - 4.0) < 1e-15 * 4.0
+
     def test_rejects_p_minus_one(self, capsys):
         # values with a leading minus need the --flag=value form
         code, _, err = run_cli(capsys, "invariant", "--p=-1,0")
@@ -309,6 +316,18 @@ class TestNonFiniteInput:
         assert "DomainError" in err and "Traceback" not in err
         assert not dst.exists()
 
+    def test_repair_refuses_non_finite_value(self, capsys, tmp_path):
+        # a = 1e20: every repaired sample of this window overflows
+        src = tmp_path / "in.sig1"
+        dst = tmp_path / "fixed.sig1"
+        src.write_text("SIG1\nt0=1 kind=f count=4\n" + "1e290,0\n" * 4)
+        code, out, err = run_cli(capsys, "check", "--p", "1e-10,0", "--repair",
+                                 "--input", str(src), "--output", str(dst))
+        assert code == 2
+        assert out.startswith("window=0 residual=inf")
+        assert err.startswith("DomainError: ") and "Traceback" not in err
+        assert not dst.exists()
+
     @pytest.mark.parametrize("header", ["a=nan,0 t0=1 count=4", "a=0,inf t0=1 count=4",
                                         "a=4,0 t0=nan count=4"])
     def test_decode_rejects_non_finite_header(self, capsys, tmp_path, header):
@@ -448,7 +467,7 @@ class TestNonFiniteInput:
 
 # Finite extremes, drawn four times as often as the malformed or non-finite values.
 FUZZ_FINITE = ["0", "-1", "1", "0.5", "2", "-20", "2000", "1500.5", "-1023.5",
-               "1e308", "-1e308", "1e-320"]
+               "1e308", "-1e308", "1.7e308", "1e-320"]
 FUZZ_BAD = ["nan", "inf", "-inf", "1..2", "", "x"]
 fuzz_float = st.sampled_from(FUZZ_FINITE * 4 + FUZZ_BAD)
 fuzz_int = st.sampled_from(["0", "-1", "1", "2", "3", "15", "1" + "0" * 400 + "1"] * 4

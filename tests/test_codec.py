@@ -59,6 +59,11 @@ class TestEncodedStream:
             EncodedStream(a=4.0, t0=1.0, count=9,
                           blocks=(((1 + 0j),) * 3,), remainder=(1 + 0j,))
 
+    @pytest.mark.parametrize("block", [(1 + 0j, 2 + 0j), (1 + 0j,) * 4])
+    def test_block_must_hold_three_samples(self, block):
+        with pytest.raises(FormatError, match="exactly 3 samples"):
+            EncodedStream(a=2, t0=0.0, count=4, blocks=(block,), remainder=())
+
     def test_remainder_bounded(self):
         with pytest.raises(FormatError):
             EncodedStream(a=4.0, t0=1.0, count=4, blocks=(), remainder=(1,) * 4)

@@ -1,6 +1,7 @@
 """Parametric family evaluation and the four-point invariant."""
 
 import cmath
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +18,8 @@ from stasinv import (
 )
 from stasinv.rng import SplitMix64
 
-from conftest import complexes, params_st
-from _reference import ref_f, ref_invariant
+from conftest import complexes, odd_ints, params_st
+from _reference import ref_f, ref_invariant, ref_invariant_ratio_coherent
 
 BASE = StasParams(p=0.5, q2=1.0)  # the discrete alternating-decay specialization
 
@@ -44,6 +45,13 @@ class TestStasParams:
     def test_negative_odd_frequency_allowed(self):
         params = StasParams(p=0.5, q1=1, r1=-3)
         assert params.r1 == -3
+
+    @pytest.mark.parametrize("kwargs", [{"p": float("nan")}, {"p": complex(float("-inf"), 0)},
+                                        {"p": 0.5, "q1": float("nan")},
+                                        {"p": 0.5, "q2": complex(0, float("inf"))}])
+    def test_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(DomainError, match="must be finite"):
+            StasParams(**kwargs)
 
     def test_coerces_to_complex(self):
         params = StasParams(p=0.5, q1=1, q2=2)
@@ -162,6 +170,25 @@ class TestInvariantProperties:
             while t in (3.0,):
                 t = rng.uniform(3.0, 50.0)
             assert abs(invariant_ratio(BASE, t) - 4.0) / 4.0 < 1e-12
+
+    @given(st.one_of(complexes(0.3, 1.0, -1.5, 1.5), complexes(-4, 4, -4, 4)),
+           st.one_of(complexes(-2, 2, -2, 2), complexes(-1.7e308, 1.7e308, -1.7e308, 1.7e308)),
+           st.one_of(complexes(-2, 2, -2, 2), complexes(-1.7e308, 1.7e308, -1.7e308, 1.7e308)),
+           odd_ints, odd_ints,
+           st.one_of(st.floats(-20, 20), st.integers(-60, 60).map(float),
+                     st.floats(-1100, 1100), st.floats(-1e300, 1e300)))
+    @settings(max_examples=300)
+    def test_matches_coherent_oracle_bit_for_bit(self, p, q1, q2, r1, r2, t):
+        # the oscillatory terms cancel exactly in fsum, so dropping them changes
+        # no result wherever the oracle returns one
+        assume(p not in (0, -1) and t not in (0.0, -1.0, -2.0, -3.0))
+        try:
+            expected = ref_invariant_ratio_coherent(p, q1, q2, r1, r2, t)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return
+        got = invariant_ratio(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), t)
+        assert struct.pack("<2d", got.real, got.imag) == \
+            struct.pack("<2d", expected.real, expected.imag)
 
     @given(params_st, st.floats(-20, 20, allow_nan=False))
     @settings(max_examples=200)

@@ -24,6 +24,23 @@ def test_script_runs(name, argv):
     assert proc.stdout and proc.stderr == ""
 
 
+@pytest.mark.parametrize("bounds", [("--t-min", "nan", "--t-max", "nan"),  # nan span
+                                    ("--t-min=-1e6", "--t-max=-1e5"),     # p^t overflows
+                                    ("--t-min", "5", "--t-max", "1")])    # inverted
+def test_invariant_sweep_bad_bounds_are_domain_errors(bounds):
+    proc = run_script("invariant_sweep.py", "--trials", "3", *bounds)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("DomainError: ") and "Traceback" not in proc.stderr
+
+
+def test_every_script_is_run():
+    # each script must appear, quoted, as the name passed to run_script above
+    source = Path(__file__).read_text()
+    untested = [path.name for path in sorted(SCRIPTS.glob("*.py"))
+                if f'"{path.name}"' not in source]
+    assert not untested
+
+
 def test_make_series_output_loads(tmp_path):
     out = tmp_path / "fit_me.sig1"
     proc = run_script("make_series.py", "--p", "0.7,0.4", "--q1", "1.5,0", "--r1", "5",

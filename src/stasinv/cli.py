@@ -92,8 +92,7 @@ def cmd_table(args) -> int:
         raise DomainError(f"--n-max must be >= 4, got {args.n_max}")
     print("n\tnumerator\tdenominator\tratio")
     for n in range(4, args.n_max + 1):
-        num = (n - 2) * core.seq_a(n - 2) + (n - 3) * core.seq_a(n - 3)
-        den = n * core.seq_a(n) + (n - 1) * core.seq_a(n - 1)
+        num, den = core.four_point_sums(n)
         print(f"{n}\t{num}\t{den}\t{num / den}")
     return 0
 
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_check, p_only=True)
     p_check.add_argument("--input", required=True)
     p_check.add_argument("--output", default=None)
-    p_check.add_argument("--tol", type=float, default=1e-6)
+    p_check.add_argument("--tol", type=float, default=codec.ENCODE_TOL)
     p_check.add_argument("--estimate", action="store_true")
     p_check.add_argument("--repair", action="store_true",
                          help="rewrite implicated samples via the identity")

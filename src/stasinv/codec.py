@@ -238,10 +238,17 @@ def _format_lines(values, k: int) -> str:
     return (";".join(["%.17g,%.17g"] * k) + "\n") * (len(values) // k) % tuple(parts)
 
 
-def _parse_fields(line: str, expected: tuple[str, ...],
-                  optional: tuple[str, ...] = ()) -> dict[str, str]:
+def _read_header(text: str, magic: str, expected: tuple[str, ...],
+                 optional: tuple[str, ...] = ()) -> tuple[list[str], dict[str, str]]:
+    """The lines of text and the key=value fields of its header line, after the
+    magic line; FormatError unless every expected key and no unknown one is there."""
+    lines = text.splitlines()
+    if not lines or lines[0] != magic:
+        raise FormatError(f"missing {magic} magic line")
+    if len(lines) < 2:
+        raise FormatError(f"missing {magic} header line")
     fields = {}
-    for token in line.split():
+    for token in lines[1].split():
         key, sep, value = token.partition("=")
         if not sep or key in fields:
             raise FormatError(f"bad header token {token!r}")
@@ -250,7 +257,7 @@ def _parse_fields(line: str, expected: tuple[str, ...],
     extra = [k for k in fields if k not in expected + optional]
     if missing or extra:
         raise FormatError(f"header fields: missing {missing}, unexpected {extra}")
-    return fields
+    return lines, fields
 
 
 def dump_sig1(series: SampleSeries) -> str:
@@ -262,12 +269,7 @@ def dump_sig1(series: SampleSeries) -> str:
 
 
 def load_sig1(text: str) -> SampleSeries:
-    lines = text.splitlines()
-    if not lines or lines[0] != "SIG1":
-        raise FormatError("missing SIG1 magic line")
-    if len(lines) < 2:
-        raise FormatError("missing SIG1 header line")
-    fields = _parse_fields(lines[1], ("t0", "kind", "count"), optional=("step",))
+    lines, fields = _read_header(text, "SIG1", ("t0", "kind", "count"), optional=("step",))
     try:
         t0 = float(fields["t0"])
         count = int(fields["count"])
@@ -292,12 +294,7 @@ def dump_stasc1(enc: EncodedStream) -> str:
 
 
 def load_stasc1(text: str) -> EncodedStream:
-    lines = text.splitlines()
-    if not lines or lines[0] != "STASC1":
-        raise FormatError("missing STASC1 magic line")
-    if len(lines) < 2:
-        raise FormatError("missing STASC1 header line")
-    fields = _parse_fields(lines[1], ("a", "t0", "count"))
+    lines, fields = _read_header(text, "STASC1", ("a", "t0", "count"))
     a = parse_complex(fields["a"])
     try:
         t0 = float(fields["t0"])

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import fsum, isfinite
+from math import isfinite
 from statistics import median
 
 from .errors import DomainError, NoValidWindows, SingularWindow
@@ -154,12 +154,14 @@ def _powers(p: complex, ts) -> list[complex]:
     Arg p in (-pi, pi].
 
     Integer t uses exact integer powering, which agrees with the principal
-    branch there (e^{i*pi*n} = (-1)^n) and is exact for dyadic bases.
-    A power past the float range raises DomainError.
+    branch there (e^{i*pi*n} = (-1)^n) and is exact for dyadic bases; where
+    an intermediate product overflows it gives nan (z != z), and the principal
+    branch decides.  A power past the float range raises DomainError.
     """
     log_p = cmath.log(p)
     try:
-        return [p ** int(t) if float(t).is_integer() else cmath.exp(t * log_p) for t in ts]
+        return [z if float(t).is_integer() and (z := p ** int(t)) == z
+                else cmath.exp(t * log_p) for t in ts]
     except (OverflowError, ZeroDivisionError):  # the latter: 1 / (p^-t underflowed to 0)
         raise DomainError(f"p^t exceeds the float range for p = {p}") from None
 
@@ -204,14 +206,6 @@ def closed_form_invariant(params: StasParams) -> complex:
     return 1.0 / p2
 
 
-def _csum(terms) -> complex:
-    """Exactly rounded complex sum via per-component fsum; DomainError on overflow."""
-    try:
-        return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
-    except OverflowError:
-        raise DomainError("a pair sum exceeds the float range") from None
-
-
 def invariant_ratio(params: StasParams, t: float) -> complex:
     """The four-point ratio (f(t)+f(t+1)) / (f(t+2)+f(t+3)) at real t.
 
@@ -220,15 +214,18 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     even though the f-form stays finite there.
 
     Only the powers are summed: a unit shift flips the sign of both oscillatory
-    terms exactly (odd r), and fsum rounds the exact sum once, so fsum of
-    [e0, trig, e1, -trig] equals fsum of [e0, e1].  The ratio is independent
-    of q1, q2, r1 and r2 by construction, and large amplitudes cannot overflow it.
+    terms exactly (odd r), so the exactly rounded sum of [e0, trig, e1, -trig] is
+    e0 + e1, one rounding; `+ 0j` turns -0.0 into 0.0, as math.fsum does.  The
+    ratio is independent of q1, q2, r1 and r2 by construction, and large
+    amplitudes cannot overflow it; a pair sum past the float range is a DomainError.
     """
     if t in EXCLUDED_T:
         raise DomainError(f"t = {t} is outside the invariant's domain")
-    exps = _powers(params.p, (t, t + 1, t + 2, t + 3))
-    num = _csum(exps[:2])
-    den = _csum(exps[2:])
+    e0, e1, e2, e3 = _powers(params.p, (t, t + 1, t + 2, t + 3))
+    num = e0 + e1 + 0j
+    den = e2 + e3 + 0j
+    if cmath.isinf(num) or cmath.isinf(den):
+        raise DomainError("a pair sum exceeds the float range")
     if den == 0:
         raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
     return num / den
@@ -259,6 +256,8 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     """
     if trials < 1:
         raise DomainError(f"--trials must be >= 1, got {trials}")
+    if points < 1:
+        raise DomainError(f"--points must be >= 1, got {points}")
     # A positive, finite span also rules out a nan or infinite bound.
     if not 0.0 < t_max - t_min < math.inf:
         raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
@@ -301,16 +300,22 @@ def recurrence_next(n: int, a_prev2: Fraction) -> Fraction:
     return Fraction((n - 2) * a_prev2 + 3 * sign) / (4 * n)
 
 
+def four_point_sums(n: int) -> tuple[Fraction, Fraction]:
+    """(n-2)*a_{n-2} + (n-3)*a_{n-3} and n*a_n + (n-1)*a_{n-1}, exactly: the
+    numerator and denominator of the discrete four-point ratio, for n >= 4."""
+    if n < 4:
+        raise DomainError(f"four-term identity needs n >= 4, got {n}")
+    return ((n - 2) * seq_a(n - 2) + (n - 3) * seq_a(n - 3),
+            n * seq_a(n) + (n - 1) * seq_a(n - 1))
+
+
 def four_term_residual(n: int) -> Fraction:
     """4n*a_n + 4(n-1)*a_{n-1} - (n-2)*a_{n-2} - (n-3)*a_{n-3}, exactly.
 
     Identically zero for n >= 4; computed, not assumed.
     """
-    if n < 4:
-        raise DomainError(f"four-term identity needs n >= 4, got {n}")
-    lhs = 4 * n * seq_a(n) + 4 * (n - 1) * seq_a(n - 1)
-    rhs = (n - 2) * seq_a(n - 2) + (n - 3) * seq_a(n - 3)
-    return lhs - rhs
+    num, den = four_point_sums(n)
+    return 4 * den - num
 
 
 # -- series generation and empirical invariant -------------------------------

@@ -24,7 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
-from math import cos, fsum, inf, pi, sin, sqrt
+from math import cos, fsum, inf, isfinite, pi, sin, sqrt
 from operator import mul
 
 from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
@@ -134,7 +134,6 @@ class _TrigBasis:
 
     def __init__(self, series: SampleSeries, p: complex):
         self.series = series
-        self.p = p
         self.grid = series.grid()
         self.pt = _powers(p, self.grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
@@ -221,8 +220,9 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     Raises IllConditioned when the normal matrix condition exceeds 1e12,
     which happens in particular on integer grids (the sine column vanishes
     for every odd r) and on unit-spaced grids (the two columns are
-    collinear).  `basis`, built for the same series and p, shares columns
-    between calls; without one a single-use basis is built.
+    collinear), and DomainError, naming the pair, where q1 or q2 overflows.
+    `basis`, built for the same series and p, shares columns between calls;
+    without one a single-use basis is built.
     """
     if len(series) < 4:
         raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
@@ -245,6 +245,8 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     det = m00 * m11 - m01 * m01
     q1 = (m11 * b0 - m01 * b1) / det
     q2 = (m00 * b1 - m01 * b0) / det
+    if not (cmath.isfinite(q1) and cmath.isfinite(q2)):
+        raise DomainError(f"the least-squares solve for (r1, r2) = ({r1}, {r2}) overflowed")
     return q1, q2
 
 
@@ -317,14 +319,11 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     step 1/m they run on the every-m-th subseries while the frequency search
     uses the full grid.  A sum past the float range raises DomainError.
     """
-    if series.step == 1.0:
-        unit = series
-    else:
-        m = round(1.0 / series.step)
-        if m < 1 or m * series.step != 1.0:
-            raise DomainError(
-                f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
-        unit = SampleSeries(series.t0, series.values[::m])
+    inverse = 1.0 / series.step  # infinite for a subnormal step
+    m = round(inverse) if isfinite(inverse) else 0
+    if m < 1 or m * series.step != 1.0:
+        raise DomainError(f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
+    unit = SampleSeries(series.t0, series.values[::m])
     try:
         report = estimate_invariant(unit)
         candidates = recover_p(report.a_hat)

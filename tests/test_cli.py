@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +98,13 @@ class TestTable:
         rows = out.splitlines()[1:]
         assert len(rows) == 61
         assert all(row.split("\t")[3] == "4" for row in rows)
+
+    def test_rows_match_four_term_residual(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--n-max", "40")
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            n, num, den, _ = row.split("\t")
+            assert 4 * Fraction(den) - Fraction(num) == core.four_term_residual(int(n))
 
     def test_rejects_small_n_max(self, capsys):
         code, _, err = run_cli(capsys, "table", "--n-max", "3")
@@ -430,6 +438,7 @@ class TestNonFiniteInput:
         ("invariant", "--p", "0.5,0", "--t=-1023.5"),                 # pair sum overflows
         ("eval", "--p", "1,0", "--r1", "15", "--t", "1e308"),         # r*t is infinite
         ("invariant", "--p", "1e-320,0"),                             # p^2 underflows to 0
+        ("eval", "--p", "1e200,1e200", "--t", "2"),   # integer power overflows inside, as nan
     ])
     def test_out_of_range_evaluation_is_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -570,6 +579,7 @@ class TestFuzz:
     @given(fuzz_argv())
     @example((["check", "--p=1,0", "--input=IN"],
               "SIG1\nt0=1 kind=f count=4\n1,0\n1,0\n1e308,1e308\n3e307,3e307\n"))
+    @example((["fit", "--input=IN"], "SIG1\nt0=1 kind=f count=0 step=1e-320\n"))
     def test_every_argv_exits_cleanly(self, tmp_path_factory, case):
         # exit 0, 1 or 2, or argparse's SystemExit(2); no other exception escapes
         argv, text = case

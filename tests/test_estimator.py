@@ -129,6 +129,14 @@ class TestFitTrig:
         with pytest.raises(IllConditioned):
             fit_trig(series, 0.5 + 0j, 3, 5)
 
+    def test_overflowing_solve_names_the_pair(self):
+        # finite sums, but m11*b0 overflows in the 2x2 solve
+        series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
+                               0.1, 64, step=0.125)
+        huge = SampleSeries(series.t0, tuple(v * 1e306 for v in series.values), step=0.125)
+        with pytest.raises(DomainError, match=r"least-squares solve for \(r1, r2\) = \(5, 7\)"):
+            fit_trig(huge, 0.5 + 0j, 5, 7)
+
     def test_needs_four_samples(self):
         with pytest.raises(NoValidWindows):
             fit_trig(SampleSeries(0.1, (1, 2, 3), step=0.5), 0.5 + 0j, 1, 1)
@@ -363,9 +371,10 @@ class TestFitSeries:
             fit_series(series, r_max=9)
 
     def test_irregular_step_rejected(self):
-        series = sample_series(BASE, 0.1, 16, step=0.3)
-        with pytest.raises(DomainError):
-            fit_series(series)
+        for step in (0.3, 1e-320):  # 1/1e-320 is infinite
+            series = sample_series(BASE, 0.1, 16, step=step)
+            with pytest.raises(DomainError, match="exact reciprocal"):
+                fit_series(series)
 
     def test_reports_invariant_of_unit_subseries(self):
         series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),

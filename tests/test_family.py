@@ -4,7 +4,7 @@ import cmath
 import struct
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stasinv import (
@@ -150,6 +150,9 @@ class TestInvariantProperties:
         assert abs(r1 - r2) / abs(a) < 1e-9
 
     @given(params_st, st.floats(-20, 20, allow_nan=False))
+    # exact powering of p^-4 = 1/p^4 overflows inside and gives nan; the
+    # principal branch gives the underflowed value
+    @example(StasParams(p=-1e100), -4.0)
     def test_agrees_with_closed_form(self, params, t):
         assume(t not in (0.0, -1.0, -2.0, -3.0))
         a = closed_form_invariant(params)
@@ -178,6 +181,9 @@ class TestInvariantProperties:
            st.one_of(st.floats(-20, 20), st.integers(-60, 60).map(float),
                      st.floats(-1100, 1100), st.floats(-1e300, 1e300)))
     @settings(max_examples=300)
+    # the numerator's parts sum to -0.0, which the exactly rounded sum turns into 0.0
+    @example(complex(2.605553329049934e-119, -8.98935281940497e+223), 0j, 0j, 1, 1,
+             -2.5456405741346657)
     def test_matches_coherent_oracle_bit_for_bit(self, p, q1, q2, r1, r2, t):
         # the oscillatory terms cancel exactly in fsum, so dropping them changes
         # no result wherever the oracle returns one

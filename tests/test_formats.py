@@ -161,6 +161,20 @@ class TestStasc1:
             load_stasc1(text)
 
 
+@pytest.mark.parametrize("load, magic", [(load_sig1, "SIG1"), (load_stasc1, "STASC1")])
+@pytest.mark.parametrize("text, message", [
+    ("", "missing {} magic line"),
+    ("{}X\ncount=0\n", "missing {} magic line"),
+    ("{}\n", "missing {} header line"),
+    ("{}\nt0=0 t0=1\n", "bad header token 't0=1'"),
+    ("{}\nt0=0 count\n", "bad header token 'count'"),
+    ("{}\ncount=0 bogus=1\n", "header fields: missing \\[.*\\], unexpected \\['bogus'\\]"),
+])
+def test_header_errors_are_named(load, magic, text, message):
+    with pytest.raises(FormatError, match=f"^{message.format(magic)}$"):
+        load(text.format(magic))
+
+
 class TestBodyGrammar:
     def test_whitespace_around_fields_and_blank_lines(self):
         series = load_sig1("SIG1\nt0=0 kind=f count=2\n\n 1 ,\t-2 \n  \n3,4\n")

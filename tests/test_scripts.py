@@ -26,7 +26,8 @@ def test_script_runs(name, argv):
 
 @pytest.mark.parametrize("bounds", [("--t-min", "nan", "--t-max", "nan"),  # nan span
                                     ("--t-min=-1e6", "--t-max=-1e5"),     # p^t overflows
-                                    ("--t-min", "5", "--t-max", "1")])    # inverted
+                                    ("--t-min", "5", "--t-max", "1"),     # inverted
+                                    ("--points", "0")])                   # no t per trial
 def test_invariant_sweep_bad_bounds_are_domain_errors(bounds):
     proc = run_script("invariant_sweep.py", "--trials", "3", *bounds)
     assert proc.returncode == 2

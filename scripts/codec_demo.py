@@ -49,8 +49,7 @@ def main() -> int:
     scale = max(abs(v) for v in corrupted)
     corrupted[9] += 1e-3 * scale * 1j
     bad = SampleSeries(series.t0, tuple(corrupted))
-    findings = detect_errors(bad, a, tol=1e-6)
-    flagged = [f for f in findings if f.verdict == "flagged"]
+    flagged = detect_errors(bad, a, tol=1e-6)
     implicated = sorted({j for f in flagged for j in f.implicated_samples})
     print(f"injected corruption at sample 9; detector flagged windows "
           f"{[f.window_index for f in flagged]} and implicated samples {implicated}")

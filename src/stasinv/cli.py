@@ -4,7 +4,7 @@ Subcommands: eval, invariant, table, verify, encode, decode, check, fit.
 Complex flags take a single `re,im` argument; parameter flags and `--t` must
 be finite.  All randomness flows through
 the seeded SplitMix64 generator (see rng.py), so identical flags and seed
-reproduce identical output.  Exit codes: 0 success/clean, 1 verification or
+reproduce identical output.  Exit codes: 0 success, 1 verification or
 integrity failure, 2 usage/domain/format errors (error name on stderr).
 """
 
@@ -133,8 +133,7 @@ def cmd_check(args) -> int:
         raise DomainError(f"--tol must be finite and non-negative, got {args.tol}")
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
-    findings = codec.detect_errors(series, a, args.tol)
-    flagged = [f for f in findings if f.verdict == "flagged"]
+    flagged = codec.detect_errors(series, a, args.tol)
     for f in flagged:
         samples = ",".join(str(j) for j in f.implicated_samples)
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")

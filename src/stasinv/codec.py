@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 from .core import SampleSeries, _window_residuals
@@ -91,12 +91,13 @@ class EncodedStream:
 
 
 class IntegrityFinding(NamedTuple):
-    """Per-window verdict from the sliding-window check."""
+    """A window flagged by detect_errors.  verdict is always "flagged"; it
+    stays because perfbench/traced.py filters on it."""
 
     window_index: int
     residual: float
     implicated_samples: tuple[int, ...]
-    verdict: str  # "flagged" | "clean"
+    verdict: str
 
 
 def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
@@ -138,7 +139,8 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
 
 
 def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[IntegrityFinding]:
-    """Sweep all windows; flag residuals not within tol and localize single errors.
+    """Sweep all windows and return, in window order, a finding for each window
+    whose residual is not within tol; localize single errors.
 
     residual_i = |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| normalized by the
     window's max slot magnitude; it is nan, and flagged, where a pair sum
@@ -174,12 +176,9 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     implicated = {j for first, last in runs
                   for j in range(last, min(first + 3, n - 1) + 1)
                   if max(0, j - 3) == first and min(j, n_windows - 1) == last}
-    findings = list(map(IntegrityFinding._make,
-                        zip(range(n_windows), residuals, repeat(()), repeat("clean"))))
-    for i in flagged:
-        hits = tuple(j for j in range(i, i + 4) if j in implicated)
-        findings[i] = IntegrityFinding(i, residuals[i], hits, "flagged")
-    return findings
+    return [IntegrityFinding(i, residuals[i],
+                             tuple(j for j in range(i, i + 4) if j in implicated), "flagged")
+            for i in flagged]
 
 
 def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries:
@@ -188,8 +187,13 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     Each sample j is solved from the four-point identity of the window
     starting at max(0, min(j-3, n_windows-1)), with the other three slots
     taken from the series as it stands after the earlier repairs.  A repaired
-    value that is not finite raises DomainError naming its sample.
+    value that is not finite raises DomainError naming its sample, as does a
+    series whose step is not 1; one of fewer than 4 samples raises NoValidWindows.
     """
+    if series.step != 1.0:
+        raise DomainError("repair requires a unit-spaced series")
+    if len(series) < 4:
+        raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
     values = list(series.values)
     n_windows = len(values) - 3
     for j in implicated:

@@ -381,14 +381,9 @@ def _window_terms(g, stride: int = 1):
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
-def _defect(lo, hi, a):
-    """|lo - a*hi| for pair sums lo = g0 + g1, hi = g2 + g3: how far a window
-    is from the four-point identity g0 + g1 = a*(g2 + g3)."""
-    return abs(lo - a * hi)
-
-
 def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
-    """_defect / max(scale, _SCALE_FLOOR) of windows 0, stride, 2*stride, ... of g.
+    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of windows 0, stride, 2*stride, ...
+    of g: how far each is from the four-point identity g0 + g1 = a*(g2 + g3).
 
     Raises DomainError for a non-finite invariant or sample, and for a
     defect whose magnitude exceeds the float range.
@@ -397,7 +392,7 @@ def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
         raise DomainError(f"the invariant must be finite, got {a}")
     lo, hi, scales = _window_terms(g, stride)
     try:
-        return [_defect(x, y, a) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
+        return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
                 for x, y, c in zip(lo, hi, scales)]
     except OverflowError:
         raise DomainError(_PAIR_SUM_OVERFLOW) from None

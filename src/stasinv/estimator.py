@@ -126,8 +126,8 @@ class _TrigBasis:
 
     A non-finite sample or y raises DomainError.  The grid, p^t and y = g - p^t
     are computed once.  Each odd frequency's sine and cosine columns, with
-    their squared norms and projections on y, are computed once on first use
-    and shared by every pair that needs them.
+    their squared norms and projections on y, come from one list of reduced
+    phases on first use and are shared by every pair that needs them.
     Columns are array('d'), 8 bytes a sample against 32 for a list of
     floats, which keeps the search's peak memory near that of a per-pair fit.
     """
@@ -140,25 +140,30 @@ class _TrigBasis:
         _magnitudes(y)
         self._y_re = array("d", [z.real for z in y])
         self._y_im = array("d", [z.imag for z in y])
-        self._sin: dict[int, tuple] = {}
-        self._cos: dict[int, tuple] = {}
+        self._columns: dict[int, tuple[tuple, tuple]] = {}
         self._cross: dict[tuple[int, int], float] = {}
         self._yy: float | None = None
 
-    def _column(self, cache: dict, fn, r: int) -> tuple[array, float, complex]:
-        """(column, squared norm, projection on y) of fn(r*pi*t) over the grid."""
-        entry = cache.get(r)
+    def _column(self, values) -> tuple[array, float, complex]:
+        """(column, squared norm, projection on y) of values over the grid."""
+        col = array("d", values)
+        proj = complex(fsum(map(mul, col, self._y_re)), fsum(map(mul, col, self._y_im)))
+        return col, fsum(map(mul, col, col)), proj
+
+    def _columns_for(self, r: int) -> tuple[tuple, tuple]:
+        """The sine and cosine entries of frequency r, from one list of phases."""
+        entry = self._columns.get(r)
         if entry is None:
-            col = array("d", [fn(pi * _reduced_phase(r, t)) for t in self.grid])
-            proj = complex(fsum(map(mul, col, self._y_re)), fsum(map(mul, col, self._y_im)))
-            entry = cache[r] = (col, fsum(map(mul, col, col)), proj)
+            phases = [pi * _reduced_phase(r, t) for t in self.grid]
+            entry = self._columns[r] = (self._column(map(sin, phases)),
+                                        self._column(map(cos, phases)))
         return entry
 
     def sine(self, r: int) -> tuple[array, float, complex]:
-        return self._column(self._sin, sin, r)
+        return self._columns_for(r)[0]
 
     def cosine(self, r: int) -> tuple[array, float, complex]:
-        return self._column(self._cos, cos, r)
+        return self._columns_for(r)[1]
 
     def cross(self, r1: int, r2: int) -> float:
         """m01, the inner product of the sine column of r1 and the cosine column

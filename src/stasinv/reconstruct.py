@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _PAIR_SUM_OVERFLOW, _defect
-from .errors import ContractViolation, DegenerateParameter, DomainError
+from .errors import ContractViolation, DegenerateParameter
 
 __all__ = ["Window", "recover_missing", "predict_next"]
 
@@ -42,17 +41,6 @@ class Window:
         elif any(i != self.missing for i in holes):
             raise ContractViolation(
                 f"empty slots {holes} but only index {self.missing} is marked missing")
-
-    def residual(self, a) -> float:
-        """|g0 + g1 - a*(g2 + g3)| for a complete window; DomainError where that
-        magnitude exceeds the float range."""
-        if self.missing is not None:
-            raise ContractViolation("residual needs a complete window")
-        g = self.g
-        try:
-            return _defect(g[0] + g[1], g[2] + g[3], a)
-        except OverflowError:
-            raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
 def recover_missing(window: Window, a):

@@ -177,11 +177,6 @@ def ref_residuals(g, a):
     return residuals
 
 
-def ref_defects(g, a):
-    """Unnormalized residual |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| of every window."""
-    return [abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) for i in range(len(g) - 3)]
-
-
 def ref_estimate_invariant(g, skip_threshold=1e-9):
     """(a_hat, max_rel_dev, windows_used, windows_skipped) by the median of window ratios."""
     if len(g) < 4:

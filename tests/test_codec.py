@@ -12,16 +12,17 @@ from stasinv import (
     NoValidWindows,
     SampleSeries,
     StasParams,
-    Window,
     closed_form_invariant,
     decode_stream,
     detect_errors,
     encode_stream,
     estimate_invariant,
+    repair_samples,
     sample_series,
     seq_a,
 )
 from stasinv.codec import EncodedStream
+from stasinv.core import _window_residuals
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
@@ -29,7 +30,6 @@ from conftest import complexes, params_st
 from _reference import (
     RefIdentityViolation,
     RefNoValidWindows,
-    ref_defects,
     ref_encode_blocks,
     ref_estimate_invariant,
     ref_localize,
@@ -172,10 +172,10 @@ class TestDecode:
 class TestDetect:
     def test_clean_series_all_clean(self):
         series = sample_series(BASE, 1.0, 16)
-        findings = detect_errors(series, 4.0, 1e-6)
-        assert len(findings) == 13
-        assert all(f.verdict == "clean" for f in findings)
-        assert all(f.residual < 1e-12 for f in findings)
+        assert detect_errors(series, 4.0, 1e-6) == []
+        residuals = _window_residuals(series.values, 4.0)
+        assert len(residuals) == 13
+        assert all(r < 1e-12 for r in residuals)
 
     def test_single_corruption_localized(self):
         series = sample_series(BASE, 1.0, 16)
@@ -183,15 +183,13 @@ class TestDetect:
         values = list(series.values)
         values[5] += 1e-2 * scale
         findings = detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6)
-        flagged = [f.window_index for f in findings if f.verdict == "flagged"]
-        assert flagged == [2, 3, 4, 5]
-        for f in findings:
-            if f.verdict == "flagged":
-                assert f.implicated_samples == (5,)
+        assert [f.window_index for f in findings] == [2, 3, 4, 5]
+        assert all(f.implicated_samples == (5,) and f.verdict == "flagged" for f in findings)
 
     def test_all_zero_series_is_clean(self):
-        findings = detect_errors(SampleSeries(1.0, (0,) * 8), 4.0, 1e-6)
-        assert all(f.verdict == "clean" and f.residual == 0.0 for f in findings)
+        series = SampleSeries(1.0, (0,) * 8)
+        assert detect_errors(series, 4.0, 1e-6) == []
+        assert _window_residuals(series.values, 4.0) == [0.0] * 5
 
     def test_too_few_samples(self):
         with pytest.raises(NoValidWindows):
@@ -211,10 +209,12 @@ class TestDetect:
             detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6)
 
     def test_overflowing_pair_sum_flagged(self):
-        findings = detect_errors(SampleSeries(1.0, (1e308,) * 4 + (1.0,) * 4), 1.0, 1e-6)
-        assert findings[0].verdict == "flagged"
+        series = SampleSeries(1.0, (1e308,) * 4 + (1.0,) * 4)
+        findings = detect_errors(series, 1.0, 1e-6)
+        assert [f.window_index for f in findings] == [0, 1, 2, 3]
         assert findings[0].residual != findings[0].residual  # nan
-        assert [f.verdict for f in findings[1:]] == ["flagged"] * 3 + ["clean"]
+        residuals = _window_residuals(series.values, 1.0)
+        assert residuals[0] != residuals[0] and residuals[4] <= 1e-6
 
     def test_pair_sum_magnitude_overflow_is_domain_error(self):
         # finite parts, but |g2 + g3| = |(1.3e308, 1.3e308)| exceeds the float range
@@ -222,8 +222,7 @@ class TestDetect:
         series = SampleSeries(1.0, g)
         for call in (lambda: detect_errors(series, 1.0, 1e-6),
                      lambda: encode_stream(series, 1.0),
-                     lambda: estimate_invariant(series),
-                     lambda: Window(g).residual(1.0)):
+                     lambda: estimate_invariant(series)):
             with pytest.raises(DomainError, match="exceeds the float range"):
                 call()
 
@@ -260,7 +259,7 @@ class TestDetect:
         values[5] += 1e-2 * scale
         values[8] += 1e-2 * scale * 1j
         findings = detect_errors(SampleSeries(0.5, tuple(values)), a, 1e-6)
-        assert any(f.verdict == "flagged" for f in findings)
+        assert findings
         assert all(f.implicated_samples == () for f in findings)
 
     def test_soundness_on_clean_random_series(self):
@@ -271,8 +270,7 @@ class TestDetect:
             t0 = rng.uniform(-20.0, 20.0 - count)
             series = sample_series(params, t0, count)
             a = closed_form_invariant(params)
-            findings = detect_errors(series, a, 1e-6)
-            assert all(f.verdict == "clean" for f in findings)
+            assert detect_errors(series, a, 1e-6) == []
 
     def test_implicated_samples_within_window(self):
         series = sample_series(BASE, 1.0, 16)
@@ -282,6 +280,18 @@ class TestDetect:
         for f in detect_errors(SampleSeries(1.0, tuple(values)), 4.0, 1e-6):
             w = range(f.window_index, f.window_index + 4)
             assert all(j in w for j in f.implicated_samples)
+
+
+class TestRepair:
+    def test_rebuilds_exactly_and_refuses_what_it_cannot_repair(self):
+        series = sample_series(BASE, 1.0, 16)  # dyadic: g_t = 0.5^t + (-1)^t
+        values = list(series.values)
+        values[5] += 0.25
+        assert repair_samples(SampleSeries(1.0, tuple(values)), [5], 4.0) == series
+        with pytest.raises(DomainError, match="^repair requires a unit-spaced series$"):
+            repair_samples(sample_series(BASE, 1.0, 8, step=0.5), [5], 4.0)
+        with pytest.raises(NoValidWindows):
+            repair_samples(SampleSeries(1.0, (1, 2, 3)), [1], 4.0)
 
 
 def _corrupted(n, faults):
@@ -303,12 +313,12 @@ class TestLocalizationOracle:
     @example((20, [5, 8]))
     def test_matches_per_sample_reference(self, case):
         n, faults = case
-        findings = detect_errors(_corrupted(n, faults), 4.0, 1e-6)
-        flagged = {f.window_index for f in findings if f.verdict == "flagged"}
-        implicated = ref_localize(flagged, n)
-        expected = [tuple(j for j in range(i, i + 4) if j in implicated) if i in flagged else ()
-                    for i in range(n - 3)]
-        assert [f.implicated_samples for f in findings] == expected
+        series = _corrupted(n, faults)
+        flagged = [i for i, r in enumerate(ref_residuals(series.values, 4.0)) if not r <= 1e-6]
+        implicated = ref_localize(set(flagged), n)
+        expected = [(i, tuple(j for j in range(i, i + 4) if j in implicated)) for i in flagged]
+        findings = detect_errors(series, 4.0, 1e-6)
+        assert [(f.window_index, f.implicated_samples) for f in findings] == expected
 
     def test_single_window_implicates_all_four(self):
         findings = detect_errors(_corrupted(4, [2]), 4.0, 1e-6)
@@ -342,10 +352,10 @@ class TestWindowKernelOracle:
         values, a = case
         series = SampleSeries(1.0, values)
         g = series.values
-        got = [f.residual for f in detect_errors(series, a, 1e-6)]
-        assert repr(got) == repr(ref_residuals(g, a))
-        windows = [Window(g[i:i + 4]).residual(a) for i in range(len(g) - 3)]
-        assert repr(windows) == repr(ref_defects(g, a))
+        want = ref_residuals(g, a)
+        assert repr(_window_residuals(g, a)) == repr(want)
+        flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
+        assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
     @given(kernel_streams, st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
     @example(([0j] * 4, 4.0), 1e-9)

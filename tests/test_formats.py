@@ -37,6 +37,38 @@ from _reference import (
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_complexes = st.builds(complex, finite_floats, finite_floats)
 
+# Texts every loader must refuse with FormatError; test_golden.py also runs
+# them through the CLI.
+MALFORMED_SIG1 = [
+    "",
+    "SIGX\nt0=0 kind=f count=0\n",
+    "SIG1\n",
+    "SIG1\nt0=0 count=0\n",
+    "SIG1\nt0=0 kind=f count=2\n1,0\n",
+    "SIG1\nt0=0 kind=f count=0 bogus=1\n",
+    "SIG1\nt0=0 kind=q count=1\n1,0\n",
+    "SIG1\nt0=zz kind=f count=0\n",
+    "SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n",
+]
+MALFORMED_STASC1 = [
+    "",
+    "STASCX\na=1,0 t0=0 count=0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=4\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=4\n1,0;2,0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=1\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=0\n",
+    "STASC1\na=1,0 t0=0 count=2\nrem=2\n1,0\n",
+    "STASC1\na=0,0 t0=0 count=0\nrem=0\n",
+    "STASC1\na=nan,0 t0=0 count=0\nrem=0\n",
+    "STASC1\na=1,0 t0=inf count=0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=4\n1,0;nan,0;3,0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n0,-inf\n",
+    "STASC1\na=1,0 t0=0 count=4\n1,0;2,0;3,0;\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=4\n\n1,0;2,0;3,0\nrem=0\n",
+    "STASC1\na=1,0 t0=0 count=6\n1,0;2,0;3,0\nrem=2\n1,2,3\n4\n",
+]
+
 
 class TestFloatFormatting:
     @given(finite_floats)
@@ -102,17 +134,7 @@ class TestSig1:
         with pytest.raises(DomainError):
             load_sig1(text)
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "SIGX\nt0=0 kind=f count=0\n",
-        "SIG1\n",
-        "SIG1\nt0=0 count=0\n",
-        "SIG1\nt0=0 kind=f count=2\n1,0\n",
-        "SIG1\nt0=0 kind=f count=0 bogus=1\n",
-        "SIG1\nt0=0 kind=q count=1\n1,0\n",
-        "SIG1\nt0=zz kind=f count=0\n",
-        "SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n",
-    ])
+    @pytest.mark.parametrize("text", MALFORMED_SIG1)
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             load_sig1(text)
@@ -138,24 +160,7 @@ class TestStasc1:
         loaded = load_stasc1(dump_stasc1(enc))
         assert loaded == enc
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "STASCX\na=1,0 t0=0 count=0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=4\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=4\n1,0;2,0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=1\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=0\n",
-        "STASC1\na=1,0 t0=0 count=2\nrem=2\n1,0\n",
-        "STASC1\na=0,0 t0=0 count=0\nrem=0\n",
-        "STASC1\na=nan,0 t0=0 count=0\nrem=0\n",
-        "STASC1\na=1,0 t0=inf count=0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=4\n1,0;nan,0;3,0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n0,-inf\n",
-        "STASC1\na=1,0 t0=0 count=4\n1,0;2,0;3,0;\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=4\n\n1,0;2,0;3,0\nrem=0\n",
-        "STASC1\na=1,0 t0=0 count=6\n1,0;2,0;3,0\nrem=2\n1,2,3\n4\n",
-    ])
+    @pytest.mark.parametrize("text", MALFORMED_STASC1)
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             load_stasc1(text)

@@ -41,14 +41,6 @@ class TestWindow:
         with pytest.raises(ContractViolation):
             Window((None, None, 3, 4), missing=0)
 
-    def test_complete_window_residual(self):
-        w = Window(G14)
-        assert w.residual(4.0) < 1e-15
-
-    def test_residual_needs_complete_window(self):
-        with pytest.raises(ContractViolation):
-            Window((1, 2, 3, None), missing=3).residual(4.0)
-
 
 class TestRecoverMissing:
     def test_recover_final_slot(self):

@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from stasinv import StasParams, sample_series
 from stasinv.cli import _complex_flag
 from stasinv.codec import dump_sig1
+from stasinv.errors import StasError
 
 
 def main() -> int:
@@ -31,9 +32,13 @@ def main() -> int:
     ap.add_argument("--output", required=True)
     args = ap.parse_args()
 
-    params = StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
-    series = sample_series(params, args.t0, args.count, step=args.step)
-    Path(args.output).write_text(dump_sig1(series))
+    try:
+        params = StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
+        text = dump_sig1(sample_series(params, args.t0, args.count, step=args.step))
+    except StasError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    Path(args.output).write_text(text)
     print(f"wrote {args.count} samples to {args.output}")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import sys
 
 from . import codec, core, estimator
@@ -129,8 +128,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise DomainError(f"--tol must be finite and non-negative, got {args.tol}")
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
     flagged = codec.detect_errors(series, a, args.tol)

@@ -144,7 +144,8 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
 
     residual_i = |g_i + g_{i+1} - a*(g_{i+2} + g_{i+3})| normalized by the
     window's max slot magnitude; it is nan, and flagged, where a pair sum
-    overflows.  A non-finite invariant or sample raises DomainError.
+    overflows.  A non-finite invariant or sample, and a tol that is nan,
+    infinite or negative, raise DomainError.
     Localization matches flag patterns: a single corrupted sample j perturbs
     exactly the valid windows covering j, the range max(0, j-3) ..
     min(j, n_windows-1), so sample j is implicated when that range equals a
@@ -156,6 +157,8 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     their runs and are reported window-level only.  Each flagged window
     reports the implicated samples it covers.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"--tol must be finite and non-negative, got {tol}")
     if series.step != 1.0:
         raise DomainError("integrity checking requires a unit-spaced series")
     n = len(series)
@@ -187,8 +190,9 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     Each sample j is solved from the four-point identity of the window
     starting at max(0, min(j-3, n_windows-1)), with the other three slots
     taken from the series as it stands after the earlier repairs.  A repaired
-    value that is not finite raises DomainError naming its sample, as does a
-    series whose step is not 1; one of fewer than 4 samples raises NoValidWindows.
+    value that is not finite or an index outside the series raises DomainError
+    naming the sample, as does a series whose step is not 1; one of fewer than
+    4 samples raises NoValidWindows.
     """
     if series.step != 1.0:
         raise DomainError("repair requires a unit-spaced series")
@@ -197,6 +201,8 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     values = list(series.values)
     n_windows = len(values) - 3
     for j in implicated:
+        if not 0 <= j < len(values):
+            raise DomainError(f"sample {j} is outside the series of {len(values)} samples")
         i = max(0, min(j - 3, n_windows - 1))
         slots = [None if i + m == j else values[i + m] for m in range(4)]
         values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)

@@ -166,29 +166,33 @@ def _powers(p: complex, ts) -> list[complex]:
         raise DomainError(f"p^t exceeds the float range for p = {p}") from None
 
 
-def _reduced_phase(r: int, t: float) -> float:
-    """w in [0, 2) with r*t congruent to w (mod 2), so sin(r*pi*t) = sin(pi*w).
+def _phases(r: int, ts) -> list[float]:
+    """pi*w for each t in ts, with w in [0, 2) and r*t congruent to w (mod 2),
+    so sin(r*pi*t) = sin(pi*w).
 
     fmod is exact; the only rounding is in the product r*t.  A product past
-    the float range raises DomainError.
+    the float range raises DomainError naming its t.
     """
-    try:
-        w = math.fmod(r * t, 2.0)
-    except (OverflowError, ValueError):
-        raise DomainError(f"the phase r*t = {r}*{t} is outside the float range") from None
-    return w + 2.0 if w < 0.0 else w
+    phases = []
+    for t in ts:
+        try:
+            w = math.fmod(r * t, 2.0)
+        except (OverflowError, ValueError):
+            raise DomainError(f"the phase r*t = {r}*{t} is outside the float range") from None
+        phases.append(math.pi * (w + 2.0 if w < 0.0 else w))
+    return phases
 
 
-def _trig_part(params: StasParams, t: float) -> complex:
-    """q1*sin(r1*pi*t) + q2*cos(r2*pi*t), via reduced phases."""
-    s = math.sin(math.pi * _reduced_phase(params.r1, t))
-    c = math.cos(math.pi * _reduced_phase(params.r2, t))
-    return params.q1 * s + params.q2 * c
+def _trig(params: StasParams, ts) -> list[complex]:
+    """q1*sin(r1*pi*t) + q2*cos(r2*pi*t) for each t in ts, via _phases."""
+    q1, q2 = params.q1, params.q2
+    return [q1 * s + q2 * c for s, c in zip(map(math.sin, _phases(params.r1, ts)),
+                                            map(math.cos, _phases(params.r2, ts)))]
 
 
 def eval_f(params: StasParams, t: float) -> complex:
     """f(t) = p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t); defined for all real t."""
-    return _powers(params.p, (t,))[0] + _trig_part(params, t)
+    return _powers(params.p, (t,))[0] + _trig(params, (t,))[0]
 
 
 def eval_s(params: StasParams, t: float) -> complex:
@@ -335,10 +339,10 @@ def sample_series(params: StasParams, t0: float, count: int,
     grid = _grid(t0, step, count)
     pt = _powers(params.p, grid)
     if step == 1.0:
-        trig0 = _trig_part(params, t0)
+        trig0 = _trig(params, (t0,))[0]
         values = [w + (-1.0 if i % 2 else 1.0) * trig0 for i, w in enumerate(pt)]
     else:
-        values = [w + _trig_part(params, t) for w, t in zip(pt, grid)]
+        values = [w + x for w, x in zip(pt, _trig(params, grid))]
     return SampleSeries(t0, tuple(values), step=step)
 
 

@@ -24,11 +24,11 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
-from math import cos, fsum, inf, isfinite, pi, sin, sqrt
+from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
 from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _magnitudes, _powers, _reduced_phase)
+                   _magnitudes, _phases, _powers)
 from .errors import DegenerateParameter, DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -122,56 +122,42 @@ def disambiguate_p(candidates: tuple[complex, complex],
 
 
 class _TrigBasis:
-    """The pair-independent parts of the (q1, q2) fit for one series and base p.
-
-    A non-finite sample or y raises DomainError.  The grid, p^t and y = g - p^t
-    are computed once.  Each odd frequency's sine and cosine columns, with
-    their squared norms and projections on y, come from one list of reduced
-    phases on first use and are shared by every pair that needs them.
-    Columns are array('d'), 8 bytes a sample against 32 for a list of
-    floats, which keeps the search's peak memory near that of a per-pair fit.
+    """The pair-independent parts of the (q1, q2) fit for one series, base p
+    and set of odd frequencies, all built on construction: p^t, yy = ||g - p^t||^2,
+    sine[r] and cosine[r] = (column, squared norm, projection on g - p^t) from
+    one list of _phases per r, and cross[r1, r2], the inner product of the sine
+    column of r1 and the cosine column of r2.  A non-finite sample or g - p^t
+    raises DomainError.  Columns are array('d'), 8 bytes a sample against 32
+    for a list of floats, which keeps the search's peak memory low.
     """
 
-    def __init__(self, series: SampleSeries, p: complex):
+    def __init__(self, series: SampleSeries, p: complex, freqs):
         self.series = series
-        self.grid = series.grid()
-        self.pt = _powers(p, self.grid)
+        grid = series.grid()
+        self.pt = _powers(p, grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
         _magnitudes(y)
-        self._y_re = array("d", [z.real for z in y])
-        self._y_im = array("d", [z.imag for z in y])
-        self._columns: dict[int, tuple[tuple, tuple]] = {}
-        self._cross: dict[tuple[int, int], float] = {}
-        self._yy: float | None = None
+        y_re = array("d", [z.real for z in y])
+        y_im = array("d", [z.imag for z in y])
+        del y  # only the two arrays are needed from here on
+        try:
+            self.yy = fsum(chain(map(mul, y_re, y_re), map(mul, y_im, y_im)))
+        except OverflowError:
+            self.yy = inf
 
-    def _column(self, values) -> tuple[array, float, complex]:
-        """(column, squared norm, projection on y) of values over the grid."""
-        col = array("d", values)
-        proj = complex(fsum(map(mul, col, self._y_re)), fsum(map(mul, col, self._y_im)))
-        return col, fsum(map(mul, col, col)), proj
+        def column(values) -> tuple[array, float, complex]:
+            col = array("d", values)
+            proj = complex(fsum(map(mul, col, y_re)), fsum(map(mul, col, y_im)))
+            return col, fsum(map(mul, col, col)), proj
 
-    def _columns_for(self, r: int) -> tuple[tuple, tuple]:
-        """The sine and cosine entries of frequency r, from one list of phases."""
-        entry = self._columns.get(r)
-        if entry is None:
-            phases = [pi * _reduced_phase(r, t) for t in self.grid]
-            entry = self._columns[r] = (self._column(map(sin, phases)),
-                                        self._column(map(cos, phases)))
-        return entry
-
-    def sine(self, r: int) -> tuple[array, float, complex]:
-        return self._columns_for(r)[0]
-
-    def cosine(self, r: int) -> tuple[array, float, complex]:
-        return self._columns_for(r)[1]
-
-    def cross(self, r1: int, r2: int) -> float:
-        """m01, the inner product of the sine column of r1 and the cosine column
-        of r2, computed once per pair."""
-        m01 = self._cross.get((r1, r2))
-        if m01 is None:
-            m01 = self._cross[r1, r2] = fsum(map(mul, self.sine(r1)[0], self.cosine(r2)[0]))
-        return m01
+        self.sine, self.cosine = {}, {}
+        for r in freqs:
+            phases = _phases(r, grid)
+            self.sine[r] = column(map(sin, phases))
+            self.cosine[r] = column(map(cos, phases))
+            del phases  # so the next r's list does not coexist with it
+        self.cross = {(r1, r2): fsum(map(mul, self.sine[r1][0], self.cosine[r2][0]))
+                      for r1 in freqs for r2 in freqs}
 
     def rms_bounds(self, params: StasParams, data_scale: float) -> tuple[float, float]:
         """(lo, hi) with lo <= residual_rms(params) <= hi, from the closed form
@@ -179,29 +165,23 @@ class _TrigBasis:
         order, summed with fsum.  The error bounds are derived above _CF_ERR;
         data_scale is rms |g|.  A pair past _SCREEN_LIMIT gets (-inf, inf).
         """
-        if self._yy is None:
-            try:
-                self._yy = fsum(chain(map(mul, self._y_re, self._y_re),
-                                      map(mul, self._y_im, self._y_im)))
-            except OverflowError:
-                self._yy = inf
         q1, q2, r1, r2 = params.q1, params.q2, params.r1, params.r2
-        _, m00, b0 = self.sine(r1)
-        _, m11, b1 = self.cosine(r2)
+        _, m00, b0 = self.sine[r1]
+        _, m11, b1 = self.cosine[r2]
         t3 = (q1.real * q1.real + q1.imag * q1.imag) * m00
         t4 = (q2.real * q2.real + q2.imag * q2.imag) * m11
-        terms = (self._yy,
+        terms = (self.yy,
                  -2.0 * (q1.real * b0.real + q1.imag * b0.imag),
                  -2.0 * (q2.real * b1.real + q2.imag * b1.imag),
                  t3, t4,
-                 2.0 * self.cross(r1, r2) * (q1.real * q2.real + q1.imag * q2.imag))
+                 2.0 * self.cross[r1, r2] * (q1.real * q2.real + q1.imag * q2.imag))
         size = sum(map(abs, terms))
         if not size <= _SCREEN_LIMIT:
             return -inf, inf
         n = len(self.pt)
         total = fsum(terms)
         err = _CF_ERR * size
-        pass_err = _PASS_ERR * (data_scale + sqrt(self._yy / n) + sqrt(t3 / n) + sqrt(t4 / n))
+        pass_err = _PASS_ERR * (data_scale + sqrt(self.yy / n) + sqrt(t3 / n) + sqrt(t4 / n))
         rel = (n + 8) * _EPS
         lo = (sqrt(max(total - err, 0.0) / n) - pass_err) * (1.0 - rel)
         hi = (sqrt(max(total + err, 0.0) / n) + pass_err) * (1.0 + rel)
@@ -211,8 +191,8 @@ class _TrigBasis:
         """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid."""
         q1, q2 = params.q1, params.q2
         total = 0.0
-        for w, x, z, v in zip(self.pt, self.sine(params.r1)[0],
-                              self.cosine(params.r2)[0], self.series.values):
+        for w, x, z, v in zip(self.pt, self.sine[params.r1][0],
+                              self.cosine[params.r2][0], self.series.values):
             total += abs(w + q1 * x + q2 * z - v) ** 2
         return sqrt(total / len(self.pt))
 
@@ -226,16 +206,16 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     which happens in particular on integer grids (the sine column vanishes
     for every odd r) and on unit-spaced grids (the two columns are
     collinear), and DomainError, naming the pair, where q1 or q2 overflows.
-    `basis`, built for the same series and p, shares columns between calls;
-    without one a single-use basis is built.
+    `basis`, built for the same series and p with r1 and r2 among its freqs,
+    shares columns between calls; without one a single-use basis is built.
     """
     if len(series) < 4:
         raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
     if basis is None:
-        basis = _TrigBasis(series, p)
-    _, m00, b0 = basis.sine(r1)
-    _, m11, b1 = basis.cosine(r2)
-    m01 = basis.cross(r1, r2)
+        basis = _TrigBasis(series, p, {r1, r2})
+    _, m00, b0 = basis.sine[r1]
+    _, m11, b1 = basis.cosine[r2]
+    m01 = basis.cross[r1, r2]
     # eigenvalues of the symmetric 2x2 normal matrix
     tr = m00 + m11
     disc = sqrt(max((m00 - m11) ** 2 + 4.0 * m01 * m01, 0.0))
@@ -255,10 +235,6 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     return q1, q2
 
 
-def _residual_rms(series: SampleSeries, params: StasParams) -> float:
-    return _TrigBasis(series, params.p).residual_rms(params)
-
-
 def search_frequencies(series: SampleSeries, p: complex,
                        r_max: int = DEFAULT_R_MAX) -> FitResult:
     """Exhaustive fit over odd (r1, r2) pairs in [1, r_max]^2.
@@ -267,11 +243,10 @@ def search_frequencies(series: SampleSeries, p: complex,
     lexicographically smaller pair and the full tie set is reported.
     Raises IllConditioned only when every pair fails.
 
-    p^t, y = g - p^t and each odd frequency's sine and cosine columns, with
-    their squared norms and projections on y, are computed once per call and
-    shared by all pairs, so a pair costs one cross product m01 of its two
-    columns and the 2x2 solve.  Every float comes from the same operations as
-    a fit_trig/_residual_rms call made on its own.
+    One _TrigBasis over every odd frequency holds p^t, y = g - p^t, each
+    frequency's columns and each pair's cross product, so a pair costs the
+    2x2 solve.  Every float comes from the same operations as a fit_trig or
+    residual_rms call on a basis of its own.
 
     The per-sample residual pass is screened.  For each solved (q1, q2) the
     closed form
@@ -289,8 +264,8 @@ def search_frequencies(series: SampleSeries, p: complex,
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
     if len(series) < 8:
         raise NoValidWindows(f"need at least 8 samples, got {len(series)}")
-    basis = _TrigBasis(series, p)
     odd = range(1, r_max + 1, 2)
+    basis = _TrigBasis(series, p, odd)
     solved = []
     failure: IllConditioned | None = None
     for r1 in odd:

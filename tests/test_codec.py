@@ -200,6 +200,13 @@ class TestDetect:
         with pytest.raises(DomainError):
             detect_errors(sample_series(BASE, 1.0, 8), a, 1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-6])
+    def test_bad_tol_rejected(self, tol):
+        # a nan or negative tol would flag every window of a clean series
+        with pytest.raises(DomainError,
+                           match=f"^--tol must be finite and non-negative, got {tol}$"):
+            detect_errors(sample_series(BASE, 1.0, 8), 4.0, tol)
+
     @pytest.mark.parametrize("bad", [complex("nan"), complex(float("inf"), 0.0),
                                      complex(-1.5e308, 1.5e308)])
     def test_non_finite_sample_rejected(self, bad):
@@ -292,6 +299,10 @@ class TestRepair:
             repair_samples(sample_series(BASE, 1.0, 8, step=0.5), [5], 4.0)
         with pytest.raises(NoValidWindows):
             repair_samples(SampleSeries(1.0, (1, 2, 3)), [1], 4.0)
+        for j in (16, -1):
+            with pytest.raises(DomainError,
+                               match=f"^sample {j} is outside the series of 16 samples$"):
+                repair_samples(series, [j], 4.0)
 
 
 def _corrupted(n, faults):

@@ -23,7 +23,8 @@ from stasinv import (
     sample_series,
     search_frequencies,
 )
-from stasinv.estimator import _TrigBasis, _residual_rms
+from stasinv import estimator
+from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
 from _reference import RefIllConditioned, ref_search_frequencies
@@ -195,7 +196,8 @@ class TestSearchFrequencies:
                 q1=result.params.q1 + 1e-3 * cmath.exp(1j * phase1),
                 q2=result.params.q2 + 1e-3 * cmath.exp(1j * phase2),
                 r1=result.params.r1, r2=result.params.r2)
-            assert _residual_rms(series, perturbed) >= result.residual_rms
+            basis = _TrigBasis(series, perturbed.p, {perturbed.r1, perturbed.r2})
+            assert basis.residual_rms(perturbed) >= result.residual_rms
 
 
 def assert_search_matches_oracle(series, p, r_max):
@@ -277,8 +279,9 @@ class TestSearchOracle:
                                 step=0.0625)
 
         def rms(series, pair):
-            q1, q2 = fit_trig(series, a.p, pair.r1, pair.r2)
-            return _residual_rms(series, StasParams(p=a.p, q1=q1, q2=q2, r1=pair.r1, r2=pair.r2))
+            basis = _TrigBasis(series, a.p, {pair.r1, pair.r2})
+            q1, q2 = fit_trig(series, a.p, pair.r1, pair.r2, basis=basis)
+            return basis.residual_rms(StasParams(p=a.p, q1=q1, q2=q2, r1=pair.r1, r2=pair.r2))
 
         unit = series_at(1.0)
         band = 1e-9 * max(sqrt(fsum(abs(v) ** 2 for v in unit.values) / len(unit)), 1.0)
@@ -296,6 +299,22 @@ class TestSearchOracle:
 
 
 class TestSearchScreen:
+    def test_every_pair_calls_fit_trig_once(self, monkeypatch):
+        # the benchmark's pair counters count these calls
+        calls = []
+        exact = estimator.fit_trig
+
+        def counted(series, p, r1, r2, *, basis=None):
+            calls.append((r1, r2))
+            return exact(series, p, r1, r2, basis=basis)
+
+        monkeypatch.setattr(estimator, "fit_trig", counted)
+        series = sample_series(ALIAS_PARAMS, 0.1, 64, step=0.125)
+        search_frequencies(series, ALIAS_PARAMS.p, r_max=15)
+        odd = range(1, 16, 2)
+        assert len(calls) == 64
+        assert calls == [(r1, r2) for r1 in odd for r2 in odd]
+
     @pytest.fixture
     def exact_passes(self, monkeypatch):
         calls = []
@@ -327,7 +346,7 @@ class TestSearchScreen:
     @settings(max_examples=40)
     def test_bounds_enclose_the_exact_pass(self, params, step, count, t0, noise):
         series = noisy(sample_series(params, t0, count, step=step), noise, count)
-        basis = _TrigBasis(series, params.p)
+        basis = _TrigBasis(series, params.p, range(1, 16, 2))
         data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / count)
         for r1 in range(1, 16, 2):
             for r2 in range(1, 16, 2):

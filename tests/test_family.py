@@ -1,6 +1,8 @@
 """Parametric family evaluation and the four-point invariant."""
 
 import cmath
+import math
+import re
 import struct
 
 import pytest
@@ -16,10 +18,11 @@ from stasinv import (
     eval_s,
     invariant_ratio,
 )
+from stasinv.core import _phases
 from stasinv.rng import SplitMix64
 
 from conftest import complexes, odd_ints, params_st
-from _reference import ref_f, ref_invariant, ref_invariant_ratio_coherent
+from _reference import _ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent
 
 BASE = StasParams(p=0.5, q2=1.0)  # the discrete alternating-decay specialization
 
@@ -81,6 +84,25 @@ class TestEvalF:
         ref = ref_f(params.p, params.q1, params.q2, params.r1, params.r2, t)
         scale = abs(ref) + abs(params.q1) + abs(params.q2) + 1.0
         assert abs(eval_f(params, t) - ref) <= 1e-10 * scale
+
+
+class TestPhases:
+    @given(st.integers(-15, 15).map(lambda k: 2 * k + 1),
+           st.lists(st.floats(-1e300, 1e300) | st.floats(-40, 40), max_size=20))
+    def test_matches_reference_bit_for_bit(self, r, ts):
+        want = [math.pi * _ref_reduced_phase(r, t) for t in ts]
+        assert [struct.pack("<d", x) for x in _phases(r, ts)] == \
+            [struct.pack("<d", x) for x in want]
+
+    @given(st.sampled_from([3, -5, 15]),
+           st.lists(st.floats(-40, 40), max_size=5),
+           st.floats(1.2e308, 1.7e308) | st.sampled_from([float("inf"), float("-inf")]),
+           st.booleans())
+    def test_product_past_the_float_range_names_its_t(self, r, ts, big, negate):
+        bad = -big if negate else big
+        with pytest.raises(DomainError, match=(
+                rf"^the phase r\*t = {r}\*{re.escape(str(bad))} is outside the float range$")):
+            _phases(r, ts + [bad] + ts)
 
 
 class TestEvalS:

@@ -59,3 +59,14 @@ def test_make_series_bad_p_is_usage_error(tmp_path, p):
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--count", "-1"), ("--p", "0,0"), ("--r1", "2"),
+                                  ("--step", "0"), ("--t0", "nan")])
+def test_make_series_bad_values_are_domain_errors(tmp_path, argv):
+    out = tmp_path / "o.sig1"
+    proc = run_script("make_series.py", "--p", "0.5,0", *argv, "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("DomainError: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()

@@ -13,8 +13,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from stasinv.cli import _guarded
 from stasinv.core import verify_trials
-from stasinv.errors import StasError
+
+
+def sweep(args) -> int:
+    for trial, (params, _, a, rows, overall) in enumerate(
+            verify_trials(args.seed, args.trials, args.t_min, args.t_max, args.points)):
+        print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
+              f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")
+        print(f"  closed form 1/p^2 = {a:.6f}")
+        for t, ratio, dev in rows:
+            print(f"  ratio at t = {t:9.4f}: {ratio:.6f}   rel dev {dev:.2e}")
+    print(f"max relative deviation over {args.trials} trials: {overall:.2e}")
+    return 0
 
 
 def main() -> int:
@@ -24,21 +36,7 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=5, help="t draws per trial")
     ap.add_argument("--t-min", type=float, default=-20.0)
     ap.add_argument("--t-max", type=float, default=-10.0)
-    args = ap.parse_args()
-
-    try:
-        for trial, (params, _, a, rows, overall) in enumerate(
-                verify_trials(args.seed, args.trials, args.t_min, args.t_max, args.points)):
-            print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
-                  f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")
-            print(f"  closed form 1/p^2 = {a:.6f}")
-            for t, ratio, dev in rows:
-                print(f"  ratio at t = {t:9.4f}: {ratio:.6f}   rel dev {dev:.2e}")
-    except StasError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    print(f"max relative deviation over {args.trials} trials: {overall:.2e}")
-    return 0
+    return _guarded(sweep, ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -14,9 +14,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import StasParams, sample_series
-from stasinv.cli import _complex_flag
+from stasinv.cli import _complex_flag, _guarded, _write
 from stasinv.codec import dump_sig1
-from stasinv.errors import StasError
+
+
+def write_series(args) -> int:
+    params = StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
+    _write(args.output, dump_sig1(sample_series(params, args.t0, args.count, step=args.step)))
+    print(f"wrote {args.count} samples to {args.output}")
+    return 0
 
 
 def main() -> int:
@@ -30,17 +36,7 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=16)
     ap.add_argument("--step", type=float, default=1.0)
     ap.add_argument("--output", required=True)
-    args = ap.parse_args()
-
-    try:
-        params = StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
-        text = dump_sig1(sample_series(params, args.t0, args.count, step=args.step))
-    except StasError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    Path(args.output).write_text(text)
-    print(f"wrote {args.count} samples to {args.output}")
-    return 0
+    return _guarded(write_series, ap.parse_args())
 
 
 if __name__ == "__main__":

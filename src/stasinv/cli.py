@@ -232,16 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _guarded(command, args) -> int:
+    """command(args), printing a StasError as `<Name>: <message>` and an
+    OSError as `IOError: <message>` on stderr, with exit code 2."""
     try:
-        return args.func(args)
+        return command(args)
     except StasError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
-        return 2
+    return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return _guarded(args.func, args)
 
 
 def run() -> None:

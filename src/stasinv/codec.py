@@ -31,14 +31,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .core import SampleSeries, _window_residuals
-from .errors import (
-    DegenerateParameter,
-    DomainError,
-    FormatError,
-    IdentityViolation,
-    NoValidWindows,
-)
+from .core import SampleSeries, _checked_values, _window_residuals
+from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
 __all__ = [
@@ -111,9 +105,7 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     """
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
-    if series.step != 1.0:
-        raise DomainError("encoding requires a unit-spaced series")
-    g = series.values
+    g = _checked_values(series, 0, "encoding")
     for b, residual in enumerate(_window_residuals(g, a, stride=4)):
         if not residual <= ENCODE_TOL:
             raise IdentityViolation(b, residual)
@@ -159,13 +151,10 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"--tol must be finite and non-negative, got {tol}")
-    if series.step != 1.0:
-        raise DomainError("integrity checking requires a unit-spaced series")
-    n = len(series)
-    if n < 4:
-        raise NoValidWindows(f"need at least 4 samples, got {n}")
+    g = _checked_values(series, 4, "integrity checking")
+    n = len(g)
     n_windows = n - 3
-    residuals = _window_residuals(series.values, a)
+    residuals = _window_residuals(g, a)
     flagged = [i for i, r in enumerate(residuals) if not r <= tol]
 
     runs = []  # (first, last) window of each maximal run of flagged windows
@@ -194,11 +183,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     naming the sample, as does a series whose step is not 1; one of fewer than
     4 samples raises NoValidWindows.
     """
-    if series.step != 1.0:
-        raise DomainError("repair requires a unit-spaced series")
-    if len(series) < 4:
-        raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
-    values = list(series.values)
+    values = list(_checked_values(series, 4, "repair"))
     n_windows = len(values) - 3
     for j in implicated:
         if not 0 <= j < len(values):
@@ -249,9 +234,11 @@ def _format_lines(values, k: int) -> str:
 
 
 def _read_header(text: str, magic: str, expected: tuple[str, ...],
-                 optional: tuple[str, ...] = ()) -> tuple[list[str], dict[str, str]]:
-    """The lines of text and the key=value fields of its header line, after the
-    magic line; FormatError unless every expected key and no unknown one is there."""
+                 optional: tuple[str, ...] = ()) -> tuple[list[str], dict[str, str], float, int]:
+    """The lines of text, the key=value fields of its header line after the
+    magic line, and the parsed t0 and count fields, which both formats have.
+    FormatError unless every expected key and no unknown one is there, t0 and
+    count parse and count is non-negative."""
     lines = text.splitlines()
     if not lines or lines[0] != magic:
         raise FormatError(f"missing {magic} magic line")
@@ -267,7 +254,13 @@ def _read_header(text: str, magic: str, expected: tuple[str, ...],
     extra = [k for k in fields if k not in expected + optional]
     if missing or extra:
         raise FormatError(f"header fields: missing {missing}, unexpected {extra}")
-    return lines, fields
+    try:
+        t0, count = float(fields["t0"]), int(fields["count"])
+    except ValueError as exc:
+        raise FormatError(f"bad {magic} header: {lines[1]!r}") from exc
+    if count < 0:
+        raise FormatError("count must be non-negative")
+    return lines, fields, t0, count
 
 
 def dump_sig1(series: SampleSeries) -> str:
@@ -279,18 +272,15 @@ def dump_sig1(series: SampleSeries) -> str:
 
 
 def load_sig1(text: str) -> SampleSeries:
-    lines, fields = _read_header(text, "SIG1", ("t0", "kind", "count"), optional=("step",))
+    lines, fields, t0, count = _read_header(text, "SIG1", ("t0", "kind", "count"),
+                                            optional=("step",))
     try:
-        t0 = float(fields["t0"])
-        count = int(fields["count"])
         step = float(fields.get("step", "1"))
     except ValueError as exc:
         raise FormatError(f"bad SIG1 header: {lines[1]!r}") from exc
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
-    if count < 0:
-        raise FormatError("count must be non-negative")
     values = _parse_samples(lines[2:], count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
@@ -304,15 +294,8 @@ def dump_stasc1(enc: EncodedStream) -> str:
 
 
 def load_stasc1(text: str) -> EncodedStream:
-    lines, fields = _read_header(text, "STASC1", ("a", "t0", "count"))
+    lines, fields, t0, count = _read_header(text, "STASC1", ("a", "t0", "count"))
     a = parse_complex(fields["a"])
-    try:
-        t0 = float(fields["t0"])
-        count = int(fields["count"])
-    except ValueError as exc:
-        raise FormatError(f"bad STASC1 header: {lines[1]!r}") from exc
-    if count < 0:
-        raise FormatError("count must be non-negative")
     pos = 2 + count // 4  # the rem= line follows the count // 4 block lines
     if len(lines) < pos:
         raise FormatError("truncated STASC1 block section")

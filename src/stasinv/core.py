@@ -402,17 +402,16 @@ def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
         raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
-def _window_ratios(g, skip_threshold: float) -> list[complex]:
-    """lo / hi of every window not skipped as near-singular (see estimate_invariant).
-
-    A pair sum whose magnitude exceeds the float range raises DomainError.
-    """
-    lo, hi, scales = _window_terms(g)
-    try:
-        return [x / y for x, y, c in zip(lo, hi, scales)
-                if not (y == 0 or abs(y) < skip_threshold * c)]
-    except OverflowError:
-        raise DomainError(_PAIR_SUM_OVERFLOW) from None
+def _checked_values(series: SampleSeries, need: int,
+                    unit_for: str | None = None) -> tuple[complex, ...]:
+    """series.values, once the series passes the entry checks of a series
+    operation: DomainError if unit_for names the operation and the step is
+    not 1, then NoValidWindows below `need` samples."""
+    if unit_for is not None and series.step != 1.0:
+        raise DomainError(f"{unit_for} requires a unit-spaced series")
+    if (n := len(series.values)) < need:
+        raise NoValidWindows(f"need at least {need} samples, got {n}")
+    return series.values
 
 
 def estimate_invariant(series: SampleSeries,
@@ -425,17 +424,16 @@ def estimate_invariant(series: SampleSeries,
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample raises DomainError.
     """
-    if series.step != 1.0:
-        raise DomainError("invariant estimation requires a unit-spaced series")
-    g = series.values
-    n = len(g)
-    if n < 4:
-        raise NoValidWindows(f"need at least 4 samples, got {n}")
-    ratios = _window_ratios(g, skip_threshold)
+    g = _checked_values(series, 4, "invariant estimation")
+    try:  # the window terms are freed once the ratios are taken
+        ratios = [x / y for x, y, c in zip(*_window_terms(g))
+                  if not (y == 0 or abs(y) < skip_threshold * c)]
+    except OverflowError:
+        raise DomainError(_PAIR_SUM_OVERFLOW) from None
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))
     norm = max(abs(a_hat), 1.0)
     max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev,
-                           windows_used=len(ratios), windows_skipped=n - 3 - len(ratios))
+                           windows_used=len(ratios), windows_skipped=len(g) - 3 - len(ratios))

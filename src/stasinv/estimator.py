@@ -22,14 +22,15 @@ from __future__ import annotations
 import cmath
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
 from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
 from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _magnitudes, _phases, _powers)
-from .errors import DegenerateParameter, DomainError, IllConditioned, NoValidWindows
+                   _checked_values, _magnitudes, _phases, _powers)
+from .errors import DegenerateParameter, DomainError, IllConditioned
 
 __all__ = [
     "FitResult",
@@ -82,6 +83,16 @@ class FitResult:
     invariant: InvariantReport | None = None
 
 
+@contextmanager
+def _fit_sums():
+    """Raises an OverflowError of the block, from a sum of the fit past the
+    float range, as DomainError."""
+    try:
+        yield
+    except OverflowError:
+        raise DomainError("a sum of the fit exceeds the float range") from None
+
+
 def recover_p(a: complex) -> tuple[complex, complex]:
     """The two square roots of 1/a, i.e. both candidates for p given a = 1/p^2."""
     if a == 0:
@@ -97,13 +108,9 @@ def disambiguate_p(candidates: tuple[complex, complex],
     For each candidate pb, adjacent observed sums g_i + g_{i+1} are compared
     with pb^{t_i} * (1 + pb); the mean relative mismatch decides.  Returns
     (choice, ambiguous) where ambiguous is set when the two mismatches agree
-    to within 1e-6.
+    to within 1e-6.  A sum past the float range raises DomainError.
     """
-    if series.step != 1.0:
-        raise DomainError("sign disambiguation requires a unit-spaced series")
-    g = series.values
-    if len(g) < 2:
-        raise NoValidWindows(f"need at least 2 samples, got {len(g)}")
+    g = _checked_values(series, 2, "sign disambiguation")
     grid = series.grid()
 
     def mean_mismatch(pb: complex) -> float:
@@ -115,8 +122,9 @@ def disambiguate_p(candidates: tuple[complex, complex],
             total += abs(obs - pred) / scale if scale > 0 else 0.0
         return total / (len(g) - 1)
 
-    m0 = mean_mismatch(candidates[0])
-    m1 = mean_mismatch(candidates[1])
+    with _fit_sums():
+        m0 = mean_mismatch(candidates[0])
+        m1 = mean_mismatch(candidates[1])
     ambiguous = abs(m0 - m1) < SIGN_AMBIGUITY_TOL
     return (candidates[0] if m0 <= m1 else candidates[1], ambiguous)
 
@@ -205,14 +213,15 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     Raises IllConditioned when the normal matrix condition exceeds 1e12,
     which happens in particular on integer grids (the sine column vanishes
     for every odd r) and on unit-spaced grids (the two columns are
-    collinear), and DomainError, naming the pair, where q1 or q2 overflows.
+    collinear), and DomainError where a sum of the fit leaves the float
+    range or, naming the pair, where q1 or q2 overflows.
     `basis`, built for the same series and p with r1 and r2 among its freqs,
     shares columns between calls; without one a single-use basis is built.
     """
-    if len(series) < 4:
-        raise NoValidWindows(f"need at least 4 samples, got {len(series)}")
+    _checked_values(series, 4)
     if basis is None:
-        basis = _TrigBasis(series, p, {r1, r2})
+        with _fit_sums():
+            basis = _TrigBasis(series, p, {r1, r2})
     _, m00, b0 = basis.sine[r1]
     _, m11, b1 = basis.cosine[r2]
     m01 = basis.cross[r1, r2]
@@ -241,7 +250,8 @@ def search_frequencies(series: SampleSeries, p: complex,
 
     Returns the minimal-residual fit; exact residual ties are broken by the
     lexicographically smaller pair and the full tie set is reported.
-    Raises IllConditioned only when every pair fails.
+    Raises IllConditioned only when every pair fails, and DomainError where
+    a sum leaves the float range.
 
     One _TrigBasis over every odd frequency holds p^t, y = g - p^t, each
     frequency's columns and each pair's cross product, so a pair costs the
@@ -262,32 +272,32 @@ def search_frequencies(series: SampleSeries, p: complex,
     """
     if r_max < 1 or r_max % 2 == 0:
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
-    if len(series) < 8:
-        raise NoValidWindows(f"need at least 8 samples, got {len(series)}")
+    _checked_values(series, 8)
     odd = range(1, r_max + 1, 2)
-    basis = _TrigBasis(series, p, odd)
-    solved = []
-    failure: IllConditioned | None = None
-    for r1 in odd:
-        for r2 in odd:
-            try:
-                q1, q2 = fit_trig(series, p, r1, r2, basis=basis)
-            except IllConditioned as exc:
-                failure = exc
-                continue
-            solved.append(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2))
-    if not solved:
-        assert failure is not None
-        raise failure
-    data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
-    tie_slack = 1e-9 * max(data_scale, 1.0)
-    bounds = [basis.rms_bounds(params, data_scale) for params in solved]
-    bar = min(hi for _, hi in bounds) + tie_slack
-    fits = [(basis.residual_rms(params), (params.r1, params.r2), params)
-            for params, (lo, _) in zip(solved, bounds) if not lo > bar]
-    best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
-    tie_band = best_rms + tie_slack
-    ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
+    with _fit_sums():
+        basis = _TrigBasis(series, p, odd)
+        solved = []
+        failure: IllConditioned | None = None
+        for r1 in odd:
+            for r2 in odd:
+                try:
+                    q1, q2 = fit_trig(series, p, r1, r2, basis=basis)
+                except IllConditioned as exc:
+                    failure = exc
+                    continue
+                solved.append(StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2))
+        if not solved:
+            assert failure is not None
+            raise failure
+        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
+        tie_slack = 1e-9 * max(data_scale, 1.0)
+        bounds = [basis.rms_bounds(params, data_scale) for params in solved]
+        bar = min(hi for _, hi in bounds) + tie_slack
+        fits = [(basis.residual_rms(params), (params.r1, params.r2), params)
+                for params, (lo, _) in zip(solved, bounds) if not lo > bar]
+        best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
+        tie_band = best_rms + tie_slack
+        ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
     return FitResult(params=best_params, residual_rms=best_rms,
                      p_sign_ambiguous=False, tied_frequencies=ties)
 
@@ -304,11 +314,7 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     if m < 1 or m * series.step != 1.0:
         raise DomainError(f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
     unit = SampleSeries(series.t0, series.values[::m])
-    try:
-        report = estimate_invariant(unit)
-        candidates = recover_p(report.a_hat)
-        p, ambiguous = disambiguate_p(candidates, unit)
-        result = search_frequencies(series, p, r_max)
-    except OverflowError:
-        raise DomainError("a sum of the fit exceeds the float range") from None
+    report = estimate_invariant(unit)
+    p, ambiguous = disambiguate_p(recover_p(report.a_hat), unit)
+    result = search_frequencies(series, p, r_max)
     return replace(result, p_sign_ambiguous=ambiguous, invariant=report)

@@ -21,6 +21,8 @@ raw output of the root stream.
 
 from __future__ import annotations
 
+from .errors import DomainError
+
 __all__ = ["SplitMix64"]
 
 _MASK = (1 << 64) - 1
@@ -43,10 +45,8 @@ class SplitMix64:
     def for_trial(cls, seed: int, index: int) -> "SplitMix64":
         """Independent substream for one trial, a pure function of (seed, index)."""
         if index < 0:
-            raise ValueError("trial index must be non-negative")
-        rng = cls.__new__(cls)
-        rng._state = _mix((seed + (index + 1) * _GAMMA) & _MASK)
-        return rng
+            raise DomainError("trial index must be non-negative")
+        return cls(_mix((seed + (index + 1) * _GAMMA) & _MASK))
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -68,5 +68,5 @@ class SplitMix64:
         """Uniform odd integer in [lo, hi] (draws one u64; modulo selection)."""
         odds = range(lo if lo % 2 else lo + 1, hi + 1, 2)
         if len(odds) == 0:
-            raise ValueError(f"no odd integers in [{lo}, {hi}]")
+            raise DomainError(f"no odd integers in [{lo}, {hi}]")
         return odds[self.next_u64() % len(odds)]

@@ -89,6 +89,12 @@ class TestDisambiguateP:
         p, _ = disambiguate_p((-1.0 + 0j, 0.5 + 0j), series)
         assert p == 0.5 + 0j
 
+    def test_overflowing_pair_sum_is_domain_error(self):
+        # each |g| is finite, |g0 + g1| = |(1.3e308, 1.3e308)| is not
+        series = SampleSeries(0.0, (1e308 + 1e308j, 3e307 + 3e307j, 1, 1))
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            disambiguate_p((0.5, -0.5), series)
+
     def test_needs_two_samples(self):
         with pytest.raises(NoValidWindows):
             disambiguate_p((0.5 + 0j, -0.5 + 0j), SampleSeries(1.0, (1.0,)))
@@ -142,8 +148,20 @@ class TestFitTrig:
         with pytest.raises(NoValidWindows):
             fit_trig(SampleSeries(0.1, (1, 2, 3), step=0.5), 0.5 + 0j, 1, 1)
 
+    def test_huge_samples_are_domain_errors(self):
+        # finite samples whose projection sums overflow
+        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 16, step=0.125)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            fit_trig(huge, 0.5 + 0j, 3, 5)
+
 
 class TestSearchFrequencies:
+    def test_huge_samples_are_domain_errors(self):
+        # |g|^2 overflows past about 1.3e154
+        huge = SampleSeries(0.1, (1e300 + 1e300j, -1e300 + 0j) * 8, step=0.125)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            search_frequencies(huge, 0.5, 15)
+
     def test_recovers_five_seven(self):
         params = StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7)
         series = sample_series(params, 0.1, 16, step=0.125)

@@ -92,6 +92,47 @@ def _malformed(texts, suffix, *commands):
     return files, [[*argv, "--input", name] for name in files for argv in commands]
 
 
+def _refusals():
+    """Inputs with one fault each, through the commands that refuse them: a
+    step-1/2 series where unit spacing is needed, too few samples, a step
+    that is not 1/m, a negative count and a bad t0."""
+    return {"half.sig1": _sig1(1.0, _geometric(8, 1.0, 0.5, 0.25), 0.5),
+            "short.sig1": _sig1(1.0, _geometric(3, 1.0, 0.5, 0.25)),
+            "six.sig1": _sig1(1.0, _geometric(6, 1.0, 0.5, 0.25)),
+            "step03.sig1": _sig1(0.25, _geometric(16, 1.0, 0.5, 0.25), 0.3),
+            "negcount.sig1": "SIG1\nt0=0 kind=f count=-1\n",
+            "badt0.stasc1": "STASC1\na=4,0 t0=qq count=0\nrem=0\n"}, [
+        ["check", "--p", "0.5,0", "--input", "half.sig1"],
+        ["check", "--estimate", "--input", "half.sig1"],
+        ["encode", "--p", "0.5,0", "--input", "half.sig1", "--output", "half.stasc1"],
+        ["check", "--p", "0.5,0", "--input", "short.sig1"],
+        ["check", "--estimate", "--input", "short.sig1"],
+        ["fit", "--input", "short.sig1"],
+        ["fit", "--input", "six.sig1"],
+        ["fit", "--input", "step03.sig1"],
+        ["check", "--p", "0.5,0", "--input", "negcount.sig1"],
+        ["decode", "--input", "badt0.stasc1", "--output", "out.sig1"],
+    ]
+
+
+def _eval_invariant():
+    """eval and invariant on a few values, then the range errors of the README."""
+    return {}, [
+        ["eval", "--p", "0.5,0", "--q2", "1,0", "--r2", "1", "--t", "2", "--kind", "s"],
+        ["eval", "--p", "0.7,0.3", "--q1", "1.2,-0.4", "--q2=-0.8,0.6", "--r1", "5", "--r2", "3",
+         "--t", "0.3"],
+        ["invariant", "--p", "0.5,0"],
+        ["invariant", "--p", "0.7,0.3", "--q1", "1.2,-0.4", "--r1", "5", "--t", "1.25"],
+        ["eval", "--p", "0.5,0", "--t", "0", "--kind", "s"],
+        ["eval", "--p", "2,0", "--t", "1500.5"],
+        ["eval", "--p", "1e200,1e200", "--t", "2"],
+        ["invariant", "--p", "0.5,0", "--t=-1023.5"],
+        ["eval", "--p", "1,0", "--r1", "15", "--t", "1e308"],
+        ["invariant", "--p", "1e-320,0"],
+        ["invariant", "--p", "0.5,0", "--q1", "1.7e308,0", "--q2", "1.7e308,0", "--t", "0.25"],
+    ]
+
+
 CASES = {
     "stream-roundtrip": _stream,
     "check-faulted": _faulted,
@@ -103,9 +144,11 @@ CASES = {
                                          ["check", "--estimate"]),
     "malformed-stasc1": lambda: _malformed(MALFORMED_STASC1, "stasc1",
                                            ["decode", "--output", "out.sig1"]),
+    "refusals": _refusals,
+    "eval-invariant": _eval_invariant,
 }
 
-LIBM = {"fit-dense", "verify-seed1", "verify-seed2", "verify-seed3"}
+LIBM = {"fit-dense", "verify-seed1", "verify-seed2", "verify-seed3", "eval-invariant"}
 
 GOLDEN = {
     "stream-roundtrip": "fccbc26a067674ffe80a1c67f19d9ccac897a78ea368bfaca9052c07bec49d88",
@@ -117,6 +160,8 @@ GOLDEN = {
     "verify-seed3": "1061f16f43fad5ca894ebfa42cb0420b1c8448d2173d91942582ba86f6794c12",
     "malformed-sig1": "aade61a04deda48bbef9924702273866df29e6f884724bbe49f75e7753508642",
     "malformed-stasc1": "4792542ad3bfe60c3575fb51fcf1bd375bb33cda7f97aa28501ecda67bca33e5",
+    "refusals": "e015525e0b31694f980280ad9834baeeb9aafccfb52068f6eb44b9e94e844561",
+    "eval-invariant": "7b2a96290eb24a1532b9b30d16b17824ddf4f14a312bc8d014b134419ffe684c",
 }
 
 

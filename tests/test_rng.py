@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stasinv.errors import DomainError
 from stasinv.rng import SplitMix64
 
 
@@ -37,7 +38,7 @@ def test_trial_streams_differ():
 
 
 def test_negative_trial_index_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SplitMix64.for_trial(0, -1)
 
 
@@ -58,7 +59,7 @@ def test_odd_int_is_odd_and_bounded(seed):
 
 
 def test_odd_int_empty_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SplitMix64(0).odd_int(2, 2)
 
 

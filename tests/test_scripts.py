@@ -70,3 +70,11 @@ def test_make_series_bad_values_are_domain_errors(tmp_path, argv):
     assert proc.stderr.startswith("DomainError: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_make_series_unwritable_output_is_io_error(tmp_path):
+    out = tmp_path / "missing" / "o.sig1"
+    proc = run_script("make_series.py", "--p", "0.5,0", "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("IOError: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -8,15 +8,22 @@ reconstruction, a 4-to-3 block codec with sliding-window integrity checking,
 and parameter recovery from sampled data.
 """
 
-from . import codec, core, errors, estimator, reconstruct, rng
-from .codec import *
-from .core import *
-from .errors import *
-from .estimator import *
-from .reconstruct import *
-from .rng import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (core, reconstruct, codec, estimator, rng, errors)
-           for name in module.__all__]
+_MODULES = ("errors", "rng", "core", "reconstruct", "codec", "estimator")
+
+
+def __getattr__(name: str):
+    """PEP 562: a submodule's name (`from stasinv import cli` asks for cli's first) loads it
+    alone; a public name loads _MODULES, each after its imports, until one lists it in __all__."""
+    if name in _MODULES or name == "cli":
+        return import_module(f"{__name__}.{name}")
+    modules = (import_module(f"{__name__}.{m}") for m in _MODULES)
+    if name == "__all__":
+        return [n for module in modules for n in module.__all__]
+    for module in modules:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@ import argparse
 import cmath
 import sys
 
-from . import codec, core, estimator
+from . import codec, core
 from .errors import DomainError, FormatError, StasError
 
 
@@ -144,6 +144,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import estimator  # here, not at the top: only fit uses it
     series = codec.load_sig1(_read(args.input))
     result = estimator.fit_series(series, r_max=args.r_max)
     p = result.params
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit", help="recover (p, q1, q2, r1, r2) from a series")
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--r-max", type=int, default=estimator.DEFAULT_R_MAX)
+    p_fit.add_argument("--r-max", type=int, default=core.DEFAULT_R_MAX)
     p_fit.set_defaults(func=cmd_fit)
 
     return parser

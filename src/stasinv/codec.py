@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .core import SampleSeries, _checked_values, _window_residuals
+from .core import SampleSeries, _Record, _checked_values, _window_residuals
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
@@ -51,37 +50,32 @@ __all__ = [
 ENCODE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class EncodedStream:
+class EncodedStream(_Record):
     """Header (invariant, grid) plus 4->3 compressed blocks and verbatim tail.
 
     Every block holds 3 samples; a, t0 and every stored sample must be
     finite, else FormatError.
     """
 
-    a: complex
-    t0: float
-    count: int
-    blocks: tuple[tuple[complex, complex, complex], ...]
-    remainder: tuple[complex, ...]
+    __slots__ = ("a", "t0", "count", "blocks", "remainder")
 
-    def __post_init__(self):
-        if any(len(block) != 3 for block in self.blocks):
+    def __init__(self, a: complex, t0: float, count: int,
+                 blocks: tuple[tuple[complex, complex, complex], ...],
+                 remainder: tuple[complex, ...]):
+        if any(len(block) != 3 for block in blocks):
             raise FormatError("every encoded block must hold exactly 3 samples")
-        if self.a == 0:
+        if a == 0:
             raise FormatError("encoded stream requires a != 0")
-        if not (cmath.isfinite(self.a) and math.isfinite(self.t0)):
-            raise FormatError(
-                f"encoded stream requires finite a and t0, got a={self.a}, t0={self.t0}")
-        if not all(map(cmath.isfinite, chain(chain.from_iterable(self.blocks),
-                                             self.remainder))):
+        if not (cmath.isfinite(a) and math.isfinite(t0)):
+            raise FormatError(f"encoded stream requires finite a and t0, got a={a}, t0={t0}")
+        if not all(map(cmath.isfinite, chain(chain.from_iterable(blocks), remainder))):
             raise FormatError("encoded stream samples must be finite, found nan or inf")
-        if not 0 <= len(self.remainder) <= 3:
-            raise FormatError(f"remainder must hold 0..3 samples, got {len(self.remainder)}")
-        if self.count != 4 * len(self.blocks) + len(self.remainder):
-            raise FormatError(
-                f"count {self.count} inconsistent with {len(self.blocks)} blocks "
-                f"+ {len(self.remainder)} remainder samples")
+        if not 0 <= len(remainder) <= 3:
+            raise FormatError(f"remainder must hold 0..3 samples, got {len(remainder)}")
+        if count != 4 * len(blocks) + len(remainder):
+            raise FormatError(f"count {count} inconsistent with {len(blocks)} blocks "
+                              f"+ {len(remainder)} remainder samples")
+        super().__init__(a, t0, count, blocks, remainder)
 
 
 class IntegrityFinding(NamedTuple):

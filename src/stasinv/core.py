@@ -23,11 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import isfinite
-from statistics import median
 
 from .errors import DomainError, NoValidWindows, SingularWindow
 from .rng import SplitMix64
@@ -48,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_SKIP_THRESHOLD = 1e-9
+DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
 
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
@@ -62,40 +60,62 @@ R_BOUNDS = (1, 15)
 DEGENERATE_P_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class StasParams:
+class _Record:
+    """Immutable record of its __slots__, equal only within its class, repr Name(f=v, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):  # the fields in slot order, once a subclass checked them
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # (class, fields): what copy and pickle rebuild it from, via __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class StasParams(_Record):
     """Parameters (p, q1, q2, r1, r2) of one member of the family.
 
     p is the base of the exponential part (p not in {0, -1}); q1, q2 are the
     sine/cosine amplitudes; r1, r2 are odd integer frequency multipliers.
     """
 
-    p: complex
-    q1: complex = 0j
-    q2: complex = 0j
-    r1: int = 1
-    r2: int = 1
+    __slots__ = ("p", "q1", "q2", "r1", "r2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "q1", complex(self.q1))
-        object.__setattr__(self, "q2", complex(self.q2))
-        if not all(map(cmath.isfinite, (self.p, self.q1, self.q2))):
-            raise DomainError(f"p, q1 and q2 must be finite, got {self.p}, {self.q1}, {self.q2}")
-        if self.p == 0:
+    def __init__(self, p: complex, q1: complex = 0j, q2: complex = 0j, r1: int = 1, r2: int = 1):
+        p, q1, q2 = complex(p), complex(q1), complex(q2)
+        if not all(map(cmath.isfinite, (p, q1, q2))):
+            raise DomainError(f"p, q1 and q2 must be finite, got {p}, {q1}, {q2}")
+        if p == 0:
             raise DomainError("p must be non-zero")
-        if self.p == -1:
+        if p == -1:
             raise DomainError("p = -1 is excluded (paired sums vanish identically)")
-        for name in ("r1", "r2"):
-            r = getattr(self, name)
+        for name, r in (("r1", r1), ("r2", r2)):
             if not isinstance(r, int) or isinstance(r, bool):
                 raise DomainError(f"{name} must be an integer, got {r!r}")
             if r % 2 == 0:
                 raise DomainError(f"{name} must be odd, got {r}")
+        super().__init__(p, q1, q2, r1, r2)
 
 
-@dataclass(frozen=True)
-class SampleSeries:
+class SampleSeries(_Record):
     """Weighted samples g(t0 + i*step) = f(t0 + i*step) on an evenly spaced grid.
 
     The stored values are always f-values; series ingested as s-values are
@@ -104,16 +124,15 @@ class SampleSeries:
     the least-squares fitting accepts denser grids.
     """
 
-    t0: float
-    values: tuple[complex, ...]
-    step: float = 1.0
+    __slots__ = ("t0", "values", "step")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(complex, self.values)))
-        if not (math.isfinite(self.t0) and math.isfinite(self.step)):
-            raise DomainError(f"t0 and step must be finite, got t0={self.t0}, step={self.step}")
-        if self.step == 0:
+    def __init__(self, t0: float, values: tuple[complex, ...], step: float = 1.0):
+        values = tuple(map(complex, values))
+        if not (math.isfinite(t0) and math.isfinite(step)):
+            raise DomainError(f"t0 and step must be finite, got t0={t0}, step={step}")
+        if step == 0:
             raise DomainError("step must be non-zero")
+        super().__init__(t0, values, step)
 
     @classmethod
     def from_s(cls, t0: float, values, step: float = 1.0) -> "SampleSeries":
@@ -134,14 +153,13 @@ class SampleSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
     """Empirical invariant estimate plus dispersion diagnostics."""
 
-    a_hat: complex
-    max_rel_dev: float
-    windows_used: int
-    windows_skipped: int
+    __slots__ = ("a_hat", "max_rel_dev", "windows_used", "windows_skipped")
+
+    def __init__(self, a_hat: complex, max_rel_dev: float, windows_used: int, windows_skipped: int):
+        super().__init__(a_hat, max_rel_dev, windows_used, windows_skipped)
 
 
 def _grid(t0: float, step: float, count: int) -> list[float]:
@@ -287,6 +305,7 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
 
 def seq_a(n: int) -> Fraction:
     """a_n = ((1/2)^n + (-1)^n) / n, exactly, for n >= 1."""
+    from fractions import Fraction  # here, not at the top: it loads decimal
     if n < 1:
         raise DomainError(f"sequence index must be >= 1, got {n}")
     sign = 1 if n % 2 == 0 else -1
@@ -298,6 +317,7 @@ def recurrence_next(n: int, a_prev2: Fraction) -> Fraction:
 
     a_n = ((n-2) * a_{n-2} + 3*(-1)^n) / (4n), for n >= 3.
     """
+    from fractions import Fraction
     if n < 3:
         raise DomainError(f"recurrence needs n >= 3, got {n}")
     sign = 1 if n % 2 == 0 else -1
@@ -422,8 +442,9 @@ def estimate_invariant(series: SampleSeries,
     windows whose denominator magnitude falls below skip_threshold times the
     window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
-    over retained windows.  A non-finite sample raises DomainError.
+    over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """
+    from statistics import median  # here, not at the top: it loads fractions and decimal
     g = _checked_values(series, 4, "invariant estimation")
     try:  # the window terms are freed once the ratios are taken
         ratios = [x / y for x, y, c in zip(*_window_terms(g))
@@ -435,5 +456,7 @@ def estimate_invariant(series: SampleSeries,
     a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))
     norm = max(abs(a_hat), 1.0)
     max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
+    if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
+        raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev,
                            windows_used=len(ratios), windows_skipped=len(g) - 3 - len(ratios))

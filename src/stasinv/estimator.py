@@ -23,13 +23,12 @@ import cmath
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from itertools import chain
 from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
-from .core import (InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _checked_values, _magnitudes, _phases, _powers)
+from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
+                   _Record, _checked_values, _magnitudes, _phases, _powers)
 from .errors import DegenerateParameter, DomainError, IllConditioned
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
 
 COND_LIMIT = 1e12
 SIGN_AMBIGUITY_TOL = 1e-6
-DEFAULT_R_MAX = 15
 
 # Bounds of the closed-form screen in search_frequencies, by first-order error
 # analysis with unit roundoff u = _EPS / 2:
@@ -64,8 +62,7 @@ _PASS_ERR = 8 * _EPS
 _SCREEN_LIMIT = 1e300
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """Recovered parameters with fit diagnostics.
 
     tied_frequencies lists every (r1, r2) pair whose residual matches the
@@ -76,11 +73,12 @@ class FitResult:
     given p, leaves it None.
     """
 
-    params: StasParams
-    residual_rms: float
-    p_sign_ambiguous: bool
-    tied_frequencies: tuple[tuple[int, int], ...] = ()
-    invariant: InvariantReport | None = None
+    __slots__ = ("params", "residual_rms", "p_sign_ambiguous", "tied_frequencies", "invariant")
+
+    def __init__(self, params: StasParams, residual_rms: float, p_sign_ambiguous: bool,
+                 tied_frequencies: tuple[tuple[int, int], ...] = (),
+                 invariant: InvariantReport | None = None):
+        super().__init__(params, residual_rms, p_sign_ambiguous, tied_frequencies, invariant)
 
 
 @contextmanager
@@ -317,4 +315,4 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     report = estimate_invariant(unit)
     p, ambiguous = disambiguate_p(recover_p(report.a_hat), unit)
     result = search_frequencies(series, p, r_max)
-    return replace(result, p_sign_ambiguous=ambiguous, invariant=report)
+    return FitResult(result.params, result.residual_rms, ambiguous, result.tied_frequencies, report)

@@ -8,15 +8,13 @@ input types (e.g. Fraction) pass through without rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .core import _Record
 from .errors import ContractViolation, DegenerateParameter
 
 __all__ = ["Window", "recover_missing", "predict_next"]
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Record):
     """Four consecutive weighted samples, at most one marked missing.
 
     `g` holds the slot values; the slot at index `missing` (if any) is the
@@ -24,23 +22,22 @@ class Window:
     must be present.
     """
 
-    g: tuple
-    missing: int | None = None
+    __slots__ = ("g", "missing")
 
-    def __post_init__(self):
-        g = tuple(self.g)
-        object.__setattr__(self, "g", g)
+    def __init__(self, g: tuple, missing: int | None = None):
+        g = tuple(g)
         if len(g) != 4:
             raise ContractViolation(f"window needs exactly 4 slots, got {len(g)}")
-        if self.missing is not None and self.missing not in (0, 1, 2, 3):
-            raise ContractViolation(f"missing index must be in 0..3, got {self.missing}")
+        if missing is not None and missing not in (0, 1, 2, 3):
+            raise ContractViolation(f"missing index must be in 0..3, got {missing}")
         holes = [i for i, v in enumerate(g) if v is None]
-        if self.missing is None:
+        if missing is None:
             if holes:
                 raise ContractViolation(f"slots {holes} are empty but none marked missing")
-        elif any(i != self.missing for i in holes):
+        elif any(i != missing for i in holes):
             raise ContractViolation(
-                f"empty slots {holes} but only index {self.missing} is marked missing")
+                f"empty slots {holes} but only index {missing} is marked missing")
+        super().__init__(g, missing)
 
 
 def recover_missing(window: Window, a):

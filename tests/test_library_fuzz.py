@@ -1,6 +1,8 @@
 """Library fuzzing: each public series operation, on any finite series, either
-returns or raises a StasError; no other exception escapes."""
+returns or raises a StasError; no other exception escapes.  An invariant
+estimate that is returned is finite."""
 
+import cmath
 import math
 
 import pytest
@@ -20,14 +22,17 @@ from stasinv import (
     search_frequencies,
 )
 
-exponents = st.floats(-300.0, math.log10(1.7e308))
+# Half of the exponents fall in the band where two equal parts sum past the
+# float range while a sample with both parts there keeps a finite modulus.
+exponents = st.floats(-300.0, math.log10(1.7e308)) | st.floats(307.96, 308.1)
 
 
 @st.composite
 def series_st(draw):
     """0..40 samples at step 1, 1/2, 1/8 or 0.3, whose parts have either sign and
-    magnitudes log-uniform on [1e-300, 1.7e308]: one magnitude each or, so that
-    sums of large samples overflow often, one shared by the whole series."""
+    magnitudes log-uniform on [1e-300, 1.7e308], or in the overflow band above:
+    one magnitude each or, so that sums of large samples overflow often, one
+    shared by the whole series."""
     shared = draw(st.none() | exponents)
     exponent = exponents if shared is None else st.just(shared)
     part = st.builds(lambda e, negative: -(10.0 ** e) if negative else 10.0 ** e,
@@ -55,6 +60,8 @@ OPERATIONS = {
        p=st.sampled_from([0.5, 0.7 + 0.4j, 1e-3, 30.0]))
 def test_raises_only_stas_errors(name, series, a, p):
     try:
-        OPERATIONS[name](series, a, p)
+        result = OPERATIONS[name](series, a, p)
     except StasError:
-        pass
+        return
+    if name == "estimate_invariant":
+        assert cmath.isfinite(result.a_hat) and math.isfinite(result.max_rel_dev), result

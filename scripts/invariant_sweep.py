@@ -18,7 +18,7 @@ from stasinv.core import verify_trials
 
 
 def sweep(args) -> int:
-    for trial, (params, _, a, rows, overall) in enumerate(
+    for trial, (params, a, rows, overall) in enumerate(
             verify_trials(args.seed, args.trials, args.t_min, args.t_max, args.points)):
         print(f"trial {trial}: p={params.p:.4f} q1={params.q1:.4f} "
               f"q2={params.q2:.4f} r1={params.r1} r2={params.r2}")

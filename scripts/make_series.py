@@ -13,25 +13,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stasinv import StasParams, sample_series
-from stasinv.cli import _complex_flag, _guarded, _write
+from stasinv import sample_series
+from stasinv.cli import _add_param_flags, _guarded, _params_from, _write
 from stasinv.codec import dump_sig1
 
 
 def write_series(args) -> int:
-    params = StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
-    _write(args.output, dump_sig1(sample_series(params, args.t0, args.count, step=args.step)))
+    series = sample_series(_params_from(args), args.t0, args.count, step=args.step)
+    _write(args.output, dump_sig1(series))
     print(f"wrote {args.count} samples to {args.output}")
     return 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--p", type=_complex_flag, required=True)
-    ap.add_argument("--q1", type=_complex_flag, default=0j)
-    ap.add_argument("--q2", type=_complex_flag, default=0j)
-    ap.add_argument("--r1", type=int, default=1)
-    ap.add_argument("--r2", type=int, default=1)
+    _add_param_flags(ap)
     ap.add_argument("--t0", type=float, default=0.25)
     ap.add_argument("--count", type=int, default=16)
     ap.add_argument("--step", type=float, default=1.0)

@@ -146,8 +146,7 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"--tol must be finite and non-negative, got {tol}")
     g = _checked_values(series, 4, "integrity checking")
-    n = len(g)
-    n_windows = n - 3
+    n_windows = len(g) - 3
     residuals = _window_residuals(g, a)
     flagged = [i for i, r in enumerate(residuals) if not r <= tol]
 
@@ -160,7 +159,7 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     # Sample j is covered by windows max(0, j-3) .. min(j, n_windows-1); only
     # j in [last, first+3] can have a covering range equal to a run.
     implicated = {j for first, last in runs
-                  for j in range(last, min(first + 3, n - 1) + 1)
+                  for j in range(last, first + 4)
                   if max(0, j - 3) == first and min(j, n_windows - 1) == last}
     return [IntegrityFinding(i, residuals[i],
                              tuple(j for j in range(i, i + 4) if j in implicated), "flagged")
@@ -171,18 +170,17 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     """Recompute each implicated sample from a covering window.
 
     Each sample j is solved from the four-point identity of the window
-    starting at max(0, min(j-3, n_windows-1)), with the other three slots
-    taken from the series as it stands after the earlier repairs.  A repaired
-    value that is not finite or an index outside the series raises DomainError
-    naming the sample, as does a series whose step is not 1; one of fewer than
-    4 samples raises NoValidWindows.
+    starting at max(0, j-3), with the other three slots taken from the series
+    as it stands after the earlier repairs.  A repaired value that is not
+    finite or an index outside the series raises DomainError naming the
+    sample, as does a series whose step is not 1; one of fewer than 4 samples
+    raises NoValidWindows.
     """
     values = list(_checked_values(series, 4, "repair"))
-    n_windows = len(values) - 3
     for j in implicated:
         if not 0 <= j < len(values):
             raise DomainError(f"sample {j} is outside the series of {len(values)} samples")
-        i = max(0, min(j - 3, n_windows - 1))
+        i = max(0, j - 3)
         slots = [None if i + m == j else values[i + m] for m in range(4)]
         values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
         if not cmath.isfinite(values[j]):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from itertools import islice
 from math import isfinite
 
@@ -57,7 +58,6 @@ P_RE_BOUNDS = (0.3, 1.0)
 P_IM_BOUNDS = (-1.5, 1.5)
 Q_BOUNDS = (-2.0, 2.0)
 R_BOUNDS = (1, 15)
-DEGENERATE_P_TOL = 1e-6
 
 
 class _Record:
@@ -162,6 +162,16 @@ class InvariantReport(_Record):
         super().__init__(a_hat, max_rel_dev, windows_used, windows_skipped)
 
 
+@contextmanager
+def _in_range(message: str):
+    """Raises an OverflowError of the block, from a value past the float
+    range, as DomainError(message)."""
+    try:
+        yield
+    except OverflowError:
+        raise DomainError(message) from None
+
+
 def _grid(t0: float, step: float, count: int) -> list[float]:
     """The sample arguments t0 + i*step, i = 0 .. count-1."""
     return [t0 + i * step for i in range(count)]
@@ -253,27 +263,22 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     return num / den
 
 
-def draw_trial_params(rng: SplitMix64) -> tuple[StasParams, int]:
-    """One random family member, drawn in the order p, q1, q2, r1, r2; returns
-    the parameters and how often p was redrawn for lying too close to -1."""
-    resampled = 0
-    while True:
-        p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
-        if abs(1.0 + p) >= DEGENERATE_P_TOL:
-            break
-        resampled += 1
+def draw_trial_params(rng: SplitMix64) -> StasParams:
+    """One random family member, drawn in the order p, q1, q2, r1, r2; p needs no
+    redraw, as Re p >= 0.3 keeps it far from the excluded -1: |1 + p| >= 1.3."""
+    p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
     q1 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
     q2 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
     r1 = rng.odd_int(*R_BOUNDS)
     r2 = rng.odd_int(*R_BOUNDS)
-    return StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2), resampled
+    return StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2)
 
 
 def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
     """The trials of `stasinv verify`: per trial, draw_trial_params on
     SplitMix64.for_trial(seed, trial), then the ratio at `points` t uniform in
     [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields, per trial,
-    (params, resampled, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
+    (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
     dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
     """
     if trials < 1:
@@ -286,7 +291,7 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     worst = 0.0
     for trial in range(trials):
         rng = SplitMix64.for_trial(seed, trial)
-        params, resampled = draw_trial_params(rng)
+        params = draw_trial_params(rng)
         a = closed_form_invariant(params)
         rows = []
         for _ in range(points):
@@ -298,7 +303,7 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
             # max() keeps a nan first argument but drops a nan second one
             worst = dev if math.isnan(dev) else max(worst, dev)
             rows.append((t, ratio, dev))
-        yield params, resampled, a, rows, worst
+        yield params, a, rows, worst
 
 
 # -- exact discrete sequence -------------------------------------------------
@@ -369,10 +374,8 @@ def sample_series(params: StasParams, t0: float, count: int,
 def _magnitudes(g) -> list[float]:
     """|g_i| of every sample; DomainError for a sample with a nan or inf part
     or with a magnitude past the float range."""
-    try:
+    with _in_range("a sample's magnitude exceeds the float range"):
         mags = [abs(v) for v in g]
-    except OverflowError:
-        raise DomainError("a sample's magnitude exceeds the float range") from None
     if not all(map(isfinite, mags)):
         raise DomainError("samples must be finite, found nan or inf")
     return mags
@@ -415,11 +418,9 @@ def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
     lo, hi, scales = _window_terms(g, stride)
-    try:
+    with _in_range(_PAIR_SUM_OVERFLOW):
         return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
                 for x, y, c in zip(lo, hi, scales)]
-    except OverflowError:
-        raise DomainError(_PAIR_SUM_OVERFLOW) from None
 
 
 def _checked_values(series: SampleSeries, need: int,
@@ -446,11 +447,9 @@ def estimate_invariant(series: SampleSeries,
     """
     from statistics import median  # here, not at the top: it loads fractions and decimal
     g = _checked_values(series, 4, "invariant estimation")
-    try:  # the window terms are freed once the ratios are taken
+    with _in_range(_PAIR_SUM_OVERFLOW):  # the window terms are freed once the ratios are taken
         ratios = [x / y for x, y, c in zip(*_window_terms(g))
                   if not (y == 0 or abs(y) < skip_threshold * c)]
-    except OverflowError:
-        raise DomainError(_PAIR_SUM_OVERFLOW) from None
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))

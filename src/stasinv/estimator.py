@@ -22,13 +22,12 @@ from __future__ import annotations
 import cmath
 import sys
 from array import array
-from contextlib import contextmanager
 from itertools import chain
 from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
 from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _Record, _checked_values, _magnitudes, _phases, _powers)
+                   _Record, _checked_values, _in_range, _magnitudes, _phases, _powers)
 from .errors import DegenerateParameter, DomainError, IllConditioned
 
 __all__ = [
@@ -61,6 +60,8 @@ _CF_ERR = 16 * _EPS
 _PASS_ERR = 8 * _EPS
 _SCREEN_LIMIT = 1e300
 
+_FIT_SUMS = "a sum of the fit exceeds the float range"
+
 
 class FitResult(_Record):
     """Recovered parameters with fit diagnostics.
@@ -79,16 +80,6 @@ class FitResult(_Record):
                  tied_frequencies: tuple[tuple[int, int], ...] = (),
                  invariant: InvariantReport | None = None):
         super().__init__(params, residual_rms, p_sign_ambiguous, tied_frequencies, invariant)
-
-
-@contextmanager
-def _fit_sums():
-    """Raises an OverflowError of the block, from a sum of the fit past the
-    float range, as DomainError."""
-    try:
-        yield
-    except OverflowError:
-        raise DomainError("a sum of the fit exceeds the float range") from None
 
 
 def recover_p(a: complex) -> tuple[complex, complex]:
@@ -120,7 +111,7 @@ def disambiguate_p(candidates: tuple[complex, complex],
             total += abs(obs - pred) / scale if scale > 0 else 0.0
         return total / (len(g) - 1)
 
-    with _fit_sums():
+    with _in_range(_FIT_SUMS):
         m0 = mean_mismatch(candidates[0])
         m1 = mean_mismatch(candidates[1])
     ambiguous = abs(m0 - m1) < SIGN_AMBIGUITY_TOL
@@ -218,7 +209,7 @@ def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
     """
     _checked_values(series, 4)
     if basis is None:
-        with _fit_sums():
+        with _in_range(_FIT_SUMS):
             basis = _TrigBasis(series, p, {r1, r2})
     _, m00, b0 = basis.sine[r1]
     _, m11, b1 = basis.cosine[r2]
@@ -272,7 +263,7 @@ def search_frequencies(series: SampleSeries, p: complex,
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
     _checked_values(series, 8)
     odd = range(1, r_max + 1, 2)
-    with _fit_sums():
+    with _in_range(_FIT_SUMS):
         basis = _TrigBasis(series, p, odd)
         solved = []
         failure: IllConditioned | None = None

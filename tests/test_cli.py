@@ -129,6 +129,12 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", "--trials", "25", "--seed", "4")
         assert out1 != out2
 
+    def test_excluded_t_min_is_redrawn(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--trials", "3", "--t-min=-3",
+                               "--t-max=-2.9999999999999996")
+        assert code == 0
+        assert out.endswith("PASS\n")
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
@@ -250,6 +256,14 @@ class TestCheck:
         assert abs(repaired.values[5] - series.values[5]) < 1e-12
         code, out, _ = run_cli(capsys, "check", "--p", "0.5,0", "--input", str(fixed))
         assert code == 0
+
+    def test_bad_step_token_is_format_error(self, capsys, tmp_path):
+        src = tmp_path / "in.sig1"
+        src.write_text("SIG1\nt0=0 kind=f count=0 step=zz\n")
+        code, out, err = run_cli(capsys, "check", "--p", "0.5,0", "--input", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == "FormatError: bad SIG1 header: 't0=0 kind=f count=0 step=zz'\n"
 
     def test_repair_needs_output(self, capsys, tmp_path):
         series = sample_series(BASE, 1.0, 16)

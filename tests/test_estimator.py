@@ -1,7 +1,7 @@
 """Parameter recovery: invariant root, sign disambiguation, amplitude fit, search."""
 
 import cmath
-from math import fsum, sqrt
+from math import fsum, inf, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +355,22 @@ class TestSearchScreen:
         result = search_frequencies(series, params.p, 15)
         assert set(result.tied_frequencies) <= set(exact_passes)
         assert len(result.tied_frequencies) <= len(exact_passes) <= 8
+
+    def test_pairs_past_the_screen_limit_all_take_the_exact_pass(self, exact_passes):
+        # at 1e150 the closed form's terms sum past _SCREEN_LIMIT for every pair
+        params = StasParams(p=0.7 + 0.3j, q1=1.2 - 0.4j, q2=-0.8 + 0.6j, r1=5, r2=3)
+        unit = sample_series(params, 0.1, 64, step=0.125)
+        series = SampleSeries(unit.t0, tuple(1e150 * v for v in unit.values), step=unit.step)
+        odd = range(1, 10, 2)
+        basis = _TrigBasis(series, params.p, odd)
+        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
+        for r1 in odd:
+            for r2 in odd:
+                q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
+                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
+                assert basis.rms_bounds(pair, data_scale) == (-inf, inf)
+        assert_search_matches_oracle(series, params.p, 9)
+        assert len(exact_passes) == 25
 
     @given(params_st,
            st.sampled_from([0.125, 0.0625]),

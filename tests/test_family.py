@@ -18,7 +18,7 @@ from stasinv import (
     eval_s,
     invariant_ratio,
 )
-from stasinv.core import _phases
+from stasinv.core import _phases, draw_trial_params, verify_trials
 from stasinv.rng import SplitMix64
 
 from conftest import complexes, odd_ints, params_st
@@ -227,3 +227,18 @@ class TestInvariantProperties:
         budget = 1e-10 * (abs(p_t) + abs(p_t * params.p)
                           + abs(params.q1) + abs(params.q2))
         assert abs(lhs - rhs) <= budget
+
+
+class TestVerifyTrials:
+    def test_excluded_t_is_redrawn(self):
+        # about half the draws in [-3, -3 + ulp) land on the excluded -3.0
+        t_max = math.nextafter(-3.0, 0.0)
+        for _, _, rows, _ in verify_trials(1, 3, -3.0, t_max):
+            assert [t for t, _, _ in rows] == [t_max] * 5
+            assert all(cmath.isfinite(ratio) for _, ratio, _ in rows)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32))
+    def test_drawn_p_stays_far_from_minus_one(self, seed, trial):
+        # why draw_trial_params needs no redraw: p = -1 is excluded from the family
+        p = draw_trial_params(SplitMix64.for_trial(seed, trial)).p
+        assert p.real >= 0.3 and abs(1 + p) >= 1.3

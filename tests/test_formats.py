@@ -139,6 +139,10 @@ class TestSig1:
         with pytest.raises(FormatError):
             load_sig1(text)
 
+    def test_bad_step_token_rejected(self):
+        with pytest.raises(FormatError, match="^bad SIG1 header: 't0=0 kind=f count=0 step=zz'$"):
+            load_sig1("SIG1\nt0=0 kind=f count=0 step=zz\n")
+
 
 class TestStasc1:
     def test_exact_text(self):

@@ -61,6 +61,15 @@ def test_make_series_bad_p_is_usage_error(tmp_path, p):
     assert not out.exists()
 
 
+def test_make_series_missing_p_is_domain_error(tmp_path):
+    out = tmp_path / "o.sig1"
+    proc = run_script("make_series.py", "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "DomainError: --p is required for this command\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("--count", "-1"), ("--p", "0,0"), ("--r1", "2"),
                                   ("--step", "0"), ("--t0", "nan")])
 def test_make_series_bad_values_are_domain_errors(tmp_path, argv):

@@ -14,7 +14,7 @@ import argparse
 import cmath
 import sys
 
-from . import codec, core
+from . import core
 from .errors import DomainError, FormatError, StasError
 
 
@@ -31,15 +31,15 @@ def _finite_flag(parse):
     return flag
 
 
-_complex_flag = _finite_flag(codec.parse_complex)
+_complex_flag = _finite_flag(core._parse_complex)
 _float_flag = _finite_flag(float)
 
 
 def _fmt_value(z: complex) -> str:
     """`re,im`, or bare `re` when the imaginary part is exactly zero."""
     if z.imag == 0.0:
-        return codec.fmt_float(z.real)
-    return codec.fmt_complex(z)
+        return core._fmt_float(z.real)
+    return core._fmt_complex(z)
 
 
 def _params_from(args) -> core.StasParams:
@@ -58,8 +58,12 @@ def _invariant_from(args, series: core.SampleSeries) -> complex:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-ASCII byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -97,11 +101,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    core._checked_tol(args.tol)
     for *_, max_dev in core.verify_trials(args.seed, args.trials, args.t_min, args.t_max):
         pass
     # resampled= is always 0: no trial's p needs a redraw (see core.draw_trial_params)
     print(f"trials={args.trials} seed={args.seed} "
-          f"t_min={codec.fmt_float(args.t_min)} t_max={codec.fmt_float(args.t_max)} "
+          f"t_min={core._fmt_float(args.t_min)} t_max={core._fmt_float(args.t_max)} "
           f"resampled=0")
     print(f"max_rel_dev={max_dev:.3e}")
     if max_dev < args.tol:
@@ -112,6 +117,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import codec  # here, not at the top: only the file commands load the codec
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
     enc = codec.encode_stream(series, a)
@@ -120,6 +126,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import codec
     enc = codec.load_stasc1(_read(args.input))
     series = codec.decode_stream(enc)
     _write(args.output, codec.dump_sig1(series))
@@ -127,6 +134,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import codec
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
     flagged = codec.detect_errors(series, a, args.tol)
@@ -143,14 +151,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from . import estimator  # here, not at the top: only fit uses it
+    from . import codec, estimator  # here, not at the top: only fit loads the estimator
     series = codec.load_sig1(_read(args.input))
     result = estimator.fit_series(series, r_max=args.r_max)
     p = result.params
-    print(f"a_hat={codec.fmt_complex(result.invariant.a_hat)}")
-    print(f"p={codec.fmt_complex(p.p)}")
-    print(f"q1={codec.fmt_complex(p.q1)}")
-    print(f"q2={codec.fmt_complex(p.q2)}")
+    print(f"a_hat={core._fmt_complex(result.invariant.a_hat)}")
+    print(f"p={core._fmt_complex(p.p)}")
+    print(f"q1={core._fmt_complex(p.q1)}")
+    print(f"q2={core._fmt_complex(p.q2)}")
     print(f"r1={p.r1}")
     print(f"r2={p.r2}")
     print(f"residual_rms={result.residual_rms:.6e}")
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_check, p_only=True)
     p_check.add_argument("--input", required=True)
     p_check.add_argument("--output", default=None)
-    p_check.add_argument("--tol", type=float, default=codec.ENCODE_TOL)
+    p_check.add_argument("--tol", type=float, default=core.ENCODE_TOL)
     p_check.add_argument("--estimate", action="store_true")
     p_check.add_argument("--repair", action="store_true",
                          help="rewrite implicated samples via the identity")

@@ -30,7 +30,9 @@ import math
 from itertools import chain
 from typing import NamedTuple
 
-from .core import SampleSeries, _Record, _checked_values, _window_residuals
+from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
+                   _fmt_complex as fmt_complex, _fmt_float as fmt_float,
+                   _parse_complex as parse_complex, _window_residuals)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
@@ -46,8 +48,6 @@ __all__ = [
     "dump_stasc1",
     "load_stasc1",
 ]
-
-ENCODE_TOL = 1e-6
 
 
 class EncodedStream(_Record):
@@ -143,8 +143,7 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     their runs and are reported window-level only.  Each flagged window
     reports the implicated samples it covers.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"--tol must be finite and non-negative, got {tol}")
+    _checked_tol(tol)
     g = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3
     residuals = _window_residuals(g, a)
@@ -190,25 +189,6 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 
 # -- text serialization -------------------------------------------------------
 
-def fmt_float(x: float) -> str:
-    """Up to 17 significant digits; parses back to the identical binary64."""
-    return f"{x:.17g}"
-
-
-def fmt_complex(z: complex) -> str:
-    return f"{fmt_float(z.real)},{fmt_float(z.imag)}"
-
-
-def parse_complex(text: str) -> complex:
-    re_part, sep, im_part = text.partition(",")
-    if not sep or "," in im_part:
-        raise FormatError(f"expected 're,im', got {text!r}")
-    try:
-        return complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise FormatError(f"bad complex literal {text!r}") from exc
-
-
 def _parse_samples(lines: list[str], count: int, what: str) -> tuple[complex, ...]:
     """The count non-blank lines of a body, one 're,im' sample each."""
     body = list(filter(str.strip, lines))
@@ -222,7 +202,7 @@ def _format_lines(values, k: int) -> str:
     parts = [0.0] * (2 * len(values))
     parts[0::2] = [v.real for v in values]
     parts[1::2] = [v.imag for v in values]
-    return (";".join(["%.17g,%.17g"] * k) + "\n") * (len(values) // k) % tuple(parts)
+    return (";".join([f"{_FLOAT_FMT},{_FLOAT_FMT}"] * k) + "\n") * (len(values) // k) % tuple(parts)
 
 
 def _read_header(text: str, magic: str, expected: tuple[str, ...],

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from itertools import islice
 from math import isfinite
 
-from .errors import DomainError, NoValidWindows, SingularWindow
+from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
 from .rng import SplitMix64
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 
 DEFAULT_SKIP_THRESHOLD = 1e-9
 DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
+ENCODE_TOL = 1e-6  # the codec's window tolerance, check's default --tol; here for the same reason
+_FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the same binary64
 
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
@@ -423,6 +425,12 @@ def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
                 for x, y, c in zip(lo, hi, scales)]
 
 
+def _checked_tol(tol: float) -> None:
+    """DomainError unless tol is finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"--tol must be finite and non-negative, got {tol}")
+
+
 def _checked_values(series: SampleSeries, need: int,
                     unit_for: str | None = None) -> tuple[complex, ...]:
     """series.values, once the series passes the entry checks of a series
@@ -459,3 +467,22 @@ def estimate_invariant(series: SampleSeries,
         raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev,
                            windows_used=len(ratios), windows_skipped=len(g) - 3 - len(ratios))
+
+
+# Private, so a tracer that wraps public functions never wraps these per-sample helpers.
+def _fmt_float(x: float) -> str:
+    return _FLOAT_FMT % x
+
+
+def _fmt_complex(z: complex) -> str:
+    return f"{_fmt_float(z.real)},{_fmt_float(z.imag)}"
+
+
+def _parse_complex(text: str) -> complex:
+    re_part, sep, im_part = text.partition(",")
+    if not sep or "," in im_part:
+        raise FormatError(f"expected 're,im', got {text!r}")
+    try:
+        return complex(float(re_part), float(im_part))
+    except ValueError as exc:
+        raise FormatError(f"bad complex literal {text!r}") from exc

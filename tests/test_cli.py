@@ -211,6 +211,25 @@ class TestCodecCommands:
         assert code == 2
         assert "FormatError" in err
 
+    @pytest.mark.parametrize("argv, data", [
+        (("check", "--p", "0.5,0"), b"SIG1\nt0=1 kind=f count=1\n1,0\xc3\xa9\n"),
+        (("check", "--estimate", "--repair"), b"SIG1\nt0=1 kind=f count=1\n1,0\xc3\xa9\n"),
+        (("encode", "--p", "0.5,0"), b"SIG1\nt0=1 kind=f count=1\n1,0\xc3\xa9\n"),
+        (("fit",), b"SIG1\nt0=1 kind=f count=1\n1,0\xc3\xa9\n"),
+        (("decode",), b"STASC1\na=4,0 t0=1 count=1\nrem=1\n\xff1,0\n"),
+    ], ids=["check", "check-repair", "encode", "fit", "decode"])
+    def test_non_ascii_byte_is_format_error(self, capsys, tmp_path, argv, data):
+        src = tmp_path / "in"
+        dst = tmp_path / "out"
+        src.write_bytes(data)
+        offset = min(i for i, byte in enumerate(data) if byte > 0x7f)
+        extra = () if argv[0] == "fit" else ("--output", str(dst))
+        code, out, err = run_cli(capsys, *argv, "--input", str(src), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"FormatError: non-ASCII byte 0x{data[offset]:02x} at offset {offset}\n"
+        assert not dst.exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decode", "--input", str(tmp_path / "nope"),
                                "--output", str(tmp_path / "o"))
@@ -321,6 +340,14 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "DomainError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_verify_rejects_bad_tol(self, capsys, tol):
+        # the rule of check --tol, with its message
+        code, out, err = run_cli(capsys, "verify", "--trials", "3", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"DomainError: --tol must be finite and non-negative, got {float(tol)}\n"
 
     @pytest.mark.parametrize("sample", ["nan,0", "0,inf", "1.5e308,1.5e308"])
     @pytest.mark.parametrize("argv", [("check", "--p", "2,0"), ("check", "--estimate"),
@@ -594,6 +621,8 @@ class TestFuzz:
     @example((["check", "--p=1,0", "--input=IN"],
               "SIG1\nt0=1 kind=f count=4\n1,0\n1,0\n1e308,1e308\n3e307,3e307\n"))
     @example((["fit", "--input=IN"], "SIG1\nt0=1 kind=f count=0 step=1e-320\n"))
+    @example((["decode", "--input=IN", "--output=OUT"],
+              "STASC1\na=4,0 t0=1 count=1\nrem=1\n\u00e91,0\n"))
     def test_every_argv_exits_cleanly(self, tmp_path_factory, case):
         # exit 0, 1 or 2, or argparse's SystemExit(2); no other exception escapes
         argv, text = case

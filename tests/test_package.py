@@ -33,7 +33,9 @@ PUBLIC = {
     "FormatError", "IllConditioned",
 }
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def fresh_modules(code: str, *args: str) -> list[list[str]]:
@@ -92,6 +94,50 @@ def test_verify_loads_no_heavy_module_and_fit_loads_the_estimator(tmp_path):
         "cli.main(['fit', '--input', sys.argv[1]])\nreport()", str(path))
     assert HEAVY.isdisjoint(after_verify)
     assert "stasinv.estimator" in after_fit
+
+
+CODEC = {"stasinv.codec", "stasinv.reconstruct"}
+
+
+def test_only_the_file_commands_load_the_codec(tmp_path):
+    """Start-up guard: verify, eval, invariant, table and every --help run
+    without the codec; check loads it."""
+    path = tmp_path / "in.sig"
+    path.write_text(dump_sig1(sample_series(StasParams(p=0.5, q2=1), 1.0, 8)))
+    commands = ("eval", "invariant", "table", "verify", "encode", "decode", "check", "fit")
+    after_run, after_help, after_check = fresh_modules(
+        "from stasinv import cli\n"
+        "cli.main(['verify', '--trials', '1'])\n"
+        "cli.main(['eval', '--p', '0.5,0', '--t', '1'])\n"
+        "cli.main(['invariant', '--p', '0.5,0'])\n"
+        "cli.main(['table', '--n-max', '4'])\nreport()\n"
+        f"for command in {commands!r}:\n"
+        "    try:\n"
+        "        cli.main([command, '--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "report()\n"
+        "cli.main(['check', '--p', '0.5,0', '--input', sys.argv[1]])\nreport()", str(path))
+    assert CODEC.isdisjoint(after_run)
+    assert CODEC.isdisjoint(after_help)
+    assert "stasinv.codec" in after_check
+
+
+def test_per_sample_text_helpers_are_never_traced(monkeypatch):
+    """Trace guard: perfbench's tracer wraps every public function of core and
+    codec, so a public per-sample helper would add one span per sample to
+    load_sig1.  The span count must not grow with the input."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+    from stasinv import codec
+    counts = []
+    for n in (1000, 4000):
+        text = dump_sig1(sample_series(StasParams(p=0.9, q1=0.5, r1=3), 1.0, n))
+        tracer = traced.Tracer()
+        with traced.instrumented(tracer):
+            codec.load_sig1(text)
+        counts.append(len(tracer.spans))
+    assert counts[0] == counts[1]
 
 
 def make_records():

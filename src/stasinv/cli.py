@@ -134,6 +134,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.repair and not args.output:
+        raise DomainError("--repair needs --output for the repaired series")
     from . import codec
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
@@ -142,8 +144,6 @@ def cmd_check(args) -> int:
         samples = ",".join(str(j) for j in f.implicated_samples)
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")
     if args.repair and flagged:
-        if not args.output:
-            raise DomainError("--repair needs --output for the repaired series")
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
         _write(args.output, codec.dump_sig1(codec.repair_samples(series, implicated, a)))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")

@@ -94,13 +94,15 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     Every full block is verified against the identity (relative residual
     <= 1e-6, as in detect_errors) before its final slot is dropped; a
     failing block raises IdentityViolation rather than encoding lossy data
-    silently.  Samples past the last full block are stored verbatim.  A
-    non-finite invariant or sample raises DomainError.
+    silently.  Block b is window 4b of the sweep detect_errors runs, so a
+    non-finite invariant or sample, and a window anywhere in the stream
+    whose pair sum or defect overflows, raise DomainError as they do there.
+    Samples past the last full block are stored verbatim.
     """
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g = _checked_values(series, 0, "encoding")
-    for b, residual in enumerate(_window_residuals(g, a, stride=4)):
+    for b, residual in enumerate(_window_residuals(g, a)[::4]):
         if not residual <= ENCODE_TOL:
             raise IdentityViolation(b, residual)
     end = len(g) - len(g) % 4
@@ -140,8 +142,11 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     samples j in [last, first+3] are tested against them, so localization is
     linear in the number of samples.  Corruptions at least 7 samples apart
     produce disjoint runs and localize independently; closer ones merge
-    their runs and are reported window-level only.  Each flagged window
-    reports the implicated samples it covers.
+    their runs and are in general reported window-level only.  Within three
+    samples of either end, where the covering ranges are cut short, a merged
+    run can equal one sample's range: faults at 0 and 1 implicate only 1,
+    and faults at n-2 and n-1 only n-2, so the other fault goes unreported.
+    Each flagged window reports the implicated samples it covers.
     """
     _checked_tol(tol)
     g = _checked_values(series, 4, "integrity checking")

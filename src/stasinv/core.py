@@ -383,43 +383,37 @@ def _magnitudes(g) -> list[float]:
     return mags
 
 
-def _window_terms(g, stride: int = 1):
-    """The window kernel: (lo, hi, scales) of windows 0, stride, 2*stride, ...
+def _window_terms(g):
+    """The window kernel: (lo, hi, scales) of every window of g.
 
     Window i has lo = g_i + g_{i+1}, hi = g_{i+2} + g_{i+3} and scale
     max(m_i, m_{i+2}), with pairwise maxima m_j = max(|g_j|, |g_{j+1}|).
-    Stride 1 sweeps every window, so each pair sum is window i's lo and
-    window i-2's hi; stride 4 takes the codec's disjoint blocks, whose pairs
-    start at even samples.  Every magnitude (see _magnitudes), pair sum and
-    pairwise maximum is computed once.  lo can run past the last window.
+    Each pair sum is window i's lo and window i-2's hi, so every magnitude
+    (see _magnitudes), pair sum and pairwise maximum is computed once.  lo
+    can run past the last window.
     """
-    # Pairs start every `step` samples; window k uses pairs k*hop and k*hop + span.
-    step = 1 if stride == 1 else 2
-    hop, span = stride // step, 2 // step
     mags = _magnitudes(g)
-    peaks = [x if x >= y else y
-             for x, y in zip(islice(mags, 0, None, step), islice(mags, 1, None, step))]
+    peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, 1, None))]
     del mags
-    scales = [x if x >= y else y
-              for x, y in zip(islice(peaks, 0, None, hop), islice(peaks, span, None, hop))]
+    scales = [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2, None))]
     del peaks
-    sums = [x + y for x, y in zip(islice(g, 0, None, step), islice(g, 1, None, step))]
-    return islice(sums, 0, None, hop), islice(sums, span, None, hop), scales
+    sums = [x + y for x, y in zip(g, islice(g, 1, None))]
+    return sums, islice(sums, 2, None), scales
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
-def _window_residuals(g, a: complex, stride: int = 1) -> list[float]:
-    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of windows 0, stride, 2*stride, ...
-    of g: how far each is from the four-point identity g0 + g1 = a*(g2 + g3).
+def _window_residuals(g, a: complex) -> list[float]:
+    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g: how far
+    each is from the four-point identity g0 + g1 = a*(g2 + g3).
 
     Raises DomainError for a non-finite invariant or sample, and for a
     defect whose magnitude exceeds the float range.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
-    lo, hi, scales = _window_terms(g, stride)
+    lo, hi, scales = _window_terms(g)
     with _in_range(_PAIR_SUM_OVERFLOW):
         return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
                 for x, y, c in zip(lo, hi, scales)]

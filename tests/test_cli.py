@@ -180,6 +180,18 @@ class TestCodecCommands:
         assert code == 2
         assert "DomainError" in err
 
+    def test_overflowing_window_between_blocks_refused_by_encode_and_check(self, capsys,
+                                                                            tmp_path):
+        src = tmp_path / "in.sig1"
+        src.write_text("SIG1\nt0=1 kind=f count=8\n0,0\n8e307,8e307\n8e307,8e307\n"
+                       "0,0\n0,0\n0,0\n0,0\n0,0\n")
+        enc = tmp_path / "out.stasc1"
+        for argv in (("encode", "--output", str(enc)), ("check",)):
+            assert run_cli(capsys, *argv, "--p", "1,0", "--input", str(src)) == (
+                2, "", "DomainError: a window's pair sum or defect exceeds the float range "
+                       "in magnitude\n")
+        assert not enc.exists()
+
     @pytest.mark.parametrize("argv", [("encode", "--q1", "1,0", "--output", "o"),
                                       ("encode", "--r2", "3", "--output", "o"),
                                       ("check", "--r1", "3"), ("check", "--q2", "0,1")])
@@ -285,16 +297,19 @@ class TestCheck:
         assert err == "FormatError: bad SIG1 header: 't0=0 kind=f count=0 step=zz'\n"
 
     def test_repair_needs_output(self, capsys, tmp_path):
+        # refused before the input is read: no window line, and a clean stream too
         series = sample_series(BASE, 1.0, 16)
         values = list(series.values)
         values[5] += 1e-2
         from stasinv import SampleSeries
         src = tmp_path / "in.sig1"
-        src.write_text(dump_sig1(SampleSeries(1.0, tuple(values))))
-        code, _, err = run_cli(capsys, "check", "--p", "0.5,0", "--repair",
-                               "--input", str(src))
-        assert code == 2
-        assert "DomainError" in err
+        for stream in (SampleSeries(1.0, tuple(values)), series):
+            src.write_text(dump_sig1(stream))
+            code, out, err = run_cli(capsys, "check", "--p", "0.5,0", "--repair",
+                                     "--input", str(src))
+            assert code == 2
+            assert out == ""
+            assert err == "DomainError: --repair needs --output for the repaired series\n"
 
 
 class TestFit:

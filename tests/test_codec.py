@@ -22,7 +22,7 @@ from stasinv import (
     seq_a,
 )
 from stasinv.codec import EncodedStream
-from stasinv.core import _window_residuals
+from stasinv.core import ENCODE_TOL, _window_residuals
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
@@ -128,6 +128,15 @@ class TestEncode:
         with pytest.raises(IdentityViolation) as exc_info:
             encode_stream(series, 1.0)
         assert exc_info.value.block_index == 0
+
+    def test_overflowing_window_between_blocks_is_domain_error(self):
+        # blocks 0 and 1 hold, but window 1's pair sum g1 + g2 has magnitude 2.3e308
+        big = complex(8e307, 8e307)
+        series = SampleSeries(1.0, (0j, big, big) + (0j,) * 5)
+        for call in (lambda: encode_stream(series, 1.0),
+                     lambda: detect_errors(series, 1.0, ENCODE_TOL)):
+            with pytest.raises(DomainError, match="^a window's pair sum or defect exceeds"):
+                call()
 
     @given(st.integers(0, 40))
     def test_storage_count(self, count):
@@ -400,3 +409,27 @@ class TestWindowKernelOracle:
         else:
             assert encode_stream(series, a) == EncodedStream(
                 a=a, t0=1.0, count=len(values), blocks=blocks, remainder=remainder)
+
+    @given(kernel_streams)
+    @example(([0j, 8e307 + 8e307j, 8e307 + 8e307j] + [0j] * 5, 1.0))
+    @example(([1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 5 + 0j, -5 + 0j, 0j, 0j], 1.0))
+    def test_encode_refuses_exactly_what_check_flags_at_a_block(self, case):
+        # block b is window 4b: encode raises IdentityViolation for the first flagged
+        # window that starts a block, and DomainError exactly when check does.  The
+        # examples overflow window 1, and flag windows 1-3 while both blocks hold.
+        values, a = case
+        series = SampleSeries(1.0, values)
+        try:
+            findings = detect_errors(series, a, ENCODE_TOL)
+        except DomainError:
+            with pytest.raises(DomainError):
+                encode_stream(series, a)
+            return
+        at_blocks = [f for f in findings if f.window_index % 4 == 0]
+        if at_blocks:
+            with pytest.raises(IdentityViolation) as info:
+                encode_stream(series, a)
+            assert (4 * info.value.block_index, repr(info.value.residual)) == \
+                (at_blocks[0].window_index, repr(at_blocks[0].residual))
+        else:
+            assert isinstance(encode_stream(series, a), EncodedStream)

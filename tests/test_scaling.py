@@ -54,6 +54,12 @@ def test_detect_errors_linear_in_clean_stream_length():
     assert large / small < RATIO_LIMIT
 
 
+def test_encode_stream_linear_in_clean_stream_length():
+    a = 1.0 / 0.9999 ** 2
+    small, large = _best_times(lambda s: encode_stream(s, a), [_clean(2500), _clean(10000)])
+    assert large / small < RATIO_LIMIT
+
+
 def test_detect_errors_linear_in_faulted_stream_length():
     a = 1.0 / 0.9999 ** 2
     small, large = _best_times(lambda s: detect_errors(s, a, 1e-6),

@@ -136,6 +136,8 @@ def cmd_decode(args) -> int:
 def cmd_check(args) -> int:
     if args.repair and not args.output:
         raise DomainError("--repair needs --output for the repaired series")
+    if args.output and not args.repair:
+        raise DomainError("--output needs --repair")
     from . import codec
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)

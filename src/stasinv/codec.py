@@ -28,11 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import chain
-from typing import NamedTuple
 
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
-                   _fmt_complex as fmt_complex, _fmt_float as fmt_float,
-                   _parse_complex as parse_complex, _window_residuals)
+                   _fmt_complex, _fmt_float, _parse_complex, _window_residuals)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
@@ -78,14 +76,11 @@ class EncodedStream(_Record):
         super().__init__(a, t0, count, blocks, remainder)
 
 
-class IntegrityFinding(NamedTuple):
-    """A window flagged by detect_errors.  verdict is always "flagged"; it
-    stays because perfbench/traced.py filters on it."""
+class IntegrityFinding(_Record):
+    """A window flagged by detect_errors, with the samples it implicates."""
 
-    window_index: int
-    residual: float
-    implicated_samples: tuple[int, ...]
-    verdict: str
+    __slots__ = ("window_index", "residual", "implicated_samples")
+    verdict = "flagged"  # the same for every finding; perfbench/traced.py filters on it
 
 
 def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
@@ -137,10 +132,10 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     Localization matches flag patterns: a single corrupted sample j perturbs
     exactly the valid windows covering j, the range max(0, j-3) ..
     min(j, n_windows-1), so sample j is implicated when that range equals a
-    maximal run of consecutive flagged windows.
-    Each run is kept by its endpoints (first, last), and the at most four
-    samples j in [last, first+3] are tested against them, so localization is
-    linear in the number of samples.  Corruptions at least 7 samples apart
+    maximal run of consecutive flagged windows, unless the run touches both
+    ends of the series (4 to 7 samples), where other faults flag it too.
+    Testing each run only against the at most four samples in [last,
+    first+3] keeps localization linear.  Corruptions at least 7 samples apart
     produce disjoint runs and localize independently; closer ones merge
     their runs and are in general reported window-level only.  Within three
     samples of either end, where the covering ranges are cut short, a merged
@@ -162,11 +157,11 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
             runs.append((i, i))
     # Sample j is covered by windows max(0, j-3) .. min(j, n_windows-1); only
     # j in [last, first+3] can have a covering range equal to a run.
-    implicated = {j for first, last in runs
+    implicated = {j for first, last in runs if (first, last) != (0, n_windows - 1)
                   for j in range(last, first + 4)
                   if max(0, j - 3) == first and min(j, n_windows - 1) == last}
     return [IntegrityFinding(i, residuals[i],
-                             tuple(j for j in range(i, i + 4) if j in implicated), "flagged")
+                             tuple(j for j in range(i, i + 4) if j in implicated))
             for i in flagged]
 
 
@@ -199,11 +194,11 @@ def _parse_samples(lines: list[str], count: int, what: str) -> tuple[complex, ..
     body = list(filter(str.strip, lines))
     if len(body) != count:
         raise FormatError(f"expected {count} {what} lines, found {len(body)}")
-    return tuple(map(parse_complex, body))
+    return tuple(map(_parse_complex, body))
 
 
 def _format_lines(values, k: int) -> str:
-    """LF-ended lines of k fmt_complex fields joined by ';', formatted by one '%'."""
+    """LF-ended lines of k _fmt_complex fields joined by ';', formatted by one '%'."""
     parts = [0.0] * (2 * len(values))
     parts[0::2] = [v.real for v in values]
     parts[1::2] = [v.imag for v in values]
@@ -242,9 +237,9 @@ def _read_header(text: str, magic: str, expected: tuple[str, ...],
 
 def dump_sig1(series: SampleSeries) -> str:
     """Serialize a series as SIG1 text (canonical f-values, kind=f)."""
-    header = f"t0={fmt_float(series.t0)} kind=f count={len(series)}"
+    header = f"t0={_fmt_float(series.t0)} kind=f count={len(series)}"
     if series.step != 1.0:
-        header += f" step={fmt_float(series.step)}"
+        header += f" step={_fmt_float(series.step)}"
     return f"SIG1\n{header}\n" + _format_lines(series.values, 1)
 
 
@@ -265,14 +260,14 @@ def load_sig1(text: str) -> SampleSeries:
 
 
 def dump_stasc1(enc: EncodedStream) -> str:
-    return (f"STASC1\na={fmt_complex(enc.a)} t0={fmt_float(enc.t0)} count={enc.count}\n"
+    return (f"STASC1\na={_fmt_complex(enc.a)} t0={_fmt_float(enc.t0)} count={enc.count}\n"
             + _format_lines(tuple(chain.from_iterable(enc.blocks)), 3)
             + f"rem={len(enc.remainder)}\n" + _format_lines(enc.remainder, 1))
 
 
 def load_stasc1(text: str) -> EncodedStream:
     lines, fields, t0, count = _read_header(text, "STASC1", ("a", "t0", "count"))
-    a = parse_complex(fields["a"])
+    a = _parse_complex(fields["a"])
     pos = 2 + count // 4  # the rem= line follows the count // 4 block lines
     if len(lines) < pos:
         raise FormatError("truncated STASC1 block section")
@@ -287,6 +282,6 @@ def load_stasc1(text: str) -> EncodedStream:
         raise FormatError(f"bad rem= line: {lines[pos]!r}") from exc
     if k != count % 4:
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    it = map(parse_complex, ";".join(lines[2:pos]).split(";") if pos > 2 else ())
+    it = map(_parse_complex, ";".join(lines[2:pos]).split(";") if pos > 2 else ())
     return EncodedStream(a=a, t0=t0, count=count, blocks=tuple(zip(it, it, it)),
                          remainder=_parse_samples(lines[pos + 1:], k, "remainder"))

@@ -45,7 +45,7 @@ __all__ = [
     "estimate_invariant",
 ]
 
-DEFAULT_SKIP_THRESHOLD = 1e-9
+SKIP_THRESHOLD = 1e-9
 DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
 ENCODE_TOL = 1e-6  # the codec's window tolerance, check's default --tol; here for the same reason
 _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the same binary64
@@ -68,7 +68,7 @@ class _Record:
     __slots__ = ()
 
     def __init__(self, *values):  # the fields in slot order, once a subclass checked them
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -437,12 +437,11 @@ def _checked_values(series: SampleSeries, need: int,
     return series.values
 
 
-def estimate_invariant(series: SampleSeries,
-                       skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> InvariantReport:
+def estimate_invariant(series: SampleSeries) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
 
     Window i contributes ratio_i = (g_i + g_{i+1}) / (g_{i+2} + g_{i+3});
-    windows whose denominator magnitude falls below skip_threshold times the
+    windows whose denominator magnitude falls below SKIP_THRESHOLD times the
     window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
@@ -451,7 +450,7 @@ def estimate_invariant(series: SampleSeries,
     g = _checked_values(series, 4, "invariant estimation")
     with _in_range(_PAIR_SUM_OVERFLOW):  # the window terms are freed once the ratios are taken
         ratios = [x / y for x, y, c in zip(*_window_terms(g))
-                  if not (y == 0 or abs(y) < skip_threshold * c)]
+                  if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))

@@ -43,7 +43,8 @@ def ref_localize(flagged, n):
     """Samples implicated by a set of flagged window indices on n samples.
 
     Per-sample comparison of each sample's covering-window set against every
-    maximal run of consecutive flagged windows, O(n * runs).
+    maximal run of consecutive flagged windows, O(n * runs).  A run of every
+    window, touching both ends, implicates nothing.
     """
     n_windows = n - 3
 
@@ -56,7 +57,8 @@ def ref_localize(flagged, n):
             runs[-1].add(i)
         else:
             runs.append({i})
-    return {j for j in range(n) for run in runs if covering(j) == run}
+    return {j for j in range(n) for run in runs
+            if covering(j) == run != set(range(n_windows))}
 
 
 # -- frequency search ---------------------------------------------------------
@@ -177,8 +179,9 @@ def ref_residuals(g, a):
     return residuals
 
 
-def ref_estimate_invariant(g, skip_threshold=1e-9):
-    """(a_hat, max_rel_dev, windows_used, windows_skipped) by the median of window ratios."""
+def ref_estimate_invariant(g):
+    """(a_hat, max_rel_dev, windows_used, windows_skipped) by the median of window ratios;
+    a window whose |g2 + g3| is 0 or below 1e-9 times its scale is skipped."""
     if len(g) < 4:
         raise RefNoValidWindows(len(g))
     ratios = []
@@ -186,7 +189,7 @@ def ref_estimate_invariant(g, skip_threshold=1e-9):
     for i in range(len(g) - 3):
         den = g[i + 2] + g[i + 3]
         scale = ref_window_scale(g, i)
-        if den == 0 or abs(den) < skip_threshold * scale:
+        if den == 0 or abs(den) < 1e-9 * scale:
             skipped += 1
             continue
         ratios.append((g[i] + g[i + 1]) / den)

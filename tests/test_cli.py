@@ -235,7 +235,8 @@ class TestCodecCommands:
         dst = tmp_path / "out"
         src.write_bytes(data)
         offset = min(i for i, byte in enumerate(data) if byte > 0x7f)
-        extra = () if argv[0] == "fit" else ("--output", str(dst))
+        writes = argv[0] in ("encode", "decode") or "--repair" in argv
+        extra = ("--output", str(dst)) if writes else ()
         code, out, err = run_cli(capsys, *argv, "--input", str(src), *extra)
         assert code == 2
         assert out == ""
@@ -311,6 +312,23 @@ class TestCheck:
             assert out == ""
             assert err == "DomainError: --repair needs --output for the repaired series\n"
 
+    def test_output_needs_repair(self, capsys, tmp_path):
+        # refused before the input is read, instead of writing no file
+        series = sample_series(BASE, 1.0, 16)
+        values = list(series.values)
+        values[5] += 1e-2
+        from stasinv import SampleSeries
+        src = tmp_path / "in.sig1"
+        dst = tmp_path / "out.sig1"
+        for stream in (SampleSeries(1.0, tuple(values)), series):
+            src.write_text(dump_sig1(stream))
+            code, out, err = run_cli(capsys, "check", "--p", "0.5,0",
+                                     "--input", str(src), "--output", str(dst))
+            assert code == 2
+            assert out == ""
+            assert err == "DomainError: --output needs --repair\n"
+            assert not dst.exists()
+
 
 class TestFit:
     def test_recovers_parameters(self, capsys, tmp_path):
@@ -381,15 +399,16 @@ class TestNonFiniteInput:
         assert not dst.exists()
 
     def test_repair_refuses_non_finite_value(self, capsys, tmp_path):
-        # a = 1e20: every repaired sample of this window overflows
+        # a = 1e20: only window 0 is flagged, it implicates sample 0, and
+        # 1e20 * (1e290 + 1e270) - 1e290 overflows
         src = tmp_path / "in.sig1"
         dst = tmp_path / "fixed.sig1"
-        src.write_text("SIG1\nt0=1 kind=f count=4\n" + "1e290,0\n" * 4)
+        src.write_text("SIG1\nt0=1 kind=f count=5\n0,0\n" + "1e290,0\n" * 2 + "1e270,0\n" * 2)
         code, out, err = run_cli(capsys, "check", "--p", "1e-10,0", "--repair",
                                  "--input", str(src), "--output", str(dst))
         assert code == 2
-        assert out.startswith("window=0 residual=inf")
-        assert err.startswith("DomainError: ") and "Traceback" not in err
+        assert out == "window=0 residual=inf samples=[0]\n"
+        assert err == "DomainError: sample 0: repaired value is not finite ((inf+0j))\n"
         assert not dst.exists()
 
     @pytest.mark.parametrize("header", ["a=nan,0 t0=1 count=4", "a=0,inf t0=1 count=4",

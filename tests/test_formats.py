@@ -18,11 +18,10 @@ from stasinv.codec import (
     EncodedStream,
     dump_sig1,
     dump_stasc1,
-    fmt_float,
     load_sig1,
     load_stasc1,
-    parse_complex,
 )
+from stasinv.core import _fmt_float, _parse_complex
 from stasinv.errors import FormatError
 
 from _reference import (
@@ -73,23 +72,23 @@ MALFORMED_STASC1 = [
 class TestFloatFormatting:
     @given(finite_floats)
     def test_round_trip_exact(self, x):
-        assert float(fmt_float(x)) == x
+        assert float(_fmt_float(x)) == x
 
     def test_clean_literals(self):
-        assert fmt_float(0.625) == "0.625"
-        assert fmt_float(8.0) == "8"
+        assert _fmt_float(0.625) == "0.625"
+        assert _fmt_float(8.0) == "8"
 
     def test_parse_complex_rejects_garbage(self):
         for text in ("1", "1,2,3", "a,b", ""):
             with pytest.raises(FormatError):
-                parse_complex(text)
+                _parse_complex(text)
 
     @pytest.mark.parametrize("text, message", [("1", "expected 're,im'"),
                                                ("1,2,3", "expected 're,im'"),
                                                ("1,x", "bad complex literal")])
     def test_parse_complex_names_the_fault(self, text, message):
         with pytest.raises(FormatError, match=message):
-            parse_complex(text)
+            _parse_complex(text)
 
 
 class TestSig1:
@@ -285,7 +284,7 @@ finite_any_complexes = any_complexes.filter(cmath.isfinite)
 class TestAgainstLineByLineReference:
     @given(complex_tokens)
     def test_parse_complex(self, text):
-        assert _outcome(parse_complex, text) == _outcome(ref_parse_complex, text)
+        assert _outcome(_parse_complex, text) == _outcome(ref_parse_complex, text)
 
     @settings(max_examples=300)
     @given(sig1_texts())

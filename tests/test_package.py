@@ -11,9 +11,10 @@ import sys
 import pytest
 
 import stasinv
-from stasinv import (EncodedStream, FitResult, InvariantReport, SampleSeries, StasParams,
-                     sample_series)
+from stasinv import (EncodedStream, FitResult, IntegrityFinding, InvariantReport, SampleSeries,
+                     SplitMix64, StasError, StasParams, sample_series)
 from stasinv.codec import dump_sig1
+from stasinv.core import _Record
 from stasinv.reconstruct import Window
 
 PUBLIC = {
@@ -155,6 +156,7 @@ def make_records():
          FitResult(params=p, residual_rms=0.0, p_sign_ambiguous=True,
                    tied_frequencies=((3, 5),), invariant=report)),
         (lambda: Window((1, 2, None, 4), missing=2), Window((1, 2, 3, 4))),
+        (lambda: IntegrityFinding(2, 0.5, (5,)), IntegrityFinding(2, 0.5, ())),
     ]
     return [(build(), build(), other) for build, other in builders]
 
@@ -162,6 +164,21 @@ def make_records():
 RECORDS = make_records()
 each_record = pytest.mark.parametrize("record, twin, other", RECORDS,
                                       ids=[type(r).__name__ for r, _, _ in RECORDS])
+
+
+def test_every_public_class_but_errors_and_the_rng_is_a_checked_record():
+    """Record guard: one record mechanism, and every record under the tests below."""
+    values = [getattr(stasinv, name) for name in stasinv.__all__]
+    classes = {value for value in values
+               if isinstance(value, type) and not issubclass(value, StasError)} - {SplitMix64}
+    assert all(issubclass(cls, _Record) for cls in classes)
+    assert classes == {type(record) for record, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("fields", [(2, 0.5), (2, 0.5, (5,), "flagged")])
+def test_finding_refuses_a_wrong_field_count(fields):
+    with pytest.raises(ValueError):
+        IntegrityFinding(*fields)
 
 
 @each_record

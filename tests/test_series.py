@@ -99,10 +99,10 @@ class TestEstimateInvariant:
             estimate_invariant(series)
 
     def test_skip_counting(self):
-        # decaying base: late windows fall under the skip threshold only if
-        # the threshold is raised; with a huge threshold everything is skipped
-        series = sample_series(BASE, 1.0, 12)
+        # every window of an alternating series has g2 + g3 = 0, so everything is
+        # skipped; a family series counts each window once, used or skipped
         with pytest.raises(NoValidWindows):
-            estimate_invariant(series, skip_threshold=1e6)
-        report = estimate_invariant(series, skip_threshold=1e-9)
+            estimate_invariant(SampleSeries(1.0, (1, -1) * 6))
+        series = sample_series(BASE, 1.0, 12)
+        report = estimate_invariant(series)
         assert report.windows_used + report.windows_skipped == len(series) - 3

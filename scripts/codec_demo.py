@@ -37,9 +37,8 @@ def main() -> int:
           f"(max window deviation {report.max_rel_dev:.2e})\n")
 
     enc = encode_stream(series, a)
-    stored = 3 * len(enc.blocks) + len(enc.remainder)
-    print(f"encoded: {len(enc.blocks)} blocks + {len(enc.remainder)} verbatim "
-          f"samples = {stored} stored values for {enc.count} originals "
+    stored = len(enc.stored)
+    print(f"encoded: {stored} stored values for {enc.count} originals "
           f"({100 * (1 - stored / enc.count):.0f}% smaller)")
     decoded = decode_stream(enc)
     worst = max(abs(x - y) for x, y in zip(series.values, decoded.values))

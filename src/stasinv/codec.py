@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
 
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
                    _fmt_complex, _fmt_float, _parse_complex, _window_residuals)
@@ -49,31 +48,25 @@ __all__ = [
 
 
 class EncodedStream(_Record):
-    """Header (invariant, grid) plus 4->3 compressed blocks and verbatim tail.
+    """Header (invariant, grid) plus the stored samples of a 4->3 encoding.
 
-    Every block holds 3 samples; a, t0 and every stored sample must be
-    finite, else FormatError.
+    `stored` is the series in order without slot 3 of each full 4-block, so
+    it holds count - count // 4 samples; a, t0 and every stored sample must
+    be finite, else FormatError.
     """
 
-    __slots__ = ("a", "t0", "count", "blocks", "remainder")
+    __slots__ = ("a", "t0", "count", "stored")
 
-    def __init__(self, a: complex, t0: float, count: int,
-                 blocks: tuple[tuple[complex, complex, complex], ...],
-                 remainder: tuple[complex, ...]):
-        if any(len(block) != 3 for block in blocks):
-            raise FormatError("every encoded block must hold exactly 3 samples")
+    def __init__(self, a: complex, t0: float, count: int, stored: tuple[complex, ...]):
         if a == 0:
             raise FormatError("encoded stream requires a != 0")
         if not (cmath.isfinite(a) and math.isfinite(t0)):
             raise FormatError(f"encoded stream requires finite a and t0, got a={a}, t0={t0}")
-        if not all(map(cmath.isfinite, chain(chain.from_iterable(blocks), remainder))):
+        if not all(map(cmath.isfinite, stored)):
             raise FormatError("encoded stream samples must be finite, found nan or inf")
-        if not 0 <= len(remainder) <= 3:
-            raise FormatError(f"remainder must hold 0..3 samples, got {len(remainder)}")
-        if count != 4 * len(blocks) + len(remainder):
-            raise FormatError(f"count {count} inconsistent with {len(blocks)} blocks "
-                              f"+ {len(remainder)} remainder samples")
-        super().__init__(a, t0, count, blocks, remainder)
+        if not (count >= 0 and len(stored) == count - count // 4):
+            raise FormatError(f"count {count} inconsistent with {len(stored)} stored samples")
+        super().__init__(a, t0, count, stored)
 
 
 class IntegrityFinding(_Record):
@@ -100,10 +93,9 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     for b, residual in enumerate(_window_residuals(g, a)[::4]):
         if not residual <= ENCODE_TOL:
             raise IdentityViolation(b, residual)
-    end = len(g) - len(g) % 4
-    return EncodedStream(a=a, t0=series.t0, count=len(g),
-                         blocks=tuple(zip(g[0:end:4], g[1:end:4], g[2:end:4])),
-                         remainder=g[end:])
+    stored = list(g)
+    del stored[3:len(g) - len(g) % 4:4]
+    return EncodedStream(a=a, t0=series.t0, count=len(g), stored=tuple(stored))
 
 
 def decode_stream(enc: EncodedStream) -> SampleSeries:
@@ -111,13 +103,15 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
 
     A slot 3 that overflows to nan or inf raises DomainError naming its block.
     """
+    end = 3 * (enc.count // 4)
+    it = iter(enc.stored[:end])
     values = []
-    for b, (g0, g1, g2) in enumerate(enc.blocks):
+    for b, (g0, g1, g2) in enumerate(zip(it, it, it)):
         g3 = predict_next(g0, g1, g2, enc.a)
         if not cmath.isfinite(g3):
             raise DomainError(f"block {b}: reconstructed slot 3 is not finite ({g3})")
         values.extend((g0, g1, g2, g3))
-    values.extend(enc.remainder)
+    values.extend(enc.stored[end:])
     return SampleSeries(enc.t0, tuple(values))
 
 
@@ -260,9 +254,10 @@ def load_sig1(text: str) -> SampleSeries:
 
 
 def dump_stasc1(enc: EncodedStream) -> str:
+    end = 3 * (enc.count // 4)
     return (f"STASC1\na={_fmt_complex(enc.a)} t0={_fmt_float(enc.t0)} count={enc.count}\n"
-            + _format_lines(tuple(chain.from_iterable(enc.blocks)), 3)
-            + f"rem={len(enc.remainder)}\n" + _format_lines(enc.remainder, 1))
+            + _format_lines(enc.stored[:end], 3)
+            + f"rem={enc.count % 4}\n" + _format_lines(enc.stored[end:], 1))
 
 
 def load_stasc1(text: str) -> EncodedStream:
@@ -282,6 +277,6 @@ def load_stasc1(text: str) -> EncodedStream:
         raise FormatError(f"bad rem= line: {lines[pos]!r}") from exc
     if k != count % 4:
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    it = map(_parse_complex, ";".join(lines[2:pos]).split(";") if pos > 2 else ())
-    return EncodedStream(a=a, t0=t0, count=count, blocks=tuple(zip(it, it, it)),
-                         remainder=_parse_samples(lines[pos + 1:], k, "remainder"))
+    stored = tuple(map(_parse_complex, ";".join(lines[2:pos]).split(";"))) if pos > 2 else ()
+    return EncodedStream(a=a, t0=t0, count=count,
+                         stored=stored + _parse_samples(lines[pos + 1:], k, "remainder"))

@@ -15,26 +15,23 @@ __all__ = ["Window", "recover_missing", "predict_next"]
 
 
 class Window(_Record):
-    """Four consecutive weighted samples, at most one marked missing.
+    """Four consecutive weighted samples, one of them marked missing.
 
-    `g` holds the slot values; the slot at index `missing` (if any) is the
+    `g` holds the slot values; the slot at index `missing` (0..3) is the
     unknown and its entry is ignored (conventionally None).  All other slots
     must be present.
     """
 
     __slots__ = ("g", "missing")
 
-    def __init__(self, g: tuple, missing: int | None = None):
+    def __init__(self, g: tuple, missing: int):
         g = tuple(g)
         if len(g) != 4:
             raise ContractViolation(f"window needs exactly 4 slots, got {len(g)}")
-        if missing is not None and missing not in (0, 1, 2, 3):
+        if missing not in (0, 1, 2, 3):
             raise ContractViolation(f"missing index must be in 0..3, got {missing}")
         holes = [i for i, v in enumerate(g) if v is None]
-        if missing is None:
-            if holes:
-                raise ContractViolation(f"slots {holes} are empty but none marked missing")
-        elif any(i != missing for i in holes):
+        if any(i != missing for i in holes):
             raise ContractViolation(
                 f"empty slots {holes} but only index {missing} is marked missing")
         super().__init__(g, missing)
@@ -48,8 +45,6 @@ def recover_missing(window: Window, a):
     number types.
     """
     m = window.missing
-    if m is None:
-        raise ContractViolation("window has no missing slot")
     g = window.g
     if m < 2:
         return a * (g[2] + g[3]) - g[1 - m]

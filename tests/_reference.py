@@ -202,18 +202,18 @@ def ref_estimate_invariant(g):
     return a_hat, max_rel_dev, len(ratios), skipped
 
 
-def ref_encode_blocks(g, a):
-    """(blocks, remainder) of the 4-to-3 encoding; RefIdentityViolation(b, residual) on a bad block."""
+def ref_encode_stored(g, a):
+    """Stored samples of the 4-to-3 encoding; RefIdentityViolation(b, residual) on a bad block."""
     n_blocks = len(g) // 4
-    blocks = []
+    stored = []
     for b in range(n_blocks):
         i = 4 * b
         scale = max(ref_window_scale(g, i), SCALE_FLOOR)
         residual = abs(g[i] + g[i + 1] - a * (g[i + 2] + g[i + 3])) / scale
         if residual > ENCODE_TOL:
             raise RefIdentityViolation(b, residual)
-        blocks.append((g[i], g[i + 1], g[i + 2]))
-    return tuple(blocks), tuple(g[4 * n_blocks:])
+        stored.extend((g[i], g[i + 1], g[i + 2]))
+    return tuple(stored) + tuple(g[4 * n_blocks:])
 
 
 # -- SIG1 / STASC1 text -------------------------------------------------------
@@ -294,17 +294,20 @@ def ref_load_sig1(text):
 
 
 def ref_dump_stasc1(enc):
-    """STASC1 text of anything with a, t0, count, blocks and remainder attributes."""
+    """STASC1 text of anything with a, t0, count and stored attributes."""
     lines = ["STASC1",
              f"a={_ref_fmt_complex(enc.a)} t0={_ref_fmt_float(enc.t0)} count={enc.count}"]
-    lines.extend(";".join(_ref_fmt_complex(v) for v in block) for block in enc.blocks)
-    lines.append(f"rem={len(enc.remainder)}")
-    lines.extend(_ref_fmt_complex(v) for v in enc.remainder)
+    n_blocks = enc.count // 4
+    for b in range(n_blocks):
+        lines.append(";".join(_ref_fmt_complex(v) for v in enc.stored[3 * b:3 * b + 3]))
+    remainder = enc.stored[3 * n_blocks:]
+    lines.append(f"rem={len(remainder)}")
+    lines.extend(_ref_fmt_complex(v) for v in remainder)
     return "\n".join(lines) + "\n"
 
 
 def ref_load_stasc1(text):
-    """(a, t0, count, blocks, remainder) of STASC1 text."""
+    """(a, t0, count, stored) of STASC1 text: the block samples, then the remainder."""
     lines = text.splitlines()
     if not lines or lines[0] != "STASC1":
         raise RefFormatError("missing STASC1 magic line")
@@ -321,14 +324,14 @@ def ref_load_stasc1(text):
         raise RefFormatError("count must be non-negative")
     n_blocks = count // 4
     pos = 2
-    blocks = []
+    stored = []
     for _ in range(n_blocks):
         if pos >= len(lines):
             raise RefFormatError("truncated STASC1 block section")
         parts = lines[pos].split(";")
         if len(parts) != 3:
             raise RefFormatError(f"block line needs 3 samples, got {lines[pos]!r}")
-        blocks.append(tuple(ref_parse_complex(p) for p in parts))
+        stored.extend(ref_parse_complex(p) for p in parts)
         pos += 1
     if pos >= len(lines) or not lines[pos].startswith("rem="):
         raise RefFormatError("missing rem= line")
@@ -342,4 +345,5 @@ def ref_load_stasc1(text):
     tail = [line for line in lines[pos:] if line.strip()]
     if len(tail) != k:
         raise RefFormatError(f"expected {k} remainder lines, found {len(tail)}")
-    return a, t0, count, tuple(blocks), tuple(ref_parse_complex(line.strip()) for line in tail)
+    stored.extend(ref_parse_complex(line.strip()) for line in tail)
+    return a, t0, count, tuple(stored)

@@ -178,7 +178,7 @@ def test_codec_round_trip_and_storage():
         series = sample_series(params, t0, count)
         a = closed_form_invariant(params)
         enc = encode_stream(series, a)
-        if 3 * len(enc.blocks) + len(enc.remainder) != count - count // 4:
+        if len(enc.stored) != count - count // 4:
             storage_ok = False
         dec = decode_stream(enc)
         for x, y in zip(series.values, dec.values):

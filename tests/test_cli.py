@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stasinv import (StasParams, closed_form_invariant, core, encode_stream, load_sig1,
-                     sample_series)
+from stasinv import (DomainError, StasParams, closed_form_invariant, core, encode_stream,
+                     load_sig1, sample_series)
 from stasinv.cli import main
 from stasinv.codec import dump_sig1, dump_stasc1
 
@@ -139,6 +139,9 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
         assert "DomainError" in err
+        # the t draws per trial, fixed at 5 here, are an option of scripts/invariant_sweep.py
+        with pytest.raises(DomainError, match="^--points must be >= 1, got 0$"):
+            next(core.verify_trials(0, 1, -10.0, 10.0, 0))
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--tol", "1e-30")

@@ -30,7 +30,7 @@ from conftest import complexes, params_st
 from _reference import (
     RefIdentityViolation,
     RefNoValidWindows,
-    ref_encode_blocks,
+    ref_encode_stored,
     ref_estimate_invariant,
     ref_localize,
     ref_residuals,
@@ -55,28 +55,20 @@ def draw_params(rng, r_hi=15):
 
 class TestEncodedStream:
     def test_count_consistency_enforced(self):
-        with pytest.raises(FormatError):
-            EncodedStream(a=4.0, t0=1.0, count=9,
-                          blocks=(((1 + 0j),) * 3,), remainder=(1 + 0j,))
-
-    @pytest.mark.parametrize("block", [(1 + 0j, 2 + 0j), (1 + 0j,) * 4])
-    def test_block_must_hold_three_samples(self, block):
-        with pytest.raises(FormatError, match="exactly 3 samples"):
-            EncodedStream(a=2, t0=0.0, count=4, blocks=(block,), remainder=())
-
-    def test_remainder_bounded(self):
-        with pytest.raises(FormatError):
-            EncodedStream(a=4.0, t0=1.0, count=4, blocks=(), remainder=(1,) * 4)
+        # 9 samples store 7, 4 store 3, and no stream has a negative count
+        for count, stored in [(9, (1 + 0j,) * 4), (4, (1 + 0j,) * 4), (-1, ())]:
+            with pytest.raises(FormatError, match=f"^count {count} inconsistent"):
+                EncodedStream(a=4.0, t0=1.0, count=count, stored=stored)
 
     def test_zero_invariant_rejected(self):
         with pytest.raises(FormatError):
-            EncodedStream(a=0.0, t0=1.0, count=0, blocks=(), remainder=())
+            EncodedStream(a=0.0, t0=1.0, count=0, stored=())
 
     @pytest.mark.parametrize("a, t0", [(complex("nan"), 1.0), (complex(0, float("inf")), 1.0),
                                        (4.0, float("nan")), (4.0, float("-inf"))])
     def test_non_finite_header_rejected(self, a, t0):
         with pytest.raises(FormatError):
-            EncodedStream(a=a, t0=t0, count=0, blocks=(), remainder=())
+            EncodedStream(a=a, t0=t0, count=0, stored=())
 
 
 class TestEncode:
@@ -85,16 +77,13 @@ class TestEncode:
         g = tuple(float(n * seq_a(n)) for n in range(1, 5))
         series = SampleSeries(1.0, g)
         enc = encode_stream(series, 4.0)
-        assert enc.blocks == ((-0.5, 1.25, -0.875),)
-        assert enc.remainder == ()
+        assert enc.stored == (-0.5, 1.25, -0.875)
         assert enc.count == 4
 
     def test_six_samples_leave_two_verbatim(self):
         series = sample_series(BASE, 1.0, 6)
         enc = encode_stream(series, 4.0)
-        assert len(enc.blocks) == 1
-        assert len(enc.remainder) == 2
-        assert enc.remainder == series.values[4:]
+        assert enc.stored == series.values[:3] + series.values[4:]
 
     def test_corrupted_block_raises(self):
         values = list(sample_series(BASE, 1.0, 8).values)
@@ -142,8 +131,9 @@ class TestEncode:
     def test_storage_count(self, count):
         series = sample_series(BASE, 1.0, count)
         enc = encode_stream(series, 4.0)
-        stored = 3 * len(enc.blocks) + len(enc.remainder)
-        assert stored == count - count // 4
+        assert len(enc.stored) == count - count // 4
+        assert enc.stored == tuple(v for i, v in enumerate(series.values)
+                                   if i % 4 != 3 or i >= count - count % 4)
 
 
 class TestDecode:
@@ -154,13 +144,12 @@ class TestDecode:
         assert dec.t0 == 1.0
 
     def test_empty_stream(self):
-        enc = EncodedStream(a=4.0, t0=0.5, count=0, blocks=(), remainder=())
+        enc = EncodedStream(a=4.0, t0=0.5, count=0, stored=())
         assert decode_stream(enc).values == ()
 
     def test_overflowing_slot_3_names_block(self):
         # (g0 + g1)/a overflows for a tiny invariant: slot 3 of block 1 would be inf
-        enc = EncodedStream(a=1e-310, t0=0.0, count=8,
-                            blocks=((0j, 0j, 0j), (1 + 0j, 1 + 0j, 1 + 0j)), remainder=())
+        enc = EncodedStream(a=1e-310, t0=0.0, count=8, stored=(0j,) * 3 + (1 + 0j,) * 3)
         with pytest.raises(DomainError, match="block 1"):
             decode_stream(enc)
 
@@ -422,7 +411,7 @@ class TestWindowKernelOracle:
         values, a = case
         series = SampleSeries(1.0, values)
         try:
-            blocks, remainder = ref_encode_blocks(series.values, a)
+            stored = ref_encode_stored(series.values, a)
         except RefIdentityViolation as exc:
             with pytest.raises(IdentityViolation) as info:
                 encode_stream(series, a)
@@ -430,7 +419,7 @@ class TestWindowKernelOracle:
                 (exc.args[0], repr(exc.args[1]))
         else:
             assert encode_stream(series, a) == EncodedStream(
-                a=a, t0=1.0, count=len(values), blocks=blocks, remainder=remainder)
+                a=a, t0=1.0, count=len(values), stored=stored)
 
     @given(kernel_streams)
     @example(([0j, 8e307 + 8e307j, 8e307 + 8e307j] + [0j] * 5, 1.0))

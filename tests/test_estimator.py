@@ -148,6 +148,19 @@ class TestFitTrig:
         with pytest.raises(NoValidWindows):
             fit_trig(SampleSeries(0.1, (1, 2, 3), step=0.5), 0.5 + 0j, 1, 1)
 
+    def test_overflowing_yy_leaves_the_fit_finite(self):
+        # at 3e153 the sum of |g - p^t|^2 overflows, so _TrigBasis falls back to
+        # yy = inf; the projections stay finite, so fit_trig still solves the pair,
+        # and the search's own sums of squares refuse with DomainError, not OverflowError
+        params = StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7)
+        unit = sample_series(params, 0.1, 64, step=0.125)
+        series = SampleSeries(unit.t0, tuple(3e153 * v for v in unit.values), step=0.125)
+        assert _TrigBasis(series, params.p, {5, 7}).yy == inf
+        q1, q2 = fit_trig(series, params.p, 5, 7)
+        assert cmath.isfinite(q1) and cmath.isfinite(q2)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            search_frequencies(series, params.p, 9)
+
     def test_huge_samples_are_domain_errors(self):
         # finite samples whose projection sums overflow
         huge = SampleSeries(0.1, (1.5e308 + 0j,) * 16, step=0.125)

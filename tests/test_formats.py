@@ -2,6 +2,7 @@
 
 import cmath
 import struct
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,8 +147,7 @@ class TestSig1:
 class TestStasc1:
     def test_exact_text(self):
         enc = EncodedStream(a=4.0, t0=1.0, count=6,
-                            blocks=((-0.5 + 0j, 1.25 + 0j, -0.875 + 0j),),
-                            remainder=(0.03125 + 0j, 0.984375 + 0j))
+                            stored=(-0.5 + 0j, 1.25 + 0j, -0.875 + 0j, 0.03125 + 0j, 0.984375 + 0j))
         assert dump_stasc1(enc) == (
             "STASC1\n"
             "a=4,0 t0=1 count=6\n"
@@ -188,7 +188,7 @@ class TestBodyGrammar:
         series = load_sig1("SIG1\nt0=0 kind=f count=2\n\n 1 ,\t-2 \n  \n3,4\n")
         assert series.values == (1 - 2j, 3 + 4j)
         enc = load_stasc1("STASC1\na=2,0 t0=0 count=5\n 1,0 ; 2,0;3 , 0\nrem=1\n\n 5,0 \n")
-        assert enc.blocks == ((1, 2, 3),) and enc.remainder == (5,)
+        assert enc.stored == (1, 2, 3, 5)
 
     def test_unit_separator_is_not_whitespace(self):
         # str.strip removes U+001F but float() does not; fields are trimmed by float()
@@ -234,8 +234,7 @@ def _outcome(load, text):
         return _bits(obj)
     if isinstance(obj, SampleSeries):
         return _bits(obj.t0, obj.step, *obj.values)
-    return (_bits(obj.a, obj.t0, *obj.remainder), obj.count,
-            tuple(_bits(*block) for block in obj.blocks))
+    return _bits(obj.a, obj.t0, *obj.stored), obj.count
 
 
 def _ref_sig1(text):
@@ -310,5 +309,5 @@ class TestAgainstLineByLineReference:
            st.lists(finite_any_complexes, max_size=3))
     def test_dump_stasc1_bytes(self, a, t0, blocks, remainder):
         enc = EncodedStream(a=a, t0=t0, count=4 * len(blocks) + len(remainder),
-                            blocks=tuple(blocks), remainder=tuple(remainder))
+                            stored=(*chain.from_iterable(blocks), *remainder))
         assert dump_stasc1(enc) == ref_dump_stasc1(enc)

@@ -150,12 +150,12 @@ def make_records():
         (lambda: SampleSeries(0.0, (1, 2, 3, 4)), SampleSeries(0.0, (1, 2, 3, 4), step=0.5)),
         (lambda: InvariantReport(4 + 0j, 0.0, 1, 0),
          InvariantReport(a_hat=4 + 0j, max_rel_dev=0.0, windows_used=1, windows_skipped=1)),
-        (lambda: EncodedStream(4 + 0j, 0.0, 5, ((1, 2, 3),), (5,)),
-         EncodedStream(a=4 + 0j, t0=0.0, count=5, blocks=((1, 2, 3),), remainder=(6,))),
+        (lambda: EncodedStream(4 + 0j, 0.0, 5, (1, 2, 3, 5)),
+         EncodedStream(a=4 + 0j, t0=0.0, count=5, stored=(1, 2, 3, 6))),
         (lambda: FitResult(p, 0.0, False, ((3, 5),), report),
          FitResult(params=p, residual_rms=0.0, p_sign_ambiguous=True,
                    tied_frequencies=((3, 5),), invariant=report)),
-        (lambda: Window((1, 2, None, 4), missing=2), Window((1, 2, 3, 4))),
+        (lambda: Window((1, 2, None, 4), missing=2), Window((1, None, 3, 4), missing=1)),
         (lambda: IntegrityFinding(2, 0.5, (5,)), IntegrityFinding(2, 0.5, ())),
     ]
     return [(build(), build(), other) for build, other in builders]

@@ -27,15 +27,11 @@ G14 = (-0.5, 1.25, -0.875, 1.0625)
 class TestWindow:
     def test_needs_four_slots(self):
         with pytest.raises(ContractViolation):
-            Window((1, 2, 3))
+            Window((1, 2, None), missing=2)
 
     def test_missing_index_range(self):
         with pytest.raises(ContractViolation):
             Window((1, 2, 3, 4), missing=4)
-
-    def test_empty_slot_must_be_marked(self):
-        with pytest.raises(ContractViolation):
-            Window((1, None, 3, 4))
 
     def test_extra_empty_slot_rejected(self):
         with pytest.raises(ContractViolation):
@@ -54,10 +50,6 @@ class TestRecoverMissing:
     def test_zero_window(self):
         w = Window((0, 0, 0, None), missing=3)
         assert recover_missing(w, 7.0) == 0
-
-    def test_no_missing_slot_rejected(self):
-        with pytest.raises(ContractViolation):
-            recover_missing(Window(G14), 4.0)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_zero_invariant_rejected_for_late_slots(self, m):

@@ -61,6 +61,10 @@ class TestSampleGeneration:
         assert series.grid()[1] == pytest.approx(0.225, abs=1e-15)
         assert abs(series.values[3] - eval_f(BASE, 0.1 + 3 * 0.125)) < 1e-12
 
+    def test_rejects_negative_count(self):
+        with pytest.raises(DomainError, match="^count must be non-negative$"):
+            sample_series(BASE, 0.1, -1)
+
 
 class TestEstimateInvariant:
     def test_base_sequence_sixteen_samples(self):

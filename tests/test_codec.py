@@ -55,10 +55,15 @@ def draw_params(rng, r_hi=15):
 
 class TestEncodedStream:
     def test_count_consistency_enforced(self):
-        # 9 samples store 7, 4 store 3, and no stream has a negative count
-        for count, stored in [(9, (1 + 0j,) * 4), (4, (1 + 0j,) * 4), (-1, ())]:
+        # 9 samples store 7, and no stream has a negative count
+        for count, stored in [(9, (1 + 0j,) * 4), (-1, ())]:
             with pytest.raises(FormatError, match=f"^count {count} inconsistent"):
                 EncodedStream(a=4.0, t0=1.0, count=count, stored=stored)
+
+    def test_remainder_bounded(self):
+        # a full 4-block stores 3 samples, so 4 unblocked samples cannot remain
+        with pytest.raises(FormatError, match="^count 4 inconsistent"):
+            EncodedStream(a=4.0, t0=1.0, count=4, stored=(1 + 0j,) * 4)
 
     def test_zero_invariant_rejected(self):
         with pytest.raises(FormatError):

@@ -15,12 +15,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import sample_series
 from stasinv.cli import _add_param_flags, _guarded, _params_from, _write
-from stasinv.codec import dump_sig1
+from stasinv.codec import _sig1_parts
 
 
 def write_series(args) -> int:
     series = sample_series(_params_from(args), args.t0, args.count, step=args.step)
-    _write(args.output, dump_sig1(series))
+    _write(args.output, _sig1_parts(series))
     print(f"wrote {args.count} samples to {args.output}")
     return 0
 

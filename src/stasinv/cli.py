@@ -66,9 +66,10 @@ def _read(path: str) -> str:
                           f"at offset {exc.start}") from None
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, parts) -> None:
+    """Write the strings of parts in turn; callers check all first, so a failure writes no file."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def cmd_eval(args) -> int:
@@ -121,7 +122,7 @@ def cmd_encode(args) -> int:
     series = codec.load_sig1(_read(args.input))
     a = _invariant_from(args, series)
     enc = codec.encode_stream(series, a)
-    _write(args.output, codec.dump_stasc1(enc))
+    _write(args.output, codec._stasc1_parts(enc))
     return 0
 
 
@@ -129,7 +130,7 @@ def cmd_decode(args) -> int:
     from . import codec
     enc = codec.load_stasc1(_read(args.input))
     series = codec.decode_stream(enc)
-    _write(args.output, codec.dump_sig1(series))
+    _write(args.output, codec._sig1_parts(series))
     return 0
 
 
@@ -147,7 +148,7 @@ def cmd_check(args) -> int:
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")
     if args.repair and flagged:
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
-        _write(args.output, codec.dump_sig1(codec.repair_samples(series, implicated, a)))
+        _write(args.output, codec._sig1_parts(codec.repair_samples(series, implicated, a)))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")
     return 1 if flagged else 0
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain, islice
 
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
                    _fmt_complex, _fmt_float, _parse_complex, _window_residuals)
@@ -183,35 +184,63 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 
 # -- text serialization -------------------------------------------------------
 
-def _parse_samples(lines: list[str], count: int, what: str) -> tuple[complex, ...]:
-    """The count non-blank lines of a body, one 're,im' sample each."""
-    body = list(filter(str.strip, lines))
-    if len(body) != count:
-        raise FormatError(f"expected {count} {what} lines, found {len(body)}")
-    return tuple(map(_parse_complex, body))
+_BLOCK = 4096  # samples formatted per '%', and the fewest characters split per block of text
 
 
-def _format_lines(values, k: int) -> str:
-    """LF-ended lines of k _fmt_complex fields joined by ';', formatted by one '%'."""
-    parts = [0.0] * (2 * len(values))
-    parts[0::2] = [v.real for v in values]
-    parts[1::2] = [v.imag for v in values]
-    return (";".join([f"{_FLOAT_FMT},{_FLOAT_FMT}"] * k) + "\n") * (len(values) // k) % tuple(parts)
+def _line_blocks(text: str):
+    """text.splitlines(), one block of at least _BLOCK characters at a time;
+    each block but the last ends just after a '\n', so no '\r\n' is cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
 
 
-def _read_header(text: str, magic: str, expected: tuple[str, ...],
-                 optional: tuple[str, ...] = ()) -> tuple[list[str], dict[str, str], float, int]:
-    """The lines of text, the key=value fields of its header line after the
-    magic line, and the parsed t0 and count fields, which both formats have.
-    FormatError unless every expected key and no unknown one is there, t0 and
-    count parse and count is non-negative."""
-    lines = text.splitlines()
-    if not lines or lines[0] != magic:
+def _parse_samples(lines, count: int, what: str) -> list[complex]:
+    """The count non-blank lines of a body, one 're,im' sample each, in one
+    pass; a wrong line count is reported before a bad literal."""
+    body = filter(str.strip, lines)
+    values = []
+    try:
+        for line in body:
+            values.append(_parse_complex(line))
+    except FormatError:
+        if (found := len(values) + 1 + sum(1 for _ in body)) == count:
+            raise
+    else:
+        found = len(values)
+    if found != count:
+        raise FormatError(f"expected {count} {what} lines, found {found}")
+    return values
+
+
+def _formatted(values, start: int, stop: int, k: int):
+    """LF-ended lines of k _fmt_complex fields joined by ';' for values[start:stop],
+    one '%' per block of about _BLOCK samples."""
+    line = ";".join([f"{_FLOAT_FMT},{_FLOAT_FMT}"] * k) + "\n"
+    size = k * max(1, _BLOCK // k)
+    for i in range(start, stop, size):
+        block = values[i:min(i + size, stop)]
+        parts = [0.0] * (2 * len(block))
+        parts[0::2] = [v.real for v in block]
+        parts[1::2] = [v.imag for v in block]
+        yield line * (len(block) // k) % tuple(parts)
+
+
+def _read_header(text: str, magic: str, expected: tuple[str, ...], optional: tuple[str, ...] = ()
+                 ) -> tuple[chain, dict[str, str], float, int, float]:
+    """The lines of text after its magic and header lines, as an iterator, the
+    key=value fields of its header line and the parsed t0, count and step (1
+    unless given).  FormatError unless every expected key and no unknown one is
+    there, the numbers parse and count is non-negative."""
+    lines = chain.from_iterable(_line_blocks(text))
+    if next(lines, None) != magic:
         raise FormatError(f"missing {magic} magic line")
-    if len(lines) < 2:
+    if (header := next(lines, None)) is None:
         raise FormatError(f"missing {magic} header line")
     fields = {}
-    for token in lines[1].split():
+    for token in header.split():
         key, sep, value = token.partition("=")
         if not sep or key in fields:
             raise FormatError(f"bad header token {token!r}")
@@ -222,61 +251,71 @@ def _read_header(text: str, magic: str, expected: tuple[str, ...],
         raise FormatError(f"header fields: missing {missing}, unexpected {extra}")
     try:
         t0, count = float(fields["t0"]), int(fields["count"])
+        if count < 0:
+            raise FormatError("count must be non-negative")
+        step = float(fields.get("step", "1"))
     except ValueError as exc:
-        raise FormatError(f"bad {magic} header: {lines[1]!r}") from exc
-    if count < 0:
-        raise FormatError("count must be non-negative")
-    return lines, fields, t0, count
+        raise FormatError(f"bad {magic} header: {header!r}") from exc
+    return lines, fields, t0, count, step
+
+
+def _sig1_parts(series: SampleSeries):
+    """The SIG1 text of series: its header, then its sample lines block by block."""
+    header = f"t0={_fmt_float(series.t0)} kind=f count={len(series)}"
+    if series.step != 1.0:
+        header += f" step={_fmt_float(series.step)}"
+    yield f"SIG1\n{header}\n"
+    yield from _formatted(series.values, 0, len(series), 1)
 
 
 def dump_sig1(series: SampleSeries) -> str:
     """Serialize a series as SIG1 text (canonical f-values, kind=f)."""
-    header = f"t0={_fmt_float(series.t0)} kind=f count={len(series)}"
-    if series.step != 1.0:
-        header += f" step={_fmt_float(series.step)}"
-    return f"SIG1\n{header}\n" + _format_lines(series.values, 1)
+    return "".join(_sig1_parts(series))
 
 
 def load_sig1(text: str) -> SampleSeries:
-    lines, fields, t0, count = _read_header(text, "SIG1", ("t0", "kind", "count"),
-                                            optional=("step",))
-    try:
-        step = float(fields.get("step", "1"))
-    except ValueError as exc:
-        raise FormatError(f"bad SIG1 header: {lines[1]!r}") from exc
+    lines, fields, t0, count, step = _read_header(text, "SIG1", ("t0", "kind", "count"),
+                                                  optional=("step",))
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
-    values = _parse_samples(lines[2:], count, "sample")
+    values = _parse_samples(lines, count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
     return SampleSeries(t0, values, step=step)
 
 
-def dump_stasc1(enc: EncodedStream) -> str:
+def _stasc1_parts(enc: EncodedStream):
+    """The STASC1 text of enc: its header, block lines, rem= line and remainder lines."""
     end = 3 * (enc.count // 4)
-    return (f"STASC1\na={_fmt_complex(enc.a)} t0={_fmt_float(enc.t0)} count={enc.count}\n"
-            + _format_lines(enc.stored[:end], 3)
-            + f"rem={enc.count % 4}\n" + _format_lines(enc.stored[end:], 1))
+    yield f"STASC1\na={_fmt_complex(enc.a)} t0={_fmt_float(enc.t0)} count={enc.count}\n"
+    yield from _formatted(enc.stored, 0, end, 3)
+    yield f"rem={enc.count % 4}\n"
+    yield from _formatted(enc.stored, end, len(enc.stored), 1)
+
+
+def dump_stasc1(enc: EncodedStream) -> str:
+    return "".join(_stasc1_parts(enc))
 
 
 def load_stasc1(text: str) -> EncodedStream:
-    lines, fields, t0, count = _read_header(text, "STASC1", ("a", "t0", "count"))
+    lines, fields, t0, count, _ = _read_header(text, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
-    pos = 2 + count // 4  # the rem= line follows the count // 4 block lines
-    if len(lines) < pos:
+    blocks = list(islice(lines, count // 4))  # the rem= line follows the count // 4 block lines
+    if len(blocks) < count // 4:
         raise FormatError("truncated STASC1 block section")
-    for line in lines[2:pos]:
+    for line in blocks:
         if line.count(";") != 2:
             raise FormatError(f"block line needs 3 samples, got {line!r}")
-    if pos >= len(lines) or not lines[pos].startswith("rem="):
+    rem = next(lines, "")
+    if not rem.startswith("rem="):
         raise FormatError("missing rem= line")
     try:
-        k = int(lines[pos][4:])
+        k = int(rem[4:])
     except ValueError as exc:
-        raise FormatError(f"bad rem= line: {lines[pos]!r}") from exc
+        raise FormatError(f"bad rem= line: {rem!r}") from exc
     if k != count % 4:
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    stored = tuple(map(_parse_complex, ";".join(lines[2:pos]).split(";"))) if pos > 2 else ()
-    return EncodedStream(a=a, t0=t0, count=count,
-                         stored=stored + _parse_samples(lines[pos + 1:], k, "remainder"))
+    stored = [z for line in blocks for z in map(_parse_complex, line.split(";"))]
+    stored += _parse_samples(lines, k, "remainder")
+    return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored))

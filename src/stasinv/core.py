@@ -437,6 +437,13 @@ def _checked_values(series: SampleSeries, need: int,
     return series.values
 
 
+def _median(xs: list[float]) -> float:
+    """statistics.median(xs), bit for bit, without loading statistics; sorts xs in place."""
+    xs.sort()
+    i = len(xs) // 2
+    return xs[i] if len(xs) % 2 else (xs[i - 1] + xs[i]) / 2
+
+
 def estimate_invariant(series: SampleSeries) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
 
@@ -446,14 +453,13 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """
-    from statistics import median  # here, not at the top: it loads fractions and decimal
     g = _checked_values(series, 4, "invariant estimation")
     with _in_range(_PAIR_SUM_OVERFLOW):  # the window terms are freed once the ratios are taken
         ratios = [x / y for x, y, c in zip(*_window_terms(g))
                   if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
-    a_hat = complex(median(r.real for r in ratios), median(r.imag for r in ratios))
+    a_hat = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
     norm = max(abs(a_hat), 1.0)
     max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
     if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):

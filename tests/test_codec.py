@@ -1,5 +1,8 @@
 """4-to-3 block codec and sliding-window integrity detection."""
 
+import math
+import statistics
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from stasinv import (
     seq_a,
 )
 from stasinv.codec import EncodedStream
-from stasinv.core import ENCODE_TOL, _window_residuals
+from stasinv.core import ENCODE_TOL, _median, _window_residuals
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
@@ -408,6 +411,16 @@ class TestWindowKernelOracle:
                 estimate_invariant(series)
         else:
             assert repr(estimate_invariant(series)) == repr(want)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+                              st.floats(allow_nan=False)), min_size=1, max_size=9))
+    @example([math.inf, -math.inf])
+    @example([-0.0, 0.0, -0.0])
+    @example([2.0, 1.0, 2.0, 1.0])
+    @example([1.7976931348623157e308] * 3)
+    def test_median(self, xs):
+        # odd and even lengths, ties and signed zeros; the bits must match, nan included
+        assert repr(_median(list(xs))) == repr(statistics.median(xs))
 
     @given(kernel_streams)
     @example(([0j] * 5, 4.0))

@@ -1,8 +1,10 @@
 """SIG1 and STASC1 text serialization."""
 
 import cmath
+import re
 import struct
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from stasinv import (
     encode_stream,
     sample_series,
 )
+from stasinv import codec
 from stasinv.codec import (
     EncodedStream,
     dump_sig1,
@@ -196,6 +199,56 @@ class TestBodyGrammar:
             load_sig1("SIG1\nt0=0 kind=f count=1\n1,0\x1f\n")
 
 
+# -- block-wise text: _BLOCK patched small puts block edges everywhere ---------
+
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+class TestBlocks:
+    @given(st.lists(st.tuples(st.sampled_from(["", " ", " \t", "1,0", "-2.5,3e-5", "SIG1"]),
+                              st.sampled_from(SEPARATORS)), max_size=12),
+           st.sampled_from(["", " ", "7,8"]), st.integers(1, 8))
+    @example([("a", "\r\n"), ("", "\r\n")], "", 1)
+    @example([("a", "\r\n"), ("b", "\r\n")], "c", 2)
+    def test_line_blocks_split_like_splitlines(self, lines, tail, block):
+        # an empty tail leaves the text's last separator final
+        text = "".join(line + sep for line, sep in lines) + tail
+        with mock.patch.object(codec, "_BLOCK", block):
+            blocks = list(codec._line_blocks(text))
+        assert list(chain.from_iterable(blocks)) == text.splitlines()
+
+    @pytest.mark.parametrize("block", [1, 4, codec._BLOCK])
+    @pytest.mark.parametrize("text, message", [
+        ("SIG1\nt0=0 kind=f count=3\n1,0\nx,0\n3,0\n4,0\n", "expected 3 sample lines, found 4"),
+        ("SIG1\r\nt0=0 kind=f count=3\r\nx,0\r\n\r\n2,0\r\n", "expected 3 sample lines, found 2"),
+        ("SIG1\nt0=0 kind=f count=2\n1,0\n2,x\n", "bad complex literal '2,x'"),
+        ("STASC1\na=2,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n,\n4,0\n",
+         "expected 1 remainder lines, found 2"),
+    ])
+    def test_line_count_is_reported_before_a_bad_literal(self, block, text, message):
+        load = load_sig1 if text.startswith("SIG1") else load_stasc1
+        with mock.patch.object(codec, "_BLOCK", block):
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                load(text)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 6, 7])
+    def test_parts_join_to_the_dumped_text(self, block):
+        values = sample_series(StasParams(p=0.9 + 0.2j, q1=0.5, r1=3), 1.0, 4 * block + 8).values
+        # block - 1 .. block + 1 samples, and 4*block .. 4*block + 7: STASC1 block edges too
+        for n in sorted({0, 1, 3, 4, block - 1, block, block + 1,
+                         *range(4 * block, 4 * block + 8)}):
+            series = SampleSeries(0.5, values[:n])
+            enc = EncodedStream(a=4.0, t0=0.5, count=n, stored=values[:n - n // 4])
+            want = dump_sig1(series), dump_stasc1(enc)
+            with mock.patch.object(codec, "_BLOCK", block):
+                parts = list(codec._sig1_parts(series)), list(codec._stasc1_parts(enc))
+            assert tuple(map("".join, parts)) == want == (ref_dump_sig1(series),
+                                                          ref_dump_stasc1(enc))
+            # one part per block after the header: at most block samples, 3 per STASC1 line
+            assert all(p.count(",") <= block for p in parts[0][1:])
+            assert all(p.count(",") <= max(block, 3) for p in parts[1][1:])
+
+
 # -- differential tests against the line-by-line reference --------------------
 
 GOOD_FIELDS = ["0", "-0", "1", "2.5", "-3e-5", "1e-310", "1.7976931348623157e308",
@@ -215,6 +268,7 @@ block_lines = st.one_of(good_blocks, good_blocks,
                         st.lists(good_tokens, min_size=2, max_size=4).map(";".join),
                         st.sampled_from(["", ";;", "1,0;2,0;3,0;", "rem=0"]))
 deltas = st.sampled_from([0, 0, 0, -1, 1])
+blocks = st.sampled_from([codec._BLOCK, 1, 2, 3, 5, 8])  # the loaders' block size
 newlines = st.sampled_from(["\n", "\r\n"])
 
 
@@ -286,16 +340,18 @@ class TestAgainstLineByLineReference:
         assert _outcome(_parse_complex, text) == _outcome(ref_parse_complex, text)
 
     @settings(max_examples=300)
-    @given(sig1_texts())
-    @example("SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n")
-    def test_load_sig1(self, text):
-        assert _outcome(load_sig1, text) == _outcome(_ref_sig1, text)
+    @given(sig1_texts(), blocks)
+    @example("SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n", codec._BLOCK)
+    def test_load_sig1(self, text, block):
+        with mock.patch.object(codec, "_BLOCK", block):
+            assert _outcome(load_sig1, text) == _outcome(_ref_sig1, text)
 
     @settings(max_examples=300)
-    @given(stasc1_texts())
-    @example("STASC1\na=2,0 t0=1 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n")
-    def test_load_stasc1(self, text):
-        assert _outcome(load_stasc1, text) == _outcome(_ref_stasc1, text)
+    @given(stasc1_texts(), blocks)
+    @example("STASC1\na=2,0 t0=1 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n", codec._BLOCK)
+    def test_load_stasc1(self, text, block):
+        with mock.patch.object(codec, "_BLOCK", block):
+            assert _outcome(load_stasc1, text) == _outcome(_ref_stasc1, text)
 
     @given(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([1.0, 0.125, -3.0]),
            st.lists(any_complexes, max_size=12))

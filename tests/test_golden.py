@@ -62,6 +62,21 @@ def _stream():
     ]
 
 
+def _crlf():
+    """A 5001-sample clean stream with CRLF line ends, and blank, whitespace-only
+    and form-feed lines among the samples, through check, encode and decode: its
+    text spans many of the blocks the codec reads at a time."""
+    lines = _sig1(2.0, _geometric(5001, 0.5 + 1.25j, 1 - 2**-11, -0.5 + 0.25j)).splitlines()
+    extra = {0: "\r\n", 5: " \t\r\n", 9: "\x0c"}  # none between the magic and header lines
+    text = "".join(line + "\r\n" + (extra.get(i % 13, "") if i > 1 else "")
+                   for i, line in enumerate(lines))
+    return {"crlf.sig1": text}, [
+        ["check", "--estimate", "--input", "crlf.sig1"],
+        ["encode", "--estimate", "--input", "crlf.sig1", "--output", "crlf.stasc1"],
+        ["decode", "--input", "crlf.stasc1", "--output", "decoded.sig1"],
+    ]
+
+
 def _faulted():
     """check-faulted at 1024 samples: isolated faults, the two end samples
     among them, and close pairs 1..4 apart, through check --repair.  Real
@@ -135,6 +150,7 @@ def _eval_invariant():
 
 CASES = {
     "stream-roundtrip": _stream,
+    "stream-crlf": _crlf,
     "check-faulted": _faulted,
     "fit-dense": _dense,
     "table": lambda: ({}, [["table", "--n-max", "40"]]),
@@ -152,6 +168,7 @@ LIBM = {"fit-dense", "verify-seed1", "verify-seed2", "verify-seed3", "eval-invar
 
 GOLDEN = {
     "stream-roundtrip": "fccbc26a067674ffe80a1c67f19d9ccac897a78ea368bfaca9052c07bec49d88",
+    "stream-crlf": "bd2a42f11807ec46a31fbb55b2124703febff7649052159212f20ae693ba7893",
     "check-faulted": "bbc35772d9254a40011eaa87d64fe70e960caec6985819c19d2d29d41838c0d6",
     "fit-dense": "1f57f54591eaf13b0510eb4fe5a641c2973248d5d951071e84c60b7af3849f10",
     "table": "344484ed3c5e19acc14f71ca8b9155f569f0426a22ec98861b880908a43e861f",

@@ -97,6 +97,23 @@ def test_verify_loads_no_heavy_module_and_fit_loads_the_estimator(tmp_path):
     assert "stasinv.estimator" in after_fit
 
 
+def test_estimating_commands_load_no_statistics(tmp_path):
+    """Start-up guard: check --estimate, encode --estimate and fit take their
+    medians without statistics, which loads fractions and decimal."""
+    unit, dense = tmp_path / "unit.sig", tmp_path / "dense.sig"
+    unit.write_text(dump_sig1(sample_series(StasParams(p=0.5, q2=1), 1.0, 16)))
+    dense.write_text(dump_sig1(sample_series(StasParams(p=0.9, q1=0.5, q2=0.25, r1=3, r2=5),
+                                             0.5, 64, step=0.125)))
+    (loaded,) = fresh_modules(
+        "from stasinv import cli\n"
+        "assert cli.main(['check', '--estimate', '--input', sys.argv[1]]) == 0\n"
+        "assert cli.main(['encode', '--estimate', '--input', sys.argv[1],"
+        " '--output', sys.argv[1] + '.stasc1']) == 0\n"
+        "assert cli.main(['fit', '--input', sys.argv[2]]) == 0\nreport()", str(unit), str(dense))
+    assert {"statistics", "fractions", "decimal"}.isdisjoint(loaded)
+    assert "stasinv.estimator" in loaded
+
+
 CODEC = {"stasinv.codec", "stasinv.reconstruct"}
 
 

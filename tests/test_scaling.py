@@ -2,10 +2,12 @@
 
 Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
 per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
-of a shared machine); code quadratic in N reads 16.
+of a shared machine); code quadratic in N reads 16.  The text I/O also has
+memory guards: reading and writing hold about the series, not copies of its text.
 """
 
 import time
+import tracemalloc
 
 from stasinv import (
     SampleSeries,
@@ -16,7 +18,9 @@ from stasinv import (
     fit_series,
     sample_series,
 )
-from stasinv.codec import dump_sig1, dump_stasc1, load_sig1, load_stasc1
+from stasinv.cli import _write
+from stasinv.codec import (_sig1_parts, _stasc1_parts, dump_sig1, dump_stasc1, load_sig1,
+                           load_stasc1)
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -97,3 +101,30 @@ def test_load_stasc1_linear_in_sample_count():
 def test_dump_stasc1_linear_in_sample_count():
     small, large = _best_times(dump_stasc1, [_encoded(2500), _encoded(10000)])
     assert large / small < RATIO_LIMIT
+
+
+def _traced(fn):
+    """(fn(), bytes fn allocated and still held, peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_load_sig1_peak_is_near_the_series_it_returns():
+    # the whole text split into lines at once peaked at 3.6 times the series
+    text = dump_sig1(_clean(20000))
+    series, held, peak = _traced(lambda: load_sig1(text))
+    assert len(series) == 20000
+    assert peak <= 1.5 * held
+
+
+def test_writing_parts_adds_under_1_mib_to_the_series(tmp_path):
+    # the whole text formatted at once peaked at 13.1 MiB above 1e5 samples
+    series = _clean(20000)
+    for parts in (_sig1_parts(series), _stasc1_parts(_encoded(20000))):
+        _, _, peak = _traced(lambda: _write(tmp_path / "out", parts))
+        assert peak < 2**20

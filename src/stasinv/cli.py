@@ -48,12 +48,13 @@ def _params_from(args) -> core.StasParams:
     return core.StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
 
 
-def _invariant_from(args, series: core.SampleSeries) -> complex:
-    """The invariant for codec commands: 1/p^2 from --p, or estimated from data."""
+def _invariant_from(args, series: core.SampleSeries):
+    """(a, scales) for codec commands: a = 1/p^2 from --p, or estimated with its window scales."""
     if args.estimate:
-        return core.estimate_invariant(series).a_hat
+        report, scales = core._estimate(series)
+        return report.a_hat, scales
     if args.p is not None:
-        return core.closed_form_invariant(core.StasParams(p=args.p))
+        return core.closed_form_invariant(core.StasParams(p=args.p)), None
     raise DomainError("need --p or --estimate to determine the invariant")
 
 
@@ -120,8 +121,7 @@ def cmd_verify(args) -> int:
 def cmd_encode(args) -> int:
     from . import codec  # here, not at the top: only the file commands load the codec
     series = codec.load_sig1(_read(args.input))
-    a = _invariant_from(args, series)
-    enc = codec.encode_stream(series, a)
+    enc = codec._encode(series, *_invariant_from(args, series))
     _write(args.output, codec._stasc1_parts(enc))
     return 0
 
@@ -141,14 +141,16 @@ def cmd_check(args) -> int:
         raise DomainError("--output needs --repair")
     from . import codec
     series = codec.load_sig1(_read(args.input))
-    a = _invariant_from(args, series)
-    flagged = codec.detect_errors(series, a, args.tol)
+    a, scales = _invariant_from(args, series)
+    flagged = codec._detect(series, a, args.tol, scales)
+    del scales  # 8 bytes a window, not needed past the sweep
     for f in flagged:
         samples = ",".join(str(j) for j in f.implicated_samples)
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")
     if args.repair and flagged:
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
-        _write(args.output, codec._sig1_parts(codec.repair_samples(series, implicated, a)))
+        if implicated:  # with nothing implicated there is nothing to write
+            _write(args.output, codec._sig1_parts(codec.repair_samples(series, implicated, a)))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")
     return 1 if flagged else 0
 

@@ -88,10 +88,15 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     whose pair sum or defect overflows, raise DomainError as they do there.
     Samples past the last full block are stored verbatim.
     """
+    return _encode(series, a, None)
+
+
+def _encode(series: SampleSeries, a: complex, scales) -> EncodedStream:
+    """encode_stream(series, a); its sweep reuses the window scales of an estimate if given."""
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g = _checked_values(series, 0, "encoding")
-    for b, residual in enumerate(_window_residuals(g, a)[::4]):
+    for b, residual in enumerate(_window_residuals(g, a, scales)[::4]):
         if not residual <= ENCODE_TOL:
             raise IdentityViolation(b, residual)
     stored = list(g)
@@ -113,7 +118,7 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
             raise DomainError(f"block {b}: reconstructed slot 3 is not finite ({g3})")
         values.extend((g0, g1, g2, g3))
     values.extend(enc.stored[end:])
-    return SampleSeries(enc.t0, tuple(values))
+    return SampleSeries(enc.t0, values)
 
 
 def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[IntegrityFinding]:
@@ -138,10 +143,15 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     and faults at n-2 and n-1 only n-2, so the other fault goes unreported.
     Each flagged window reports the implicated samples it covers.
     """
+    return _detect(series, a, tol, None)
+
+
+def _detect(series: SampleSeries, a: complex, tol: float, scales) -> list[IntegrityFinding]:
+    """detect_errors(series, a, tol); its sweep reuses the window scales of an estimate if given."""
     _checked_tol(tol)
     g = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3
-    residuals = _window_residuals(g, a)
+    residuals = _window_residuals(g, a, scales)
     flagged = [i for i, r in enumerate(residuals) if not r <= tol]
 
     runs = []  # (first, last) window of each maximal run of flagged windows
@@ -179,7 +189,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
         values[j] = recover_missing(Window(tuple(slots), missing=j - i), a)
         if not cmath.isfinite(values[j]):
             raise DomainError(f"sample {j}: repaired value is not finite ({values[j]})")
-    return SampleSeries(series.t0, tuple(values))
+    return SampleSeries(series.t0, values)
 
 
 # -- text serialization -------------------------------------------------------

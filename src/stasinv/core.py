@@ -24,11 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from itertools import islice
-from math import isfinite
+from itertools import islice, repeat
+from math import isfinite, isqrt
+from operator import sub
 
 from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
-from .rng import SplitMix64
 
 __all__ = [
     "StasParams",
@@ -49,6 +49,7 @@ SKIP_THRESHOLD = 1e-9
 DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
 ENCODE_TOL = 1e-6  # the codec's window tolerance, check's default --tol; here for the same reason
 _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the same binary64
+_SELECT_MIN = 2048  # from this many values on, _median selects the middle instead of sorting all
 
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
@@ -139,14 +140,11 @@ class SampleSeries(_Record):
     @classmethod
     def from_s(cls, t0: float, values, step: float = 1.0) -> "SampleSeries":
         """Ingest s-values; converts to weighted form g = t*s (grid must avoid 0)."""
-        t0 = float(t0)
-        step = float(step)
-        values = tuple(values)
+        t0, step, values = float(t0), float(step), list(values)
         grid = _grid(t0, step, len(values))
         if 0.0 in grid:
             raise DomainError("s-value series has a grid point at t = 0")
-        g = tuple(t * complex(v) for t, v in zip(grid, values))
-        return cls(t0, g, step=step)
+        return cls(t0, [t * complex(v) for t, v in zip(grid, values)], step=step)
 
     def grid(self) -> list[float]:
         return _grid(self.t0, self.step, len(self.values))
@@ -265,9 +263,10 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     return num / den
 
 
-def draw_trial_params(rng: SplitMix64) -> StasParams:
-    """One random family member, drawn in the order p, q1, q2, r1, r2; p needs no
-    redraw, as Re p >= 0.3 keeps it far from the excluded -1: |1 + p| >= 1.3."""
+def draw_trial_params(rng) -> StasParams:
+    """One random family member, drawn from the SplitMix64 rng in the order p,
+    q1, q2, r1, r2; p needs no redraw, as Re p >= 0.3 keeps it far from the
+    excluded -1: |1 + p| >= 1.3."""
     p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
     q1 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
     q2 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
@@ -290,6 +289,7 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     # A positive, finite span also rules out a nan or infinite bound.
     if not 0.0 < t_max - t_min < math.inf:
         raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
+    from .rng import SplitMix64  # here, not at the top: only verify draws trials
     worst = 0.0
     for trial in range(trials):
         rng = SplitMix64.for_trial(seed, trial)
@@ -370,7 +370,7 @@ def sample_series(params: StasParams, t0: float, count: int,
         values = [w + (-1.0 if i % 2 else 1.0) * trig0 for i, w in enumerate(pt)]
     else:
         values = [w + x for w, x in zip(pt, _trig(params, grid))]
-    return SampleSeries(t0, tuple(values), step=step)
+    return SampleSeries(t0, values, step=step)
 
 
 def _magnitudes(g) -> list[float]:
@@ -383,40 +383,39 @@ def _magnitudes(g) -> list[float]:
     return mags
 
 
-def _window_terms(g):
-    """The window kernel: (lo, hi, scales) of every window of g.
-
-    Window i has lo = g_i + g_{i+1}, hi = g_{i+2} + g_{i+3} and scale
-    max(m_i, m_{i+2}), with pairwise maxima m_j = max(|g_j|, |g_{j+1}|).
-    Each pair sum is window i's lo and window i-2's hi, so every magnitude
-    (see _magnitudes), pair sum and pairwise maximum is computed once.  lo
-    can run past the last window.
-    """
+def _window_scales(g):
+    """The scale max(m_i, m_{i+2}) of every window i of g, as an array('d'), 8 bytes
+    a window, with pairwise maxima m_j = max(|g_j|, |g_{j+1}|) (see _magnitudes)."""
+    from array import array  # here, not at the top: a shared library only the sweeps need
     mags = _magnitudes(g)
     peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, 1, None))]
     del mags
-    scales = [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2, None))]
-    del peaks
+    return array("d", [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2, None))])
+
+
+def _window_terms(g, scales) -> zip:
+    """The window kernel: (lo, hi, scale) of every window i of g, given its
+    scales.  lo = g_i + g_{i+1} is also window i-2's hi, so each pair sum is
+    computed once; the pair sums are freed with the zip."""
     sums = [x + y for x, y in zip(g, islice(g, 1, None))]
-    return sums, islice(sums, 2, None), scales
+    return zip(sums, islice(sums, 2, None), scales)
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
-def _window_residuals(g, a: complex) -> list[float]:
-    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g: how far
-    each is from the four-point identity g0 + g1 = a*(g2 + g3).
+def _window_residuals(g, a: complex, scales=None) -> list[float]:
+    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g, its _window_scales
+    given or computed: how far each is from the identity g0 + g1 = a*(g2 + g3).
 
     Raises DomainError for a non-finite invariant or sample, and for a
     defect whose magnitude exceeds the float range.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
-    lo, hi, scales = _window_terms(g)
+    terms = _window_terms(g, _window_scales(g) if scales is None else scales)
     with _in_range(_PAIR_SUM_OVERFLOW):
-        return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
-                for x, y, c in zip(lo, hi, scales)]
+        return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR) for x, y, c in terms]
 
 
 def _checked_tol(tol: float) -> None:
@@ -438,10 +437,41 @@ def _checked_values(series: SampleSeries, need: int,
 
 
 def _median(xs: list[float]) -> float:
-    """statistics.median(xs), bit for bit, without loading statistics; sorts xs in place."""
-    xs.sort()
-    i = len(xs) // 2
-    return xs[i] if len(xs) % 2 else (xs[i - 1] + xs[i]) / 2
+    """statistics.median(xs), bit for bit, without loading statistics or changing xs.
+    From _SELECT_MIN values on, a sorted 1-in-32 sample brackets the middle,
+    and only the values inside are sorted (Floyd and Rivest, CACM 1975); a
+    bracket that misses, or a nan (which the sum of xs keeps), sorts them all."""
+    n, below, inside = len(xs), 0, None
+    if n >= _SELECT_MIN and (total := sum(xs)) == total:
+        sample = sorted(xs[::32])
+        j, d = len(sample) // 2, 2 * isqrt(len(sample))
+        lo, hi = sample[j - d], sample[j + d]
+        below = len([x for x in xs if x < lo])
+        inside = sorted(x for x in xs if lo <= x <= hi)  # one list: repeats can fill it
+        if not (below <= (n - 1) // 2 and n // 2 < below + len(inside)):
+            below, inside = 0, None
+    if inside is None:
+        inside = sorted(xs)
+    i = n // 2 - below
+    return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
+
+
+def _estimate(series: SampleSeries) -> tuple:
+    """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse."""
+    g = _checked_values(series, 4, "invariant estimation")
+    scales = _window_scales(g)
+    with _in_range(_PAIR_SUM_OVERFLOW):  # the pair sums are freed once the ratios are taken
+        ratios = [x / y for x, y, c in _window_terms(g, scales)
+                  if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
+    if not ratios:
+        raise NoValidWindows("every window was skipped as near-singular")
+    a_hat = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
+    # dividing by norm >= 1 keeps the order of the deviations, so it can follow the max
+    max_rel_dev = max(map(abs, map(sub, ratios, repeat(a_hat)))) / max(abs(a_hat), 1.0)
+    if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
+        raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
+    return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(ratios),
+                           windows_skipped=len(scales) - len(ratios)), scales
 
 
 def estimate_invariant(series: SampleSeries) -> InvariantReport:
@@ -453,19 +483,7 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """
-    g = _checked_values(series, 4, "invariant estimation")
-    with _in_range(_PAIR_SUM_OVERFLOW):  # the window terms are freed once the ratios are taken
-        ratios = [x / y for x, y, c in zip(*_window_terms(g))
-                  if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
-    if not ratios:
-        raise NoValidWindows("every window was skipped as near-singular")
-    a_hat = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
-    norm = max(abs(a_hat), 1.0)
-    max_rel_dev = max(abs(r - a_hat) / norm for r in ratios)
-    if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
-        raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
-    return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev,
-                           windows_used=len(ratios), windows_skipped=len(g) - 3 - len(ratios))
+    return _estimate(series)[0]
 
 
 # Private, so a tracer that wraps public functions never wraps these per-sample helpers.

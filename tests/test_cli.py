@@ -292,6 +292,24 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--p", "0.5,0", "--input", str(fixed))
         assert code == 0
 
+    def test_repair_with_nothing_implicated_writes_no_file(self, capsys, tmp_path):
+        # a close pair at 6 and 7 merges its runs into windows 3-7, which no one
+        # sample's windows equal: nothing is implicated, so nothing is repaired
+        values = list(sample_series(BASE, 1.0, 16).values)
+        values[6] += 1e-2
+        values[7] -= 2e-2
+        from stasinv import SampleSeries
+        src, dst = tmp_path / "in.sig1", tmp_path / "out.sig1"
+        src.write_text(dump_sig1(SampleSeries(1.0, tuple(values))))
+        code, out, _ = run_cli(capsys, "check", "--p", "0.5,0", "--repair",
+                               "--input", str(src), "--output", str(dst))
+        assert code == 1
+        *windows, last = out.splitlines()
+        assert [line.split()[0] for line in windows] == [f"window={i}" for i in range(3, 8)]
+        assert all(line.endswith(" samples=[]") for line in windows)
+        assert last == "repaired=[]"
+        assert not dst.exists()
+
     def test_bad_step_token_is_format_error(self, capsys, tmp_path):
         src = tmp_path / "in.sig1"
         src.write_text("SIG1\nt0=0 kind=f count=0 step=zz\n")

@@ -1,6 +1,7 @@
 """4-to-3 block codec and sliding-window integrity detection."""
 
 import math
+import random
 import statistics
 
 import pytest
@@ -25,7 +26,8 @@ from stasinv import (
     seq_a,
 )
 from stasinv.codec import EncodedStream
-from stasinv.core import ENCODE_TOL, _median, _window_residuals
+from stasinv.core import (ENCODE_TOL, _SELECT_MIN, _checked_tol, _estimate, _median,
+                          _window_residuals, _window_scales)
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
@@ -104,6 +106,12 @@ class TestEncode:
         series = sample_series(BASE, 1.0, 4)
         with pytest.raises(DegenerateParameter):
             encode_stream(series, 0.0)
+
+    def test_residual_exactly_at_the_tolerance_encodes(self):
+        # |1e-6 + 0 - a*(1 - 1)| / max|g| is exactly ENCODE_TOL, which a block may reach
+        series = SampleSeries(1.0, (1e-6, 0.0, 1.0, -1.0))
+        assert _window_residuals(series.values, 1.0) == [ENCODE_TOL]
+        assert encode_stream(series, 1.0).stored == series.values[:3]
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(4.0, float("nan"))])
     def test_non_finite_invariant_rejected(self, a):
@@ -205,6 +213,20 @@ class TestDetect:
     def test_non_finite_invariant_rejected(self, a):
         with pytest.raises(DomainError):
             detect_errors(sample_series(BASE, 1.0, 8), a, 1e-6)
+
+    def test_residual_exactly_at_tol_is_clean(self):
+        series = SampleSeries(1.0, (1e-6, 0.0, 1.0, -1.0))  # window 0's residual is 1e-6
+        assert detect_errors(series, 1.0, 1e-6) == []
+        below = math.nextafter(1e-6, 0.0)
+        assert [(f.window_index, f.residual) for f in detect_errors(series, 1.0, below)] == \
+            [(0, 1e-6)]
+
+    def test_zero_tol_is_accepted(self):
+        # tol = 0 asks for exact windows; only a negative or non-finite tol is refused
+        assert _checked_tol(0.0) is None
+        assert detect_errors(SampleSeries(1.0, (1, 1, 1, 1, 1)), 1.0, 0.0) == []
+        assert [f.window_index for f in detect_errors(SampleSeries(1.0, (1, 1, 1, 2)), 1.0, 0.0)] \
+            == [0]
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-6])
     def test_bad_tol_rejected(self, tol):
@@ -379,6 +401,24 @@ family_streams = st.builds(
     params_st, st.floats(-5, 5), st.integers(4, 40))
 kernel_streams = st.one_of(arbitrary_streams, family_streams)
 
+median_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                                           1e-300, -1e-300, 1e308, -1e308]),
+                          st.floats(allow_nan=False))
+
+
+@st.composite
+def long_median_lists(draw):
+    """_SELECT_MIN - 2 to 2 * _SELECT_MIN + 1 values: a few drawn values repeated,
+    mixed with spread ones near 1, 1e-300 or 1e308, as drawn, sorted or reversed."""
+    pool = draw(st.lists(median_values, min_size=1, max_size=9))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # a few bytes of data, not one per value
+    n = draw(st.integers(_SELECT_MIN - 2, 2 * _SELECT_MIN + 1))
+    spread, scale = draw(st.floats(0.0, 1.0)), draw(st.sampled_from([1.0, 1e-300, 1e308]))
+    xs = [scale * rnd.uniform(-1.0, 1.0) if rnd.random() < spread else rnd.choice(pool)
+          for _ in range(n)]
+    order = draw(st.sampled_from(["as drawn", "sorted", "reversed"]))
+    return xs if order == "as drawn" else sorted(xs, reverse=order == "reversed")
+
 
 class TestWindowKernelOracle:
     """The shared window kernel against the per-window loops it replaced, bit for bit."""
@@ -393,6 +433,7 @@ class TestWindowKernelOracle:
         g = series.values
         want = ref_residuals(g, a)
         assert repr(_window_residuals(g, a)) == repr(want)
+        assert repr(_window_residuals(g, a, _window_scales(g))) == repr(want)
         flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
         assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
@@ -402,7 +443,8 @@ class TestWindowKernelOracle:
     @example(([1 + 0j, 2 + 0j, 1 + 0j, -1 + 1e-12j, 1 + 0j], 4.0))
     @example(([1 + 0j, 0j, 1e-9 + 0j, 0j], 4.0))  # |hi| equals the skip bound: kept
     def test_estimate_invariant(self, case):
-        values, _ = case
+        # the estimate also hands its window scales to the sweep that follows it
+        values, a = case
         series = SampleSeries(1.0, values)
         try:
             want = InvariantReport(*ref_estimate_invariant(series.values))
@@ -411,20 +453,37 @@ class TestWindowKernelOracle:
                 estimate_invariant(series)
         else:
             assert repr(estimate_invariant(series)) == repr(want)
+            report, scales = _estimate(series)
+            assert repr(report) == repr(want)
+            assert repr(_window_residuals(series.values, a, scales)) == \
+                repr(ref_residuals(series.values, a))
 
-    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
-                              st.floats(allow_nan=False)), min_size=1, max_size=9))
+    @given(st.one_of(st.lists(median_values, min_size=1, max_size=9), long_median_lists()))
     @example([math.inf, -math.inf])
     @example([-0.0, 0.0, -0.0])
     @example([2.0, 1.0, 2.0, 1.0])
     @example([1.7976931348623157e308] * 3)
+    @example([0.0, -0.0] * (_SELECT_MIN // 2) + [-0.0])  # signed zeros in the middle
+    @example([-0.0] * _SELECT_MIN + [0.0] * _SELECT_MIN)
+    @example([float(i) for i in range(2 * _SELECT_MIN)])  # sorted
+    @example([float(i) for i in reversed(range(2 * _SELECT_MIN + 1))])  # reversed
+    @example([1e308 if i % 32 == 0 else 1e-300 for i in range(2 * _SELECT_MIN)])  # bracket misses
+    @example([math.inf, -math.inf] + [1.0] * _SELECT_MIN)  # the sum is nan: sorts them all
+    @example([math.nan] + [float(i) for i in range(2 * _SELECT_MIN)])  # a nan: sorts them all
+    # the bracket [16, 48] ends one value below the middle: sorts them all
+    @example([float(i // 32) if i % 32 == 0 else 30.5 if i < 1007 else 100.0
+              for i in range(_SELECT_MIN)])
     def test_median(self, xs):
-        # odd and even lengths, ties and signed zeros; the bits must match, nan included
-        assert repr(_median(list(xs))) == repr(statistics.median(xs))
+        # odd and even lengths on both sides of the selection cutoff, ties and
+        # signed zeros; the bits must match, nan included, and xs stays as it was
+        ys = list(xs)
+        assert repr(_median(ys)) == repr(statistics.median(xs))
+        assert repr(ys) == repr(xs)
 
     @given(kernel_streams)
     @example(([0j] * 5, 4.0))
     @example(([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j], 4.0))
+    @example(([0j] * 7 + [1 + 0j], 1j))  # only block 1 fails: gating on every fifth window misses it
     def test_encode_stream(self, case):
         values, a = case
         series = SampleSeries(1.0, values)

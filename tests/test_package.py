@@ -117,6 +117,33 @@ def test_estimating_commands_load_no_statistics(tmp_path):
 CODEC = {"stasinv.codec", "stasinv.reconstruct"}
 
 
+def test_only_verify_loads_the_rng(tmp_path):
+    """Start-up guard: the file commands and every --help run without stasinv.rng;
+    verify, which draws its trials from it, loads it."""
+    unit, dense = tmp_path / "unit.sig", tmp_path / "dense.sig"
+    unit.write_text(dump_sig1(sample_series(StasParams(p=0.5, q2=1), 1.0, 16)))
+    dense.write_text(dump_sig1(sample_series(StasParams(p=0.9, q1=0.5, q2=0.25, r1=3, r2=5),
+                                             0.5, 64, step=0.125)))
+    commands = ("eval", "invariant", "table", "verify", "encode", "decode", "check", "fit")
+    after_files, after_help, after_verify = fresh_modules(
+        "from stasinv import cli\n"
+        "src, enc, dec = sys.argv[1], sys.argv[1] + '.stasc1', sys.argv[1] + '.sig1'\n"
+        "assert cli.main(['check', '--estimate', '--input', src]) == 0\n"
+        "assert cli.main(['encode', '--estimate', '--input', src, '--output', enc]) == 0\n"
+        "assert cli.main(['decode', '--input', enc, '--output', dec]) == 0\n"
+        "assert cli.main(['fit', '--input', sys.argv[2]]) == 0\nreport()\n"
+        f"for command in {commands!r}:\n"
+        "    try:\n"
+        "        cli.main([command, '--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "report()\n"
+        "cli.main(['verify', '--trials', '1'])\nreport()", str(unit), str(dense))
+    assert "stasinv.rng" not in after_files
+    assert "stasinv.rng" not in after_help
+    assert "stasinv.rng" in after_verify
+
+
 def test_only_the_file_commands_load_the_codec(tmp_path):
     """Start-up guard: verify, eval, invariant, table and every --help run
     without the codec; check loads it."""

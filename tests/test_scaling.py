@@ -3,7 +3,8 @@
 Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
 per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
 of a shared machine); code quadratic in N reads 16.  The text I/O also has
-memory guards: reading and writing hold about the series, not copies of its text.
+memory guards: reading and writing hold about the series, not copies of its text,
+and an estimate and the sweep after it hold one set of window terms at a time.
 """
 
 import time
@@ -19,8 +20,9 @@ from stasinv import (
     sample_series,
 )
 from stasinv.cli import _write
-from stasinv.codec import (_sig1_parts, _stasc1_parts, dump_sig1, dump_stasc1, load_sig1,
+from stasinv.codec import (_detect, _sig1_parts, _stasc1_parts, dump_sig1, dump_stasc1, load_sig1,
                            load_stasc1)
+from stasinv.core import _estimate
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -128,3 +130,17 @@ def test_writing_parts_adds_under_1_mib_to_the_series(tmp_path):
     for parts in (_sig1_parts(series), _stasc1_parts(_encoded(20000))):
         _, _, peak = _traced(lambda: _write(tmp_path / "out", parts))
         assert peak < 2**20
+
+
+def test_estimate_and_sweep_peak_at_most_1_95_mib():
+    # as `check --estimate` runs them: the estimate keeps only its window scales,
+    # 8 bytes a window, for the sweep; two full window kernels peaked at 1.95 MiB
+    series = _clean(20000)
+
+    def check_estimate():
+        report, scales = _estimate(series)
+        return _detect(series, report.a_hat, 1e-6, scales)
+
+    findings, _, peak = _traced(check_estimate)
+    assert findings == []
+    assert peak <= 1.95 * 2**20

@@ -48,14 +48,17 @@ def _params_from(args) -> core.StasParams:
     return core.StasParams(p=args.p, q1=args.q1, q2=args.q2, r1=args.r1, r2=args.r2)
 
 
-def _invariant_from(args, series: core.SampleSeries):
-    """(a, scales) for codec commands: a = 1/p^2 from --p, or estimated with its window scales."""
+def _read_with_invariant(args):
+    """(series, a, scales) for encode and check: the --input series and a = 1/p^2 from --p, or
+    estimated with its window scales.  The flags are checked before the input is read."""
+    if args.estimate == (args.p is not None):
+        raise DomainError("need exactly one of --p and --estimate to determine the invariant")
+    from . import codec  # here, not at the top: only the file commands load the codec
+    series = codec.load_sig1(_read(args.input))
     if args.estimate:
         report, scales = core._estimate(series)
-        return report.a_hat, scales
-    if args.p is not None:
-        return core.closed_form_invariant(core.StasParams(p=args.p)), None
-    raise DomainError("need --p or --estimate to determine the invariant")
+        return series, report.a_hat, scales
+    return series, core.closed_form_invariant(core.StasParams(p=args.p)), None
 
 
 def _read(path: str) -> str:
@@ -119,9 +122,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from . import codec  # here, not at the top: only the file commands load the codec
-    series = codec.load_sig1(_read(args.input))
-    enc = codec._encode(series, *_invariant_from(args, series))
+    from . import codec
+    enc = codec._encode(*_read_with_invariant(args))
     _write(args.output, codec._stasc1_parts(enc))
     return 0
 
@@ -139,9 +141,8 @@ def cmd_check(args) -> int:
         raise DomainError("--repair needs --output for the repaired series")
     if args.output and not args.repair:
         raise DomainError("--output needs --repair")
+    series, a, scales = _read_with_invariant(args)
     from . import codec
-    series = codec.load_sig1(_read(args.input))
-    a, scales = _invariant_from(args, series)
     flagged = codec._detect(series, a, args.tol, scales)
     del scales  # 8 bytes a window, not needed past the sweep
     for f in flagged:
@@ -167,7 +168,6 @@ def cmd_fit(args) -> int:
     print(f"r1={p.r1}")
     print(f"r2={p.r2}")
     print(f"residual_rms={result.residual_rms:.6e}")
-    print(f"p_sign_ambiguous={'true' if result.p_sign_ambiguous else 'false'}")
     ties = ";".join(f"{r1},{r2}" for r1, r2 in result.tied_frequencies)
     print(f"ties={ties}")
     return 0

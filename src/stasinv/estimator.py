@@ -1,11 +1,11 @@
 """Parameter recovery from sampled data.
 
-The pipeline inverts the family definition step by step: the empirical
-invariant gives a = 1/p^2, whose square root leaves a sign ambiguity in p;
-adjacent pair sums g_i + g_{i+1} = p^t * (1 + p) depend on p itself and
-resolve the sign; the residual after removing p^t is a linear model in
-(q1, q2) for fixed frequencies, solved by 2x2 normal equations; frequencies
-are found by exhaustive search over odd pairs.
+The pipeline inverts the family definition step by step: the oscillatory
+terms cancel in adjacent pair sums S_i = g_i + g_{i+1} = p^{t_i} * (1 + p),
+so S_{i+1} / S_i = p exactly, sign included; the residual after removing p^t
+is a linear model in (q1, q2) for fixed frequencies, solved by 2x2 normal
+equations; frequencies are found by exhaustive search over odd pairs.  The
+empirical invariant a = 1/p^2 is estimated alongside and reported.
 
 Identifiability caveat: on a unit-spaced grid both sin(r1*pi*(t0+k)) and
 cos(r2*pi*(t0+k)) reduce to a constant times (-1)^k for every odd r, so the
@@ -26,13 +26,13 @@ from itertools import chain
 from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
-from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _Record, _checked_values, _in_range, _magnitudes, _phases, _powers)
-from .errors import DegenerateParameter, DomainError, IllConditioned
+from .core import (DEFAULT_R_MAX, SKIP_THRESHOLD, InvariantReport, SampleSeries, StasParams,
+                   estimate_invariant, _Record, _checked_values, _in_range, _magnitudes, _median,
+                   _phases, _powers, _window_scales)
+from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
     "FitResult",
-    "recover_p",
     "disambiguate_p",
     "fit_trig",
     "search_frequencies",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-SIGN_AMBIGUITY_TOL = 1e-6
 
 # Bounds of the closed-form screen in search_frequencies, by first-order error
 # analysis with unit roundoff u = _EPS / 2:
@@ -69,53 +68,36 @@ class FitResult(_Record):
     tied_frequencies lists every (r1, r2) pair whose residual matches the
     winner's to within rounding; aliasing on coarse grids makes distinct
     odd pairs literally indistinguishable, and the tie set reports that
-    instead of asserting uniqueness.  `invariant` is the estimate of
-    a = 1/p^2 that fit_series derived p from; search_frequencies, which is
-    given p, leaves it None.
+    instead of asserting uniqueness.  `invariant` is fit_series' estimate of
+    a = 1/p^2, reported alongside p, which comes from the pair sums instead;
+    search_frequencies, which is given p, leaves it None.
     """
 
-    __slots__ = ("params", "residual_rms", "p_sign_ambiguous", "tied_frequencies", "invariant")
+    __slots__ = ("params", "residual_rms", "tied_frequencies", "invariant")
 
-    def __init__(self, params: StasParams, residual_rms: float, p_sign_ambiguous: bool,
+    def __init__(self, params: StasParams, residual_rms: float,
                  tied_frequencies: tuple[tuple[int, int], ...] = (),
                  invariant: InvariantReport | None = None):
-        super().__init__(params, residual_rms, p_sign_ambiguous, tied_frequencies, invariant)
+        super().__init__(params, residual_rms, tied_frequencies, invariant)
 
 
-def recover_p(a: complex) -> tuple[complex, complex]:
-    """The two square roots of 1/a, i.e. both candidates for p given a = 1/p^2."""
-    if a == 0:
-        raise DegenerateParameter("a = 0 has no finite base")
-    w = cmath.sqrt(1.0 / a)
-    return (w, -w)
+def disambiguate_p(series: SampleSeries) -> complex:
+    """The base p: the component-wise median of the pair-sum ratios S_{i+1} / S_i.
 
-
-def disambiguate_p(candidates: tuple[complex, complex],
-                   series: SampleSeries) -> tuple[complex, bool]:
-    """Pick the candidate whose predicted pair sums match the data.
-
-    For each candidate pb, adjacent observed sums g_i + g_{i+1} are compared
-    with pb^{t_i} * (1 + pb); the mean relative mismatch decides.  Returns
-    (choice, ambiguous) where ambiguous is set when the two mismatches agree
-    to within 1e-6.  A sum past the float range raises DomainError.
+    Each S_i = g_i + g_{i+1} = p^{t_i} * (1 + p), so each ratio is p, with the
+    sign that a = 1/p^2 leaves open.  A ratio is skipped by estimate_invariant's
+    rule, S_i being the denominator.  NoValidWindows when every ratio is skipped;
+    DomainError where |S_i| leaves the float range or the median is 0, -1 or not finite.
     """
-    g = _checked_values(series, 2, "sign disambiguation")
-    grid = series.grid()
-
-    def mean_mismatch(pb: complex) -> float:
-        total = 0.0
-        for g0, g1, pt in zip(g, g[1:], _powers(pb, grid)):
-            obs = g0 + g1
-            pred = pt * (1.0 + pb)
-            scale = max(abs(obs), abs(pred))
-            total += abs(obs - pred) / scale if scale > 0 else 0.0
-        return total / (len(g) - 1)
-
+    g = _checked_values(series, 4, "base recovery")
     with _in_range(_FIT_SUMS):
-        m0 = mean_mismatch(candidates[0])
-        m1 = mean_mismatch(candidates[1])
-    ambiguous = abs(m0 - m1) < SIGN_AMBIGUITY_TOL
-    return (candidates[0] if m0 <= m1 else candidates[1], ambiguous)
+        sums = [x + y for x, y in zip(g, g[1:])]
+        ratios = [y / x for x, y, c in zip(sums, sums[1:], _window_scales(g))
+                  if not (x == 0 or abs(x) < SKIP_THRESHOLD * c)]
+    if not ratios:
+        raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
+    median = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
+    return StasParams(p=median).p
 
 
 class _TrigBasis:
@@ -287,14 +269,13 @@ def search_frequencies(series: SampleSeries, p: complex,
         best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
         tie_band = best_rms + tie_slack
         ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
-    return FitResult(params=best_params, residual_rms=best_rms,
-                     p_sign_ambiguous=False, tied_frequencies=ties)
+    return FitResult(params=best_params, residual_rms=best_rms, tied_frequencies=ties)
 
 
 def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
-    """Full recovery pipeline: invariant -> base -> sign -> frequencies/amplitudes.
+    """Full recovery pipeline: invariant, base from pair sums, frequencies/amplitudes.
 
-    The invariant and sign stages need unit spacing; for a series sampled at
+    The invariant and base stages need unit spacing; for a series sampled at
     step 1/m they run on the every-m-th subseries while the frequency search
     uses the full grid.  A sum past the float range raises DomainError.
     """
@@ -304,6 +285,5 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
         raise DomainError(f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
     unit = SampleSeries(series.t0, series.values[::m])
     report = estimate_invariant(unit)
-    p, ambiguous = disambiguate_p(recover_p(report.a_hat), unit)
-    result = search_frequencies(series, p, r_max)
-    return FitResult(result.params, result.residual_rms, ambiguous, result.tied_frequencies, report)
+    result = search_frequencies(series, disambiguate_p(unit), r_max)
+    return FitResult(result.params, result.residual_rms, result.tied_frequencies, report)

@@ -27,7 +27,6 @@ from stasinv import (
     four_term_residual,
     invariant_ratio,
     recover_missing,
-    recover_p,
     recurrence_next,
     sample_series,
     search_frequencies,
@@ -236,8 +235,7 @@ def test_inverse_pipeline_invariant_and_base():
         a_true = closed_form_invariant(params)
         report = estimate_invariant(series)
         worst_a = max(worst_a, abs(report.a_hat - a_true) / abs(a_true))
-        p_hat, ambiguous = disambiguate_p(recover_p(report.a_hat), series)
-        assert not ambiguous
+        p_hat = disambiguate_p(series)
         worst_p = max(worst_p, abs(p_hat - params.p) / abs(params.p))
     elapsed = time.perf_counter() - start
     _report("inverse-pipeline-invariant-and-base",
@@ -260,8 +258,8 @@ def test_inverse_pipeline_frequency_amplitude_recovery():
 
     The same 100 parameter sets sampled at step 1/16 (128 samples from
     t0 = 0.25) separate every odd frequency below 16, and fit_series must
-    return the true pair as its only tie, p to 1e-8 relative, q1 and q2 to
-    1e-8 and no sign ambiguity.  Step 1/8 would not do: it aliases r with
+    return the true pair as its only tie, p to 1e-8 relative and q1 and q2
+    to 1e-8.  Step 1/8 would not do: it aliases r with
     16 - r, and at t0 = 0.25 sin(9*pi*t) = -sin(7*pi*t) exactly on that
     grid, so every pair in {7, 9}^2 ties.  See "Identifiability" in the
     README.
@@ -271,8 +269,7 @@ def test_inverse_pipeline_frequency_amplitude_recovery():
     worst_c = worst_p = worst_q = 0.0
     cases = _pipeline_cases()
     for params, series in cases:
-        report = estimate_invariant(series)
-        p_hat, _ = disambiguate_p(recover_p(report.a_hat), series)
+        p_hat = disambiguate_p(series)
         try:
             search_frequencies(series, p_hat, r_max=9)
         except IllConditioned:
@@ -289,8 +286,7 @@ def test_inverse_pipeline_frequency_amplitude_recovery():
         worst_p = max(worst_p, abs(result.params.p - params.p) / abs(params.p))
         worst_q = max(worst_q, abs(result.params.q1 - params.q1),
                       abs(result.params.q2 - params.q2))
-        if (result.tied_frequencies == ((params.r1, params.r2),)
-                and not result.p_sign_ambiguous):
+        if result.tied_frequencies == ((params.r1, params.r2),):
             recovered += 1
     _report("inverse-pipeline-frequency-amplitude",
             refused == len(cases) and worst_c < 1e-9

@@ -252,6 +252,21 @@ class TestCodecCommands:
         assert code == 2
         assert "IOError" in err
 
+    @pytest.mark.parametrize("command", ["check", "encode"])
+    @pytest.mark.parametrize("flags", [("--p", "0.5,0", "--estimate"), ()])
+    def test_invariant_flags_checked_before_reading(self, capsys, tmp_path, command, flags):
+        # a missing input would be an IOError: the flags are refused before it is opened
+        dst = tmp_path / "out"
+        argv = [command, *flags, "--input", str(tmp_path / "missing")]
+        if command == "encode":
+            argv += ["--output", str(dst)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("DomainError: need exactly one of --p and --estimate "
+                       "to determine the invariant\n")
+        assert not dst.exists()
+
 
 class TestCheck:
     def test_clean_file(self, capsys, tmp_path):
@@ -360,9 +375,10 @@ class TestFit:
         code, out, _ = run_cli(capsys, "fit", "--input", str(src), "--r-max", "9")
         assert code == 0
         fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert list(fields) == ["a_hat", "p", "q1", "q2", "r1", "r2", "residual_rms", "ties"]
         assert fields["r1"] == "5" and fields["r2"] == "7"
+        assert abs(complex(*map(float, fields["p"].split(","))) - 0.5) < 1e-12
         assert abs(float(fields["q1"].split(",")[0]) - 1.5) < 1e-8
-        assert fields["p_sign_ambiguous"] == "false"
         assert abs(float(fields["a_hat"].split(",")[0]) - 4.0) < 1e-9
 
     def test_unit_grid_reports_ill_conditioned(self, capsys, tmp_path):

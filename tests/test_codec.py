@@ -327,6 +327,8 @@ class TestRepair:
             repair_samples(sample_series(BASE, 1.0, 8, step=0.5), [5], 4.0)
         with pytest.raises(NoValidWindows):
             repair_samples(SampleSeries(1.0, (1, 2, 3)), [1], 4.0)
+        assert repair_samples(SampleSeries(1.0, (1, 2, 3, 0)), [3], 0.5) == \
+            SampleSeries(1.0, (1, 2, 3, 3))  # the fewest samples: one window
         for j in (16, -1):
             with pytest.raises(DomainError,
                                match=f"^sample {j} is outside the series of 16 samples$"):

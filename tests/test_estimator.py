@@ -1,14 +1,13 @@
-"""Parameter recovery: invariant root, sign disambiguation, amplitude fit, search."""
+"""Parameter recovery: base from pair sums, amplitude fit, search."""
 
 import cmath
 from math import fsum, inf, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasinv import (
-    DegenerateParameter,
     DomainError,
     FitResult,
     IllConditioned,
@@ -19,7 +18,6 @@ from stasinv import (
     estimate_invariant,
     fit_series,
     fit_trig,
-    recover_p,
     sample_series,
     search_frequencies,
 )
@@ -28,7 +26,7 @@ from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
 from _reference import RefIllConditioned, ref_search_frequencies
-from conftest import params_st
+from conftest import complexes, odd_ints, params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -50,62 +48,71 @@ def draw_params(rng, r_hi=9, q_min=0.1):
                       r1=rng.odd_int(1, r_hi), r2=rng.odd_int(1, r_hi))
 
 
-class TestRecoverP:
-    def test_four_gives_half(self):
-        cands = recover_p(4.0)
-        assert set(cands) == {0.5 + 0j, -0.5 + 0j}
-
-    def test_unit_invariant(self):
-        assert set(recover_p(1.0)) == {1 + 0j, -1 + 0j}
-
-    def test_complex_invariant(self):
-        a = -0.28 - 0.96j
-        cands = recover_p(a)
-        for c in cands:
-            assert abs(c * c * a - 1.0) < 1e-12
-        assert min(abs(c - (0.6 + 0.8j)) for c in cands) < 1e-12
-
-    def test_zero_rejected(self):
-        with pytest.raises(DegenerateParameter):
-            recover_p(0.0)
-
-
 class TestDisambiguateP:
     def test_base_sequence_positive_root(self):
-        series = sample_series(BASE, 1.0, 12)
-        p, ambiguous = disambiguate_p((0.5 + 0j, -0.5 + 0j), series)
-        assert p == 0.5 + 0j
-        assert not ambiguous
+        assert disambiguate_p(sample_series(BASE, 1.0, 12)) == 0.5 + 0j
+
+    def test_negative_base_is_exact(self):
+        series = sample_series(StasParams(p=-0.5), 1.0, 12)
+        assert disambiguate_p(series) == -0.5 + 0j
 
     def test_complex_base(self):
         params = StasParams(p=0.6 + 0.8j, q1=1.0, q2=-0.5, r1=3, r2=5)
-        series = sample_series(params, 0.25, 12)
-        p, ambiguous = disambiguate_p((params.p, -params.p), series)
-        assert p == params.p
-        assert not ambiguous
-
-    def test_minus_one_candidate_never_wins(self):
-        series = sample_series(BASE, 1.0, 12)
-        p, _ = disambiguate_p((-1.0 + 0j, 0.5 + 0j), series)
-        assert p == 0.5 + 0j
-
-    def test_overflowing_pair_sum_is_domain_error(self):
-        # each |g| is finite, |g0 + g1| = |(1.3e308, 1.3e308)| is not
-        series = SampleSeries(0.0, (1e308 + 1e308j, 3e307 + 3e307j, 1, 1))
-        with pytest.raises(DomainError, match="exceeds the float range"):
-            disambiguate_p((0.5, -0.5), series)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(NoValidWindows):
-            disambiguate_p((0.5 + 0j, -0.5 + 0j), SampleSeries(1.0, (1.0,)))
+        p = disambiguate_p(sample_series(params, 0.25, 12))
+        assert abs(p - params.p) <= 1e-12 * abs(params.p)
 
     def test_sign_soundness_randomized(self):
         for trial in range(40):
             rng = SplitMix64.for_trial(41, trial)
             params = draw_params(rng)
-            series = sample_series(params, 0.25, 16)
-            p, ambiguous = disambiguate_p((params.p, -params.p), series)
-            assert ambiguous or p == params.p
+            p = disambiguate_p(sample_series(params, 0.25, 16))
+            assert abs(p - params.p) <= 1e-12 * abs(params.p)
+
+    @settings(max_examples=200)
+    @given(modulus=st.floats(0.7, 1.5), arg=st.floats(-2.0, 2.0),
+           q1=complexes(-2, 2, -2, 2), q2=complexes(-2, 2, -2, 2), r1=odd_ints, r2=odd_ints,
+           t0=st.floats(-2.0, 2.0), count=st.integers(4, 16))
+    @example(modulus=1.0, arg=2.0, q1=1 + 1j, q2=-2j, r1=3, r2=5, t0=0.5, count=4)  # one ratio
+    def test_recovers_p_with_its_sign(self, modulus, arg, q1, q2, r1, r2, t0, count):
+        # |arg p| up to 2 puts Re p below 0, where a = 1/p^2 alone cannot tell p from -p
+        params = StasParams(p=cmath.rect(modulus, arg), q1=q1, q2=q2, r1=r1, r2=r2)
+        p = disambiguate_p(sample_series(params, t0, count))
+        assert abs(p - params.p) <= 1e-12 * abs(params.p)
+
+    def test_ratio_at_the_skip_bound_is_kept(self):
+        # |S_0| = 1e-9 is exactly SKIP_THRESHOLD * max |g|: kept, as estimate_invariant keeps it
+        assert disambiguate_p(SampleSeries(1.0, (1e-9, 0, 1e-9, 1))) == 1 + 0j
+
+    def test_needs_four_samples(self):
+        with pytest.raises(NoValidWindows, match="need at least 4 samples"):
+            disambiguate_p(SampleSeries(1.0, (1.0, 0.5, 0.25)))
+
+    @pytest.mark.parametrize("values", [
+        (1, -1) * 3,  # every pair sum is 0
+        (4, 1e-9 - 4) * 3,  # every |S_i| is about 1e-9, below SKIP_THRESHOLD * 4
+    ])
+    def test_every_ratio_skipped(self, values):
+        with pytest.raises(NoValidWindows, match="every pair-sum ratio was skipped"):
+            disambiguate_p(SampleSeries(1.0, values))
+
+    @pytest.mark.parametrize("values, message", [
+        ((1, 0, -1, 2, -3, 4, -5, 6), "p = -1 is excluded"),  # pair sums 1, -1, 1, ...
+        ((1, 0, 0, 0, 0, 0), "p must be non-zero"),  # the one ratio kept is 0
+        ((1e308,) * 6, "must be finite"),  # every pair sum overflows to inf, every ratio is nan
+    ])
+    def test_median_outside_the_family(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            disambiguate_p(SampleSeries(1.0, values))
+
+    def test_overflowing_pair_sum_is_domain_error(self):
+        # each |g| is finite, |g0 + g1| = |(1.3e308, 1.3e308)| is not
+        series = SampleSeries(0.0, (1e308 + 1e308j, 3e307 + 3e307j, 1, 1))
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            disambiguate_p(series)
+
+    def test_unit_spacing_required(self):
+        with pytest.raises(DomainError, match="base recovery requires a unit-spaced series"):
+            disambiguate_p(sample_series(BASE, 1.0, 12, step=0.5))
 
 
 class TestFitTrig:
@@ -143,6 +150,10 @@ class TestFitTrig:
         huge = SampleSeries(series.t0, tuple(v * 1e306 for v in series.values), step=0.125)
         with pytest.raises(DomainError, match=r"least-squares solve for \(r1, r2\) = \(5, 7\)"):
             fit_trig(huge, 0.5 + 0j, 5, 7)
+
+    def test_ratio_at_the_skip_bound_is_kept(self):
+        # |S_0| = 1e-9 is exactly SKIP_THRESHOLD * max |g|: kept, as estimate_invariant keeps it
+        assert disambiguate_p(SampleSeries(1.0, (1e-9, 0, 1e-9, 1))) == 1 + 0j
 
     def test_needs_four_samples(self):
         with pytest.raises(NoValidWindows):
@@ -240,7 +251,7 @@ def assert_search_matches_oracle(series, p, r_max):
         with pytest.raises(IllConditioned):
             search_frequencies(series, p, r_max)
         return None
-    want = FitResult(StasParams(*best), rms, False, ties)
+    want = FitResult(StasParams(*best), rms, ties)
     result = search_frequencies(series, p, r_max)
     assert result == want
     return result
@@ -420,7 +431,6 @@ class TestFitSeries:
             result = fit_series(series, r_max=9)
             true_pair = (params.r1, params.r2)
             assert abs(result.params.p - params.p) / abs(params.p) < 1e-8
-            assert not result.p_sign_ambiguous
             assert true_pair in result.tied_frequencies
             if true_pair in alias_class:
                 assert set(result.tied_frequencies) == alias_class

@@ -141,6 +141,13 @@ class TestInvariantRatio:
         with pytest.raises(DomainError):
             invariant_ratio(BASE, t)
 
+    def test_zero_ratio_is_positive_zero(self):
+        # the numerator underflows to 0 and the denominator is (-0.0, 1e-299) before its + 0j,
+        # whose -0.0 would flip the sign of the ratio's zero imaginary part
+        value = invariant_ratio(StasParams(p=-1e23j), -16.0)
+        assert value == 0
+        assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
+
     def test_singular_window(self):
         # p small enough that p^{t+2} and p^{t+3} underflow to exactly zero
         params = StasParams(p=1e-300)
@@ -236,6 +243,16 @@ class TestVerifyTrials:
         for _, _, rows, _ in verify_trials(1, 3, -3.0, t_max):
             assert [t for t, _, _ in rows] == [t_max] * 5
             assert all(cmath.isfinite(ratio) for _, ratio, _ in rows)
+
+    def test_one_point_per_trial(self):
+        (_, a, rows, worst), = verify_trials(1, 1, -20.0, -10.0, points=1)
+        [(t, ratio, dev)] = rows
+        assert -20.0 <= t < -10.0 and worst == dev == abs(ratio - a) / abs(a)
+
+    def test_empty_span_is_refused(self):
+        # -20 is not excluded, so accepting the empty span would yield trials at t = -20
+        with pytest.raises(DomainError, match="^need --t-min < --t-max with a finite span"):
+            next(verify_trials(1, 1, -20.0, -20.0))
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32))
     def test_drawn_p_stays_far_from_minus_one(self, seed, trial):

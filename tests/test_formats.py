@@ -231,6 +231,11 @@ class TestBlocks:
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
                 load(text)
 
+    def test_truncated_block_section_is_named(self):
+        # count=8 needs 2 block lines and 1 is there: 1 < 8 // 4, but not below 8 // 5
+        with pytest.raises(FormatError, match="^truncated STASC1 block section$"):
+            load_stasc1("STASC1\na=2,0 t0=0 count=8\n1,0;2,0;3,0\n")
+
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 6, 7])
     def test_parts_join_to_the_dumped_text(self, block):
         values = sample_series(StasParams(p=0.9 + 0.2j, q1=0.5, r1=3), 1.0, 4 * block + 8).values

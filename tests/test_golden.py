@@ -170,7 +170,7 @@ GOLDEN = {
     "stream-roundtrip": "fccbc26a067674ffe80a1c67f19d9ccac897a78ea368bfaca9052c07bec49d88",
     "stream-crlf": "bd2a42f11807ec46a31fbb55b2124703febff7649052159212f20ae693ba7893",
     "check-faulted": "bbc35772d9254a40011eaa87d64fe70e960caec6985819c19d2d29d41838c0d6",
-    "fit-dense": "1f57f54591eaf13b0510eb4fe5a641c2973248d5d951071e84c60b7af3849f10",
+    "fit-dense": "2a016f4247cca6c7aa7a69e8d71e0ad1f545762f0facb45872e3646c4b3b630a",
     "table": "344484ed3c5e19acc14f71ca8b9155f569f0426a22ec98861b880908a43e861f",
     "verify-seed1": "dbf4cba8c49b4bf7329c5a7dbe7b0d122f2ef69e45bd000795650a89ce35c923",
     "verify-seed2": "9a9345e67936a1ffd8c14d244c7256da12e15b6b753c4dfd7d710c6bae44c07c",

@@ -47,7 +47,7 @@ OPERATIONS = {
     "detect_errors": lambda s, a, p: detect_errors(s, a, 1e-6),
     "encode_stream": lambda s, a, p: encode_stream(s, a),
     "repair_samples": lambda s, a, p: repair_samples(s, range(len(s)), a),
-    "disambiguate_p": lambda s, a, p: disambiguate_p((p, -p), s),
+    "disambiguate_p": lambda s, a, p: disambiguate_p(s),
     "fit_trig": lambda s, a, p: fit_trig(s, p, 3, 5),
     "search_frequencies": lambda s, a, p: search_frequencies(s, p, 7),
     "fit_series": lambda s, a, p: fit_series(s),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import sys
 from array import array
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
@@ -100,6 +100,12 @@ def disambiguate_p(series: SampleSeries) -> complex:
     return StasParams(p=median).p
 
 
+def _steps_per_unit(step: float) -> int:
+    """The integer m >= 1 with m * step == 1.0, or 0 where the step is not 1/m."""
+    inverse = 1.0 / step  # infinite for a subnormal step
+    return m if isfinite(inverse) and (m := round(inverse)) >= 1 and m * step == 1.0 else 0
+
+
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series, base p
     and set of odd frequencies, all built on construction: p^t, yy = ||g - p^t||^2,
@@ -108,6 +114,12 @@ class _TrigBasis:
     column of r1 and the cosine column of r2.  A non-finite sample or g - p^t
     raises DomainError.  Columns are array('d'), 8 bytes a sample against 32
     for a list of floats, which keeps the search's peak memory low.
+
+    Odd-r columns repeat every 2m samples on a step-1/m grid, so with P = 2m
+    there (if 2m < n) and P = n elsewhere, column entry i is entry i mod P,
+    its phase taken at t0 + (i mod P)*step.  Norms and cross products sum one
+    period's P products, product k taken n // P + (k < n % P) times in exact
+    power-of-two multiples: bit for bit the fsum over the n samples.
     """
 
     def __init__(self, series: SampleSeries, p: complex, freqs):
@@ -123,19 +135,29 @@ class _TrigBasis:
             self.yy = fsum(chain(map(mul, y_re, y_re), map(mul, y_im, y_im)))
         except OverflowError:
             self.yy = inf
+        n = len(grid)
+        period = min(2 * _steps_per_unit(series.step) or n, n)
+        copies, rest = divmod(n, period)
+        weights = [float(1 << j) for j in range(copies.bit_length()) if copies >> j & 1]
+
+        def period_sum(a, b) -> float:
+            products = list(map(mul, islice(a, period), islice(b, period)))
+            return fsum(chain(*[map(mul, products, repeat(w)) for w in weights],
+                              products[:rest]))
 
         def column(values) -> tuple[array, float, complex]:
-            col = array("d", values)
+            head = array("d", values)
+            col = head * copies + head[:rest]
             proj = complex(fsum(map(mul, col, y_re)), fsum(map(mul, col, y_im)))
-            return col, fsum(map(mul, col, col)), proj
+            return col, period_sum(head, head), proj
 
         self.sine, self.cosine = {}, {}
         for r in freqs:
-            phases = _phases(r, grid)
+            phases = _phases(r, grid[:period])
             self.sine[r] = column(map(sin, phases))
             self.cosine[r] = column(map(cos, phases))
             del phases  # so the next r's list does not coexist with it
-        self.cross = {(r1, r2): fsum(map(mul, self.sine[r1][0], self.cosine[r2][0]))
+        self.cross = {(r1, r2): period_sum(self.sine[r1][0], self.cosine[r2][0])
                       for r1 in freqs for r2 in freqs}
 
     def rms_bounds(self, params: StasParams, data_scale: float) -> tuple[float, float]:
@@ -225,9 +247,9 @@ def search_frequencies(series: SampleSeries, p: complex,
     a sum leaves the float range.
 
     One _TrigBasis over every odd frequency holds p^t, y = g - p^t, each
-    frequency's columns and each pair's cross product, so a pair costs the
-    2x2 solve.  Every float comes from the same operations as a fit_trig or
-    residual_rms call on a basis of its own.
+    frequency's columns, from 2m phases on a step-1/m grid, and each pair's
+    cross product, summed over one period, so a pair costs the 2x2 solve.
+    Every float is that of a fit_trig or residual_rms call on its own basis.
 
     The per-sample residual pass is screened.  For each solved (q1, q2) the
     closed form
@@ -279,9 +301,7 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     step 1/m they run on the every-m-th subseries while the frequency search
     uses the full grid.  A sum past the float range raises DomainError.
     """
-    inverse = 1.0 / series.step  # infinite for a subnormal step
-    m = round(inverse) if isfinite(inverse) else 0
-    if m < 1 or m * series.step != 1.0:
+    if not (m := _steps_per_unit(series.step)):
         raise DomainError(f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
     unit = SampleSeries(series.t0, series.values[::m])
     report = estimate_invariant(unit)

@@ -8,6 +8,7 @@ package, so agreement between the two routes is meaningful.
 import cmath
 import math
 import statistics
+import sys
 from fractions import Fraction
 
 
@@ -92,11 +93,32 @@ def ref_invariant_ratio_coherent(p, q1, q2, r1, r2, t):
     return csum([e[0], trig, e[1], -trig]) / csum([e[2], trig, e[3], -trig])
 
 
+def ref_period(step, n):
+    """2m for the first integer m with m * step == 1 and 2m < n, else n.
+
+    sin(r*pi*t) and cos(r*pi*t) with odd r repeat when t grows by 2, so on a
+    step-1/m grid the column entry at sample i is the one at i mod 2m.
+    """
+    m = 1
+    while 2 * m < n:
+        if m * step == 1.0:
+            return 2 * m
+        m += 1
+    return n
+
+
+def _ref_trig_args(t0, step, n):
+    """The argument of each sample's trig columns: t0 + (i mod P) * step."""
+    period = ref_period(step, n)
+    return [t0 + (i % period) * step for i in range(n)]
+
+
 def ref_fit_trig(t0, step, g, p, r1, r2):
     """Least-squares (q1, q2) for one pair, every column built from scratch."""
     grid = [t0 + i * step for i in range(len(g))]
-    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in grid]
-    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in grid]
+    args = _ref_trig_args(t0, step, len(g))
+    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in args]
+    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args]
     y = [g[i] - _ref_pow(p, grid[i]) for i in range(len(g))]
     m00 = math.fsum(x * x for x in s)
     m01 = math.fsum(x * z for x, z in zip(s, c))
@@ -118,13 +140,52 @@ def ref_fit_trig(t0, step, g, p, r1, r2):
 
 def ref_residual_rms(t0, step, g, p, q1, q2, r1, r2):
     total = 0.0
+    args = _ref_trig_args(t0, step, len(g))
     for i in range(len(g)):
         t = t0 + i * step
-        s = math.sin(math.pi * _ref_reduced_phase(r1, t))
-        c = math.cos(math.pi * _ref_reduced_phase(r2, t))
+        arg = args[i]
+        s = math.sin(math.pi * _ref_reduced_phase(r1, arg))
+        c = math.cos(math.pi * _ref_reduced_phase(r2, arg))
         model = _ref_pow(p, t) + q1 * s + q2 * c
         total += abs(model - g[i]) ** 2
     return math.sqrt(total / len(g))
+
+
+def ref_rms_bounds(t0, step, g, p, q1, q2, r1, r2, data_scale):
+    """(lo, hi) around ref_residual_rms by the screen's closed form: the six terms
+    ||y||^2, -2Re(conj(q1) b0), -2Re(conj(q2) b1), |q1|^2 m00, |q2|^2 m11 and
+    2 m01 Re(conj(q1) q2), their fsum within 16 eps times the sum of their
+    magnitudes, the pass within 8 eps (data_scale + rms y + rms q1 s + rms q2 c),
+    and a relative (n + 8) eps; (-inf, inf) once that sum passes 1e300."""
+    eps = sys.float_info.epsilon
+    n = len(g)
+    args = _ref_trig_args(t0, step, n)
+    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in args]
+    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args]
+    y = [g[i] - _ref_pow(p, t0 + i * step) for i in range(n)]
+    yy = math.fsum([z.real * z.real for z in y] + [z.imag * z.imag for z in y])
+    b0 = complex(math.fsum(x * z.real for x, z in zip(s, y)),
+                 math.fsum(x * z.imag for x, z in zip(s, y)))
+    b1 = complex(math.fsum(x * z.real for x, z in zip(c, y)),
+                 math.fsum(x * z.imag for x, z in zip(c, y)))
+    t3 = (q1.real * q1.real + q1.imag * q1.imag) * math.fsum(x * x for x in s)
+    t4 = (q2.real * q2.real + q2.imag * q2.imag) * math.fsum(z * z for z in c)
+    m01 = math.fsum(x * z for x, z in zip(s, c))
+    terms = [yy,
+             -2.0 * (q1.real * b0.real + q1.imag * b0.imag),
+             -2.0 * (q2.real * b1.real + q2.imag * b1.imag),
+             t3, t4,
+             2.0 * m01 * (q1.real * q2.real + q1.imag * q2.imag)]
+    size = sum(abs(x) for x in terms)
+    if not size <= 1e300:
+        return -math.inf, math.inf
+    total = math.fsum(terms)
+    err = 16 * eps * size
+    pass_err = 8 * eps * (data_scale + math.sqrt(yy / n) + math.sqrt(t3 / n)
+                          + math.sqrt(t4 / n))
+    rel = (n + 8) * eps
+    return ((math.sqrt(max(total - err, 0.0) / n) - pass_err) * (1.0 - rel),
+            (math.sqrt(max(total + err, 0.0) / n) + pass_err) * (1.0 + rel))
 
 
 def ref_search_frequencies(t0, step, g, p, r_max):

@@ -1,7 +1,10 @@
 """Parameter recovery: base from pair sums, amplitude fit, search."""
 
 import cmath
-from math import fsum, inf, sqrt
+import struct
+from fractions import Fraction
+from math import cos, fsum, inf, pi, sin, sqrt
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +25,11 @@ from stasinv import (
     search_frequencies,
 )
 from stasinv import estimator
+from stasinv.core import _phases
 from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
-from _reference import RefIllConditioned, ref_search_frequencies
+from _reference import RefIllConditioned, ref_period, ref_rms_bounds, ref_search_frequencies
 from conftest import complexes, odd_ints, params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
@@ -143,6 +147,19 @@ class TestFitTrig:
         with pytest.raises(IllConditioned):
             fit_trig(series, 0.5 + 0j, 3, 5)
 
+    def test_condition_limit_sits_at_1e12(self):
+        # at step 1/8, cos(15*pi*t) is the sine column of r = 1 turned by
+        # pi*(16*t0 - 1/2), so near t0 = 1/32 the condition is about
+        # 1.6e-3 / offset**2: 2.5e12 and 4.4e11 here, each within a factor
+        # of 4 of the limit, which an eigenvalue off by 2 would cross
+        params = StasParams(p=0.5, q1=1.0, q2=1.0, r1=1, r2=15)
+        near = sample_series(params, 1 / 32 + 2.5e-8, 16, step=0.125)
+        with pytest.raises(IllConditioned, match=r"condition 2\.5\d\de\+12 exceeds"):
+            fit_trig(near, 0.5 + 0j, 1, 15)
+        farther = sample_series(params, 1 / 32 + 6e-8, 16, step=0.125)
+        q1, q2 = fit_trig(farther, 0.5 + 0j, 1, 15)
+        assert abs(q1 - 1.0) < 1e-3 and abs(q2 - 1.0) < 1e-3
+
     def test_overflowing_solve_names_the_pair(self):
         # finite sums, but m11*b0 overflows in the 2x2 solve
         series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
@@ -150,6 +167,20 @@ class TestFitTrig:
         huge = SampleSeries(series.t0, tuple(v * 1e306 for v in series.values), step=0.125)
         with pytest.raises(DomainError, match=r"least-squares solve for \(r1, r2\) = \(5, 7\)"):
             fit_trig(huge, 0.5 + 0j, 5, 7)
+
+    def test_one_overflowing_amplitude_is_refused(self):
+        # only the sine part: q1 overflows in the solve while q2 stays finite
+        series = sample_series(StasParams(p=0.5, q1=1.0, r1=5), 0.1, 64, step=0.125)
+        huge = SampleSeries(series.t0, tuple(v * 1e306 for v in series.values), step=0.125)
+        with pytest.raises(DomainError, match=r"least-squares solve for \(r1, r2\) = \(5, 7\)"):
+            fit_trig(huge, 0.5 + 0j, 5, 7)
+
+    def test_four_samples_are_enough(self):
+        params = StasParams(p=0.5, q1=2.0, q2=-1.0, r1=1, r2=3)
+        q1, q2 = fit_trig(sample_series(params, 0.1, 4, step=0.125), 0.5 + 0j, 1, 3)
+        assert abs(q1 - 2.0) < 1e-9 and abs(q2 + 1.0) < 1e-9
+        with pytest.raises(NoValidWindows, match="need at least 4 samples, got 3"):
+            fit_trig(sample_series(params, 0.1, 3, step=0.125), 0.5 + 0j, 1, 3)
 
     def test_ratio_at_the_skip_bound_is_kept(self):
         # |S_0| = 1e-9 is exactly SKIP_THRESHOLD * max |g|: kept, as estimate_invariant keeps it
@@ -415,6 +446,89 @@ class TestSearchScreen:
                 pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
                 lo, hi = basis.rms_bounds(pair, data_scale)
                 assert lo <= basis.residual_rms(pair) <= hi
+
+    @given(params_st,
+           st.sampled_from([0.125, 0.0625, 0.3]),
+           st.integers(8, 48),
+           st.floats(-3, 3),
+           st.sampled_from([0.0, 1e-6, 1.0]))
+    @settings(max_examples=30)
+    @example(StasParams(p=0.8 + 0.3j, q1=1.5 - 0.5j, q2=-0.7 + 1.2j, r1=5, r2=11),
+             0.125, 40, 1 / 3, 1e-6)
+    def test_bounds_follow_the_closed_form(self, params, step, count, t0, noise):
+        # term by term against the reference, so that no term of the bound
+        # is dropped or loosened unseen while the bounds still enclose
+        series = noisy(sample_series(params, t0, count, step=step), noise, count)
+        basis = _TrigBasis(series, params.p, range(1, 16, 2))
+        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / count)
+        for r1 in range(1, 16, 2):
+            for r2 in range(1, 16, 2):
+                try:
+                    q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
+                except IllConditioned:
+                    continue
+                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
+                want = ref_rms_bounds(series.t0, series.step, series.values, params.p,
+                                      q1, q2, r1, r2, data_scale)
+                assert bits(basis.rms_bounds(pair, data_scale)) == bits(want)
+
+    def test_terms_summing_to_the_screen_limit_are_still_bounded(self):
+        # only a sum past _SCREEN_LIMIT gets (-inf, inf): with q1 = q2 = 0 the
+        # sum is yy, here exactly 1e300
+        a = 0.99e150
+        series = SampleSeries(0.0, (complex(a), complex(sqrt(1e300 - a * a))))
+        basis = _TrigBasis(series, 0.5 + 0j, {1})
+        assert basis.yy == estimator._SCREEN_LIMIT
+        pair = StasParams(p=0.5)
+        data_scale = sqrt(basis.yy / 2)
+        lo, hi = basis.rms_bounds(pair, data_scale)
+        assert 0.0 < lo <= basis.residual_rms(pair) <= hi < inf
+
+
+def bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+class TestPeriodicColumns:
+    def test_columns_within_5e_14_of_the_exact_phase(self):
+        # Fraction(t0) + i/8 is the exact sample argument.  The rounded grid
+        # fl(t0 + i/8) drifts by up to half an ulp of 512, which put per-sample
+        # columns 1.2e-13 (r = 1) to 2.6e-12 (r = 15) off; one period of
+        # arguments below 2.5 stays within 8.4e-15.
+        t0, n = 1 / 3, 4096
+        series = sample_series(BASE, t0, n, step=0.125)
+        basis = _TrigBasis(series, BASE.p, range(1, 16, 2))
+        exact = [Fraction(t0) + Fraction(i, 8) for i in range(n)]
+        for r in range(1, 16, 2):
+            phases = [pi * float(r * x % 2) for x in exact]
+            worst = max(max(abs(x - sin(w)), abs(z - cos(w))) for x, z, w
+                        in zip(basis.sine[r][0], basis.cosine[r][0], phases))
+            assert worst < 5e-14, (r, worst)
+
+    @given(st.sampled_from([1.0, 0.5, 0.125, 0.0625, 0.3]), st.integers(1, 80), st.floats(-3, 3))
+    @example(1.0, 4, 0.1)  # 2m = 2: two copies
+    @example(1.0, 5, 0.1)  # two copies and one sample
+    @example(0.125, 16, 0.1)  # n = 2m: one period, untiled
+    @example(0.125, 17, 0.1)  # one period and one sample
+    @example(0.125, 48, 0.1)  # three copies
+    @example(0.0625, 79, 0.1)  # two copies and 15 samples
+    @example(0.3, 80, 0.1)  # no period
+    def test_period_sums_equal_the_sums_over_every_sample(self, step, n, t0):
+        series = sample_series(ALIAS_PARAMS, t0, n, step=step)
+        odd = range(1, 16, 2)
+        basis = _TrigBasis(series, ALIAS_PARAMS.p, odd)
+        period = ref_period(step, n)
+        head = series.grid()[:period]
+        for r in odd:
+            for (col, norm, _), f in ((basis.sine[r], sin), (basis.cosine[r], cos)):
+                assert len(col) == n
+                assert bits(col[:period]) == bits(map(f, _phases(r, head)))
+                assert bits(col) == bits(col[i % period] for i in range(n))
+                assert bits([norm]) == bits([fsum(map(mul, col, col))])
+        for r1 in odd:
+            for r2 in odd:
+                want = fsum(map(mul, basis.sine[r1][0], basis.cosine[r2][0]))
+                assert bits([basis.cross[r1, r2]]) == bits([want])
 
 
 class TestFitSeries:

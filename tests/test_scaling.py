@@ -5,8 +5,11 @@ per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
 of a shared machine); code quadratic in N reads 16.  The text I/O also has
 memory guards: reading and writing hold about the series, not copies of its text,
 and an estimate and the sweep after it hold one set of window terms at a time.
+The fit's trig basis has a counting guard: on a step-1/m grid its norm and
+cross sums take a number of terms that does not grow with N.
 """
 
+import math
 import time
 import tracemalloc
 
@@ -19,10 +22,12 @@ from stasinv import (
     fit_series,
     sample_series,
 )
+from stasinv import estimator
 from stasinv.cli import _write
 from stasinv.codec import (_detect, _sig1_parts, _stasc1_parts, dump_sig1, dump_stasc1, load_sig1,
                            load_stasc1)
 from stasinv.core import _estimate
+from stasinv.estimator import _TrigBasis
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -78,6 +83,26 @@ def test_fit_series_linear_in_eighth_grid_length():
     small, large = _best_times(lambda s: fit_series(s),
                                [sample_series(params, 0.1, n, step=0.125) for n in (512, 2048)])
     assert large / small < RATIO_LIMIT
+
+
+def test_trig_basis_norm_and_cross_sums_do_not_grow_with_length(monkeypatch):
+    # counted, not timed: of the basis's fsum calls, yy and the 32 projections
+    # take a term per sample, while the 16 norms and 64 cross products sum one
+    # period of 2m = 16 products; at a term per sample they read a ratio of 4
+    params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
+    totals = {}
+    for n in (4096, 16384):
+        sizes = []
+
+        def counted(terms):
+            terms = list(terms)
+            sizes.append(len(terms))
+            return math.fsum(terms)
+
+        monkeypatch.setattr(estimator, "fsum", counted)
+        _TrigBasis(sample_series(params, 1.3, n, step=0.125), params.p, range(1, 16, 2))
+        totals[n] = sum(sorted(sizes)[:16 + 64])
+    assert totals[16384] < 2 * totals[4096]
 
 
 def _encoded(n):

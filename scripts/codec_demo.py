@@ -59,6 +59,13 @@ def main() -> int:
           f"{abs(repaired - series.values[j]):.2e}\n")
 
     dense = sample_series(params, 0.1, 64, step=0.125)
+    dense_a = estimate_invariant(dense).a_hat
+    flagged = detect_errors(dense, dense_a, tol=1e-6)
+    enc = encode_stream(dense, dense_a)
+    print("a 1/8-step series: windows are samples i, i+8, i+16, i+24")
+    print(f"  check: {len(flagged)} of {len(dense) - 24} windows flagged")
+    print(f"  encoded: {len(enc.stored)} stored values for {enc.count} originals "
+          f"({100 * (1 - len(enc.stored) / enc.count):.0f}% smaller)\n")
     fit = fit_series(dense, r_max=9)
     print("parameter recovery from a 1/8-step series:")
     print(f"  p  = {fit.params.p:.12f}   (true {params.p})")

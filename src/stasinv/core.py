@@ -123,8 +123,8 @@ class SampleSeries(_Record):
 
     The stored values are always f-values; series ingested as s-values are
     converted via g = t*s by from_s, and their original form is not kept.  The
-    four-point machinery (invariant estimation, codec) requires step == 1;
-    the least-squares fitting accepts denser grids.
+    four-point machinery takes a step of 1/m and reads samples i, i+m, i+2m,
+    i+3m as a window; the least-squares fitting accepts any step.
     """
 
     __slots__ = ("t0", "values", "step")
@@ -383,37 +383,37 @@ def _magnitudes(g) -> list[float]:
     return mags
 
 
-def _window_scales(g):
-    """The scale max(m_i, m_{i+2}) of every window i of g, as an array('d'), 8 bytes
-    a window, with pairwise maxima m_j = max(|g_j|, |g_{j+1}|) (see _magnitudes)."""
+def _window_scales(g, m: int):
+    """The scale max(M_i, M_{i+2m}) of every window i of g at stride m, as an array('d'),
+    8 bytes a window, with pairwise maxima M_j = max(|g_j|, |g_{j+m}|) (see _magnitudes)."""
     from array import array  # here, not at the top: a shared library only the sweeps need
     mags = _magnitudes(g)
-    peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, 1, None))]
+    peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, m, None))]
     del mags
-    return array("d", [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2, None))])
+    return array("d", [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2 * m, None))])
 
 
-def _window_terms(g, scales) -> zip:
-    """The window kernel: (lo, hi, scale) of every window i of g, given its
-    scales.  lo = g_i + g_{i+1} is also window i-2's hi, so each pair sum is
+def _window_terms(g, scales, m: int) -> zip:
+    """The window kernel: (lo, hi, scale) of every window i of g at stride m, given
+    its scales.  lo = g_i + g_{i+m} is also window i-2m's hi, so each pair sum is
     computed once; the pair sums are freed with the zip."""
-    sums = [x + y for x, y in zip(g, islice(g, 1, None))]
-    return zip(sums, islice(sums, 2, None), scales)
+    sums = [x + y for x, y in zip(g, islice(g, m, None))]
+    return zip(sums, islice(sums, 2 * m, None), scales)
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
-def _window_residuals(g, a: complex, scales=None) -> list[float]:
-    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g, its _window_scales
-    given or computed: how far each is from the identity g0 + g1 = a*(g2 + g3).
+def _window_residuals(g, a: complex, m: int, scales=None) -> list[float]:
+    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g at stride m, its
+    _window_scales given or computed: how far each is from g_i + g_{i+m} = a*(g_{i+2m} + g_{i+3m}).
 
     Raises DomainError for a non-finite invariant or sample, and for a
     defect whose magnitude exceeds the float range.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
-    terms = _window_terms(g, _window_scales(g) if scales is None else scales)
+    terms = _window_terms(g, _window_scales(g, m) if scales is None else scales, m)
     with _in_range(_PAIR_SUM_OVERFLOW):
         return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR) for x, y, c in terms]
 
@@ -424,16 +424,24 @@ def _checked_tol(tol: float) -> None:
         raise DomainError(f"--tol must be finite and non-negative, got {tol}")
 
 
+def _steps_per_unit(step: float) -> int:
+    """The integer m >= 1 with m * step == 1.0, or 0 where the step is not 1/m."""
+    inverse = 1.0 / step if step else math.inf  # infinite for 0 and for a subnormal step
+    return m if isfinite(inverse) and (m := round(inverse)) >= 1 and m * step == 1.0 else 0
+
+
 def _checked_values(series: SampleSeries, need: int,
-                    unit_for: str | None = None) -> tuple[complex, ...]:
-    """series.values, once the series passes the entry checks of a series
-    operation: DomainError if unit_for names the operation and the step is
-    not 1, then NoValidWindows below `need` samples."""
-    if unit_for is not None and series.step != 1.0:
-        raise DomainError(f"{unit_for} requires a unit-spaced series")
-    if (n := len(series.values)) < need:
+                    operation: str | None = None) -> tuple[tuple[complex, ...], int]:
+    """(series.values, m) once the series passes the entry checks of an operation: a
+    named one reads windows i, i+m, i+2m, i+3m with m * step == 1 (DomainError for
+    another step) and needs (need - 1) * m + 1 samples, else NoValidWindows; unnamed,
+    m is 1.  No stride past the sample count n has a window, so m is at most n + 1."""
+    m = 1
+    if operation is not None and not (m := _steps_per_unit(series.step)):
+        raise DomainError(f"{operation} requires a step of 1/m, got {series.step}")
+    if (n := len(series.values)) < (need := (need - 1) * m + 1):
         raise NoValidWindows(f"need at least {need} samples, got {n}")
-    return series.values
+    return series.values, min(m, n + 1)
 
 
 def _median(xs: list[float]) -> float:
@@ -458,10 +466,10 @@ def _median(xs: list[float]) -> float:
 
 def _estimate(series: SampleSeries) -> tuple:
     """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse."""
-    g = _checked_values(series, 4, "invariant estimation")
-    scales = _window_scales(g)
+    g, m = _checked_values(series, 4, "invariant estimation")
+    scales = _window_scales(g, m)
     with _in_range(_PAIR_SUM_OVERFLOW):  # the pair sums are freed once the ratios are taken
-        ratios = [x / y for x, y, c in _window_terms(g, scales)
+        ratios = [x / y for x, y, c in _window_terms(g, scales, m)
                   if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every window was skipped as near-singular")
@@ -477,9 +485,9 @@ def _estimate(series: SampleSeries) -> tuple:
 def estimate_invariant(series: SampleSeries) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
 
-    Window i contributes ratio_i = (g_i + g_{i+1}) / (g_{i+2} + g_{i+3});
-    windows whose denominator magnitude falls below SKIP_THRESHOLD times the
-    window's max slot magnitude (or is exactly zero) are skipped as
+    Window i of a step-1/m grid contributes ratio_i = (g_i + g_{i+m}) / (g_{i+2m}
+    + g_{i+3m}); windows whose denominator magnitude falls below SKIP_THRESHOLD
+    times the window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """

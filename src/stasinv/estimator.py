@@ -1,8 +1,8 @@
 """Parameter recovery from sampled data.
 
 The pipeline inverts the family definition step by step: the oscillatory
-terms cancel in adjacent pair sums S_i = g_i + g_{i+1} = p^{t_i} * (1 + p),
-so S_{i+1} / S_i = p exactly, sign included; the residual after removing p^t
+terms cancel in pair sums one unit apart, S_i = g_i + g_{i+m} = p^{t_i} * (1 + p)
+on a grid of step 1/m, so S_{i+m} / S_i = p exactly, sign included; the residual after removing p^t
 is a linear model in (q1, q2) for fixed frequencies, solved by 2x2 normal
 equations; frequencies are found by exhaustive search over odd pairs.  The
 empirical invariant a = 1/p^2 is estimated alongside and reported.
@@ -23,12 +23,12 @@ import cmath
 import sys
 from array import array
 from itertools import chain, islice, repeat
-from math import cos, fsum, inf, isfinite, sin, sqrt
+from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
 from .core import (DEFAULT_R_MAX, SKIP_THRESHOLD, InvariantReport, SampleSeries, StasParams,
                    estimate_invariant, _Record, _checked_values, _in_range, _magnitudes, _median,
-                   _phases, _powers, _window_scales)
+                   _phases, _powers, _steps_per_unit, _window_scales)
 from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -82,28 +82,23 @@ class FitResult(_Record):
 
 
 def disambiguate_p(series: SampleSeries) -> complex:
-    """The base p: the component-wise median of the pair-sum ratios S_{i+1} / S_i.
+    """The base p: the component-wise median of the pair-sum ratios S_{i+m} / S_i.
 
-    Each S_i = g_i + g_{i+1} = p^{t_i} * (1 + p), so each ratio is p, with the
-    sign that a = 1/p^2 leaves open.  A ratio is skipped by estimate_invariant's
-    rule, S_i being the denominator.  NoValidWindows when every ratio is skipped;
-    DomainError where |S_i| leaves the float range or the median is 0, -1 or not finite.
+    On a grid of step 1/m each S_i = g_i + g_{i+m} = p^{t_i} * (1 + p), so each
+    ratio is p, with the sign that a = 1/p^2 leaves open.  A ratio is skipped by
+    estimate_invariant's rule, S_i being the denominator.  NoValidWindows when every
+    ratio is skipped; DomainError where |S_i| leaves the float range or the median
+    is 0, -1 or not finite.
     """
-    g = _checked_values(series, 4, "base recovery")
+    g, m = _checked_values(series, 4, "base recovery")
     with _in_range(_FIT_SUMS):
-        sums = [x + y for x, y in zip(g, g[1:])]
-        ratios = [y / x for x, y, c in zip(sums, sums[1:], _window_scales(g))
+        sums = [x + y for x, y in zip(g, g[m:])]
+        ratios = [y / x for x, y, c in zip(sums, sums[m:], _window_scales(g, m))
                   if not (x == 0 or abs(x) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
     median = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
     return StasParams(p=median).p
-
-
-def _steps_per_unit(step: float) -> int:
-    """The integer m >= 1 with m * step == 1.0, or 0 where the step is not 1/m."""
-    inverse = 1.0 / step  # infinite for a subnormal step
-    return m if isfinite(inverse) and (m := round(inverse)) >= 1 and m * step == 1.0 else 0
 
 
 class _TrigBasis:
@@ -297,13 +292,13 @@ def search_frequencies(series: SampleSeries, p: complex,
 def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     """Full recovery pipeline: invariant, base from pair sums, frequencies/amplitudes.
 
-    The invariant and base stages need unit spacing; for a series sampled at
-    step 1/m they run on the every-m-th subseries while the frequency search
-    uses the full grid.  A sum past the float range raises DomainError.
+    The series needs a step of 1/m.  The invariant and base stages read residue
+    class 0, values[::m]: bit for bit the stride-m windows from sample 0 on, at 1/m
+    of the cost of all windows.  The frequency search uses the full grid.  A sum
+    past the float range raises DomainError.
     """
-    if not (m := _steps_per_unit(series.step)):
-        raise DomainError(f"step must be 1 or an exact reciprocal 1/m, got {series.step}")
-    unit = SampleSeries(series.t0, series.values[::m])
+    values, m = _checked_values(series, 4, "fitting")
+    unit = SampleSeries(series.t0, values[::m])
     report = estimate_invariant(unit)
     result = search_frequencies(series, disambiguate_p(unit), r_max)
     return FitResult(result.params, result.residual_rms, result.tied_frequencies, report)

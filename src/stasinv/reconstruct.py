@@ -1,9 +1,10 @@
 """Recovery of a single missing weighted sample from the four-point identity.
 
-A complete window (g0, g1, g2, g3) of unit-spaced weighted samples satisfies
-g0 + g1 = a * (g2 + g3).  That one linear equation determines any single
-unknown slot from the other three; the solver inverts it exactly, so exact
-input types (e.g. Fraction) pass through without rounding.
+A complete window (g0, g1, g2, g3), weighted samples one unit of t apart
+(i, i+m, i+2m, i+3m on a grid of step 1/m), satisfies g0 + g1 = a*(g2 + g3).
+That one linear equation determines any single unknown slot from the other
+three; the solver inverts it exactly, so exact input types (e.g. Fraction)
+pass through without rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ __all__ = ["Window", "recover_missing", "predict_next"]
 
 
 class Window(_Record):
-    """Four consecutive weighted samples, one of them marked missing.
+    """The four weighted samples of a window, one of them marked missing.
 
     `g` holds the slot values; the slot at index `missing` (0..3) is the
     unknown and its entry is ignored (conventionally None).  All other slots

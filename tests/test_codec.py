@@ -110,7 +110,7 @@ class TestEncode:
     def test_residual_exactly_at_the_tolerance_encodes(self):
         # |1e-6 + 0 - a*(1 - 1)| / max|g| is exactly ENCODE_TOL, which a block may reach
         series = SampleSeries(1.0, (1e-6, 0.0, 1.0, -1.0))
-        assert _window_residuals(series.values, 1.0) == [ENCODE_TOL]
+        assert _window_residuals(series.values, 1.0, 1) == [ENCODE_TOL]
         assert encode_stream(series, 1.0).stored == series.values[:3]
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(4.0, float("nan"))])
@@ -187,7 +187,7 @@ class TestDetect:
     def test_clean_series_all_clean(self):
         series = sample_series(BASE, 1.0, 16)
         assert detect_errors(series, 4.0, 1e-6) == []
-        residuals = _window_residuals(series.values, 4.0)
+        residuals = _window_residuals(series.values, 4.0, 1)
         assert len(residuals) == 13
         assert all(r < 1e-12 for r in residuals)
 
@@ -203,7 +203,7 @@ class TestDetect:
     def test_all_zero_series_is_clean(self):
         series = SampleSeries(1.0, (0,) * 8)
         assert detect_errors(series, 4.0, 1e-6) == []
-        assert _window_residuals(series.values, 4.0) == [0.0] * 5
+        assert _window_residuals(series.values, 4.0, 1) == [0.0] * 5
 
     def test_too_few_samples(self):
         with pytest.raises(NoValidWindows):
@@ -248,7 +248,7 @@ class TestDetect:
         findings = detect_errors(series, 1.0, 1e-6)
         assert [f.window_index for f in findings] == [0, 1, 2, 3]
         assert findings[0].residual != findings[0].residual  # nan
-        residuals = _window_residuals(series.values, 1.0)
+        residuals = _window_residuals(series.values, 1.0, 1)
         assert residuals[0] != residuals[0] and residuals[4] <= 1e-6
 
     def test_pair_sum_magnitude_overflow_is_domain_error(self):
@@ -323,15 +323,15 @@ class TestRepair:
         values = list(series.values)
         values[5] += 0.25
         assert repair_samples(SampleSeries(1.0, tuple(values)), [5], 4.0) == series
-        with pytest.raises(DomainError, match="^repair requires a unit-spaced series$"):
-            repair_samples(sample_series(BASE, 1.0, 8, step=0.5), [5], 4.0)
+        with pytest.raises(DomainError, match="^repair requires a step of 1/m, got 0.3$"):
+            repair_samples(sample_series(BASE, 1.0, 8, step=0.3), [5], 4.0)
         with pytest.raises(NoValidWindows):
             repair_samples(SampleSeries(1.0, (1, 2, 3)), [1], 4.0)
         assert repair_samples(SampleSeries(1.0, (1, 2, 3, 0)), [3], 0.5) == \
             SampleSeries(1.0, (1, 2, 3, 3))  # the fewest samples: one window
         for j in (16, -1):
             with pytest.raises(DomainError,
-                               match=f"^sample {j} is outside the series of 16 samples$"):
+                               match=f"^sample {j} is in no window of the series of 16 samples$"):
                 repair_samples(series, [j], 4.0)
 
 
@@ -434,8 +434,8 @@ class TestWindowKernelOracle:
         series = SampleSeries(1.0, values)
         g = series.values
         want = ref_residuals(g, a)
-        assert repr(_window_residuals(g, a)) == repr(want)
-        assert repr(_window_residuals(g, a, _window_scales(g))) == repr(want)
+        assert repr(_window_residuals(g, a, 1)) == repr(want)
+        assert repr(_window_residuals(g, a, 1, _window_scales(g, 1))) == repr(want)
         flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
         assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
@@ -457,7 +457,7 @@ class TestWindowKernelOracle:
             assert repr(estimate_invariant(series)) == repr(want)
             report, scales = _estimate(series)
             assert repr(report) == repr(want)
-            assert repr(_window_residuals(series.values, a, scales)) == \
+            assert repr(_window_residuals(series.values, a, 1, scales)) == \
                 repr(ref_residuals(series.values, a))
 
     @given(st.one_of(st.lists(median_values, min_size=1, max_size=9), long_median_lists()))

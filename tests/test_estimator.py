@@ -114,9 +114,9 @@ class TestDisambiguateP:
         with pytest.raises(DomainError, match="exceeds the float range"):
             disambiguate_p(series)
 
-    def test_unit_spacing_required(self):
-        with pytest.raises(DomainError, match="base recovery requires a unit-spaced series"):
-            disambiguate_p(sample_series(BASE, 1.0, 12, step=0.5))
+    def test_step_of_one_over_m_required(self):
+        with pytest.raises(DomainError, match="^base recovery requires a step of 1/m, got 0.3$"):
+            disambiguate_p(sample_series(BASE, 1.0, 12, step=0.3))
 
 
 class TestFitTrig:
@@ -563,7 +563,7 @@ class TestFitSeries:
     def test_irregular_step_rejected(self):
         for step in (0.3, 1e-320):  # 1/1e-320 is infinite
             series = sample_series(BASE, 0.1, 16, step=step)
-            with pytest.raises(DomainError, match="exact reciprocal"):
+            with pytest.raises(DomainError, match=f"^fitting requires a step of 1/m, got {step}$"):
                 fit_series(series)
 
     def test_reports_invariant_of_unit_subseries(self):

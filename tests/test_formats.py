@@ -18,6 +18,7 @@ from stasinv import (
     sample_series,
 )
 from stasinv import codec
+from stasinv.cli import main
 from stasinv.codec import (
     EncodedStream,
     dump_sig1,
@@ -70,6 +71,22 @@ MALFORMED_STASC1 = [
     "STASC1\na=1,0 t0=0 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n",
     "STASC1\na=1,0 t0=0 count=4\n\n1,0;2,0;3,0\nrem=0\n",
     "STASC1\na=1,0 t0=0 count=6\n1,0;2,0;3,0\nrem=2\n1,2,3\n4\n",
+]
+# STASC1 texts with a step that is not 1/m, or a body that does not fit their step
+# of 1/m, which holds m block lines for each block of 4m samples
+MALFORMED_STASC1_STEP = [
+    ("STASC1\na=1,0 t0=0 count=4 step=0.3\n1,0;2,0;3,0\nrem=0\n",
+     "encoded stream requires a step of 1/m, got 0.3"),
+    ("STASC1\na=1,0 t0=0 count=4 step=0.3\nrem=0\n",  # the step is named before the body
+     "encoded stream requires a step of 1/m, got 0.3"),
+    ("STASC1\na=1,0 t0=0 count=0 step=zz\nrem=0\n",
+     "bad STASC1 header: 'a=1,0 t0=0 count=0 step=zz'"),
+    ("STASC1\na=1,0 t0=0 count=0 step=0\nrem=0\n", "encoded stream requires a step of 1/m, got 0.0"),
+    ("STASC1\na=1,0 t0=0 count=8 step=0.5\n1,0;2,0;3,0\n", "truncated STASC1 block section"),
+    ("STASC1\na=1,0 t0=0 count=9 step=0.5\n1,0;2,0;3,0\nrem=1\n4,0\n",
+     "block line needs 3 samples, got 'rem=1'"),
+    ("STASC1\na=1,0 t0=0 count=9 step=0.5\n1,0;2,0;3,0\n4,0;5,0;6,0\nrem=5\n",
+     "rem=5 inconsistent with count=9"),
 ]
 
 
@@ -170,6 +187,30 @@ class TestStasc1:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             load_stasc1(text)
+
+    def test_exact_text_at_step_one_half(self):
+        # 11 samples at step 1/2: one block of 8, stored as 6 samples on 2 lines, and a tail of 3
+        stored = tuple(complex(k) for k in range(9))
+        text = ("STASC1\n"
+                "a=4,0 t0=1 count=11 step=0.5\n"
+                "0,0;1,0;2,0\n"
+                "3,0;4,0;5,0\n"
+                "rem=3\n"
+                "6,0\n"
+                "7,0\n"
+                "8,0\n")
+        enc = EncodedStream(a=4.0, t0=1.0, count=11, stored=stored, step=0.5)
+        assert dump_stasc1(enc) == text and load_stasc1(text) == enc
+
+    @pytest.mark.parametrize("text, message", MALFORMED_STASC1_STEP)
+    def test_malformed_step_rejected(self, text, message, tmp_path, capsys):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_stasc1(text)
+        src, out = tmp_path / "bad.stasc1", tmp_path / "out.sig1"
+        src.write_text(text)
+        assert main(["decode", "--input", str(src), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"FormatError: {message}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("load, magic", [(load_sig1, "SIG1"), (load_stasc1, "STASC1")])

@@ -77,6 +77,21 @@ def _crlf():
     ]
 
 
+def _stream8():
+    """A clean 1021-sample stream at step 1/8 through check, encode and decode, with
+    --estimate: 31 blocks of 32 samples and a 29-sample tail, in which 5 windows start.
+    g_i = w0 * p^i + c_(i mod 8) * (-1)^(i // 8), so samples 8 apart hold opposite
+    oscillations and the invariant is 1/p^16."""
+    c = [0.75 - 0.5j, -0.25 + 1j, 0.5, -1.5j, 1.25 + 0.25j, -0.5 - 0.75j, 1 + 0j, 0.125j]
+    values = [v + (-c[i % 8] if i // 8 % 2 else c[i % 8])
+              for i, v in enumerate(_geometric(1021, 1.5 - 0.25j, 1 - 2**-10, 0.0))]
+    return {"stream8.sig1": _sig1(3.0, values, 0.125)}, [
+        ["check", "--estimate", "--input", "stream8.sig1"],
+        ["encode", "--estimate", "--input", "stream8.sig1", "--output", "stream8.stasc1"],
+        ["decode", "--input", "stream8.stasc1", "--output", "decoded.sig1"],
+    ]
+
+
 def _faulted():
     """check-faulted at 1024 samples: isolated faults, the two end samples
     among them, and close pairs 1..4 apart, through check --repair.  Real
@@ -109,19 +124,23 @@ def _malformed(texts, suffix, *commands):
 
 def _refusals():
     """Inputs with one fault each, through the commands that refuse them: a
-    step-1/2 series where unit spacing is needed, too few samples, a step
-    that is not 1/m, a negative count and a bad t0."""
-    return {"half.sig1": _sig1(1.0, _geometric(8, 1.0, 0.5, 0.25), 0.5),
-            "short.sig1": _sig1(1.0, _geometric(3, 1.0, 0.5, 0.25)),
+    step that is not 1/m, too few samples at steps 1 and 1/8, a negative
+    count and a bad t0."""
+    return {"short.sig1": _sig1(1.0, _geometric(3, 1.0, 0.5, 0.25)),
+            "short8.sig1": _sig1(1.0, _geometric(24, 1.0, 0.5, 0.25), 0.125),
             "six.sig1": _sig1(1.0, _geometric(6, 1.0, 0.5, 0.25)),
             "step03.sig1": _sig1(0.25, _geometric(16, 1.0, 0.5, 0.25), 0.3),
+            "step03.stasc1": "STASC1\na=4,0 t0=0 count=1 step=0.3\nrem=1\n1,0\n",
             "negcount.sig1": "SIG1\nt0=0 kind=f count=-1\n",
             "badt0.stasc1": "STASC1\na=4,0 t0=qq count=0\nrem=0\n"}, [
-        ["check", "--p", "0.5,0", "--input", "half.sig1"],
-        ["check", "--estimate", "--input", "half.sig1"],
-        ["encode", "--p", "0.5,0", "--input", "half.sig1", "--output", "half.stasc1"],
+        ["check", "--p", "0.5,0", "--input", "step03.sig1"],
+        ["check", "--estimate", "--input", "step03.sig1"],
+        ["encode", "--p", "0.5,0", "--input", "step03.sig1", "--output", "step03.out"],
+        ["decode", "--input", "step03.stasc1", "--output", "out.sig1"],
         ["check", "--p", "0.5,0", "--input", "short.sig1"],
         ["check", "--estimate", "--input", "short.sig1"],
+        ["check", "--p", "0.5,0", "--input", "short8.sig1"],
+        ["check", "--estimate", "--input", "short8.sig1"],
         ["fit", "--input", "short.sig1"],
         ["fit", "--input", "six.sig1"],
         ["fit", "--input", "step03.sig1"],
@@ -151,6 +170,7 @@ def _eval_invariant():
 CASES = {
     "stream-roundtrip": _stream,
     "stream-crlf": _crlf,
+    "stream-step8": _stream8,
     "check-faulted": _faulted,
     "fit-dense": _dense,
     "table": lambda: ({}, [["table", "--n-max", "40"]]),
@@ -169,6 +189,7 @@ LIBM = {"fit-dense", "verify-seed1", "verify-seed2", "verify-seed3", "eval-invar
 GOLDEN = {
     "stream-roundtrip": "fccbc26a067674ffe80a1c67f19d9ccac897a78ea368bfaca9052c07bec49d88",
     "stream-crlf": "bd2a42f11807ec46a31fbb55b2124703febff7649052159212f20ae693ba7893",
+    "stream-step8": "65b387ab3b79e25bb17a58353149daee46c070404cd226ddb31cf2711920fe69",
     "check-faulted": "bbc35772d9254a40011eaa87d64fe70e960caec6985819c19d2d29d41838c0d6",
     "fit-dense": "2a016f4247cca6c7aa7a69e8d71e0ad1f545762f0facb45872e3646c4b3b630a",
     "table": "344484ed3c5e19acc14f71ca8b9155f569f0426a22ec98861b880908a43e861f",
@@ -177,7 +198,7 @@ GOLDEN = {
     "verify-seed3": "1061f16f43fad5ca894ebfa42cb0420b1c8448d2173d91942582ba86f6794c12",
     "malformed-sig1": "aade61a04deda48bbef9924702273866df29e6f884724bbe49f75e7753508642",
     "malformed-stasc1": "4792542ad3bfe60c3575fb51fcf1bd375bb33cda7f97aa28501ecda67bca33e5",
-    "refusals": "e015525e0b31694f980280ad9834baeeb9aafccfb52068f6eb44b9e94e844561",
+    "refusals": "9a873da86350cef117e295b8161c371d6248099cae866ecf06803a60fce1a742",
     "eval-invariant": "7b2a96290eb24a1532b9b30d16b17824ddf4f14a312bc8d014b134419ffe684c",
 }
 

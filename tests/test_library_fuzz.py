@@ -6,7 +6,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasinv import (
@@ -58,6 +58,8 @@ OPERATIONS = {
 @settings(max_examples=100, deadline=None)
 @given(series=series_st(), a=st.sampled_from([4.0, 1 - 1j, 1e-300, 1e300]),
        p=st.sampled_from([0.5, 0.7 + 0.4j, 1e-3, 30.0]))
+# step 1/2 below 4m = 8 samples: samples 1, 3 and 5 are in no window
+@example(series=SampleSeries(1.0, (1, 2, 3, 4, 5, 6, 7), step=0.5), a=4.0, p=0.5)
 def test_raises_only_stas_errors(name, series, a, p):
     try:
         result = OPERATIONS[name](series, a, p)

@@ -97,9 +97,10 @@ class TestEstimateInvariant:
             report = estimate_invariant(series)
             assert abs(report.a_hat - a) / abs(a) < 1e-9
 
-    def test_rejects_non_unit_step(self):
-        series = sample_series(BASE, 0.1, 12, step=0.5)
-        with pytest.raises(DomainError):
+    def test_rejects_a_step_not_one_over_m(self):
+        series = sample_series(BASE, 0.1, 12, step=0.3)
+        with pytest.raises(DomainError,
+                           match="^invariant estimation requires a step of 1/m, got 0.3$"):
             estimate_invariant(series)
 
     def test_skip_counting(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import sys
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, cycle, repeat
 from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
@@ -43,9 +43,11 @@ COND_LIMIT = 1e12
 
 # Bounds of the closed-form screen in search_frequencies, by first-order error
 # analysis with unit roundoff u = _EPS / 2:
-# - fsum(T0 .. T5) is within 15u * sum |T_k| of the exact squared norm: yy,
-#   m00, m11 are within 2u, b0, b1, m01 within 2u of their absolute sums, and
-#   2|q1|*sqrt(m00*yy) <= T3 + T0 (AM-GM) turns those into multiples of |T_k|;
+# - fsum(T0 .. T5) is within 16u * sum |T_k| of the exact squared norm: yy,
+#   m00, m11, m01 are within 2u of their absolute sums, b0, b1 within 3u (the
+#   fold in _TrigBasis), and 2|q1|*sqrt(m00*yy) <= T3 + T0 (AM-GM) makes T1's
+#   error 5u * (T0 + T3), T2's 5u * (T0 + T4), T5's 5u * (T3 + T4), T3's and
+#   T4's 5u; with the fsum's u, 13u on T0 and 16u on T3 and T4;
 # - a sample of the exact pass, w + q1*s + q2*c - v, is within
 #   4u * (|w| + |q1*s| + |q2*c| + |v|), and y = v - w within u*|y|; with
 #   rms(w) <= rms(v) + rms(y) that moves the rms by less than
@@ -104,17 +106,18 @@ def disambiguate_p(series: SampleSeries) -> complex:
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series, base p
     and set of odd frequencies, all built on construction: p^t, yy = ||g - p^t||^2,
-    sine[r] and cosine[r] = (column, squared norm, projection on g - p^t) from
-    one list of _phases per r, and cross[r1, r2], the inner product of the sine
-    column of r1 and the cosine column of r2.  A non-finite sample or g - p^t
-    raises DomainError.  Columns are array('d'), 8 bytes a sample against 32
-    for a list of floats, which keeps the search's peak memory low.
+    sine[r] and cosine[r] = (column, squared norm, projection on y = g - p^t)
+    from one list of _phases per r, and cross[r1, r2], the inner product of the
+    sine column of r1 and the cosine column of r2.  A non-finite sample or
+    g - p^t raises DomainError.
 
     Odd-r columns repeat every 2m samples on a step-1/m grid, so with P = 2m
-    there (if 2m < n) and P = n elsewhere, column entry i is entry i mod P,
-    its phase taken at t0 + (i mod P)*step.  Norms and cross products sum one
-    period's P products, product k taken n // P + (k < n % P) times in exact
-    power-of-two multiples: bit for bit the fsum over the n samples.
+    there (if 2m < n) and P = n elsewhere, a column holds one period: sample i's
+    entry is column[i mod P], its phase taken at t0 + (i mod P)*step.  Norms and
+    cross products take product k n // P + (k < n % P) times in exact power-of-two
+    multiples, bit for bit the fsum over the n samples.  Projections sum the P
+    products column[k] * fsum(y[k::P]): within 3u of sum |column[i] * y_i|
+    (u = _EPS / 2), against 2u per sample, whose last bits they may not match.
     """
 
     def __init__(self, series: SampleSeries, p: complex, freqs):
@@ -123,8 +126,7 @@ class _TrigBasis:
         self.pt = _powers(p, grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
         _magnitudes(y)
-        y_re = array("d", [z.real for z in y])
-        y_im = array("d", [z.imag for z in y])
+        y_re, y_im = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
         del y  # only the two arrays are needed from here on
         try:
             self.yy = fsum(chain(map(mul, y_re, y_re), map(mul, y_im, y_im)))
@@ -132,26 +134,26 @@ class _TrigBasis:
             self.yy = inf
         n = len(grid)
         period = min(2 * _steps_per_unit(series.step) or n, n)
+        if period < n:  # without a period each class is one sample: y itself
+            y_re, y_im = ([fsum(part[k::period]) for k in range(period)] for part in (y_re, y_im))
         copies, rest = divmod(n, period)
         weights = [float(1 << j) for j in range(copies.bit_length()) if copies >> j & 1]
 
         def period_sum(a, b) -> float:
-            products = list(map(mul, islice(a, period), islice(b, period)))
+            products = list(map(mul, a, b))
             return fsum(chain(*[map(mul, products, repeat(w)) for w in weights],
                               products[:rest]))
 
         def column(values) -> tuple[array, float, complex]:
             head = array("d", values)
-            col = head * copies + head[:rest]
-            proj = complex(fsum(map(mul, col, y_re)), fsum(map(mul, col, y_im)))
-            return col, period_sum(head, head), proj
+            proj = complex(fsum(map(mul, head, y_re)), fsum(map(mul, head, y_im)))
+            return head, period_sum(head, head), proj
 
         self.sine, self.cosine = {}, {}
         for r in freqs:
             phases = _phases(r, grid[:period])
             self.sine[r] = column(map(sin, phases))
             self.cosine[r] = column(map(cos, phases))
-            del phases  # so the next r's list does not coexist with it
         self.cross = {(r1, r2): period_sum(self.sine[r1][0], self.cosine[r2][0])
                       for r1 in freqs for r2 in freqs}
 
@@ -187,8 +189,8 @@ class _TrigBasis:
         """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid."""
         q1, q2 = params.q1, params.q2
         total = 0.0
-        for w, x, z, v in zip(self.pt, self.sine[params.r1][0],
-                              self.cosine[params.r2][0], self.series.values):
+        for w, x, z, v in zip(self.pt, cycle(self.sine[params.r1][0]),
+                              cycle(self.cosine[params.r2][0]), self.series.values):
             total += abs(w + q1 * x + q2 * z - v) ** 2
         return sqrt(total / len(self.pt))
 
@@ -241,9 +243,10 @@ def search_frequencies(series: SampleSeries, p: complex,
     Raises IllConditioned only when every pair fails, and DomainError where
     a sum leaves the float range.
 
-    One _TrigBasis over every odd frequency holds p^t, y = g - p^t, each
-    frequency's columns, from 2m phases on a step-1/m grid, and each pair's
-    cross product, summed over one period, so a pair costs the 2x2 solve.
+    One _TrigBasis over every odd frequency holds p^t, ||y||^2 for y = g - p^t,
+    each frequency's columns, from 2m phases on a step-1/m grid, their norms and
+    their projections on y folded by residue class mod 2m, and each pair's cross
+    product, all summed over one period, so a pair costs the 2x2 solve.
     Every float is that of a fit_trig or residual_rms call on its own basis.
 
     The per-sample residual pass is screened.  For each solved (q1, q2) the

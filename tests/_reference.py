@@ -113,6 +113,18 @@ def _ref_trig_args(t0, step, n):
     return [t0 + (i % period) * step for i in range(n)]
 
 
+def _ref_projection(col, y, step):
+    """sum col_i * y_i folded by residue class: with P = ref_period, the fsum over
+    k < P of col_k times the fsum of the y_i with i = k (mod P), real and
+    imaginary parts apart."""
+    period = ref_period(step, len(y))
+    classes = [y[k::period] for k in range(period)]
+    re = [math.fsum(z.real for z in ys) for ys in classes]
+    im = [math.fsum(z.imag for z in ys) for ys in classes]
+    return complex(math.fsum(col[k] * re[k] for k in range(period)),
+                   math.fsum(col[k] * im[k] for k in range(period)))
+
+
 def ref_fit_trig(t0, step, g, p, r1, r2):
     """Least-squares (q1, q2) for one pair, every column built from scratch."""
     grid = [t0 + i * step for i in range(len(g))]
@@ -130,10 +142,8 @@ def ref_fit_trig(t0, step, g, p, r1, r2):
     cond = hi / lo if lo > 0.0 else math.inf
     if cond > 1e12:
         raise RefIllConditioned((r1, r2))
-    b0 = complex(math.fsum(x * z.real for x, z in zip(s, y)),
-                 math.fsum(x * z.imag for x, z in zip(s, y)))
-    b1 = complex(math.fsum(x * z.real for x, z in zip(c, y)),
-                 math.fsum(x * z.imag for x, z in zip(c, y)))
+    b0 = _ref_projection(s, y, step)
+    b1 = _ref_projection(c, y, step)
     det = m00 * m11 - m01 * m01
     return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m01 * b0) / det
 
@@ -164,10 +174,8 @@ def ref_rms_bounds(t0, step, g, p, q1, q2, r1, r2, data_scale):
     c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args]
     y = [g[i] - _ref_pow(p, t0 + i * step) for i in range(n)]
     yy = math.fsum([z.real * z.real for z in y] + [z.imag * z.imag for z in y])
-    b0 = complex(math.fsum(x * z.real for x, z in zip(s, y)),
-                 math.fsum(x * z.imag for x, z in zip(s, y)))
-    b1 = complex(math.fsum(x * z.real for x, z in zip(c, y)),
-                 math.fsum(x * z.imag for x, z in zip(c, y)))
+    b0 = _ref_projection(s, y, step)
+    b1 = _ref_projection(c, y, step)
     t3 = (q1.real * q1.real + q1.imag * q1.imag) * math.fsum(x * x for x in s)
     t4 = (q2.real * q2.real + q2.imag * q2.imag) * math.fsum(z * z for z in c)
     m01 = math.fsum(x * z for x, z in zip(s, c))

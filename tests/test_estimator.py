@@ -2,9 +2,11 @@
 
 import cmath
 import struct
+import sys
 from fractions import Fraction
 from math import cos, fsum, inf, pi, sin, sqrt
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,6 +162,14 @@ class TestFitTrig:
         q1, q2 = fit_trig(farther, 0.5 + 0j, 1, 15)
         assert abs(q1 - 1.0) < 1e-3 and abs(q2 - 1.0) < 1e-3
 
+    def test_condition_exactly_at_the_limit_is_solved(self):
+        # m00 = 1e12, m11 = 1 and m01 = 0 give eigenvalues 1e12 and 1 exactly:
+        # only a condition past COND_LIMIT is refused
+        basis = SimpleNamespace(sine={1: (None, 1e12, 1e12 + 0j)}, cosine={1: (None, 1.0, 1 + 0j)},
+                                cross={(1, 1): 0.0})
+        series = SampleSeries(0.1, (1, 2, 3, 4), step=0.125)
+        assert fit_trig(series, 0.5 + 0j, 1, 1, basis=basis) == (1, 1)
+
     def test_overflowing_solve_names_the_pair(self):
         # finite sums, but m11*b0 overflows in the 2x2 solve
         series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
@@ -207,6 +217,13 @@ class TestFitTrig:
         # finite samples whose projection sums overflow
         huge = SampleSeries(0.1, (1.5e308 + 0j,) * 16, step=0.125)
         with pytest.raises(DomainError, match="exceeds the float range"):
+            fit_trig(huge, 0.5 + 0j, 3, 5)
+
+    def test_overflowing_class_sum_is_domain_error(self):
+        # at step 1/8 the 32 samples fold into 16 classes of two, whose sums
+        # pass the float range though every sample and product is finite
+        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 32, step=0.125)
+        with pytest.raises(DomainError, match="a sum of the fit exceeds the float range"):
             fit_trig(huge, 0.5 + 0j, 3, 5)
 
 
@@ -427,6 +444,20 @@ class TestSearchScreen:
         assert_search_matches_oracle(series, params.p, 9)
         assert len(exact_passes) == 25
 
+    def test_tie_band_is_closed(self, monkeypatch):
+        # at 1e150 every pair takes the exact pass, whose residuals are set
+        # here: a pair exactly 1e-9 * rms |g| behind the best ties, one twice
+        # that far does not
+        params = StasParams(p=0.7 + 0.3j, q1=1.2 - 0.4j, q2=-0.8 + 0.6j, r1=1, r2=3)
+        unit = sample_series(params, 0.1, 64, step=0.125)
+        series = SampleSeries(unit.t0, tuple(1e150 * v for v in unit.values), step=unit.step)
+        band = 1e-9 * sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
+        residuals = {(1, 1): 0.0, (1, 3): band, (3, 1): 2 * band, (3, 3): 1e300}
+        monkeypatch.setattr(_TrigBasis, "residual_rms",
+                            lambda basis, pair: residuals[pair.r1, pair.r2])
+        result = search_frequencies(series, params.p, 3)
+        assert (result.residual_rms, result.tied_frequencies) == (0.0, ((1, 1), (1, 3)))
+
     @given(params_st,
            st.sampled_from([0.125, 0.0625]),
            st.integers(8, 64),
@@ -485,6 +516,23 @@ class TestSearchScreen:
         assert 0.0 < lo <= basis.residual_rms(pair) <= hi < inf
 
 
+_signed = st.builds(lambda x, negative: -x if negative else x,
+                    st.just(0.0) | st.floats(1e-100, 1e300), st.booleans())
+
+
+def _folded_inputs():
+    """(step, values): at step 1/m, n values with 2m < n and n not a multiple
+    of 2m; at step 0.3, which has no period, n from 11 to 39."""
+    def draw(step, block):
+        counts = st.builds(lambda k, rest: k * block + rest,
+                           st.integers(1, 3), st.integers(1, block - 1))
+        return counts.flatmap(lambda n: st.tuples(
+            st.just(step), st.lists(st.builds(complex, _signed, _signed), min_size=n, max_size=n)))
+
+    return st.sampled_from([(1.0, 2), (0.5, 4), (0.125, 16), (0.0625, 32), (0.3, 10)]).flatmap(
+        lambda pair: draw(*pair))
+
+
 def bits(values):
     return [struct.pack("<d", x) for x in values]
 
@@ -495,14 +543,17 @@ class TestPeriodicColumns:
         # fl(t0 + i/8) drifts by up to half an ulp of 512, which put per-sample
         # columns 1.2e-13 (r = 1) to 2.6e-12 (r = 15) off; one period of
         # arguments below 2.5 stays within 8.4e-15.
+        # Every sample i is checked, through its column entry i mod 16.
         t0, n = 1 / 3, 4096
         series = sample_series(BASE, t0, n, step=0.125)
         basis = _TrigBasis(series, BASE.p, range(1, 16, 2))
         exact = [Fraction(t0) + Fraction(i, 8) for i in range(n)]
         for r in range(1, 16, 2):
+            sine, cosine = basis.sine[r][0], basis.cosine[r][0]
+            assert len(sine) == len(cosine) == 16
             phases = [pi * float(r * x % 2) for x in exact]
-            worst = max(max(abs(x - sin(w)), abs(z - cos(w))) for x, z, w
-                        in zip(basis.sine[r][0], basis.cosine[r][0], phases))
+            worst = max(max(abs(sine[i % 16] - sin(w)), abs(cosine[i % 16] - cos(w)))
+                        for i, w in enumerate(phases))
             assert worst < 5e-14, (r, worst)
 
     @given(st.sampled_from([1.0, 0.5, 0.125, 0.0625, 0.3]), st.integers(1, 80), st.floats(-3, 3))
@@ -518,17 +569,48 @@ class TestPeriodicColumns:
         odd = range(1, 16, 2)
         basis = _TrigBasis(series, ALIAS_PARAMS.p, odd)
         period = ref_period(step, n)
-        head = series.grid()[:period]
+        grid = series.grid()[:period]
+
+        def tiled(head):
+            return [head[i % period] for i in range(n)]
+
         for r in odd:
-            for (col, norm, _), f in ((basis.sine[r], sin), (basis.cosine[r], cos)):
-                assert len(col) == n
-                assert bits(col[:period]) == bits(map(f, _phases(r, head)))
-                assert bits(col) == bits(col[i % period] for i in range(n))
+            for (head, norm, _), f in ((basis.sine[r], sin), (basis.cosine[r], cos)):
+                assert len(head) == period
+                assert bits(head) == bits(map(f, _phases(r, grid)))
+                col = tiled(head)
                 assert bits([norm]) == bits([fsum(map(mul, col, col))])
         for r1 in odd:
             for r2 in odd:
-                want = fsum(map(mul, basis.sine[r1][0], basis.cosine[r2][0]))
+                want = fsum(map(mul, tiled(basis.sine[r1][0]), tiled(basis.cosine[r2][0])))
                 assert bits([basis.cross[r1, r2]]) == bits([want])
+
+    @given(_folded_inputs(), st.floats(-3, 3), complexes(0.3, 1.0, -1.5, 1.5))
+    @settings(max_examples=40)
+    @example((1.0, [1e300, 1.0, -1e300]), 0.1, 0.5 + 0j)  # a class that cancels
+    @example((0.125, [1e300 if i % 2 else 1e-100 for i in range(17)]), 0.1, 0.9 + 0.1j)
+    @example((0.0625, [complex(i, -i) for i in range(17)]), 0.1, 0.5 + 0j)  # 2m > n: no fold
+    @example((0.0625, [complex(i, -i) for i in range(33)]), 0.1, 0.5 + 0j)  # one class of two
+    @example((0.3, [1e300 * (-1) ** i for i in range(11)]), -0.2, 0.5 + 0j)  # no period
+    def test_projections_within_3u_of_the_exact_sums(self, inputs, t0, p):
+        # Each fold rounds three times (class sum, product, sum over classes),
+        # each within u/(1+u) of its exact value: together below 3u times
+        # sum |c_i * y_i|, against the exact sum of c_i * y_i over every sample.
+        step, values = inputs
+        series = SampleSeries(t0, tuple(map(complex, values)), step=step)
+        basis = _TrigBasis(series, p, range(1, 16, 2))
+        y = [v - w for v, w in zip(series.values, basis.pt)]
+        n, period = len(y), ref_period(step, len(y))
+        u = Fraction(sys.float_info.epsilon) / 2
+        parts = ([Fraction(z.real) for z in y], [Fraction(z.imag) for z in y])
+        for r in range(1, 16, 2):
+            for head, _, proj in (basis.sine[r], basis.cosine[r]):
+                assert len(head) == period
+                col = [Fraction(head[i % period]) for i in range(n)]
+                for got, part in zip((proj.real, proj.imag), parts):
+                    products = list(map(mul, col, part))
+                    size = sum(map(abs, products))
+                    assert abs(Fraction(got) - sum(products)) <= 3 * u * size, (r, got)
 
 
 class TestFitSeries:

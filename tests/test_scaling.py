@@ -5,8 +5,9 @@ per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
 of a shared machine); code quadratic in N reads 16.  The text I/O also has
 memory guards: reading and writing hold about the series, not copies of its text,
 and an estimate and the sweep after it hold one set of window terms at a time.
-The fit's trig basis has a counting guard: on a step-1/m grid its norm and
-cross sums take a number of terms that does not grow with N.
+The fit's trig basis has a counting guard: on a step-1/m grid only its sum of
+squares and its residue-class sums of y take a number of terms that grows with
+N; and a memory guard: its columns hold one period.
 """
 
 import math
@@ -85,24 +86,40 @@ def test_fit_series_linear_in_eighth_grid_length():
     assert large / small < RATIO_LIMIT
 
 
+def _basis_fsum_sizes(monkeypatch, series, p):
+    """The term count of every fsum call that building a _TrigBasis over the
+    odd frequencies up to 15 makes, sorted."""
+    sizes = []
+
+    def counted(terms):
+        terms = list(terms)
+        sizes.append(len(terms))
+        return math.fsum(terms)
+
+    monkeypatch.setattr(estimator, "fsum", counted)
+    _TrigBasis(series, p, range(1, 16, 2))
+    return sorted(sizes)
+
+
 def test_trig_basis_norm_and_cross_sums_do_not_grow_with_length(monkeypatch):
-    # counted, not timed: of the basis's fsum calls, yy and the 32 projections
-    # take a term per sample, while the 16 norms and 64 cross products sum one
-    # period of 2m = 16 products; at a term per sample they read a ratio of 4
+    # counted, not timed: of the basis's fsum calls only yy (2N terms) and the
+    # 2P = 32 class sums of y (2N terms between them) grow with N; the 32
+    # projections, 16 norms and 64 cross products each sum one period of
+    # P = 16 products.  Per-sample projections took N terms each.
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
-    totals = {}
     for n in (4096, 16384):
-        sizes = []
+        sizes = _basis_fsum_sizes(monkeypatch, sample_series(params, 1.3, n, step=0.125), params.p)
+        assert sizes[:-33] == [16] * (32 + 16 + 64)
+        assert sum(sizes[-33:]) == 4 * n
 
-        def counted(terms):
-            terms = list(terms)
-            sizes.append(len(terms))
-            return math.fsum(terms)
 
-        monkeypatch.setattr(estimator, "fsum", counted)
-        _TrigBasis(sample_series(params, 1.3, n, step=0.125), params.p, range(1, 16, 2))
-        totals[n] = sum(sorted(sizes)[:16 + 64])
-    assert totals[16384] < 2 * totals[4096]
+def test_trig_basis_without_a_period_makes_no_class_sums(monkeypatch):
+    # at step 0.3, and at step 1/8 with 2m = n, the period is the whole grid:
+    # y is its own fold, with no one-term class sums
+    params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
+    for step, n in ((0.3, 100), (0.125, 16)):
+        sizes = _basis_fsum_sizes(monkeypatch, sample_series(params, 1.3, n, step=step), params.p)
+        assert sizes == [n] * (32 + 16 + 64) + [2 * n]
 
 
 def _encoded(n):
@@ -169,3 +186,13 @@ def test_estimate_and_sweep_peak_at_most_1_95_mib():
     findings, _, peak = _traced(check_estimate)
     assert findings == []
     assert peak <= 1.95 * 2**20
+
+
+def test_trig_basis_peak_at_most_3_mib():
+    # 16384 samples at step 1/8: n-sample columns, tiled from one period,
+    # peaked at 3.51 MiB; one period per column, at 2.52 MiB
+    params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
+    series = sample_series(params, 1.3, 16384, step=0.125)
+    basis, _, peak = _traced(lambda: _TrigBasis(series, params.p, range(1, 16, 2)))
+    assert peak <= 3 * 2**20
+    assert len(basis.sine[1][0]) == 16

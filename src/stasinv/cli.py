@@ -54,20 +54,43 @@ def _read_with_invariant(args):
     if args.estimate == (args.p is not None):
         raise DomainError("need exactly one of --p and --estimate to determine the invariant")
     from . import codec  # here, not at the top: only the file commands load the codec
-    series = codec.load_sig1(_read(args.input))
+    from ._windows import _estimate
+    series = _load(args.input, codec._sig1)
     if args.estimate:
-        report, scales = core._estimate(series)
+        report, scales = _estimate(series)
         return series, report.a_hat, scales
     return series, core.closed_form_invariant(core.StasParams(p=args.p)), None
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte {exc.object[exc.start]:#04x} "
-                          f"at offset {exc.start}") from None
+def _load(path: str, load):
+    """load(blocks of lines) of the file at path, read and decoded as ASCII one block at
+    a time: codec._BLOCK bytes and the rest of the last line, so no CRLF is cut.  A
+    non-ASCII byte is a FormatError naming its offset; it wins over any error of load,
+    so on one the rest of the file is decoded too."""
+    from . import codec
+    with open(path, "rb") as fh:
+        blocks = _ascii_lines(fh, codec._BLOCK)
+        try:
+            return load(blocks)
+        except StasError:
+            for _ in blocks:
+                pass
+            raise
+
+
+def _ascii_lines(fh, size: int):
+    """The lines of the binary file fh, as str.splitlines gives them, one list per block
+    of size bytes and the rest of its last line: each block but the last ends just
+    after a LF."""
+    offset = 0
+    while data := fh.read(size) + fh.readline():
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte {data[exc.start]:#04x} "
+                              f"at offset {offset + exc.start}") from None
+        offset += len(data)
+        yield text.splitlines()
 
 
 def _write(path: str, parts) -> None:
@@ -130,8 +153,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     from . import codec
-    enc = codec.load_stasc1(_read(args.input))
-    series = codec.decode_stream(enc)
+    series = codec.decode_stream(_load(args.input, codec._stasc1))
     _write(args.output, codec._sig1_parts(series))
     return 0
 
@@ -158,7 +180,7 @@ def cmd_check(args) -> int:
 
 def cmd_fit(args) -> int:
     from . import codec, estimator  # here, not at the top: only fit loads the estimator
-    series = codec.load_sig1(_read(args.input))
+    series = _load(args.input, codec._sig1)
     result = estimator.fit_series(series, r_max=args.r_max)
     p = result.params
     print(f"a_hat={core._fmt_complex(result.invariant.a_hat)}")

@@ -29,9 +29,9 @@ import cmath
 import math
 from itertools import chain, islice, repeat
 
+from ._windows import _BLOCK, _window_residuals
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
-                   _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit,
-                   _window_residuals)
+                   _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
@@ -102,10 +102,14 @@ def _encode(series: SampleSeries, a: complex, scales) -> EncodedStream:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g, m = _checked_values(series, 0, "encoding")
     span = len(g) - len(g) % (q := 4 * m)  # the full blocks
-    residuals = _window_residuals(g, a, m, scales)
-    if bad := [i for c in range(m) for i in range(c, span, q) if not residuals[i] <= ENCODE_TOL]:
-        raise IdentityViolation(min(bad) // q, residuals[min(bad)])
-    del residuals  # 32 bytes a window, freed before the stored samples are built
+    bad = []  # (window, residual) of each failing window 4mb .. 4mb + m - 1 of block b
+    for i, block in _window_residuals(g, a, m, scales):
+        bad += [(j, block[j - i]) for c in range(m)
+                for j in range(i + (c - i) % q, min(i + len(block), span), q)
+                if not block[j - i] <= ENCODE_TOL]
+    if bad:
+        j, residual = min(bad)
+        raise IdentityViolation(j // q, residual)
     stored = [0j] * (span - span // 4)
     for c in range(3 * m):
         stored[c::3 * m] = g[c:span:q]
@@ -164,20 +168,20 @@ def _detect(series: SampleSeries, a: complex, tol: float, scales) -> list[Integr
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3 * m
-    residuals = _window_residuals(g, a, m, scales)
-    flagged = [i for i, r in enumerate(residuals) if not r <= tol]
+    flagged = []  # (window, residual) of each window not within tol
+    for i, block in _window_residuals(g, a, m, scales):
+        flagged += [(i + k, r) for k, r in enumerate(block) if not r <= tol]
 
     runs = {}  # last window -> first window of each maximal chain of flagged windows m apart
-    for i in flagged:
+    for i, _ in flagged:
         runs[i] = runs.pop(i - m, i)
     # Sample j is covered by its class's windows max(j % m, j - 3m) .. j, or .. the class's
     # last if last + m >= n_windows; only j in [last, first + 3m] can match a run's range.
     implicated = {j for last, first in runs.items() if not (first < m and last + m >= n_windows)
                   for j in range(last, first + 3 * m + 1, m)
                   if max(j % m, j - 3 * m) == first and (j == last or last + m >= n_windows)}
-    return [IntegrityFinding(i, residuals[i],
-                             tuple(j for j in range(i, i + 3 * m + 1, m) if j in implicated))
-            for i in flagged]
+    return [IntegrityFinding(i, r, tuple(j for j in range(i, i + 3 * m + 1, m) if j in implicated))
+            for i, r in flagged]
 
 
 def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries:
@@ -204,8 +208,6 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 
 # -- text serialization -------------------------------------------------------
 
-_BLOCK = 4096  # samples formatted per '%', and the fewest characters split per block of text
-
 
 def _line_blocks(text: str):
     """text.splitlines(), one block of at least _BLOCK characters at a time;
@@ -219,19 +221,19 @@ def _line_blocks(text: str):
 
 def _parse_samples(lines, count: int, what: str) -> list[complex]:
     """The count non-blank lines of a body, one 're,im' sample each, in one
-    pass; a wrong line count is reported before a bad literal."""
+    pass; a wrong line count is reported before a bad literal, and an error that
+    taking the lines raises (a non-ASCII byte in a file) before either."""
     body = filter(str.strip, lines)
     values = []
-    try:
-        for line in body:
+    for line in body:
+        try:
             values.append(_parse_complex(line))
-    except FormatError:
-        if (found := len(values) + 1 + sum(1 for _ in body)) == count:
-            raise
-    else:
-        found = len(values)
-    if found != count:
-        raise FormatError(f"expected {count} {what} lines, found {found}")
+        except FormatError:
+            if (found := len(values) + 1 + sum(1 for _ in body)) == count:
+                raise
+            raise FormatError(f"expected {count} {what} lines, found {found}") from None
+    if len(values) != count:
+        raise FormatError(f"expected {count} {what} lines, found {len(values)}")
     return values
 
 
@@ -248,13 +250,14 @@ def _formatted(values, start: int, stop: int, k: int):
         yield line * (len(block) // k) % tuple(parts)
 
 
-def _read_header(text: str, magic: str, expected: tuple[str, ...]
+def _read_header(blocks, magic: str, expected: tuple[str, ...]
                  ) -> tuple[chain, dict[str, str], float, int, float]:
-    """The lines of text after its magic and header lines, as an iterator, the
-    key=value fields of its header line and the parsed t0, count and step (1
-    unless given).  FormatError unless every expected key, the optional step
-    and no other one is there, the numbers parse and count is non-negative."""
-    lines = chain.from_iterable(_line_blocks(text))
+    """The lines after the magic and header lines, as an iterator over blocks of
+    lines (lists, as _line_blocks yields them), the key=value fields of the header
+    line and the parsed t0, count and step (1 unless given).  FormatError unless
+    every expected key, the optional step and no other one is there, the numbers
+    parse and count is non-negative."""
+    lines = chain.from_iterable(blocks)
     if next(lines, None) != magic:
         raise FormatError(f"missing {magic} magic line")
     if (header := next(lines, None)) is None:
@@ -296,7 +299,12 @@ def dump_sig1(series: SampleSeries) -> str:
 
 
 def load_sig1(text: str) -> SampleSeries:
-    lines, fields, t0, count, step = _read_header(text, "SIG1", ("t0", "kind", "count"))
+    return _sig1(_line_blocks(text))
+
+
+def _sig1(blocks) -> SampleSeries:
+    """load_sig1 of the text whose lines the blocks of lines hold, in order."""
+    lines, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
@@ -322,17 +330,32 @@ def dump_stasc1(enc: EncodedStream) -> str:
 
 
 def load_stasc1(text: str) -> EncodedStream:
-    lines, fields, t0, count, step = _read_header(text, "STASC1", ("a", "t0", "count"))
+    return _stasc1(_line_blocks(text))
+
+
+def _stasc1(blocks) -> EncodedStream:
+    """load_stasc1 of the text whose lines the blocks of lines hold, in order.  Block
+    lines are parsed as they arrive; a structural error (a truncated block section,
+    a block line without 3 fields, a bad rem= line) wins over a bad literal before it."""
+    lines, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
     if not (m := _steps_per_unit(step)):  # before the body, whose layout depends on m
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
-    blocks = list(islice(lines, n_lines))
-    if len(blocks) < n_lines:
+    stored, bad_line, bad_literal = [], None, None
+    while group := list(islice(lines, min(n_lines, max(1, _BLOCK // 3)))):  # about _BLOCK samples
+        n_lines -= len(group)
+        bad_line = bad_line or next((FormatError(f"block line needs 3 samples, got {line!r}")
+                                     for line in group if line.count(";") != 2), None)
+        if not (bad_line or bad_literal):
+            try:
+                stored += [z for line in group for z in map(_parse_complex, line.split(";"))]
+            except FormatError as exc:
+                bad_literal = exc
+    if n_lines:
         raise FormatError("truncated STASC1 block section")
-    for line in blocks:
-        if line.count(";") != 2:
-            raise FormatError(f"block line needs 3 samples, got {line!r}")
+    if bad_line:
+        raise bad_line
     rem = next(lines, "")
     if not rem.startswith("rem="):
         raise FormatError("missing rem= line")
@@ -342,6 +365,7 @@ def load_stasc1(text: str) -> EncodedStream:
         raise FormatError(f"bad rem= line: {rem!r}") from exc
     if k != count % (4 * m):
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    stored = [z for line in blocks for z in map(_parse_complex, line.split(";"))]
+    if bad_literal:
+        raise bad_literal
     stored += _parse_samples(lines, k, "remainder")
     return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored), step=step)

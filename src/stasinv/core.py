@@ -24,9 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from itertools import islice, repeat
-from math import isfinite, isqrt
-from operator import sub
+from itertools import cycle
+from math import isfinite
 
 from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
 
@@ -49,13 +48,9 @@ SKIP_THRESHOLD = 1e-9
 DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
 ENCODE_TOL = 1e-6  # the codec's window tolerance, check's default --tol; here for the same reason
 _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the same binary64
-_SELECT_MIN = 2048  # from this many values on, _median selects the middle instead of sorting all
 
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
-
-# Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
-_SCALE_FLOOR = 1e-300
 
 P_RE_BOUNDS = (0.3, 1.0)
 P_IM_BOUNDS = (-1.5, 1.5)
@@ -355,67 +350,21 @@ def sample_series(params: StasParams, t0: float, count: int,
                   step: float = 1.0) -> SampleSeries:
     """Synthesize count weighted samples g(t0 + i*step) = f(t0 + i*step).
 
-    On unit-spaced grids the oscillatory part is generated with exact sign
-    alternation from a single reduced-phase evaluation, matching how the
-    invariant machinery evaluates windows.
+    On a grid of step 1/m the oscillatory part changes sign exactly over one unit
+    of t (odd r), so it is evaluated at the first m grid points only and its sign
+    flipped every m samples, matching how the invariant machinery evaluates
+    windows; any other step evaluates it at every grid point.
     """
     if count < 0:
         raise DomainError("count must be non-negative")
     t0 = float(t0)
     step = float(step)
     grid = _grid(t0, step, count)
-    pt = _powers(params.p, grid)
-    if step == 1.0:
-        trig0 = _trig(params, (t0,))[0]
-        values = [w + (-1.0 if i % 2 else 1.0) * trig0 for i, w in enumerate(pt)]
-    else:
-        values = [w + x for w, x in zip(pt, _trig(params, grid))]
+    m = _steps_per_unit(step) or count or 1  # off the 1/m grids, one class of every point
+    trig = cycle(_trig(params, grid[:m]))
+    values = [w + (-x if i // m % 2 else x)
+              for i, (w, x) in enumerate(zip(_powers(params.p, grid), trig))]
     return SampleSeries(t0, values, step=step)
-
-
-def _magnitudes(g) -> list[float]:
-    """|g_i| of every sample; DomainError for a sample with a nan or inf part
-    or with a magnitude past the float range."""
-    with _in_range("a sample's magnitude exceeds the float range"):
-        mags = [abs(v) for v in g]
-    if not all(map(isfinite, mags)):
-        raise DomainError("samples must be finite, found nan or inf")
-    return mags
-
-
-def _window_scales(g, m: int):
-    """The scale max(M_i, M_{i+2m}) of every window i of g at stride m, as an array('d'),
-    8 bytes a window, with pairwise maxima M_j = max(|g_j|, |g_{j+m}|) (see _magnitudes)."""
-    from array import array  # here, not at the top: a shared library only the sweeps need
-    mags = _magnitudes(g)
-    peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, m, None))]
-    del mags
-    return array("d", [x if x >= y else y for x, y in zip(peaks, islice(peaks, 2 * m, None))])
-
-
-def _window_terms(g, scales, m: int) -> zip:
-    """The window kernel: (lo, hi, scale) of every window i of g at stride m, given
-    its scales.  lo = g_i + g_{i+m} is also window i-2m's hi, so each pair sum is
-    computed once; the pair sums are freed with the zip."""
-    sums = [x + y for x, y in zip(g, islice(g, m, None))]
-    return zip(sums, islice(sums, 2 * m, None), scales)
-
-
-_PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
-
-
-def _window_residuals(g, a: complex, m: int, scales=None) -> list[float]:
-    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g at stride m, its
-    _window_scales given or computed: how far each is from g_i + g_{i+m} = a*(g_{i+2m} + g_{i+3m}).
-
-    Raises DomainError for a non-finite invariant or sample, and for a
-    defect whose magnitude exceeds the float range.
-    """
-    if not cmath.isfinite(a):
-        raise DomainError(f"the invariant must be finite, got {a}")
-    terms = _window_terms(g, _window_scales(g, m) if scales is None else scales, m)
-    with _in_range(_PAIR_SUM_OVERFLOW):
-        return [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR) for x, y, c in terms]
 
 
 def _checked_tol(tol: float) -> None:
@@ -444,44 +393,6 @@ def _checked_values(series: SampleSeries, need: int,
     return series.values, min(m, n + 1)
 
 
-def _median(xs: list[float]) -> float:
-    """statistics.median(xs), bit for bit, without loading statistics or changing xs.
-    From _SELECT_MIN values on, a sorted 1-in-32 sample brackets the middle,
-    and only the values inside are sorted (Floyd and Rivest, CACM 1975); a
-    bracket that misses, or a nan (which the sum of xs keeps), sorts them all."""
-    n, below, inside = len(xs), 0, None
-    if n >= _SELECT_MIN and (total := sum(xs)) == total:
-        sample = sorted(xs[::32])
-        j, d = len(sample) // 2, 2 * isqrt(len(sample))
-        lo, hi = sample[j - d], sample[j + d]
-        below = len([x for x in xs if x < lo])
-        inside = sorted(x for x in xs if lo <= x <= hi)  # one list: repeats can fill it
-        if not (below <= (n - 1) // 2 and n // 2 < below + len(inside)):
-            below, inside = 0, None
-    if inside is None:
-        inside = sorted(xs)
-    i = n // 2 - below
-    return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
-
-
-def _estimate(series: SampleSeries) -> tuple:
-    """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse."""
-    g, m = _checked_values(series, 4, "invariant estimation")
-    scales = _window_scales(g, m)
-    with _in_range(_PAIR_SUM_OVERFLOW):  # the pair sums are freed once the ratios are taken
-        ratios = [x / y for x, y, c in _window_terms(g, scales, m)
-                  if not (y == 0 or abs(y) < SKIP_THRESHOLD * c)]
-    if not ratios:
-        raise NoValidWindows("every window was skipped as near-singular")
-    a_hat = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
-    # dividing by norm >= 1 keeps the order of the deviations, so it can follow the max
-    max_rel_dev = max(map(abs, map(sub, ratios, repeat(a_hat)))) / max(abs(a_hat), 1.0)
-    if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
-        raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
-    return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(ratios),
-                           windows_skipped=len(scales) - len(ratios)), scales
-
-
 def estimate_invariant(series: SampleSeries) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
 
@@ -491,6 +402,7 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """
+    from ._windows import _estimate  # here, not at the top: it imports this module
     return _estimate(series)[0]
 
 

@@ -23,12 +23,12 @@ import cmath
 import sys
 from array import array
 from itertools import chain, cycle, repeat
-from math import cos, fsum, inf, sin, sqrt
+from math import cos, fsum, inf, isfinite, sin, sqrt
 from operator import mul
 
+from ._windows import _estimate, _finite, _magnitudes, _median, _window_scales
 from .core import (DEFAULT_R_MAX, SKIP_THRESHOLD, InvariantReport, SampleSeries, StasParams,
-                   estimate_invariant, _Record, _checked_values, _in_range, _magnitudes, _median,
-                   _phases, _powers, _steps_per_unit, _window_scales)
+                   _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -93,9 +93,14 @@ def disambiguate_p(series: SampleSeries) -> complex:
     is 0, -1 or not finite.
     """
     g, m = _checked_values(series, 4, "base recovery")
+    return _base(g, m, _window_scales(g, m))
+
+
+def _base(g, m: int, scales) -> complex:
+    """disambiguate_p of the values g at stride m, given their _window_scales."""
     with _in_range(_FIT_SUMS):
         sums = [x + y for x, y in zip(g, g[m:])]
-        ratios = [y / x for x, y, c in zip(sums, sums[m:], _window_scales(g, m))
+        ratios = [y / x for x, y, c in zip(sums, sums[m:], scales)
                   if not (x == 0 or abs(x) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
@@ -125,7 +130,7 @@ class _TrigBasis:
         grid = series.grid()
         self.pt = _powers(p, grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
-        _magnitudes(y)
+        _finite(all(map(isfinite, _magnitudes(y))))
         y_re, y_im = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
         del y  # only the two arrays are needed from here on
         try:
@@ -280,7 +285,8 @@ def search_frequencies(series: SampleSeries, p: complex,
         if not solved:
             assert failure is not None
             raise failure
-        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
+        # pow(x, 2) is abs(v) ** 2: the same float_pow, so the same libm pow call
+        data_scale = sqrt(fsum(map(pow, map(abs, series.values), repeat(2))) / len(series))
         tie_slack = 1e-9 * max(data_scale, 1.0)
         bounds = [basis.rms_bounds(params, data_scale) for params in solved]
         bar = min(hi for _, hi in bounds) + tie_slack
@@ -297,11 +303,11 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
 
     The series needs a step of 1/m.  The invariant and base stages read residue
     class 0, values[::m]: bit for bit the stride-m windows from sample 0 on, at 1/m
-    of the cost of all windows.  The frequency search uses the full grid.  A sum
-    past the float range raises DomainError.
+    of the cost of all windows, and share its window scales.  The frequency search
+    uses the full grid.  A sum past the float range raises DomainError.
     """
     values, m = _checked_values(series, 4, "fitting")
-    unit = SampleSeries(series.t0, values[::m])
-    report = estimate_invariant(unit)
-    result = search_frequencies(series, disambiguate_p(unit), r_max)
+    unit = values[::m]
+    report, scales = _estimate(SampleSeries(series.t0, unit))
+    result = search_frequencies(series, _base(unit, 1, scales), r_max)
     return FitResult(result.params, result.residual_rms, result.tied_frequencies, report)

@@ -1,8 +1,12 @@
 """4-to-3 block codec and sliding-window integrity detection."""
 
+import cmath
 import math
 import random
+import re
 import statistics
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -25,9 +29,11 @@ from stasinv import (
     sample_series,
     seq_a,
 )
+import stasinv._windows as _windows
 from stasinv.codec import EncodedStream
-from stasinv.core import (ENCODE_TOL, _SELECT_MIN, _checked_tol, _estimate, _median,
-                          _window_residuals, _window_scales)
+from stasinv._windows import (_SELECT_MIN, _estimate, _farthest, _median, _window_residuals,
+                              _window_scales)
+from stasinv.core import ENCODE_TOL, _checked_tol
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
@@ -42,6 +48,11 @@ from _reference import (
 )
 
 BASE = StasParams(p=0.5, q2=1.0)
+
+
+def flat_residuals(g, a, m=1, scales=None):
+    """The residuals of _window_residuals' blocks as one list, in window order."""
+    return [r for _, block in _window_residuals(g, a, m, scales) for r in block]
 
 
 def draw_params(rng, r_hi=15):
@@ -110,7 +121,7 @@ class TestEncode:
     def test_residual_exactly_at_the_tolerance_encodes(self):
         # |1e-6 + 0 - a*(1 - 1)| / max|g| is exactly ENCODE_TOL, which a block may reach
         series = SampleSeries(1.0, (1e-6, 0.0, 1.0, -1.0))
-        assert _window_residuals(series.values, 1.0, 1) == [ENCODE_TOL]
+        assert flat_residuals(series.values, 1.0) == [ENCODE_TOL]
         assert encode_stream(series, 1.0).stored == series.values[:3]
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(4.0, float("nan"))])
@@ -187,7 +198,7 @@ class TestDetect:
     def test_clean_series_all_clean(self):
         series = sample_series(BASE, 1.0, 16)
         assert detect_errors(series, 4.0, 1e-6) == []
-        residuals = _window_residuals(series.values, 4.0, 1)
+        residuals = flat_residuals(series.values, 4.0)
         assert len(residuals) == 13
         assert all(r < 1e-12 for r in residuals)
 
@@ -203,7 +214,7 @@ class TestDetect:
     def test_all_zero_series_is_clean(self):
         series = SampleSeries(1.0, (0,) * 8)
         assert detect_errors(series, 4.0, 1e-6) == []
-        assert _window_residuals(series.values, 4.0, 1) == [0.0] * 5
+        assert flat_residuals(series.values, 4.0) == [0.0] * 5
 
     def test_too_few_samples(self):
         with pytest.raises(NoValidWindows):
@@ -248,7 +259,7 @@ class TestDetect:
         findings = detect_errors(series, 1.0, 1e-6)
         assert [f.window_index for f in findings] == [0, 1, 2, 3]
         assert findings[0].residual != findings[0].residual  # nan
-        residuals = _window_residuals(series.values, 1.0, 1)
+        residuals = flat_residuals(series.values, 1.0)
         assert residuals[0] != residuals[0] and residuals[4] <= 1e-6
 
     def test_pair_sum_magnitude_overflow_is_domain_error(self):
@@ -434,8 +445,8 @@ class TestWindowKernelOracle:
         series = SampleSeries(1.0, values)
         g = series.values
         want = ref_residuals(g, a)
-        assert repr(_window_residuals(g, a, 1)) == repr(want)
-        assert repr(_window_residuals(g, a, 1, _window_scales(g, 1))) == repr(want)
+        assert repr(flat_residuals(g, a)) == repr(want)
+        assert repr(flat_residuals(g, a, 1, _window_scales(g, 1))) == repr(want)
         flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
         assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
@@ -457,8 +468,46 @@ class TestWindowKernelOracle:
             assert repr(estimate_invariant(series)) == repr(want)
             report, scales = _estimate(series)
             assert repr(report) == repr(want)
-            assert repr(_window_residuals(series.values, a, 1, scales)) == \
+            assert repr(flat_residuals(series.values, a, 1, scales)) == \
                 repr(ref_residuals(series.values, a))
+
+    @given(st.lists(kernel_values, min_size=1, max_size=20), complexes(-8, 8, -8, 8),
+           st.integers(1, 4))
+    # disk (0, ±1j) about 0, then the point 0.5 + d just past d = |1j - 0.5|: the first
+    # disk's bound, 1.5, takes it first, and the second's must not fall below d
+    @example([1j, -1j, 0.5 + math.nextafter(abs(1j - 0.5), 2.0)], 0.5 + 0j, 2)
+    @example([1e-305 + 0j, 3e-310 + 0j, -1e-305j], 0j, 1)  # subnormal distances
+    def test_farthest_passes_over_only_disks_that_cannot_hold_the_largest(self, values, a, size):
+        # the disks as _estimate makes them: the mean of each run of size values and
+        # the largest distance from it
+        re, im = array("d", [v.real for v in values]), array("d", [v.imag for v in values])
+        disks = []
+        for i in range(0, len(values), size):
+            part = values[i:i + size]
+            center = sum(part) / len(part)
+            disks.append((i, max(abs(v - center) for v in part), center))
+        assert repr(_farthest(re, im, a, disks)) == repr(max(abs(v - a) for v in values))
+
+    @pytest.mark.parametrize("values", [
+        [1e308] * 4 + [1.0] * 8,  # ratios nan, inf, inf, 5e307, then 1: the first is nan
+        [1.0] * 8 + [1e308] * 4,  # the nan ratios come last
+        [1.0, 1e308, 1.0, 1e308, 1.0, 1e308, 2.0, 3.0] * 2,
+        [1.0] * 6 + [1e308, -1e308] + [1.0] * 6,
+    ])
+    @pytest.mark.parametrize("block, disk", [(_windows._BLOCK, _windows._DISK), (1, 1), (2, 3)])
+    def test_estimate_past_the_float_range(self, values, block, disk):
+        # pair sums that overflow give inf and nan ratios; max_rel_dev is taken as max()
+        # takes it over the ratios in window order, a nan first included, in any blocks
+        a_hat, max_rel_dev, used, skipped = ref_estimate_invariant([complex(v) for v in values])
+        with mock.patch.object(_windows, "_BLOCK", block), \
+                mock.patch.object(_windows, "_DISK", disk):
+            if cmath.isfinite(a_hat) and math.isfinite(max_rel_dev):
+                assert repr(estimate_invariant(SampleSeries(1.0, values))) == \
+                    repr(InvariantReport(a_hat, max_rel_dev, used, skipped))
+            else:
+                message = f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}"
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    estimate_invariant(SampleSeries(1.0, values))
 
     @given(st.one_of(st.lists(median_values, min_size=1, max_size=9), long_median_lists()))
     @example([math.inf, -math.inf])
@@ -475,12 +524,16 @@ class TestWindowKernelOracle:
     # the bracket [16, 48] ends one value below the middle: sorts them all
     @example([float(i // 32) if i % 32 == 0 else 30.5 if i < 1007 else 100.0
               for i in range(_SELECT_MIN)])
+    # the bracket [5, 5] starts one value above the middle, 1025 of 2049 below it: sorts them all
+    @example([5.0 if i % 32 == 0 else 0.0 if i - i // 32 <= 1025 else 10.0 for i in range(2049)])
     def test_median(self, xs):
         # odd and even lengths on both sides of the selection cutoff, ties and
-        # signed zeros; the bits must match, nan included, and xs stays as it was
+        # signed zeros; the bits must match, nan included, and xs stays as it was;
+        # the estimate takes its medians of array('d')s
         ys = list(xs)
         assert repr(_median(ys)) == repr(statistics.median(xs))
         assert repr(ys) == repr(xs)
+        assert repr(_median(array("d", xs))) == repr(statistics.median(xs))
 
     @given(kernel_streams)
     @example(([0j] * 5, 4.0))

@@ -185,6 +185,18 @@ class TestFitTrig:
         with pytest.raises(DomainError, match=r"least-squares solve for \(r1, r2\) = \(5, 7\)"):
             fit_trig(huge, 0.5 + 0j, 5, 7)
 
+    @pytest.mark.parametrize("bad, message", [
+        (complex("nan"), "samples must be finite, found nan or inf"),
+        (complex(1.5e308, 1.5e308), "a sample's magnitude exceeds the float range"),
+    ])
+    def test_non_finite_y_is_refused_by_its_magnitudes(self, bad, message):
+        # the basis checks y = g - p^t sample by sample before any sum; a nan that
+        # reached the sums would be refused only later, as an overflowed solve
+        values = list(sample_series(StasParams(p=0.5, q1=1.0, r1=5), 0.1, 64, step=0.125).values)
+        values[40] = bad
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            fit_trig(SampleSeries(0.1, values, step=0.125), 0.5 + 0j, 5, 7)
+
     def test_four_samples_are_enough(self):
         params = StasParams(p=0.5, q1=2.0, q2=-1.0, r1=1, r2=3)
         q1, q2 = fit_trig(sample_series(params, 0.1, 4, step=0.125), 0.5 + 0j, 1, 3)

@@ -3,6 +3,7 @@
 import cmath
 import re
 import struct
+import tempfile
 from itertools import chain
 from unittest import mock
 
@@ -201,6 +202,22 @@ class TestStasc1:
                 "8,0\n")
         enc = EncodedStream(a=4.0, t0=1.0, count=11, stored=stored, step=0.5)
         assert dump_stasc1(enc) == text and load_stasc1(text) == enc
+
+    @pytest.mark.parametrize("block", [1, codec._BLOCK])
+    @pytest.mark.parametrize("body, message", [
+        ("x,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", "bad complex literal 'x,0'"),
+        ("x,0;2,0;3,0\n", "truncated STASC1 block section"),
+        ("x,0;2,0;3,0\n1,0;2,0\nrem=0\n", "block line needs 3 samples, got '1,0;2,0'"),
+        ("1,0;2,0\nx,0;2,0;3,0\nrem=1\n", "block line needs 3 samples, got '1,0;2,0'"),
+        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=x\n", "bad rem= line: 'rem=x'"),
+        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=1\n", "rem=1 inconsistent with count=8"),
+    ])
+    def test_structural_errors_win_over_a_bad_literal(self, body, message, block):
+        # block lines are parsed as they arrive, a block at a time; the first bad
+        # literal is reported, and only once the block section and rem= line pass
+        with mock.patch.object(codec, "_BLOCK", block):
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                load_stasc1("STASC1\na=2,0 t0=1 count=8\n" + body)
 
     @pytest.mark.parametrize("text, message", MALFORMED_STASC1_STEP)
     def test_malformed_step_rejected(self, text, message, tmp_path, capsys):
@@ -413,3 +430,76 @@ class TestAgainstLineByLineReference:
         enc = EncodedStream(a=a, t0=t0, count=4 * len(blocks) + len(remainder),
                             stored=(*chain.from_iterable(blocks), *remainder))
         assert dump_stasc1(enc) == ref_dump_stasc1(enc)
+
+
+# -- the CLI's parse from the file, against the text it used to read whole ----------
+
+def _text_of(path):
+    """The file decoded at once with universal newlines, a non-ASCII byte refused with
+    its offset: the text the CLI parsed before it parsed from the file."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-ASCII byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+
+
+def _message_or_bits(read):
+    """The bits of what read() returns, or its error's class and message."""
+    try:
+        obj = read()
+    except (FormatError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(obj, SampleSeries):
+        return _bits(obj.t0, obj.step, *obj.values)
+    return _bits(obj.a, obj.t0, obj.step, *obj.stored), obj.count
+
+
+@st.composite
+def text_files(draw):
+    """The bytes of a SIG1 or STASC1 text with each line ended by LF, CRLF or a lone CR,
+    maybe no end on the last, and maybe one non-ASCII byte anywhere."""
+    lines = draw(st.one_of(sig1_texts(), stasc1_texts())).splitlines()
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(map(str.__add__, lines, ends)).encode("ascii")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x80", b"\xe9", b"\xff"])) + data[at:]
+    return data
+
+
+class TestParseFromTheFile:
+    """cli._load of a file gives what load_sig1 / load_stasc1 give on its text: the same
+    series or stream, bit for bit, or the same error and message.  A non-ASCII byte
+    wins over any format error, wherever it is; in STASC1 a truncated block section,
+    a block line without 3 fields and a bad rem= line win over a bad literal."""
+
+    @settings(max_examples=300)
+    @given(text_files(), st.sampled_from([1, 7, 64]))
+    @example(b"SIG1\r\nt0=0 kind=f count=2\r\n1,0\r\n2,0\r\n", 1)  # CRLF at every block edge
+    @example(b"SIG1\r\nt0=0 kind=f count=2\r\n1,0\r\n2,0\r\n", 7)
+    @example(b"SIG1\rt0=0 kind=f count=2\r1,0\r2,0", 7)  # lone CRs, no line end at the end
+    @example(b"SIG1\nt0=0 kind=f count=2\n\n1,0\n\n\n2,0", 64)  # blank lines
+    @example(b"SIG1\nt0=0 kind=f count=2\n1,\xe90\nx,0\n", 7)  # non-ASCII before a bad line
+    @example(b"SIG1\nt0=0 kind=f count=2\nx,0\n2,0\n" + b"3,0\n" * 40 + b"\xff\n", 7)  # after
+    @example(b"SIG2\nt0=0 kind=f count=1\n" + b"1,0\n" * 40 + b"\x80", 1)  # after a bad magic
+    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n", 7)  # truncated beats the literal
+    @example(b"STASC1\na=2,0 t0=1 count=4\n1,0;x,0;3,0\nrem=x\n", 1)  # bad rem= beats it
+    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n1,0;2,0\nrem=0\n", 1)  # so do 2 fields
+    @example(b"STASC1\na=2,0 t0=1 count=5\n1,0;2,0;3,0\nrem=1\n4,\x800\n", 64)
+    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", 1)  # the first wins
+    def test_same_result_or_error_as_the_whole_text(self, data, block):
+        from stasinv.cli import _load
+        load, parse = ((load_sig1, codec._sig1) if data.startswith(b"SIG") else
+                       (load_stasc1, codec._stasc1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/in"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with mock.patch.object(codec, "_BLOCK", block):
+                want = _message_or_bits(lambda: load(_text_of(path)))
+                assert _message_or_bits(lambda: _load(path, parse)) == want

@@ -4,7 +4,8 @@ Each case is timed at N and 4N, taking the fastest of 3 interleaved repeats
 per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
 of a shared machine); code quadratic in N reads 16.  The text I/O also has
 memory guards: reading and writing hold about the series, not copies of its text,
-and an estimate and the sweep after it hold one set of window terms at a time.
+the CLI parses a file as it reads it, and an estimate and the sweep or encoding
+after it hold one block of window terms at a time.
 The fit's trig basis has a counting guard: on a step-1/m grid only its sum of
 squares and its residue-class sums of y take a number of terms that grows with
 N; and a memory guard: its columns hold one period.
@@ -24,10 +25,10 @@ from stasinv import (
     sample_series,
 )
 from stasinv import estimator
-from stasinv.cli import _write
-from stasinv.codec import (_detect, _sig1_parts, _stasc1_parts, dump_sig1, dump_stasc1, load_sig1,
-                           load_stasc1)
-from stasinv.core import _estimate
+from stasinv.cli import _load, _write
+from stasinv.codec import (_detect, _encode, _sig1, _sig1_parts, _stasc1, _stasc1_parts,
+                           decode_stream, dump_sig1, dump_stasc1, load_sig1, load_stasc1)
+from stasinv._windows import _estimate
 from stasinv.estimator import _TrigBasis
 
 RATIO_LIMIT = 10.0
@@ -174,9 +175,11 @@ def test_writing_parts_adds_under_1_mib_to_the_series(tmp_path):
         assert peak < 2**20
 
 
-def test_estimate_and_sweep_peak_at_most_1_95_mib():
+def test_estimate_and_sweep_peak_at_most_1_4_mib():
     # as `check --estimate` runs them: the estimate keeps only its window scales,
-    # 8 bytes a window, for the sweep; two full window kernels peaked at 1.95 MiB
+    # 8 bytes a window, for the sweep; two full window kernels peaked at 1.95 MiB,
+    # one, with full-length lists of ratios and residuals, at 1.74 MiB; blocks of
+    # 4096 windows keep the ratios' parts and the flagged windows only: 1.29 MiB
     series = _clean(20000)
 
     def check_estimate():
@@ -185,7 +188,40 @@ def test_estimate_and_sweep_peak_at_most_1_95_mib():
 
     findings, _, peak = _traced(check_estimate)
     assert findings == []
-    assert peak <= 1.95 * 2**20
+    assert peak <= 1.4 * 2**20
+
+
+def test_estimate_and_encode_peak_at_most_1_4_mib():
+    # as `encode --estimate` runs them: 1.72 MiB with full-length lists, 1.27 MiB in blocks
+    series = _clean(20000)
+
+    def encode_estimate():
+        report, scales = _estimate(series)
+        return _encode(series, report.a_hat, scales)
+
+    enc, _, peak = _traced(encode_estimate)
+    assert enc.count == 20000
+    assert peak <= 1.4 * 2**20
+
+
+def test_file_parse_peaks_near_the_series_it_returns(tmp_path):
+    # the CLI's parse of a file: read whole, the text and its bytes peaked at 2.3
+    # times the 40003 samples; parsed as read, a block of lines at a time, at 1.26
+    path = tmp_path / "in.sig1"
+    path.write_text(dump_sig1(_clean(40003)))
+    series, held, peak = _traced(lambda: _load(path, _sig1))
+    assert len(series) == 40003
+    assert peak <= 1.3 * held
+
+
+def test_decode_path_peaks_near_the_series_it_returns(tmp_path):
+    # `decode` on 40003 samples: whole-text read and block lines held peaked at 2.85
+    # times the decoded series; block lines parsed as they arrive, at 1.39
+    path = tmp_path / "in.stasc1"
+    path.write_text(dump_stasc1(_encoded(40003)))
+    series, held, peak = _traced(lambda: decode_stream(_load(path, _stasc1)))
+    assert len(series) == 40003
+    assert peak <= 1.5 * held
 
 
 def test_trig_basis_peak_at_most_3_mib():

@@ -1,7 +1,9 @@
 """Sample series construction, generation, and empirical invariant estimation."""
 
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stasinv import (
@@ -10,6 +12,7 @@ from stasinv import (
     SampleSeries,
     StasParams,
     closed_form_invariant,
+    detect_errors,
     estimate_invariant,
     eval_f,
     eval_s,
@@ -20,6 +23,7 @@ from stasinv.rng import SplitMix64
 from conftest import params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
+EPS = sys.float_info.epsilon
 
 
 class TestSampleSeries:
@@ -48,13 +52,25 @@ class TestSampleSeries:
 
 
 class TestSampleGeneration:
-    @given(params_st, st.floats(-10, 10, allow_nan=False), st.integers(4, 32))
-    def test_matches_pointwise_evaluation(self, params, t0, count):
-        series = sample_series(params, t0, count)
+    @given(params_st, st.floats(-10, 10, allow_nan=False), st.integers(4, 32),
+           st.sampled_from([1.0, 0.5, 0.125, 1 / 16, 0.3]))
+    def test_matches_pointwise_evaluation(self, params, t0, count, step):
+        series = sample_series(params, t0, count, step=step)
         scale = 1.0 + abs(params.q1) + abs(params.q2)
         for i, (t, g) in enumerate(zip(series.grid(), series.values)):
             f = eval_f(params, t)
             assert abs(g - f) <= 1e-10 * (abs(f) + scale)
+
+    @given(params_st, st.floats(-4, 4, allow_nan=False), st.integers(1, 16), st.integers(1, 8))
+    @example(StasParams(p=0.9 + 0.3j, q1=1 - 0.5j, q2=0.25, r1=5, r2=3), 0.1, 8, 8)
+    @example(StasParams(p=0.5, q1=2.0, q2=-1.5j, r1=15, r2=13), -3.7, 16, 1)
+    def test_every_window_holds_to_a_few_ulps_at_step_one_over_m(self, params, t0, m, blocks):
+        # the trig part is evaluated on the first m grid points and its sign flipped
+        # every m samples, so it cancels exactly in each window i, i+m, i+2m, i+3m;
+        # evaluated at every grid point, windows at step 1/8 held only to about 2e3 ulps
+        series = sample_series(params, t0, (3 + blocks) * m, step=1 / m)
+        a = closed_form_invariant(params)
+        assert detect_errors(series, a, 64 * EPS * (1 + abs(a))) == []
 
     def test_fractional_step(self):
         series = sample_series(BASE, 0.1, 8, step=0.125)

@@ -10,6 +10,7 @@ k -> c + m*k, bit for bit.
 import contextlib
 import io
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -31,13 +32,15 @@ from stasinv import (
     repair_samples,
     sample_series,
 )
+import stasinv._windows as _windows
 from stasinv.cli import main
 from stasinv.codec import EncodedStream, dump_stasc1, load_stasc1
-from stasinv.core import ENCODE_TOL, _median, _window_residuals, _window_scales, _window_terms
-from stasinv.errors import FormatError
+from stasinv._windows import _estimate, _median, _window_scales, _window_terms
+from stasinv.core import ENCODE_TOL
+from stasinv.errors import FormatError, StasError
 
 from conftest import complexes, params_st
-from test_codec import kernel_values
+from test_codec import flat_residuals, kernel_values
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -98,12 +101,14 @@ class TestAgainstUnitOperationsPerClass:
         series = SampleSeries(1.0, values, step=1 / m)
         g = series.values
         scales = _window_scales(g, m)
-        terms = list(_window_terms(g, scales, m))
-        residuals = _window_residuals(g, a, m)
+        terms = [term for _, block in _window_terms(g, scales, m) for term in block]
+        residuals = flat_residuals(g, a, m)
         want_terms, want_residuals = {}, {}
         for c, sub in enumerate(_classes(g, m)):
-            unit_terms = _window_terms(sub.values, _window_scales(sub.values, 1), 1)
-            for k, (term, r) in enumerate(zip(unit_terms, _window_residuals(sub.values, a, 1))):
+            unit_scales = _window_scales(sub.values, 1)
+            unit_terms = [term for _, block in _window_terms(sub.values, unit_scales, 1)
+                          for term in block]
+            for k, (term, r) in enumerate(zip(unit_terms, flat_residuals(sub.values, a))):
                 want_terms[c + m * k], want_residuals[c + m * k] = term, r
         assert repr(terms) == repr([want_terms[i] for i in range(len(g) - 3 * m)])
         assert repr(residuals) == repr([want_residuals[i] for i in range(len(g) - 3 * m)])
@@ -149,7 +154,7 @@ class TestAgainstUnitOperationsPerClass:
         g = series.values
         blocks = len(g) // (4 * m)
         try:
-            _window_residuals(g, a, m)
+            flat_residuals(g, a, m)
         except DomainError:
             with pytest.raises(DomainError):
                 encode_stream(series, a)
@@ -203,6 +208,38 @@ class TestAgainstUnitOperationsPerClass:
             return
         assert repr(repair_samples(series, implicated, a)) == \
             repr(SampleSeries(1.0, want, step=1 / m))
+
+
+def _window_outcomes(m, values, a):
+    """repr of what each window operation gives on the series at step 1/m, or its error."""
+    series = SampleSeries(1.0, values, step=1 / m)
+
+    def outcome(operation):
+        try:
+            return repr(operation())
+        except StasError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    return [outcome(lambda: list(_window_scales(series.values, m))),
+            outcome(lambda: _estimate(series)[0]),
+            outcome(lambda: flat_residuals(series.values, a, m)),
+            outcome(lambda: detect_errors(series, a, ENCODE_TOL)),
+            outcome(lambda: encode_stream(series, a))]
+
+
+class TestKernelBlocks:
+    @given(strided_cases(), st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 3]))
+    @example(CLEAN_2, 1, 1)
+    @example((1, [1e308 + 0j] * 6 + [1 + 0j] * 6, 1.0), 2, 1)  # pair sums past the float range
+    @example((1, [complex("nan")] + [1 + 0j] * 9 + [complex(1.5e308, 1.5e308)], 1.0), 1, 1)
+    @example((2, _faulted([1 + 0j] * 24, [3, 17]), 1.0), 3, 1)  # outliers among equal ratios
+    def test_blocks_of_windows_change_no_bit_and_no_error(self, case, block, disk):
+        # blocks of a few windows, and of a few ratios for the largest deviation, put
+        # their edges everywhere: every result and error is that of one block
+        want = _window_outcomes(*case)
+        with mock.patch.object(_windows, "_BLOCK", block), \
+                mock.patch.object(_windows, "_DISK", disk):
+            assert _window_outcomes(*case) == want
 
 
 class TestStrideEdges:

@@ -9,7 +9,6 @@ estimate_invariant, codec's sweeps and the fit's base stage share it.
 from __future__ import annotations
 
 import cmath
-import sys
 from itertools import islice, repeat
 from math import isfinite, isqrt
 from operator import sub
@@ -19,33 +18,31 @@ from .core import (SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_value
 from .errors import DomainError, NoValidWindows
 
 _SELECT_MIN = 2048  # from this many values on, _median selects the middle instead of sorting all
-# Windows per block of the window kernel; also, in codec and cli, samples per formatted
-# block of text and the fewest characters split, or bytes read, per block of text.
-_BLOCK = 4096
-_DISK = 256  # ratios per disk of _farthest
+_BLOCK = 4096  # windows per block of the window kernel
 # Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
 _SCALE_FLOOR = 1e-300
-_EPS = sys.float_info.epsilon
+_NOT_FINITE = "samples must be finite, found nan or inf"
 
 
 def _magnitudes(g) -> list[float]:
     """|g_i| of every sample; DomainError for a magnitude past the float range.
-    A sample with a nan or inf part has a nan or inf one, which _finite refuses."""
+    A sample with a nan or inf part has a nan or inf one, which the callers refuse."""
     with _in_range("a sample's magnitude exceeds the float range"):
         return [abs(v) for v in g]
 
 
-def _finite(ok: bool) -> None:
-    """DomainError unless ok, which says that every sample magnitude is finite."""
-    if not ok:
-        raise DomainError("samples must be finite, found nan or inf")
+def _check_finite(g) -> None:
+    """DomainError for a sample whose magnitude is past the float range, else for a
+    nan or inf sample: the magnitude error wins wherever the two samples are."""
+    if not all(map(isfinite, _magnitudes(g))):
+        raise DomainError(_NOT_FINITE)
 
 
 def _window_scales(g, m: int):
     """The scale max(M_i, M_{i+2m}) of every window i of g at stride m, as an array('d'),
     8 bytes a window, with pairwise maxima M_j = max(|g_j|, |g_{j+m}|), one block of
-    _BLOCK windows at a time.  Every sample's magnitude is taken before _finite, so
-    one past the float range wins over a nan anywhere (see _magnitudes)."""
+    _BLOCK windows at a time.  Every sample's magnitude is taken before the nan check,
+    so one past the float range wins over a nan anywhere, as in _check_finite."""
     from array import array  # here, not at the top: a shared library only the sweeps need
     scales, finite = array("d"), True
     for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
@@ -53,7 +50,8 @@ def _window_scales(g, m: int):
         finite = finite and all(map(isfinite, mags))
         peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, m, None))]
         scales.fromlist([x if x >= y else y for x, y in zip(peaks, islice(peaks, 2 * m, None))])
-    _finite(finite)
+    if not finite:
+        raise DomainError(_NOT_FINITE)
     return scales
 
 
@@ -112,55 +110,25 @@ def _median(xs) -> float:
     return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
 
 
-def _farthest(re, im, a: complex, disks) -> float:
-    """max(map(abs, map(sub, map(complex, re, im), repeat(a)))), bit for bit, max's nan
-    rule included, taken over only the disks of values that can hold the largest.
-
-    disks holds (start, radius, center) of each run of values from start on to the
-    next start: its mean and the largest computed |value - center|.  Once a and every
-    center are finite, so is every value, and a disk is passed over when its bound,
-    (radius + |center - a|) * (1 + 8*_EPS) + 1e-300, falls below the largest distance
-    taken so far: the factor covers the roundings of the three distances (libm's hypot
-    within 1 ulp) and of the sum, the 1e-300 subnormal distances."""
-    def largest(i: int, j: int) -> float:
-        return max(map(abs, map(sub, map(complex, re[i:j], im[i:j]), repeat(a))))
-
-    if not (cmath.isfinite(a) and all(cmath.isfinite(c) for *_, c in disks)):
-        return largest(0, len(re))
-    stops = [i for i, *_ in disks[1:]] + [len(re)]
-    bounds = sorted((((r + abs(c - a)) * (1.0 + 8 * _EPS) + 1e-300, i, j)
-                     for (i, r, c), j in zip(disks, stops)), reverse=True)
-    best = 0.0
-    for bound, i, j in bounds:
-        if bound < best:
-            break
-        best = max(best, largest(i, j))
-    return best
-
-
 def _estimate(series: SampleSeries) -> tuple:
     """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse.
-    The ratios are kept as their parts, 16 bytes a window, and for _farthest as
-    disks: the mean of each run of _DISK ratios and the largest distance from it."""
+    The ratios are kept as their parts, 16 bytes a window."""
     from array import array
     g, m = _checked_values(series, 4, "invariant estimation")
     scales = _window_scales(g, m)
-    re, im, disks = array("d"), array("d"), []
+    re, im = array("d"), array("d")
     with _in_range(_PAIR_SUM_OVERFLOW):
         for _, terms in _window_terms(g, scales, m):
             ratios = [x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c]
             del terms  # and with it the block's pair sums
-            for i in range(0, len(ratios), _DISK):
-                part = ratios[i:i + _DISK]
-                center = sum(part) / len(part)
-                disks.append((len(re) + i, max(map(abs, map(sub, part, repeat(center)))), center))
             re.fromlist([r.real for r in ratios])
             im.fromlist([r.imag for r in ratios])
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))
     # dividing by norm >= 1 keeps the order of the deviations, so it can follow the max
-    max_rel_dev = _farthest(re, im, a_hat, disks) / max(abs(a_hat), 1.0)
+    deviations = map(abs, map(sub, map(complex, re, im), repeat(a_hat)))
+    max_rel_dev = max(deviations) / max(abs(a_hat), 1.0)
     if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
         raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(re),

@@ -29,7 +29,7 @@ import cmath
 import math
 from itertools import chain, islice, repeat
 
-from ._windows import _BLOCK, _window_residuals
+from ._windows import _window_residuals
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
                    _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
@@ -207,6 +207,10 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 
 
 # -- text serialization -------------------------------------------------------
+
+# Samples formatted per '%', the fewest characters split per block of text, and the
+# bytes a file command reads per block of lines.
+_BLOCK = 4096
 
 
 def _line_blocks(text: str):

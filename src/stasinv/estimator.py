@@ -23,12 +23,13 @@ import cmath
 import sys
 from array import array
 from itertools import chain, cycle, repeat
-from math import cos, fsum, inf, isfinite, sin, sqrt
+from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
-from ._windows import _estimate, _finite, _magnitudes, _median, _window_scales
+from ._windows import _check_finite, _median, _window_scales
 from .core import (DEFAULT_R_MAX, SKIP_THRESHOLD, InvariantReport, SampleSeries, StasParams,
-                   _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
+                   estimate_invariant, _Record, _checked_values, _in_range, _phases, _powers,
+                   _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -93,14 +94,9 @@ def disambiguate_p(series: SampleSeries) -> complex:
     is 0, -1 or not finite.
     """
     g, m = _checked_values(series, 4, "base recovery")
-    return _base(g, m, _window_scales(g, m))
-
-
-def _base(g, m: int, scales) -> complex:
-    """disambiguate_p of the values g at stride m, given their _window_scales."""
     with _in_range(_FIT_SUMS):
         sums = [x + y for x, y in zip(g, g[m:])]
-        ratios = [y / x for x, y, c in zip(sums, sums[m:], scales)
+        ratios = [y / x for x, y, c in zip(sums, sums[m:], _window_scales(g, m))
                   if not (x == 0 or abs(x) < SKIP_THRESHOLD * c)]
     if not ratios:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
@@ -130,7 +126,7 @@ class _TrigBasis:
         grid = series.grid()
         self.pt = _powers(p, grid)
         y = [v - w for v, w in zip(series.values, self.pt)]
-        _finite(all(map(isfinite, _magnitudes(y))))
+        _check_finite(y)
         y_re, y_im = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
         del y  # only the two arrays are needed from here on
         try:
@@ -303,11 +299,11 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
 
     The series needs a step of 1/m.  The invariant and base stages read residue
     class 0, values[::m]: bit for bit the stride-m windows from sample 0 on, at 1/m
-    of the cost of all windows, and share its window scales.  The frequency search
-    uses the full grid.  A sum past the float range raises DomainError.
+    of the cost of all windows.  The frequency search uses the full grid.  A sum
+    past the float range raises DomainError.
     """
     values, m = _checked_values(series, 4, "fitting")
-    unit = values[::m]
-    report, scales = _estimate(SampleSeries(series.t0, unit))
-    result = search_frequencies(series, _base(unit, 1, scales), r_max)
+    unit = SampleSeries(series.t0, values[::m])
+    report = estimate_invariant(unit)
+    result = search_frequencies(series, disambiguate_p(unit), r_max)
     return FitResult(result.params, result.residual_rms, result.tied_frequencies, report)

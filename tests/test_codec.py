@@ -31,8 +31,7 @@ from stasinv import (
 )
 import stasinv._windows as _windows
 from stasinv.codec import EncodedStream
-from stasinv._windows import (_SELECT_MIN, _estimate, _farthest, _median, _window_residuals,
-                              _window_scales)
+from stasinv._windows import _SELECT_MIN, _estimate, _median, _window_residuals, _window_scales
 from stasinv.core import ENCODE_TOL, _checked_tol
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
@@ -471,36 +470,18 @@ class TestWindowKernelOracle:
             assert repr(flat_residuals(series.values, a, 1, scales)) == \
                 repr(ref_residuals(series.values, a))
 
-    @given(st.lists(kernel_values, min_size=1, max_size=20), complexes(-8, 8, -8, 8),
-           st.integers(1, 4))
-    # disk (0, ±1j) about 0, then the point 0.5 + d just past d = |1j - 0.5|: the first
-    # disk's bound, 1.5, takes it first, and the second's must not fall below d
-    @example([1j, -1j, 0.5 + math.nextafter(abs(1j - 0.5), 2.0)], 0.5 + 0j, 2)
-    @example([1e-305 + 0j, 3e-310 + 0j, -1e-305j], 0j, 1)  # subnormal distances
-    def test_farthest_passes_over_only_disks_that_cannot_hold_the_largest(self, values, a, size):
-        # the disks as _estimate makes them: the mean of each run of size values and
-        # the largest distance from it
-        re, im = array("d", [v.real for v in values]), array("d", [v.imag for v in values])
-        disks = []
-        for i in range(0, len(values), size):
-            part = values[i:i + size]
-            center = sum(part) / len(part)
-            disks.append((i, max(abs(v - center) for v in part), center))
-        assert repr(_farthest(re, im, a, disks)) == repr(max(abs(v - a) for v in values))
-
     @pytest.mark.parametrize("values", [
         [1e308] * 4 + [1.0] * 8,  # ratios nan, inf, inf, 5e307, then 1: the first is nan
         [1.0] * 8 + [1e308] * 4,  # the nan ratios come last
         [1.0, 1e308, 1.0, 1e308, 1.0, 1e308, 2.0, 3.0] * 2,
         [1.0] * 6 + [1e308, -1e308] + [1.0] * 6,
     ])
-    @pytest.mark.parametrize("block, disk", [(_windows._BLOCK, _windows._DISK), (1, 1), (2, 3)])
-    def test_estimate_past_the_float_range(self, values, block, disk):
+    @pytest.mark.parametrize("block", [_windows._BLOCK, 1, 2])
+    def test_estimate_past_the_float_range(self, values, block):
         # pair sums that overflow give inf and nan ratios; max_rel_dev is taken as max()
         # takes it over the ratios in window order, a nan first included, in any blocks
         a_hat, max_rel_dev, used, skipped = ref_estimate_invariant([complex(v) for v in values])
-        with mock.patch.object(_windows, "_BLOCK", block), \
-                mock.patch.object(_windows, "_DISK", disk):
+        with mock.patch.object(_windows, "_BLOCK", block):
             if cmath.isfinite(a_hat) and math.isfinite(max_rel_dev):
                 assert repr(estimate_invariant(SampleSeries(1.0, values))) == \
                     repr(InvariantReport(a_hat, max_rel_dev, used, skipped))

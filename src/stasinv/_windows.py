@@ -2,8 +2,9 @@
 series on a grid of step 1/m, run over blocks of _BLOCK windows.
 
 Each block takes the series slice g[i : i + _BLOCK + 3m]; across blocks only
-per-window floats are kept, in array('d')s of 8 bytes a window.  core's
-estimate_invariant, codec's sweeps and the fit's base stage share it.
+per-window floats are kept, in array('d')s of 8 bytes a window, and callers see
+the windows in window order.  core's estimate_invariant and the fit's base stage
+(pair-sum ratios) and codec's sweeps (residuals) share it.
 """
 
 from __future__ import annotations
@@ -55,38 +56,50 @@ def _window_scales(g, m: int):
     return scales
 
 
-def _window_terms(g, scales, m: int):
-    """The window kernel: for each block of _BLOCK windows of g at stride m, its first
-    window i and a zip of the (lo, hi, scale) of windows i, i+1, ..., given their scales.
-    lo = g_i + g_{i+m} is also window i-2m's hi, so each pair sum is computed once;
-    only the zip holds a block's pair sums, so they are freed with it."""
+def _window_terms(g, scales, m: int, lags):
+    """The window kernel: for each block of _BLOCK windows i of g at stride m, a zip of
+    their (S_{i+j}, S_{i+k}, scale), (j, k) = lags, given their scales; the block's pair
+    sums S_i = g_i + g_{i+m}, each computed once, are held until the next block."""
+    j, k = lags
     for i in range(0, len(scales), _BLOCK):
-        yield i, _block_terms(g[i:i + _BLOCK + 3 * m], scales[i:i + _BLOCK], m)
-
-
-def _block_terms(block, scales, m: int) -> zip:
-    sums = [x + y for x, y in zip(block, islice(block, m, None))]
-    return zip(sums, islice(sums, 2 * m, None), scales)
+        block = g[i:i + _BLOCK + 3 * m]
+        sums = [x + y for x, y in zip(block, islice(block, m, None))]
+        yield zip(islice(sums, j, None), islice(sums, k, None), scales[i:i + _BLOCK])
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
 def _window_residuals(g, a: complex, m: int, scales=None):
-    """For each block of _BLOCK windows of g at stride m, its first window and the list of
-    |lo - a*hi| / max(scale, _SCALE_FLOOR) of its windows: how far each is from
+    """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g at stride m, in
+    window order, with lo = S_i and hi = S_{i+2m}: how far each is from
     g_i + g_{i+m} = a*(g_{i+2m} + g_{i+3m}).  The _window_scales, if not given, are
-    computed for every window before the first block.
+    computed for every window before the first residual.
 
     Raises DomainError for a non-finite invariant or sample, and for a
-    defect whose magnitude exceeds the float range, as the blocks are taken.
+    defect whose magnitude exceeds the float range, before any residual of its block.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
     with _in_range(_PAIR_SUM_OVERFLOW):
-        for i, terms in _window_terms(g, _window_scales(g, m) if scales is None else scales, m):
-            yield i, [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
-                      for x, y, c in terms]
+        for terms in _window_terms(g, _window_scales(g, m) if scales is None else scales,
+                                   m, (0, 2 * m)):
+            yield from [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
+                        for x, y, c in terms]
+
+
+def _ratio_parts(g, scales, m: int, lags) -> tuple:
+    """(re, im): array('d')s of the parts of the pair-sum ratios S_{i+j} / S_{i+k},
+    (j, k) = lags, of the windows i of g at stride m with the given scales, skipping as
+    near-singular each whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.
+    OverflowError where |S_{i+k}| leaves the float range, for the caller to name."""
+    from array import array
+    re, im = array("d"), array("d")
+    for terms in _window_terms(g, scales, m, lags):
+        ratios = [x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c]
+        re.fromlist([r.real for r in ratios])
+        im.fromlist([r.imag for r in ratios])
+    return re, im
 
 
 def _median(xs) -> float:
@@ -111,18 +124,11 @@ def _median(xs) -> float:
 
 
 def _estimate(series: SampleSeries) -> tuple:
-    """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse.
-    The ratios are kept as their parts, 16 bytes a window."""
-    from array import array
+    """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse."""
     g, m = _checked_values(series, 4, "invariant estimation")
     scales = _window_scales(g, m)
-    re, im = array("d"), array("d")
     with _in_range(_PAIR_SUM_OVERFLOW):
-        for _, terms in _window_terms(g, scales, m):
-            ratios = [x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c]
-            del terms  # and with it the block's pair sums
-            re.fromlist([r.real for r in ratios])
-            im.fromlist([r.imag for r in ratios])
+        re, im = _ratio_parts(g, scales, m, (0, 2 * m))
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))

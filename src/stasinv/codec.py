@@ -102,14 +102,11 @@ def _encode(series: SampleSeries, a: complex, scales) -> EncodedStream:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g, m = _checked_values(series, 0, "encoding")
     span = len(g) - len(g) % (q := 4 * m)  # the full blocks
-    bad = []  # (window, residual) of each failing window 4mb .. 4mb + m - 1 of block b
-    for i, block in _window_residuals(g, a, m, scales):
-        bad += [(j, block[j - i]) for c in range(m)
-                for j in range(i + (c - i) % q, min(i + len(block), span), q)
-                if not block[j - i] <= ENCODE_TOL]
+    # (block b, residual) of each failing window 4mb .. 4mb + m - 1, in window order
+    bad = [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m, scales))
+           if i % q < m and i < span and not r <= ENCODE_TOL]
     if bad:
-        j, residual = min(bad)
-        raise IdentityViolation(j // q, residual)
+        raise IdentityViolation(*bad[0])
     stored = [0j] * (span - span // 4)
     for c in range(3 * m):
         stored[c::3 * m] = g[c:span:q]
@@ -168,9 +165,7 @@ def _detect(series: SampleSeries, a: complex, tol: float, scales) -> list[Integr
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3 * m
-    flagged = []  # (window, residual) of each window not within tol
-    for i, block in _window_residuals(g, a, m, scales):
-        flagged += [(i + k, r) for k, r in enumerate(block) if not r <= tol]
+    flagged = [(i, r) for i, r in enumerate(_window_residuals(g, a, m, scales)) if not r <= tol]
 
     runs = {}  # last window -> first window of each maximal chain of flagged windows m apart
     for i, _ in flagged:

@@ -26,10 +26,9 @@ from itertools import chain, cycle, repeat
 from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
-from ._windows import _check_finite, _median, _window_scales
-from .core import (DEFAULT_R_MAX, SKIP_THRESHOLD, InvariantReport, SampleSeries, StasParams,
-                   estimate_invariant, _Record, _checked_values, _in_range, _phases, _powers,
-                   _steps_per_unit)
+from ._windows import _check_finite, _median, _ratio_parts, _window_scales
+from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
+                   _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -95,13 +94,10 @@ def disambiguate_p(series: SampleSeries) -> complex:
     """
     g, m = _checked_values(series, 4, "base recovery")
     with _in_range(_FIT_SUMS):
-        sums = [x + y for x, y in zip(g, g[m:])]
-        ratios = [y / x for x, y, c in zip(sums, sums[m:], _window_scales(g, m))
-                  if not (x == 0 or abs(x) < SKIP_THRESHOLD * c)]
-    if not ratios:
+        re, im = _ratio_parts(g, _window_scales(g, m), m, (m, 0))
+    if not re:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
-    median = complex(_median([r.real for r in ratios]), _median([r.imag for r in ratios]))
-    return StasParams(p=median).p
+    return StasParams(p=complex(_median(re), _median(im))).p
 
 
 class _TrigBasis:

@@ -49,11 +49,6 @@ from _reference import (
 BASE = StasParams(p=0.5, q2=1.0)
 
 
-def flat_residuals(g, a, m=1, scales=None):
-    """The residuals of _window_residuals' blocks as one list, in window order."""
-    return [r for _, block in _window_residuals(g, a, m, scales) for r in block]
-
-
 def draw_params(rng, r_hi=15):
     while True:
         p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
@@ -120,7 +115,7 @@ class TestEncode:
     def test_residual_exactly_at_the_tolerance_encodes(self):
         # |1e-6 + 0 - a*(1 - 1)| / max|g| is exactly ENCODE_TOL, which a block may reach
         series = SampleSeries(1.0, (1e-6, 0.0, 1.0, -1.0))
-        assert flat_residuals(series.values, 1.0) == [ENCODE_TOL]
+        assert list(_window_residuals(series.values, 1.0, 1)) == [ENCODE_TOL]
         assert encode_stream(series, 1.0).stored == series.values[:3]
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(4.0, float("nan"))])
@@ -197,7 +192,7 @@ class TestDetect:
     def test_clean_series_all_clean(self):
         series = sample_series(BASE, 1.0, 16)
         assert detect_errors(series, 4.0, 1e-6) == []
-        residuals = flat_residuals(series.values, 4.0)
+        residuals = list(_window_residuals(series.values, 4.0, 1))
         assert len(residuals) == 13
         assert all(r < 1e-12 for r in residuals)
 
@@ -213,7 +208,7 @@ class TestDetect:
     def test_all_zero_series_is_clean(self):
         series = SampleSeries(1.0, (0,) * 8)
         assert detect_errors(series, 4.0, 1e-6) == []
-        assert flat_residuals(series.values, 4.0) == [0.0] * 5
+        assert list(_window_residuals(series.values, 4.0, 1)) == [0.0] * 5
 
     def test_too_few_samples(self):
         with pytest.raises(NoValidWindows):
@@ -258,7 +253,7 @@ class TestDetect:
         findings = detect_errors(series, 1.0, 1e-6)
         assert [f.window_index for f in findings] == [0, 1, 2, 3]
         assert findings[0].residual != findings[0].residual  # nan
-        residuals = flat_residuals(series.values, 1.0)
+        residuals = list(_window_residuals(series.values, 1.0, 1))
         assert residuals[0] != residuals[0] and residuals[4] <= 1e-6
 
     def test_pair_sum_magnitude_overflow_is_domain_error(self):
@@ -444,8 +439,8 @@ class TestWindowKernelOracle:
         series = SampleSeries(1.0, values)
         g = series.values
         want = ref_residuals(g, a)
-        assert repr(flat_residuals(g, a)) == repr(want)
-        assert repr(flat_residuals(g, a, 1, _window_scales(g, 1))) == repr(want)
+        assert repr(list(_window_residuals(g, a, 1))) == repr(want)
+        assert repr(list(_window_residuals(g, a, 1, _window_scales(g, 1)))) == repr(want)
         flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
         assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
@@ -467,7 +462,7 @@ class TestWindowKernelOracle:
             assert repr(estimate_invariant(series)) == repr(want)
             report, scales = _estimate(series)
             assert repr(report) == repr(want)
-            assert repr(flat_residuals(series.values, a, 1, scales)) == \
+            assert repr(list(_window_residuals(series.values, a, 1, scales))) == \
                 repr(ref_residuals(series.values, a))
 
     @pytest.mark.parametrize("values", [

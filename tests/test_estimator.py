@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import cos, fsum, inf, pi, sin, sqrt
 from operator import mul
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,13 +27,16 @@ from stasinv import (
     sample_series,
     search_frequencies,
 )
+import stasinv._windows as _windows
 from stasinv import estimator
 from stasinv.core import _phases
+from stasinv.errors import StasError
 from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
 from _reference import RefIllConditioned, ref_period, ref_rms_bounds, ref_search_frequencies
 from conftest import complexes, odd_ints, params_st
+from test_codec import kernel_values
 
 BASE = StasParams(p=0.5, q2=1.0)
 
@@ -119,6 +123,63 @@ class TestDisambiguateP:
     def test_step_of_one_over_m_required(self):
         with pytest.raises(DomainError, match="^base recovery requires a step of 1/m, got 0.3$"):
             disambiguate_p(sample_series(BASE, 1.0, 12, step=0.3))
+
+
+def _base_outcome(series):
+    """repr of disambiguate_p(series), or its error's type and message."""
+    try:
+        return repr(disambiguate_p(series))
+    except StasError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# TestDisambiguateP's error cases and the ratio kept at the skip bound
+BASE_EDGE_SERIES = [
+    SampleSeries(1.0, (1e-9, 0, 1e-9, 1)),
+    SampleSeries(1.0, (1.0, 0.5, 0.25)),
+    SampleSeries(1.0, (1, -1) * 3),
+    SampleSeries(1.0, (4, 1e-9 - 4) * 3),
+    SampleSeries(1.0, (1, 0, -1, 2, -3, 4, -5, 6)),
+    SampleSeries(1.0, (1, 0, 0, 0, 0, 0)),
+    SampleSeries(1.0, (1e308,) * 6),
+    SampleSeries(0.0, (1e308 + 1e308j, 3e307 + 3e307j, 1, 1)),
+    sample_series(BASE, 1.0, 12, step=0.3),
+]
+
+
+@st.composite
+def base_streams(draw):
+    """A series at step 1/m, m in {1, 2, 8}, of 3m+1 .. 3m+24 samples: a family member
+    or arbitrary window-kernel values."""
+    m = draw(st.sampled_from([1, 2, 8]))
+    n = draw(st.integers(3 * m + 1, 3 * m + 24))
+    if draw(st.booleans()):
+        return sample_series(draw(params_st), draw(st.floats(-2, 2)), n, step=1 / m)
+    return SampleSeries(1.0, draw(st.lists(kernel_values, min_size=n, max_size=n)), step=1 / m)
+
+
+def _assert_block_free(series, block):
+    """The base, or error, of series with the window kernel's _BLOCK patched to block is
+    that of one block."""
+    want = _base_outcome(series)
+    with mock.patch.object(_windows, "_BLOCK", block):
+        assert _base_outcome(series) == want
+
+
+class TestDisambiguatePBlocks:
+    # blocks of a few windows put the kernel's block edges everywhere
+
+    @pytest.mark.parametrize("series", BASE_EDGE_SERIES)
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_edge_cases(self, series, block):
+        _assert_block_free(series, block)
+
+    @given(base_streams(), st.sampled_from([1, 2]))
+    # |S_i| past the float range in the last blocks, and |g_20| in a middle one
+    @example(SampleSeries(1.0, [1 + 0j] * 16 + [0.75e308 + 0.75e308j] * 8, step=0.5), 1)
+    @example(SampleSeries(1.0, [1 + 0j] * 20 + [1.5e308 + 1.5e308j] + [1 + 0j] * 20, step=1 / 8), 2)
+    def test_streams(self, series, block):
+        _assert_block_free(series, block)
 
 
 class TestFitTrig:

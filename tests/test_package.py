@@ -185,6 +185,22 @@ def test_per_sample_text_helpers_are_never_traced(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_fit_stages_are_traced(monkeypatch):
+    """Trace guard: perfbench's layer metrics take the spans of the fit's stages,
+    which its tracer records only for public functions.  A stage that fit_series
+    reaches through a private name records none, and the traced run fails."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+    from stasinv import estimator
+    series = sample_series(StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5),
+                           0.1, 64, step=0.125)
+    tracer = traced.Tracer()
+    with traced.instrumented(tracer):
+        estimator.fit_series(series, 5)
+    assert {"estimator.fit_series", "core.estimate_invariant", "estimator.disambiguate_p",
+            "estimator.search_frequencies", "estimator.fit_trig"} <= {s[0] for s in tracer.spans}
+
+
 def make_records():
     """Two equal instances of each record (built apart) and one that differs in a field."""
     p = StasParams(p=0.5, q1=1j, q2=2, r1=3, r2=5)

@@ -5,7 +5,7 @@ per size.  Linear code reads a ratio near 4 (about 7 under the speed swings
 of a shared machine); code quadratic in N reads 16.  The text I/O also has
 memory guards: reading and writing hold about the series, not copies of its text,
 the CLI parses a file as it reads it, and an estimate and the sweep or encoding
-after it hold one block of window terms at a time.
+after it, like the fit's base stage, hold one block of window terms at a time.
 The fit's trig basis has a counting guard: on a step-1/m grid only its sum of
 squares and its residue-class sums of y take a number of terms that grows with
 N; and a memory guard: its columns hold one period.
@@ -19,6 +19,7 @@ from stasinv import (
     SampleSeries,
     StasParams,
     detect_errors,
+    disambiguate_p,
     encode_stream,
     estimate_invariant,
     fit_series,
@@ -202,6 +203,16 @@ def test_estimate_and_encode_peak_at_most_1_4_mib():
     enc, _, peak = _traced(encode_estimate)
     assert enc.count == 20000
     assert peak <= 1.4 * 2**20
+
+
+def test_base_recovery_peak_at_most_2_mib():
+    # the fit's base stage on 40003 samples: full-length lists of pair sums and
+    # ratios peaked at 4.71 MiB; blocks of 4096 windows, keeping the ratios' parts,
+    # at 1.94 MiB, most of it the medians' boxed copy of the all-zero imaginary parts
+    series = _clean(40003)
+    p, _, peak = _traced(lambda: disambiguate_p(series))
+    assert abs(p - 0.9999) <= 1e-12
+    assert peak <= 2 * 2**20
 
 
 def test_file_parse_peaks_near_the_series_it_returns(tmp_path):

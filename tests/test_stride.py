@@ -35,12 +35,13 @@ from stasinv import (
 import stasinv._windows as _windows
 from stasinv.cli import main
 from stasinv.codec import EncodedStream, dump_stasc1, load_stasc1
-from stasinv._windows import _estimate, _median, _window_scales, _window_terms
+from stasinv._windows import (_estimate, _median, _window_residuals, _window_scales,
+                              _window_terms)
 from stasinv.core import ENCODE_TOL
 from stasinv.errors import FormatError, StasError
 
 from conftest import complexes, params_st
-from test_codec import flat_residuals, kernel_values
+from test_codec import kernel_values
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -101,14 +102,14 @@ class TestAgainstUnitOperationsPerClass:
         series = SampleSeries(1.0, values, step=1 / m)
         g = series.values
         scales = _window_scales(g, m)
-        terms = [term for _, block in _window_terms(g, scales, m) for term in block]
-        residuals = flat_residuals(g, a, m)
+        terms = [term for block in _window_terms(g, scales, m, (0, 2 * m)) for term in block]
+        residuals = list(_window_residuals(g, a, m))
         want_terms, want_residuals = {}, {}
         for c, sub in enumerate(_classes(g, m)):
             unit_scales = _window_scales(sub.values, 1)
-            unit_terms = [term for _, block in _window_terms(sub.values, unit_scales, 1)
+            unit_terms = [term for block in _window_terms(sub.values, unit_scales, 1, (0, 2))
                           for term in block]
-            for k, (term, r) in enumerate(zip(unit_terms, flat_residuals(sub.values, a))):
+            for k, (term, r) in enumerate(zip(unit_terms, _window_residuals(sub.values, a, 1))):
                 want_terms[c + m * k], want_residuals[c + m * k] = term, r
         assert repr(terms) == repr([want_terms[i] for i in range(len(g) - 3 * m)])
         assert repr(residuals) == repr([want_residuals[i] for i in range(len(g) - 3 * m)])
@@ -154,7 +155,7 @@ class TestAgainstUnitOperationsPerClass:
         g = series.values
         blocks = len(g) // (4 * m)
         try:
-            flat_residuals(g, a, m)
+            list(_window_residuals(g, a, m))
         except DomainError:
             with pytest.raises(DomainError):
                 encode_stream(series, a)
@@ -222,7 +223,7 @@ def _window_outcomes(m, values, a):
 
     return [outcome(lambda: list(_window_scales(series.values, m))),
             outcome(lambda: _estimate(series)[0]),
-            outcome(lambda: flat_residuals(series.values, a, m)),
+            outcome(lambda: list(_window_residuals(series.values, a, m))),
             outcome(lambda: detect_errors(series, a, ENCODE_TOL)),
             outcome(lambda: encode_stream(series, a))]
 

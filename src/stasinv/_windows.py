@@ -1,8 +1,9 @@
 """The window kernel: the operations over every window i, i+m, i+2m, i+3m of a
 series on a grid of step 1/m, run over blocks of _BLOCK windows.
 
-Each block takes the series slice g[i : i + _BLOCK + 3m]; across blocks only
-per-window floats are kept, in array('d')s of 8 bytes a window, and callers see
+Each block takes the series slice g[i : i + _BLOCK + 3m] and computes its windows'
+scales and pair sums; past the block only what its caller keeps stays, the ratios'
+parts in array('d')s of 16 bytes a window or the flagged windows, and callers see
 the windows in window order.  core's estimate_invariant and the fit's base stage
 (pair-sum ratios) and codec's sweeps (residuals) share it.
 """
@@ -10,16 +11,15 @@ the windows in window order.  core's estimate_invariant and the fit's base stage
 from __future__ import annotations
 
 import cmath
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import isfinite, isqrt
 from operator import sub
 
-from .core import (SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values,
-                   _in_range)
+from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
 from .errors import DomainError, NoValidWindows
 
 _SELECT_MIN = 2048  # from this many values on, _median selects the middle instead of sorting all
-_BLOCK = 4096  # windows per block of the window kernel
+_BLOCK = 1024  # windows per block of the window kernel
 # Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
 _SCALE_FLOOR = 1e-300
 _NOT_FINITE = "samples must be finite, found nan or inf"
@@ -39,64 +39,59 @@ def _check_finite(g) -> None:
         raise DomainError(_NOT_FINITE)
 
 
-def _window_scales(g, m: int):
-    """The scale max(M_i, M_{i+2m}) of every window i of g at stride m, as an array('d'),
-    8 bytes a window, with pairwise maxima M_j = max(|g_j|, |g_{j+m}|), one block of
-    _BLOCK windows at a time.  Every sample's magnitude is taken before the nan check,
-    so one past the float range wins over a nan anywhere, as in _check_finite."""
-    from array import array  # here, not at the top: a shared library only the sweeps need
-    scales, finite = array("d"), True
-    for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
-        mags = _magnitudes(g[i:i + _BLOCK + 3 * m])
-        finite = finite and all(map(isfinite, mags))
-        peaks = [x if x >= y else y for x, y in zip(mags, islice(mags, m, None))]
-        scales.fromlist([x if x >= y else y for x, y in zip(peaks, islice(peaks, 2 * m, None))])
-    if not finite:
-        raise DomainError(_NOT_FINITE)
-    return scales
-
-
-def _window_terms(g, scales, m: int, lags):
-    """The window kernel: for each block of _BLOCK windows i of g at stride m, a zip of
-    their (S_{i+j}, S_{i+k}, scale), (j, k) = lags, given their scales; the block's pair
-    sums S_i = g_i + g_{i+m}, each computed once, are held until the next block."""
+def _window_terms(g, m: int, lags, fn, overflow: str):
+    """The window kernel: fn of a zip of the (S_{i+j}, S_{i+k}, scale), (j, k) = lags, of
+    the windows i of each block of _BLOCK windows of g at stride m, in window order (once,
+    of an empty zip, if g has no window), with pair sums S_i = g_i + g_{i+m} and scales
+    max(|g_i|, |g_{i+m}|, |g_{i+2m}|, |g_{i+3m}|).  As if every sample were checked first,
+    a block with a non-finite magnitude and an OverflowError of fn run _check_finite(g): a
+    magnitude past the float range anywhere wins over a nan anywhere, and both over the
+    DomainError(overflow) that replaces the OverflowError."""
     j, k = lags
-    for i in range(0, len(scales), _BLOCK):
+    for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
         block = g[i:i + _BLOCK + 3 * m]
+        scales = _magnitudes(block)  # each list replaces the one before it
+        if not all(map(isfinite, scales)):
+            _check_finite(g)
+        scales = [x if x >= y else y for x, y in zip(scales, islice(scales, m, None))]
+        scales = [x if x >= y else y for x, y in zip(scales, islice(scales, 2 * m, None))]
         sums = [x + y for x, y in zip(block, islice(block, m, None))]
-        yield zip(islice(sums, j, None), islice(sums, k, None), scales[i:i + _BLOCK])
+        try:
+            out = fn(zip(islice(sums, j, None), islice(sums, k, None), scales))
+        except OverflowError:
+            _check_finite(g)
+            raise DomainError(overflow) from None
+        yield out
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
 
 
-def _window_residuals(g, a: complex, m: int, scales=None):
+def _window_residuals(g, a: complex, m: int):
     """|lo - a*hi| / max(scale, _SCALE_FLOOR) of every window of g at stride m, in
     window order, with lo = S_i and hi = S_{i+2m}: how far each is from
-    g_i + g_{i+m} = a*(g_{i+2m} + g_{i+3m}).  The _window_scales, if not given, are
-    computed for every window before the first residual.
+    g_i + g_{i+m} = a*(g_{i+2m} + g_{i+3m}).
 
-    Raises DomainError for a non-finite invariant or sample, and for a
-    defect whose magnitude exceeds the float range, before any residual of its block.
+    Raises DomainError for a non-finite invariant, before any residual, and for a
+    non-finite sample or a defect whose magnitude exceeds the float range, in the order
+    of _window_terms.
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
-    with _in_range(_PAIR_SUM_OVERFLOW):
-        for terms in _window_terms(g, _window_scales(g, m) if scales is None else scales,
-                                   m, (0, 2 * m)):
-            yield from [abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
-                        for x, y, c in terms]
+    return chain.from_iterable(_window_terms(g, m, (0, 2 * m), lambda terms: [
+        abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR) for x, y, c in terms],
+        _PAIR_SUM_OVERFLOW))
 
 
-def _ratio_parts(g, scales, m: int, lags) -> tuple:
+def _ratio_parts(g, m: int, lags, overflow: str) -> tuple:
     """(re, im): array('d')s of the parts of the pair-sum ratios S_{i+j} / S_{i+k},
-    (j, k) = lags, of the windows i of g at stride m with the given scales, skipping as
-    near-singular each whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.
-    OverflowError where |S_{i+k}| leaves the float range, for the caller to name."""
-    from array import array
+    (j, k) = lags, of the windows i of g at stride m, skipping as near-singular each
+    whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.  DomainError(overflow)
+    where |S_{i+k}| leaves the float range."""
+    from array import array  # here, not at the top: a shared library only the ratios need
     re, im = array("d"), array("d")
-    for terms in _window_terms(g, scales, m, lags):
-        ratios = [x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c]
+    for ratios in _window_terms(g, m, lags, lambda terms: [
+            x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c], overflow):
         re.fromlist([r.real for r in ratios])
         im.fromlist([r.imag for r in ratios])
     return re, im
@@ -123,12 +118,10 @@ def _median(xs) -> float:
     return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
 
 
-def _estimate(series: SampleSeries) -> tuple:
-    """(estimate_invariant(series), its _window_scales), the scales for the sweep to reuse."""
+def _estimate(series: SampleSeries) -> InvariantReport:
+    """estimate_invariant(series)."""
     g, m = _checked_values(series, 4, "invariant estimation")
-    scales = _window_scales(g, m)
-    with _in_range(_PAIR_SUM_OVERFLOW):
-        re, im = _ratio_parts(g, scales, m, (0, 2 * m))
+    re, im = _ratio_parts(g, m, (0, 2 * m), _PAIR_SUM_OVERFLOW)
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))
@@ -138,4 +131,4 @@ def _estimate(series: SampleSeries) -> tuple:
     if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
         raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
     return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(re),
-                           windows_skipped=len(scales) - len(re)), scales
+                           windows_skipped=len(g) - 3 * m - len(re))

@@ -49,17 +49,15 @@ def _params_from(args) -> core.StasParams:
 
 
 def _read_with_invariant(args):
-    """(series, a, scales) for encode and check: the --input series and a = 1/p^2 from --p, or
-    estimated with its window scales.  The flags are checked before the input is read."""
+    """(series, a) for encode and check: the --input series and a = 1/p^2 from --p, or
+    estimated.  The flags are checked before the input is read."""
     if args.estimate == (args.p is not None):
         raise DomainError("need exactly one of --p and --estimate to determine the invariant")
     from . import codec  # here, not at the top: only the file commands load the codec
-    from ._windows import _estimate
     series = _load(args.input, codec._sig1)
     if args.estimate:
-        report, scales = _estimate(series)
-        return series, report.a_hat, scales
-    return series, core.closed_form_invariant(core.StasParams(p=args.p)), None
+        return series, core.estimate_invariant(series).a_hat
+    return series, core.closed_form_invariant(core.StasParams(p=args.p))
 
 
 def _load(path: str, load):
@@ -146,7 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_encode(args) -> int:
     from . import codec
-    enc = codec._encode(*_read_with_invariant(args))
+    enc = codec.encode_stream(*_read_with_invariant(args))
     _write(args.output, codec._stasc1_parts(enc))
     return 0
 
@@ -163,10 +161,9 @@ def cmd_check(args) -> int:
         raise DomainError("--repair needs --output for the repaired series")
     if args.output and not args.repair:
         raise DomainError("--output needs --repair")
-    series, a, scales = _read_with_invariant(args)
+    series, a = _read_with_invariant(args)
     from . import codec
-    flagged = codec._detect(series, a, args.tol, scales)
-    del scales  # 8 bytes a window, not needed past the sweep
+    flagged = codec.detect_errors(series, a, args.tol)
     for f in flagged:
         samples = ",".join(str(j) for j in f.implicated_samples)
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")

@@ -93,17 +93,12 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     whose pair sum or defect overflows, raise DomainError as they do there.
     Samples past the last full block are stored verbatim.
     """
-    return _encode(series, a, None)
-
-
-def _encode(series: SampleSeries, a: complex, scales) -> EncodedStream:
-    """encode_stream(series, a); its sweep reuses the window scales of an estimate if given."""
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g, m = _checked_values(series, 0, "encoding")
     span = len(g) - len(g) % (q := 4 * m)  # the full blocks
     # (block b, residual) of each failing window 4mb .. 4mb + m - 1, in window order
-    bad = [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m, scales))
+    bad = [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m))
            if i % q < m and i < span and not r <= ENCODE_TOL]
     if bad:
         raise IdentityViolation(*bad[0])
@@ -157,15 +152,10 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     only n-2, so the other fault goes unreported.
     Each flagged window reports the implicated samples it covers.
     """
-    return _detect(series, a, tol, None)
-
-
-def _detect(series: SampleSeries, a: complex, tol: float, scales) -> list[IntegrityFinding]:
-    """detect_errors(series, a, tol); its sweep reuses the window scales of an estimate if given."""
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3 * m
-    flagged = [(i, r) for i, r in enumerate(_window_residuals(g, a, m, scales)) if not r <= tol]
+    flagged = [(i, r) for i, r in enumerate(_window_residuals(g, a, m)) if not r <= tol]
 
     runs = {}  # last window -> first window of each maximal chain of flagged windows m apart
     for i, _ in flagged:

@@ -403,7 +403,7 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     """
     from ._windows import _estimate  # here, not at the top: it imports this module
-    return _estimate(series)[0]
+    return _estimate(series)
 
 
 # Private, so a tracer that wraps public functions never wraps these per-sample helpers.

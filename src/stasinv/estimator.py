@@ -26,7 +26,7 @@ from itertools import chain, cycle, repeat
 from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
-from ._windows import _check_finite, _median, _ratio_parts, _window_scales
+from ._windows import _check_finite, _median, _ratio_parts
 from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
                    _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
@@ -93,8 +93,7 @@ def disambiguate_p(series: SampleSeries) -> complex:
     is 0, -1 or not finite.
     """
     g, m = _checked_values(series, 4, "base recovery")
-    with _in_range(_FIT_SUMS):
-        re, im = _ratio_parts(g, _window_scales(g, m), m, (m, 0))
+    re, im = _ratio_parts(g, m, (m, 0), _FIT_SUMS)
     if not re:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
     return StasParams(p=complex(_median(re), _median(im))).p

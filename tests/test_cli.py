@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +114,14 @@ class TestTable:
         assert code == 2
         assert "DomainError" in err
 
+    def test_smallest_and_default_n_max(self, capsys):
+        assert run_cli(capsys, "table", "--n-max", "4") == \
+            (0, "n\tnumerator\tdenominator\tratio\n4\t3/4\t3/16\t4\n", "")
+        code, out, _ = run_cli(capsys, "table")
+        assert code == 0
+        assert [row.split("\t")[0] for row in out.splitlines()[1:]] == \
+            [str(n) for n in range(4, 13)]
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -147,6 +158,26 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--tol", "1e-30")
         assert code == 1
         assert out.endswith("FAIL\n")
+
+    def test_deviation_equal_to_tol_fails(self, capsys):
+        # PASS needs max_rel_dev strictly below --tol
+        *_, worst = list(core.verify_trials(3, 5, -20.0, -10.0))[-1]
+        code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3",
+                               f"--tol={worst!r}")
+        assert (code, out.splitlines()[-1]) == (1, "FAIL")
+
+
+class TestEntryPoint:
+    def test_module_run_prints_and_exits_with_the_command_code(self):
+        # `python -m stasinv` and the `stasinv` script run cli.run
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"))
+        refused = "DomainError: --n-max must be >= 4, got 3\n"
+        for argv, want in ((["table", "--n-max", "4"], (0, "4\t3/4\t3/16\t4\n", "")),
+                           (["table", "--n-max", "3"], (2, "", refused))):
+            done = subprocess.run([sys.executable, "-m", "stasinv", *argv], capture_output=True,
+                                  text=True, env=env)
+            assert (done.returncode, done.stdout.partition("\n")[2], done.stderr) == want
 
 
 class TestCodecCommands:

@@ -178,6 +178,10 @@ class TestDisambiguatePBlocks:
     # |S_i| past the float range in the last blocks, and |g_20| in a middle one
     @example(SampleSeries(1.0, [1 + 0j] * 16 + [0.75e308 + 0.75e308j] * 8, step=0.5), 1)
     @example(SampleSeries(1.0, [1 + 0j] * 20 + [1.5e308 + 1.5e308j] + [1 + 0j] * 20, step=1 / 8), 2)
+    # |S_i| past the float range in the first blocks, a nan or |g_10| past it in the last
+    @example(SampleSeries(1.0, [0.75e308 * (1 + 1j)] * 4 + [1 + 0j] * 6 + [complex("nan")]), 1)
+    @example(SampleSeries(1.0, [0.75e308 * (1 + 1j)] * 4 + [1 + 0j] * 6
+                          + [complex(1.5e308, 1.5e308)]), 1)
     def test_streams(self, series, block):
         _assert_block_free(series, block)
 

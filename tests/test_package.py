@@ -201,6 +201,25 @@ def test_fit_stages_are_traced(monkeypatch):
             "estimator.search_frequencies", "estimator.fit_trig"} <= {s[0] for s in tracer.spans}
 
 
+def test_file_command_stages_are_traced(monkeypatch, tmp_path):
+    """Trace guard: `check --estimate` and `encode --estimate` reach the estimate and
+    the sweeps through their public names, so perfbench's tracer records their spans
+    instead of counting their time as cli self time."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+    src = tmp_path / "in.sig1"
+    src.write_text(dump_sig1(sample_series(StasParams(p=0.9 + 0.3j, q1=1 - 0.5j, q2=0.25,
+                                                      r1=5, r2=3), 0.3, 64, step=0.125)))
+    tracer = traced.Tracer()
+    with traced.instrumented(tracer):
+        for argv in (["check", "--estimate", "--input", str(src)],
+                     ["encode", "--estimate", "--input", str(src),
+                      "--output", str(tmp_path / "out.stasc1")]):
+            assert traced.replay(tracer, argv, "") == (0, "")
+    assert {"core.estimate_invariant", "codec.detect_errors",
+            "codec.encode_stream"} <= {s[0] for s in tracer.spans}
+
+
 def make_records():
     """Two equal instances of each record (built apart) and one that differs in a field."""
     p = StasParams(p=0.5, q1=1j, q2=2, r1=3, r2=5)

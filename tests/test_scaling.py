@@ -27,9 +27,8 @@ from stasinv import (
 )
 from stasinv import estimator
 from stasinv.cli import _load, _write
-from stasinv.codec import (_detect, _encode, _sig1, _sig1_parts, _stasc1, _stasc1_parts,
-                           decode_stream, dump_sig1, dump_stasc1, load_sig1, load_stasc1)
-from stasinv._windows import _estimate
+from stasinv.codec import (_sig1, _sig1_parts, _stasc1, _stasc1_parts, decode_stream, dump_sig1,
+                           dump_stasc1, load_sig1, load_stasc1)
 from stasinv.estimator import _TrigBasis
 
 RATIO_LIMIT = 10.0
@@ -176,33 +175,25 @@ def test_writing_parts_adds_under_1_mib_to_the_series(tmp_path):
         assert peak < 2**20
 
 
-def test_estimate_and_sweep_peak_at_most_1_4_mib():
-    # as `check --estimate` runs them: the estimate keeps only its window scales,
-    # 8 bytes a window, for the sweep; two full window kernels peaked at 1.95 MiB,
-    # one, with full-length lists of ratios and residuals, at 1.74 MiB; blocks of
-    # 4096 windows keep the ratios' parts and the flagged windows only: 1.29 MiB
+def test_estimate_and_sweep_peak_at_most_1_05_mib():
+    # as `check --estimate` runs them: two full window kernels peaked at 1.95 MiB, one,
+    # with full-length lists of ratios and residuals, at 1.74 MiB; blocks of 4096
+    # windows keeping full-length window scales, the ratios' parts and the flagged
+    # windows, at 1.13 MiB; blocks that compute their own scales keep none: 0.97 MiB
     series = _clean(20000)
-
-    def check_estimate():
-        report, scales = _estimate(series)
-        return _detect(series, report.a_hat, 1e-6, scales)
-
-    findings, _, peak = _traced(check_estimate)
+    findings, _, peak = _traced(
+        lambda: detect_errors(series, estimate_invariant(series).a_hat, 1e-6))
     assert findings == []
-    assert peak <= 1.4 * 2**20
+    assert peak <= 1.05 * 2**20
 
 
-def test_estimate_and_encode_peak_at_most_1_4_mib():
-    # as `encode --estimate` runs them: 1.72 MiB with full-length lists, 1.27 MiB in blocks
+def test_estimate_and_encode_peak_at_most_1_05_mib():
+    # as `encode --estimate` runs them: 1.72 MiB with full-length lists, 1.13 MiB in
+    # blocks with full-length window scales
     series = _clean(20000)
-
-    def encode_estimate():
-        report, scales = _estimate(series)
-        return _encode(series, report.a_hat, scales)
-
-    enc, _, peak = _traced(encode_estimate)
+    enc, _, peak = _traced(lambda: encode_stream(series, estimate_invariant(series).a_hat))
     assert enc.count == 20000
-    assert peak <= 1.4 * 2**20
+    assert peak <= 1.05 * 2**20
 
 
 def test_base_recovery_peak_at_most_2_mib():

@@ -35,8 +35,7 @@ from stasinv import (
 import stasinv._windows as _windows
 from stasinv.cli import main
 from stasinv.codec import EncodedStream, dump_stasc1, load_stasc1
-from stasinv._windows import (_estimate, _median, _window_residuals, _window_scales,
-                              _window_terms)
+from stasinv._windows import _estimate, _median, _window_residuals, _window_terms
 from stasinv.core import ENCODE_TOL
 from stasinv.errors import FormatError, StasError
 
@@ -45,6 +44,11 @@ from test_codec import kernel_values
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
+
+
+def _terms(g, m):
+    """The window kernel's (S_i, S_{i+2m}, scale) of every window of g at stride m."""
+    return [term for block in _window_terms(g, m, (0, 2 * m), list, "") for term in block]
 
 
 def _faulted(values, faults):
@@ -101,14 +105,11 @@ class TestAgainstUnitOperationsPerClass:
         m, values, a = case
         series = SampleSeries(1.0, values, step=1 / m)
         g = series.values
-        scales = _window_scales(g, m)
-        terms = [term for block in _window_terms(g, scales, m, (0, 2 * m)) for term in block]
+        terms = _terms(g, m)
         residuals = list(_window_residuals(g, a, m))
         want_terms, want_residuals = {}, {}
         for c, sub in enumerate(_classes(g, m)):
-            unit_scales = _window_scales(sub.values, 1)
-            unit_terms = [term for block in _window_terms(sub.values, unit_scales, 1, (0, 2))
-                          for term in block]
+            unit_terms = _terms(sub.values, 1)
             for k, (term, r) in enumerate(zip(unit_terms, _window_residuals(sub.values, a, 1))):
                 want_terms[c + m * k], want_residuals[c + m * k] = term, r
         assert repr(terms) == repr([want_terms[i] for i in range(len(g) - 3 * m)])
@@ -221,8 +222,8 @@ def _window_outcomes(m, values, a):
         except StasError as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    return [outcome(lambda: list(_window_scales(series.values, m))),
-            outcome(lambda: _estimate(series)[0]),
+    return [outcome(lambda: [c for _, _, c in _terms(series.values, m)]),
+            outcome(lambda: _estimate(series)),
             outcome(lambda: list(_window_residuals(series.values, a, m))),
             outcome(lambda: detect_errors(series, a, ENCODE_TOL)),
             outcome(lambda: encode_stream(series, a))]
@@ -234,6 +235,10 @@ class TestKernelBlocks:
     @example((1, [1e308 + 0j] * 6 + [1 + 0j] * 6, 1.0), 2)  # pair sums past the float range
     @example((1, [complex("nan")] + [1 + 0j] * 9 + [complex(1.5e308, 1.5e308)], 1.0), 1)
     @example((2, _faulted([1 + 0j] * 24, [3, 17]), 1.0), 3)  # outliers among equal ratios
+    # pair sums past the float range in the first blocks, a nan or a magnitude past it in
+    # the last: the sample's error wins, as if every sample were checked first
+    @example((1, [0.75e308 * (1 + 1j)] * 4 + [1 + 0j] * 6 + [complex("nan")], 1.0), 1)
+    @example((1, [0.75e308 * (1 + 1j)] * 4 + [1 + 0j] * 6 + [complex(1.5e308, 1.5e308)], 1.0), 1)
     def test_blocks_of_windows_change_no_bit_and_no_error(self, case, block):
         # blocks of a few windows put their edges everywhere: every result and error
         # is that of one block
@@ -317,7 +322,7 @@ class TestCommandsAtStepOneEighth:
         decoded = load_sig1(dec.read_text())
         assert decoded.step == 0.125 and len(decoded) == 203
         # only slot 3 of a window, sample j of window j - 24, is rebuilt
-        scales = _window_scales(series.values, 8)
+        scales = [c for _, _, c in _terms(series.values, 8)]
         for j, (x, y) in enumerate(zip(series.values, decoded.values)):
             assert x == y or abs(x - y) <= ENCODE_TOL * scales[j - 24] and j % 32 >= 24
 

@@ -11,9 +11,9 @@ the windows in window order.  core's estimate_invariant and the fit's base stage
 from __future__ import annotations
 
 import cmath
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import isfinite, isqrt
-from operator import sub
+from operator import eq, sub
 
 from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
 from .errors import DomainError, NoValidWindows
@@ -23,19 +23,32 @@ _BLOCK = 1024  # windows per block of the window kernel
 # Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
 _SCALE_FLOOR = 1e-300
 _NOT_FINITE = "samples must be finite, found nan or inf"
+_MAGNITUDE_OVERFLOW = "a sample's magnitude exceeds the float range"
+
+
+def _abs_each(g):
+    """map(abs, g), with errno cleared first: CPython's abs of a complex with a nan part
+    and no inf part leaves errno as it was, and raises OverflowError where an earlier
+    overflow or underflow (math.exp(-1000)) left it at ERANGE; abs(0j) sets it to 0.
+    Every other abs sets errno itself."""
+    abs(0j)
+    return map(abs, g)
 
 
 def _magnitudes(g) -> list[float]:
     """|g_i| of every sample; DomainError for a magnitude past the float range.
     A sample with a nan or inf part has a nan or inf one, which the callers refuse."""
-    with _in_range("a sample's magnitude exceeds the float range"):
-        return [abs(v) for v in g]
+    with _in_range(_MAGNITUDE_OVERFLOW):
+        return list(_abs_each(g))
 
 
 def _check_finite(g) -> None:
     """DomainError for a sample whose magnitude is past the float range, else for a
-    nan or inf sample: the magnitude error wins wherever the two samples are."""
-    if not all(map(isfinite, _magnitudes(g))):
+    nan or inf sample: the magnitude error wins wherever the two samples are.  min
+    takes every magnitude, one at a time, so a nan stops nothing and no list is kept."""
+    with _in_range(_MAGNITUDE_OVERFLOW):
+        finite = min(map(isfinite, _abs_each(g)), default=True)
+    if not finite:
         raise DomainError(_NOT_FINITE)
 
 
@@ -102,20 +115,29 @@ def _median(xs) -> float:
     statistics or changing xs.  From _SELECT_MIN values on, a sorted 1-in-32 sample
     brackets the middle, and only the values inside are sorted (Floyd and Rivest,
     CACM 1975); a bracket that misses, or a nan (which the sum of xs keeps), sorts
-    them all."""
-    n, below, inside = len(xs), 0, None
+    them all.  No pass holds a list of xs: each counts or takes values one at a time
+    (an array's are new floats), and a one-value bracket, as the all-zero imaginary
+    parts of a real base give, is not sorted at all: a sort keeps equal values, 0.0
+    and -0.0 included, in input order, so its middle ones are taken by position."""
+    n, below, ordered = len(xs), 0, None
     if n >= _SELECT_MIN and (total := sum(xs)) == total:
         sample = sorted(xs[::32])
         j, d = len(sample) // 2, 2 * isqrt(len(sample))
         lo, hi = sample[j - d], sample[j + d]
-        below = len([1 for x in xs if x < lo])  # counted, not held: an array's are new floats
-        inside = sorted(x for x in xs if lo <= x <= hi)  # one list: repeats can fill it
-        if not (below <= (n - 1) // 2 and n // 2 < below + len(inside)):
-            below, inside = 0, None
-    if inside is None:
-        inside = sorted(xs)
-    i = n // 2 - below
-    return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
+        below = sum(1 for x in xs if x < lo)
+        if lo == hi:
+            size = xs.count(lo)
+            ordered = compress(xs, map(eq, xs, repeat(lo)))
+        else:
+            ordered = sorted(x for x in xs if lo <= x <= hi)
+            size = len(ordered)
+        if not (below <= (n - 1) // 2 and n // 2 < below + size):
+            below, ordered = 0, None
+    if ordered is None:
+        ordered = sorted(xs)
+    i = n // 2 - below  # the middle value, or the upper of the two middle ones
+    middle = list(islice(ordered, i - 1 + n % 2, i + 1))
+    return middle[0] if n % 2 else (middle[0] + middle[1]) / 2
 
 
 def _estimate(series: SampleSeries) -> InvariantReport:

@@ -292,12 +292,15 @@ def search_frequencies(series: SampleSeries, p: complex,
 def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     """Full recovery pipeline: invariant, base from pair sums, frequencies/amplitudes.
 
-    The series needs a step of 1/m.  The invariant and base stages read residue
-    class 0, values[::m]: bit for bit the stride-m windows from sample 0 on, at 1/m
-    of the cost of all windows.  The frequency search uses the full grid.  A sum
-    past the float range raises DomainError.
+    The series needs a step of 1/m.  Every sample is checked first, as every window
+    operation checks them: a magnitude past the float range anywhere raises
+    DomainError before a nan or inf anywhere.  The invariant and base stages read
+    residue class 0, values[::m]: bit for bit the stride-m windows from sample 0 on,
+    at 1/m of the cost of all windows.  The frequency search uses the full grid.  A
+    sum past the float range raises DomainError.
     """
     values, m = _checked_values(series, 4, "fitting")
+    _check_finite(values)
     unit = SampleSeries(series.t0, values[::m])
     report = estimate_invariant(unit)
     result = search_frequencies(series, disambiguate_p(unit), r_max)

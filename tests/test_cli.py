@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stasinv import (DomainError, StasParams, closed_form_invariant, core, encode_stream,
-                     load_sig1, sample_series)
+from stasinv import (DomainError, SampleSeries, StasParams, closed_form_invariant, core,
+                     encode_stream, load_sig1, sample_series)
 from stasinv.cli import main
 from stasinv.codec import dump_sig1, dump_stasc1
 
@@ -552,6 +552,19 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "DomainError" in err and "Traceback" not in err
+
+    def test_fit_reports_a_magnitude_past_the_float_range_before_a_nan(self, capsys, tmp_path):
+        # the nan is at sample 2, on the unit subgrid the fit's first stages read; the
+        # magnitude past the float range at sample 9001 is not, and wins as in check
+        values = list(sample_series(BASE, 0.1, 9010, step=0.5).values)
+        values[2], values[9001] = complex("nan"), complex(1.5e308, 1.5e308)
+        src = tmp_path / "in.sig1"
+        src.write_text(dump_sig1(SampleSeries(0.1, values, step=0.5)))
+        for argv in (("fit",), ("check", "--estimate")):
+            code, out, err = run_cli(capsys, *argv, "--input", str(src))
+            assert code == 2
+            assert out == ""
+            assert err == "DomainError: a sample's magnitude exceeds the float range\n"
 
     @pytest.mark.parametrize("argv", [("eval", "--p", "nan,0", "--t", "1"),
                                       ("eval", "--p", "1,0", "--q1", "0,inf", "--t", "1"),

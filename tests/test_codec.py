@@ -1,5 +1,6 @@
 """4-to-3 block codec and sliding-window integrity detection."""
 
+import builtins
 import cmath
 import math
 import random
@@ -427,6 +428,21 @@ def long_median_lists(draw):
     return xs if order == "as drawn" else sorted(xs, reverse=order == "reversed")
 
 
+@st.composite
+def repeat_heavy_lists(draw):
+    """_SELECT_MIN to 2 * _SELECT_MIN + 1 values, nearly all one value or a mix of 0.0
+    and -0.0, as a real base's imaginary ratio parts are: the 1-in-32 bracket is then
+    one value, and the middle ones are taken by position; a few spread values sit on
+    either side."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(_SELECT_MIN, 2 * _SELECT_MIN + 1))
+    repeated = draw(st.sampled_from([[0.0, -0.0], [0.0, -0.0, -0.0], [0.0], [-0.0], [1.5],
+                                     [-math.inf]]))
+    spread = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    return [rnd.uniform(-2.0, 2.0) if rnd.random() < spread else rnd.choice(repeated)
+            for _ in range(n)]
+
+
 class TestWindowKernelOracle:
     """The shared window kernel against the per-window loops it replaced, bit for bit."""
 
@@ -479,7 +495,8 @@ class TestWindowKernelOracle:
                 with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                     estimate_invariant(SampleSeries(1.0, values))
 
-    @given(st.one_of(st.lists(median_values, min_size=1, max_size=9), long_median_lists()))
+    @given(st.one_of(st.lists(median_values, min_size=1, max_size=9), long_median_lists(),
+                     repeat_heavy_lists()))
     @example([math.inf, -math.inf])
     @example([-0.0, 0.0, -0.0])
     @example([2.0, 1.0, 2.0, 1.0])
@@ -496,6 +513,12 @@ class TestWindowKernelOracle:
               for i in range(_SELECT_MIN)])
     # the bracket [5, 5] starts one value above the middle, 1025 of 2049 below it: sorts them all
     @example([5.0 if i % 32 == 0 else 0.0 if i - i // 32 <= 1025 else 10.0 for i in range(2049)])
+    # one-value brackets: the middle ones by position among the repeats, signs kept
+    @example([-0.0 if i % 3 else 0.0 for i in range(2 * _SELECT_MIN + 1)])
+    @example([0.0 if i % 3 else -0.0 for i in range(2 * _SELECT_MIN)])
+    @example([-0.0] * _SELECT_MIN + [0.0] + [-0.0] * _SELECT_MIN)  # the one 0.0 is the middle
+    @example([0.0] * (_SELECT_MIN - 1) + [-0.0, 0.0] + [0.0] * (_SELECT_MIN - 1))  # pair's mean
+    @example([-1.0] * 300 + [0.0, -0.0] * _SELECT_MIN + [1.0] * 299)  # repeats past the sample
     def test_median(self, xs):
         # odd and even lengths on both sides of the selection cutoff, ties and
         # signed zeros; the bits must match, nan included, and xs stays as it was;
@@ -504,6 +527,29 @@ class TestWindowKernelOracle:
         assert repr(_median(ys)) == repr(statistics.median(xs))
         assert repr(ys) == repr(xs)
         assert repr(_median(array("d", xs))) == repr(statistics.median(xs))
+
+    @pytest.mark.parametrize("xs", [
+        [math.sin(i) for i in range(40000)],  # spread: the bracket holds about 1/9 of them
+        [0.0] * 40000,  # a real base's imaginary parts: a one-value bracket
+        [-0.0 if i % 7 else 0.0 for i in range(40001)],
+        [float(i % 5 - 2) for i in range(40001)],  # the middle in a run of repeats
+    ])
+    def test_median_sorts_the_sample_and_the_bracket_only(self, xs, monkeypatch):
+        # the 1-in-32 sample and the values inside a bracket of two values are sorted;
+        # a one-value bracket's middle ones are taken by position, unsorted
+        sizes = []
+
+        def counted(values):
+            values = list(values)
+            sizes.append(len(values))
+            return builtins.sorted(values)
+
+        monkeypatch.setattr(_windows, "sorted", counted, raising=False)
+        for ys in (xs, array("d", xs)):
+            assert repr(_median(ys)) == repr(statistics.median(xs))
+        assert max(sizes) <= len(xs) // 8
+        if len(set(map(repr, xs))) < 3:
+            assert max(sizes) == len(range(0, len(xs), 32))
 
     @given(kernel_streams)
     @example(([0j] * 5, 4.0))

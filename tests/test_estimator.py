@@ -20,7 +20,9 @@ from stasinv import (
     NoValidWindows,
     SampleSeries,
     StasParams,
+    detect_errors,
     disambiguate_p,
+    encode_stream,
     estimate_invariant,
     fit_series,
     fit_trig,
@@ -725,8 +727,44 @@ class TestFitSeries:
             with pytest.raises(DomainError, match=f"^fitting requires a step of 1/m, got {step}$"):
                 fit_series(series)
 
+    @pytest.mark.parametrize("nan_at", [0, 2])
+    def test_magnitude_past_the_float_range_wins_over_a_nan_in_another_class(self, nan_at):
+        # a nan in class 0, which the invariant and base stages read, and a magnitude
+        # past the float range at sample 9001, in class 1: the fit reports the magnitude,
+        # as estimate_invariant, disambiguate_p and the codec's sweeps do
+        values = list(sample_series(BASE, 0.1, 9010, step=0.5).values)
+        values[nan_at], values[9001] = complex("nan"), complex(1.5e308, 1.5e308)
+        series = SampleSeries(0.1, values, step=0.5)
+        message = "^a sample's magnitude exceeds the float range$"
+        for operation in (fit_series, estimate_invariant, disambiguate_p,
+                          lambda s: detect_errors(s, 4.0, 1e-6), lambda s: encode_stream(s, 4.0)):
+            with pytest.raises(DomainError, match=message):
+                operation(series)
+
+    @pytest.mark.parametrize("step, n, need", [(1.0, 3, 4), (1.0, 4, 8), (1.0, 7, 8),
+                                               (0.5, 6, 7), (0.5, 7, 8)])
+    def test_short_series_names_the_samples_it_needs(self, step, n, need):
+        # 3m + 1 samples hold a window of every stage but the frequency search's 8
+        with pytest.raises(NoValidWindows, match=f"^need at least {need} samples, got {n}$"):
+            fit_series(sample_series(BASE, 0.1, n, step=step))
+
     def test_reports_invariant_of_unit_subseries(self):
         series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
                                0.1, 64, step=0.125)
         unit = SampleSeries(0.1, series.values[::8])
         assert fit_series(series, r_max=9).invariant == estimate_invariant(unit)
+
+
+@pytest.mark.parametrize("operation", [
+    estimate_invariant, disambiguate_p, fit_series, lambda s: detect_errors(s, 4.0, 1e-6),
+    lambda s: encode_stream(s, 4.0), lambda s: search_frequencies(s, 0.5, 3)],
+    ids=["estimate_invariant", "disambiguate_p", "fit_series", "detect_errors", "encode_stream",
+         "search_frequencies"])
+def test_an_earlier_overflow_leaves_a_nan_a_nan(operation):
+    # an overflow leaves errno at ERANGE, and CPython's abs of a complex with a nan
+    # part then raises OverflowError unless something clears errno first
+    series = SampleSeries(0.1, [complex("nan")] + [1 + 0j] * 15, step=0.5)
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    with pytest.raises(DomainError, match="^samples must be finite, found nan or inf$"):
+        operation(series)

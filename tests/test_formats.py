@@ -4,6 +4,7 @@ import cmath
 import re
 import struct
 import tempfile
+from contextlib import contextmanager
 from itertools import chain
 from unittest import mock
 
@@ -18,7 +19,7 @@ from stasinv import (
     encode_stream,
     sample_series,
 )
-from stasinv import codec
+from stasinv import _windows, codec
 from stasinv.cli import main
 from stasinv.codec import (
     EncodedStream,
@@ -38,6 +39,16 @@ from _reference import (
     ref_load_stasc1,
     ref_parse_complex,
 )
+
+
+@contextmanager
+def _blocks(block: int):
+    """Text blocks of block characters or bytes (codec._BLOCK: _line_blocks and the
+    CLI's reads) and of block samples (the window kernel's _windows._BLOCK: each '%'
+    of the writers and each group of STASC1 block lines), so block edges fall everywhere."""
+    with mock.patch.object(codec, "_BLOCK", block), mock.patch.object(_windows, "_BLOCK", block):
+        yield
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_complexes = st.builds(complex, finite_floats, finite_floats)
@@ -203,7 +214,7 @@ class TestStasc1:
         enc = EncodedStream(a=4.0, t0=1.0, count=11, stored=stored, step=0.5)
         assert dump_stasc1(enc) == text and load_stasc1(text) == enc
 
-    @pytest.mark.parametrize("block", [1, codec._BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 6, _windows._BLOCK, codec._BLOCK])
     @pytest.mark.parametrize("body, message", [
         ("x,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", "bad complex literal 'x,0'"),
         ("x,0;2,0;3,0\n", "truncated STASC1 block section"),
@@ -214,8 +225,9 @@ class TestStasc1:
     ])
     def test_structural_errors_win_over_a_bad_literal(self, body, message, block):
         # block lines are parsed as they arrive, a block at a time; the first bad
-        # literal is reported, and only once the block section and rem= line pass
-        with mock.patch.object(codec, "_BLOCK", block):
+        # literal is reported, and only once the block section and rem= line pass;
+        # below 6 samples a block, each group holds one of the two block lines
+        with _blocks(block):
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
                 load_stasc1("STASC1\na=2,0 t0=1 count=8\n" + body)
 
@@ -257,7 +269,7 @@ class TestBodyGrammar:
             load_sig1("SIG1\nt0=0 kind=f count=1\n1,0\x1f\n")
 
 
-# -- block-wise text: _BLOCK patched small puts block edges everywhere ---------
+# -- block-wise text: blocks patched small put block edges everywhere ----------
 
 SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
@@ -275,7 +287,7 @@ class TestBlocks:
             blocks = list(codec._line_blocks(text))
         assert list(chain.from_iterable(blocks)) == text.splitlines()
 
-    @pytest.mark.parametrize("block", [1, 4, codec._BLOCK])
+    @pytest.mark.parametrize("block", [1, 4, _windows._BLOCK, codec._BLOCK])
     @pytest.mark.parametrize("text, message", [
         ("SIG1\nt0=0 kind=f count=3\n1,0\nx,0\n3,0\n4,0\n", "expected 3 sample lines, found 4"),
         ("SIG1\r\nt0=0 kind=f count=3\r\nx,0\r\n\r\n2,0\r\n", "expected 3 sample lines, found 2"),
@@ -285,7 +297,7 @@ class TestBlocks:
     ])
     def test_line_count_is_reported_before_a_bad_literal(self, block, text, message):
         load = load_sig1 if text.startswith("SIG1") else load_stasc1
-        with mock.patch.object(codec, "_BLOCK", block):
+        with _blocks(block):
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
                 load(text)
 
@@ -303,7 +315,7 @@ class TestBlocks:
             series = SampleSeries(0.5, values[:n])
             enc = EncodedStream(a=4.0, t0=0.5, count=n, stored=values[:n - n // 4])
             want = dump_sig1(series), dump_stasc1(enc)
-            with mock.patch.object(codec, "_BLOCK", block):
+            with mock.patch.object(_windows, "_BLOCK", block):  # the writers' sample block
                 parts = list(codec._sig1_parts(series)), list(codec._stasc1_parts(enc))
             assert tuple(map("".join, parts)) == want == (ref_dump_sig1(series),
                                                           ref_dump_stasc1(enc))
@@ -331,7 +343,7 @@ block_lines = st.one_of(good_blocks, good_blocks,
                         st.lists(good_tokens, min_size=2, max_size=4).map(";".join),
                         st.sampled_from(["", ";;", "1,0;2,0;3,0;", "rem=0"]))
 deltas = st.sampled_from([0, 0, 0, -1, 1])
-blocks = st.sampled_from([codec._BLOCK, 1, 2, 3, 5, 8])  # the loaders' block size
+blocks = st.sampled_from([codec._BLOCK, _windows._BLOCK, 1, 2, 3, 5, 8])  # for _blocks
 newlines = st.sampled_from(["\n", "\r\n"])
 
 
@@ -406,14 +418,14 @@ class TestAgainstLineByLineReference:
     @given(sig1_texts(), blocks)
     @example("SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n", codec._BLOCK)
     def test_load_sig1(self, text, block):
-        with mock.patch.object(codec, "_BLOCK", block):
+        with _blocks(block):
             assert _outcome(load_sig1, text) == _outcome(_ref_sig1, text)
 
     @settings(max_examples=300)
     @given(stasc1_texts(), blocks)
     @example("STASC1\na=2,0 t0=1 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n", codec._BLOCK)
     def test_load_stasc1(self, text, block):
-        with mock.patch.object(codec, "_BLOCK", block):
+        with _blocks(block):
             assert _outcome(load_stasc1, text) == _outcome(_ref_stasc1, text)
 
     @given(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([1.0, 0.125, -3.0]),
@@ -500,6 +512,6 @@ class TestParseFromTheFile:
             path = f"{tmp}/in"
             with open(path, "wb") as fh:
                 fh.write(data)
-            with mock.patch.object(codec, "_BLOCK", block):
+            with _blocks(block):
                 want = _message_or_bits(lambda: load(_text_of(path)))
                 assert _message_or_bits(lambda: _load(path, parse)) == want

@@ -16,10 +16,9 @@ _MODULES = ("errors", "rng", "core", "reconstruct", "codec", "estimator")
 
 
 def __getattr__(name: str):
-    """PEP 562: a submodule's name (`from stasinv import cli` asks for cli's first, and
-    `from . import _windows` for _windows') loads it alone; a public name loads _MODULES,
-    each after its imports, until one lists it in __all__."""
-    if name in _MODULES or name in ("cli", "_windows"):
+    """PEP 562: a submodule's name (`from stasinv import cli` asks for cli's first) loads it
+    alone; a public name loads _MODULES, each after its imports, until one lists it in __all__."""
+    if name in _MODULES or name == "cli":
         return import_module(f"{__name__}.{name}")
     modules = (import_module(f"{__name__}.{m}") for m in _MODULES)
     if name == "__all__":

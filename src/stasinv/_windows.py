@@ -11,9 +11,9 @@ the windows in window order.  core's estimate_invariant and the fit's base stage
 from __future__ import annotations
 
 import cmath
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from math import isfinite, isqrt
-from operator import eq, sub
+from operator import sub
 
 from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
 from .errors import DomainError, NoValidWindows
@@ -115,29 +115,20 @@ def _median(xs) -> float:
     statistics or changing xs.  From _SELECT_MIN values on, a sorted 1-in-32 sample
     brackets the middle, and only the values inside are sorted (Floyd and Rivest,
     CACM 1975); a bracket that misses, or a nan (which the sum of xs keeps), sorts
-    them all.  No pass holds a list of xs: each counts or takes values one at a time
-    (an array's are new floats), and a one-value bracket, as the all-zero imaginary
-    parts of a real base give, is not sorted at all: a sort keeps equal values, 0.0
-    and -0.0 included, in input order, so its middle ones are taken by position."""
-    n, below, ordered = len(xs), 0, None
+    them all."""
+    n, below, inside = len(xs), 0, None
     if n >= _SELECT_MIN and (total := sum(xs)) == total:
         sample = sorted(xs[::32])
         j, d = len(sample) // 2, 2 * isqrt(len(sample))
         lo, hi = sample[j - d], sample[j + d]
-        below = sum(1 for x in xs if x < lo)
-        if lo == hi:
-            size = xs.count(lo)
-            ordered = compress(xs, map(eq, xs, repeat(lo)))
-        else:
-            ordered = sorted(x for x in xs if lo <= x <= hi)
-            size = len(ordered)
-        if not (below <= (n - 1) // 2 and n // 2 < below + size):
-            below, ordered = 0, None
-    if ordered is None:
-        ordered = sorted(xs)
-    i = n // 2 - below  # the middle value, or the upper of the two middle ones
-    middle = list(islice(ordered, i - 1 + n % 2, i + 1))
-    return middle[0] if n % 2 else (middle[0] + middle[1]) / 2
+        below = len([1 for x in xs if x < lo])  # counted, not held: an array's are new floats
+        inside = sorted(x for x in xs if lo <= x <= hi)  # one list: repeats can fill it
+        if not (below <= (n - 1) // 2 and n // 2 < below + len(inside)):
+            below, inside = 0, None
+    if inside is None:
+        inside = sorted(xs)
+    i = n // 2 - below
+    return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
 
 
 def _estimate(series: SampleSeries) -> InvariantReport:

@@ -29,7 +29,7 @@ import cmath
 import math
 from itertools import chain, islice, repeat
 
-from . import _windows
+from ._windows import _window_residuals
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
                    _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
@@ -98,7 +98,7 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     g, m = _checked_values(series, 0, "encoding")
     span = len(g) - len(g) % (q := 4 * m)  # the full blocks
     # (block b, residual) of each failing window 4mb .. 4mb + m - 1, in window order
-    bad = [(i // q, r) for i, r in enumerate(_windows._window_residuals(g, a, m))
+    bad = [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m))
            if i % q < m and i < span and not r <= ENCODE_TOL]
     if bad:
         raise IdentityViolation(*bad[0])
@@ -155,7 +155,7 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
     n_windows = len(g) - 3 * m
-    flagged = [(i, r) for i, r in enumerate(_windows._window_residuals(g, a, m)) if not r <= tol]
+    flagged = [(i, r) for i, r in enumerate(_window_residuals(g, a, m)) if not r <= tol]
 
     runs = {}  # last window -> first window of each maximal chain of flagged windows m apart
     for i, _ in flagged:
@@ -194,10 +194,11 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 # -- text serialization -------------------------------------------------------
 
 # The bytes a file command reads per block of lines (cli._load) and the fewest
-# characters _line_blocks splits per block of text.  Blocks counted in samples, one
-# '%' of _formatted and one group of STASC1 block lines, hold the window kernel's
-# _windows._BLOCK samples (in whole lines) instead.
+# characters _line_blocks splits per block of text.
 _BLOCK = 4096
+# The samples, in whole lines, of one '%' of _formatted and of one group of STASC1
+# block lines; a '%' of 1024 holds about 0.16 MiB of floats and text besides the series.
+_SAMPLES = 1024
 
 
 def _line_blocks(text: str):
@@ -230,9 +231,9 @@ def _parse_samples(lines, count: int, what: str) -> list[complex]:
 
 def _formatted(values, start: int, stop: int, k: int):
     """LF-ended lines of k _fmt_complex fields joined by ';' for values[start:stop],
-    one '%' per block of the window kernel's _windows._BLOCK samples, in whole lines."""
+    one '%' per block of about _SAMPLES samples."""
     line = ";".join([f"{_FLOAT_FMT},{_FLOAT_FMT}"] * k) + "\n"
-    size = k * max(1, _windows._BLOCK // k)
+    size = k * max(1, _SAMPLES // k)
     for i in range(start, stop, size):
         block = values[i:min(i + size, stop)]
         parts = [0.0] * (2 * len(block))
@@ -334,7 +335,7 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
     stored, bad_line, bad_literal = [], None, None
-    while group := list(islice(lines, min(n_lines, max(1, _windows._BLOCK // 3)))):
+    while group := list(islice(lines, min(n_lines, max(1, _SAMPLES // 3)))):  # about _SAMPLES
         n_lines -= len(group)
         bad_line = bad_line or next((FormatError(f"block line needs 3 samples, got {line!r}")
                                      for line in group if line.count(";") != 2), None)

@@ -19,7 +19,7 @@ from stasinv import (
     encode_stream,
     sample_series,
 )
-from stasinv import _windows, codec
+from stasinv import codec
 from stasinv.cli import main
 from stasinv.codec import (
     EncodedStream,
@@ -44,9 +44,9 @@ from _reference import (
 @contextmanager
 def _blocks(block: int):
     """Text blocks of block characters or bytes (codec._BLOCK: _line_blocks and the
-    CLI's reads) and of block samples (the window kernel's _windows._BLOCK: each '%'
-    of the writers and each group of STASC1 block lines), so block edges fall everywhere."""
-    with mock.patch.object(codec, "_BLOCK", block), mock.patch.object(_windows, "_BLOCK", block):
+    CLI's reads) and of block samples (codec._SAMPLES: each '%' of the writers and
+    each group of STASC1 block lines), so block edges fall everywhere."""
+    with mock.patch.object(codec, "_BLOCK", block), mock.patch.object(codec, "_SAMPLES", block):
         yield
 
 
@@ -214,7 +214,7 @@ class TestStasc1:
         enc = EncodedStream(a=4.0, t0=1.0, count=11, stored=stored, step=0.5)
         assert dump_stasc1(enc) == text and load_stasc1(text) == enc
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 6, _windows._BLOCK, codec._BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 6, codec._SAMPLES, codec._BLOCK])
     @pytest.mark.parametrize("body, message", [
         ("x,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", "bad complex literal 'x,0'"),
         ("x,0;2,0;3,0\n", "truncated STASC1 block section"),
@@ -287,7 +287,7 @@ class TestBlocks:
             blocks = list(codec._line_blocks(text))
         assert list(chain.from_iterable(blocks)) == text.splitlines()
 
-    @pytest.mark.parametrize("block", [1, 4, _windows._BLOCK, codec._BLOCK])
+    @pytest.mark.parametrize("block", [1, 4, codec._SAMPLES, codec._BLOCK])
     @pytest.mark.parametrize("text, message", [
         ("SIG1\nt0=0 kind=f count=3\n1,0\nx,0\n3,0\n4,0\n", "expected 3 sample lines, found 4"),
         ("SIG1\r\nt0=0 kind=f count=3\r\nx,0\r\n\r\n2,0\r\n", "expected 3 sample lines, found 2"),
@@ -315,7 +315,7 @@ class TestBlocks:
             series = SampleSeries(0.5, values[:n])
             enc = EncodedStream(a=4.0, t0=0.5, count=n, stored=values[:n - n // 4])
             want = dump_sig1(series), dump_stasc1(enc)
-            with mock.patch.object(_windows, "_BLOCK", block):  # the writers' sample block
+            with mock.patch.object(codec, "_SAMPLES", block):  # the writers' sample block
                 parts = list(codec._sig1_parts(series)), list(codec._stasc1_parts(enc))
             assert tuple(map("".join, parts)) == want == (ref_dump_sig1(series),
                                                           ref_dump_stasc1(enc))
@@ -343,7 +343,7 @@ block_lines = st.one_of(good_blocks, good_blocks,
                         st.lists(good_tokens, min_size=2, max_size=4).map(";".join),
                         st.sampled_from(["", ";;", "1,0;2,0;3,0;", "rem=0"]))
 deltas = st.sampled_from([0, 0, 0, -1, 1])
-blocks = st.sampled_from([codec._BLOCK, _windows._BLOCK, 1, 2, 3, 5, 8])  # for _blocks
+blocks = st.sampled_from([codec._BLOCK, codec._SAMPLES, 1, 2, 3, 5, 8])  # for _blocks
 newlines = st.sampled_from(["\n", "\r\n"])
 
 

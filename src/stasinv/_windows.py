@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from itertools import chain, islice, repeat
-from math import isfinite, isqrt
+from math import inf, isfinite, isqrt
 from operator import sub
 
 from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
@@ -52,14 +52,17 @@ def _check_finite(g) -> None:
         raise DomainError(_NOT_FINITE)
 
 
-def _window_terms(g, m: int, lags, fn, overflow: str):
+def _window_terms(g, m: int, lags, fn, overflow: str, extent=None):
     """The window kernel: fn of a zip of the (S_{i+j}, S_{i+k}, scale), (j, k) = lags, of
     the windows i of each block of _BLOCK windows of g at stride m, in window order (once,
     of an empty zip, if g has no window), with pair sums S_i = g_i + g_{i+m} and scales
-    max(|g_i|, |g_{i+m}|, |g_{i+2m}|, |g_{i+3m}|).  As if every sample were checked first,
-    a block with a non-finite magnitude and an OverflowError of fn run _check_finite(g): a
-    magnitude past the float range anywhere wins over a nan anywhere, and both over the
-    DomainError(overflow) that replaces the OverflowError."""
+    max(|g_i|, |g_{i+m}|, |g_{i+2m}|, |g_{i+3m}|); a list extent, if given, gets the least
+    and the greatest scale of each block (g must have a window): the scales exist only
+    here, a block at a time, and the estimate's screen needs their range, which would
+    otherwise take a second pass over the series.  As if every sample were
+    checked first, a block with a non-finite magnitude and an OverflowError of fn run
+    _check_finite(g): a magnitude past the float range anywhere wins over a nan anywhere,
+    and both over the DomainError(overflow) that replaces the OverflowError."""
     j, k = lags
     for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
         block = g[i:i + _BLOCK + 3 * m]
@@ -68,6 +71,8 @@ def _window_terms(g, m: int, lags, fn, overflow: str):
             _check_finite(g)
         scales = [x if x >= y else y for x, y in zip(scales, islice(scales, m, None))]
         scales = [x if x >= y else y for x, y in zip(scales, islice(scales, 2 * m, None))]
+        if extent is not None:
+            extent += min(scales), max(scales)
         sums = [x + y for x, y in zip(block, islice(block, m, None))]
         try:
             out = fn(zip(islice(sums, j, None), islice(sums, k, None), scales))
@@ -96,15 +101,15 @@ def _window_residuals(g, a: complex, m: int):
         _PAIR_SUM_OVERFLOW))
 
 
-def _ratio_parts(g, m: int, lags, overflow: str) -> tuple:
+def _ratio_parts(g, m: int, lags, overflow: str, extent=None) -> tuple:
     """(re, im): array('d')s of the parts of the pair-sum ratios S_{i+j} / S_{i+k},
     (j, k) = lags, of the windows i of g at stride m, skipping as near-singular each
     whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.  DomainError(overflow)
-    where |S_{i+k}| leaves the float range."""
+    where |S_{i+k}| leaves the float range; extent as in _window_terms."""
     from array import array  # here, not at the top: a shared library only the ratios need
     re, im = array("d"), array("d")
     for ratios in _window_terms(g, m, lags, lambda terms: [
-            x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c], overflow):
+            x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c], overflow, extent):
         re.fromlist([r.real for r in ratios])
         im.fromlist([r.imag for r in ratios])
     return re, im
@@ -131,17 +136,60 @@ def _median(xs) -> float:
     return inside[i] if n % 2 else (inside[i - 1] + inside[i]) / 2
 
 
+# The screen: a bound B on every window's residual at a_hat, from what the estimate
+# measured.  A window's pair sums x = S_i and y = S_{i+2m} and its scale c are the same
+# floats in the estimate and in the sweep.  Take the estimate's ratio rho = fl(x / y), its
+# largest deviation D = max fl(|fl(rho - a)|), a = a_hat, and the unit roundoff u = _EPS / 2.
+# By first-order error analysis:
+# - the deviation's difference errs by u and its abs (hypot, under 1 ulp) by 2u, so
+#   |rho - a| <= D(1 + 3u);
+# - CPython's complex division (Smith's) errs by at most 7u |x/y| normwise: 3u in its
+#   numerators, 3u in its denominator and u in the quotient (under 2.7u measured against
+#   Fraction over 200 000 random pairs).  With |x/y| <= |a| + D, |x/y - a| is at most
+#   D(1 + 10u) + 7u|a|, and |x - a*y| = |x/y - a| * |y|;
+# - the sweep's product a*y errs by at most sqrt(5) u |a||y| normwise (Brent, Percival and
+#   Zimmermann, 2007; under 2u measured), its difference by u, its abs by 2u and its
+#   quotient by c by u; |y| <= 2c(1 + 3u), one rounding of a sum of two slots whose
+#   magnitudes c bounds up to its own rounding of 2u.
+# So every residual is at most 2(1 + 7u)(D(1 + 10u) + 9.3u|a|), and
+#   B = 2(1 + 16 _EPS)(D(1 + 32 _EPS) + 32 _EPS |a|) + 2**-100
+# takes each constant at least twice, which also covers the terms of second order and
+# the roundings of B.  Scales in [2**-969, 2**1000] and D <= 2**-20 keep every step in
+# range: |a*y| is then about |x| <= 2**1001, so nothing overflows, and a rounding that
+# underflows errs by at most 2**-1074 absolutely, which reaches a residual at most
+# doubled and divided by c >= 2**-969: 2**-104 for each of the under 16 roundings of a
+# window, 2**-100 in all.  A skipped window has no deviation, so with one B is inf.
+_EPS = 2.0 ** -52
+_SCREEN_SCALES = (2.0 ** -969, 2.0 ** 1000)
+_SCREEN_MAX_DEV = 2.0 ** -20
+
+
+def _residual_bound(max_dev: float, a_hat: complex, skipped: int, extent) -> float:
+    """B, above, from the estimate's largest deviation max_dev, its skipped windows and
+    the extent of its window scales (each block's least and greatest); inf where the
+    analysis does not hold."""
+    lo, hi = _SCREEN_SCALES
+    if skipped or not (max_dev <= _SCREEN_MAX_DEV and lo <= min(extent) and max(extent) <= hi):
+        return inf
+    return 2 * (1 + 16 * _EPS) * (max_dev * (1 + 32 * _EPS) + 32 * _EPS * abs(a_hat)) + 2.0 ** -100
+
+
 def _estimate(series: SampleSeries) -> InvariantReport:
-    """estimate_invariant(series)."""
+    """estimate_invariant(series), holding series and _residual_bound in its private slots."""
     g, m = _checked_values(series, 4, "invariant estimation")
-    re, im = _ratio_parts(g, m, (0, 2 * m), _PAIR_SUM_OVERFLOW)
+    extent = []
+    re, im = _ratio_parts(g, m, (0, 2 * m), _PAIR_SUM_OVERFLOW, extent)
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))
     # dividing by norm >= 1 keeps the order of the deviations, so it can follow the max
-    deviations = map(abs, map(sub, map(complex, re, im), repeat(a_hat)))
-    max_rel_dev = max(deviations) / max(abs(a_hat), 1.0)
+    max_dev = max(map(abs, map(sub, map(complex, re, im), repeat(a_hat))))
+    max_rel_dev = max_dev / max(abs(a_hat), 1.0)
     if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
         raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")
-    return InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(re),
-                           windows_skipped=len(g) - 3 * m - len(re))
+    skipped = len(g) - 3 * m - len(re)
+    report = InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(re),
+                             windows_skipped=skipped)
+    object.__setattr__(report, "_bound", _residual_bound(max_dev, a_hat, skipped, extent))
+    object.__setattr__(report, "_series", series)
+    return report

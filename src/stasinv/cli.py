@@ -50,13 +50,15 @@ def _params_from(args) -> core.StasParams:
 
 def _read_with_invariant(args):
     """(series, a) for encode and check: the --input series and a = 1/p^2 from --p, or
-    estimated.  The flags are checked before the input is read."""
+    the series' InvariantReport, which encode_stream and detect_errors take as its a_hat
+    and whose bound on every residual can spare them their sweep.  The flags are checked
+    before the input is read."""
     if args.estimate == (args.p is not None):
         raise DomainError("need exactly one of --p and --estimate to determine the invariant")
     from . import codec  # here, not at the top: only the file commands load the codec
     series = _load(args.input, codec._sig1)
     if args.estimate:
-        return series, core.estimate_invariant(series).a_hat
+        return series, core.estimate_invariant(series)
     return series, core.closed_form_invariant(core.StasParams(p=args.p))
 
 
@@ -161,14 +163,15 @@ def cmd_check(args) -> int:
         raise DomainError("--repair needs --output for the repaired series")
     if args.output and not args.repair:
         raise DomainError("--output needs --repair")
-    series, a = _read_with_invariant(args)
+    series, invariant = _read_with_invariant(args)
     from . import codec
-    flagged = codec.detect_errors(series, a, args.tol)
+    flagged = codec.detect_errors(series, invariant, args.tol)
     for f in flagged:
         samples = ",".join(str(j) for j in f.implicated_samples)
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")
     if args.repair and flagged:
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
+        a = invariant.a_hat if args.estimate else invariant
         if implicated:  # with nothing implicated there is nothing to write
             _write(args.output, codec._sig1_parts(codec.repair_samples(series, implicated, a)))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")

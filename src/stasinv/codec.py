@@ -30,8 +30,8 @@ import math
 from itertools import chain, islice, repeat
 
 from ._windows import _window_residuals
-from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
-                   _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
+from .core import (ENCODE_TOL, InvariantReport, SampleSeries, _FLOAT_FMT, _Record, _checked_tol,
+                   _checked_values, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
 from .reconstruct import Window, predict_next, recover_missing
 
@@ -81,7 +81,16 @@ class IntegrityFinding(_Record):
     verdict = "flagged"  # the same for every finding; perfbench/traced.py filters on it
 
 
-def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
+def _screened(series: SampleSeries, a, tol: float) -> tuple[complex, bool]:
+    """(the invariant a gives, whether it proves every window of series within tol): the
+    report estimate_invariant returned for this very series bounds every residual at
+    its a_hat, and any other report gives only its a_hat."""
+    if isinstance(a, InvariantReport):
+        return a.a_hat, a._series is series and a._bound <= tol
+    return a, False
+
+
+def encode_stream(series: SampleSeries, a) -> EncodedStream:
     """Compress disjoint blocks of 4m samples, on a grid of step 1/m, to their first 3m.
 
     Every full block is verified against the identity (relative residual
@@ -92,14 +101,18 @@ def encode_stream(series: SampleSeries, a: complex) -> EncodedStream:
     non-finite invariant or sample, and a window anywhere in the stream
     whose pair sum or defect overflows, raise DomainError as they do there.
     Samples past the last full block are stored verbatim.
+    a is the invariant or an InvariantReport, taken as its a_hat; the report
+    estimate_invariant returned for this series skips the sweep where its bound
+    on every residual is within 1e-6, as detect_errors does.
     """
+    a, screened = _screened(series, a, ENCODE_TOL)
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
     g, m = _checked_values(series, 0, "encoding")
     span = len(g) - len(g) % (q := 4 * m)  # the full blocks
     # (block b, residual) of each failing window 4mb .. 4mb + m - 1, in window order
-    bad = [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m))
-           if i % q < m and i < span and not r <= ENCODE_TOL]
+    bad = [] if screened else [(i // q, r) for i, r in enumerate(_window_residuals(g, a, m))
+                               if i % q < m and i < span and not r <= ENCODE_TOL]
     if bad:
         raise IdentityViolation(*bad[0])
     stored = [0j] * (span - span // 4)
@@ -130,7 +143,7 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
     return SampleSeries(enc.t0, values, step=enc.step)
 
 
-def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[IntegrityFinding]:
+def detect_errors(series: SampleSeries, a, tol: float) -> list[IntegrityFinding]:
     """Sweep all windows and return, in window order, a finding for each window
     whose residual is not within tol; localize single errors.
 
@@ -151,9 +164,16 @@ def detect_errors(series: SampleSeries, a: complex, tol: float) -> list[Integrit
     sample's range: faults at 0 and 1 implicate only 1, and faults at n-2 and n-1
     only n-2, so the other fault goes unreported.
     Each flagged window reports the implicated samples it covers.
+    a is the invariant or an InvariantReport, taken as its a_hat.  The report that
+    estimate_invariant returned for this very series bounds every window's residual
+    at its a_hat; where that bound is within tol, no window can be flagged, and the
+    sweep is skipped once the checks above have passed.
     """
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
+    a, screened = _screened(series, a, tol)
+    if screened:
+        return []
     n_windows = len(g) - 3 * m
     flagged = [(i, r) for i, r in enumerate(_window_residuals(g, a, m)) if not r <= tol]
 

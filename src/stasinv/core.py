@@ -59,13 +59,23 @@ R_BOUNDS = (1, 15)
 
 
 class _Record:
-    """Immutable record of its __slots__, equal only within its class, repr Name(f=v, ...)."""
+    """Immutable record of its __slots__, equal only within its class, repr Name(f=v, ...).
+
+    A slot named with a leading '_' is private: None once built, and left out of
+    __init__, ==, hash, repr, copy and pickle; only the module that built the record sets it.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):  # the public fields and the private slots, once per class
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._private = tuple(name for name in cls.__slots__ if name[0] == "_")
+
     def __init__(self, *values):  # the fields in slot order, once a subclass checked them
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
+        for name in self._private:
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
@@ -73,7 +83,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # (class, fields): what copy and pickle rebuild it from, via __init__
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -84,7 +94,7 @@ class _Record:
         return hash(self.__reduce__())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -149,9 +159,16 @@ class SampleSeries(_Record):
 
 
 class InvariantReport(_Record):
-    """Empirical invariant estimate plus dispersion diagnostics."""
+    """Empirical invariant estimate plus dispersion diagnostics.
 
-    __slots__ = ("a_hat", "max_rel_dev", "windows_used", "windows_skipped")
+    The report that estimate_invariant returns also holds, privately, the series it
+    was estimated from and a bound on every window's residual at a_hat there, so
+    that detect_errors and encode_stream, given this report for that same series,
+    can skip a sweep the bound already decides.  A report built from its fields, or
+    copied or pickled, holds neither, and they take the report as its a_hat.
+    """
+
+    __slots__ = ("a_hat", "max_rel_dev", "windows_used", "windows_skipped", "_bound", "_series")
 
     def __init__(self, a_hat: complex, max_rel_dev: float, windows_used: int, windows_skipped: int):
         super().__init__(a_hat, max_rel_dev, windows_used, windows_skipped)
@@ -401,6 +418,12 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     times the window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
+    The report also holds, privately, this series and a bound on every window's
+    residual at a_hat (inf with a skipped window, a deviation past 2**-20 or a window
+    scale outside [2**-969, 2**1000]); detect_errors and encode_stream, given this
+    report with this series, skip their sweep where the bound is within their tol.
+    So the report keeps the series alive as long as it lives; a report rebuilt from
+    its four fields, or copied or pickled, does not.
     """
     from ._windows import _estimate  # here, not at the top: it imports this module
     return _estimate(series)

@@ -303,5 +303,8 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     _check_finite(values)
     unit = SampleSeries(series.t0, values[::m])
     report = estimate_invariant(unit)
+    # rebuilt from its fields, so the fit does not keep unit alive in the report's private slots
+    report = InvariantReport(report.a_hat, report.max_rel_dev, report.windows_used,
+                             report.windows_skipped)
     result = search_frequencies(series, disambiguate_p(unit), r_max)
     return FitResult(result.params, result.residual_rms, result.tied_frequencies, report)

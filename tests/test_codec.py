@@ -442,6 +442,15 @@ def repeat_heavy_lists(draw):
             for _ in range(n)]
 
 
+def _median_at_the_bracket_floor():
+    """4097 values whose middle, 0.0, is the lower end of the bracket: the 43rd of the
+    129 in the 1-in-32 sample, with 42 of the sample and 2006 of the rest, 2048 in
+    all, below it."""
+    sample = [-1.0 - k for k in range(42)] + [0.0] + [1.0 + k for k in range(86)]
+    rest = [-1000.0 - k for k in range(2006)] + [1000.0 + k for k in range(4097 - 129 - 2006)]
+    return [sample[i // 32] if i % 32 == 0 else rest[i - i // 32 - 1] for i in range(4097)]
+
+
 class TestWindowKernelOracle:
     """The shared window kernel against the per-window loops it replaced, bit for bit."""
 
@@ -518,6 +527,9 @@ class TestWindowKernelOracle:
     @example([-0.0] * _SELECT_MIN + [0.0] + [-0.0] * _SELECT_MIN)  # the one 0.0 is the middle
     @example([0.0] * (_SELECT_MIN - 1) + [-0.0, 0.0] + [0.0] * (_SELECT_MIN - 1))  # pair's mean
     @example([-1.0] * 300 + [0.0, -0.0] * _SELECT_MIN + [1.0] * 299)  # repeats past the sample
+    # a real base's imaginary ratio parts: signed zeros, a few spread values, even length
+    @example([(i % 3 - 1.0) if i % 97 == 0 else -0.0 if i % 7 == 3 else 0.0 for i in range(40000)])
+    @example([1.7976931348623157e308] * (2 * _SELECT_MIN))  # the middle pair's sum is inf
     def test_median(self, xs):
         # odd and even lengths on both sides of the selection cutoff, ties and
         # signed zeros; the bits must match, nan included, and xs stays as it was;
@@ -528,10 +540,12 @@ class TestWindowKernelOracle:
         assert repr(_median(array("d", xs))) == repr(statistics.median(xs))
 
     @pytest.mark.parametrize("xs", [[math.sin(i) for i in range(40000)],
-                                    [math.cos(3 * i) for i in range(40001)]])
+                                    [math.cos(3 * i) for i in range(40001)],
+                                    _median_at_the_bracket_floor()])
     def test_median_sorts_the_sample_and_the_bracket_only(self, xs, monkeypatch):
         # on spread values only the 1-in-32 sample and the values inside its
-        # bracket, about 1/9 of them, are sorted
+        # bracket, about 1/9 of them, are sorted; a middle value that is the
+        # bracket's lower end is inside it
         sizes = []
 
         def counted(values):

@@ -284,6 +284,25 @@ def test_record_copies_and_pickles(record, twin, other):
         assert type(clone) is type(record) and clone == record
 
 
+def test_private_slots_stay_out_of_the_record():
+    """The report estimate_invariant returns holds its series and bound in '_' slots,
+    which no field, comparison, repr, copy or pickle sees, and which start as None."""
+    series = sample_series(StasParams(p=0.9 + 0.1j, q1=0.5, r1=3), 1.0, 40)
+    report = stasinv.estimate_invariant(series)
+    assert report._series is series and 0 < report._bound < 1e-12
+    built = InvariantReport(report.a_hat, report.max_rel_dev, report.windows_used,
+                            report.windows_skipped)
+    assert built._series is None and built._bound is None
+    assert built == report and hash(built) == hash(report) and repr(built) == repr(report)
+    assert "_bound" not in repr(report) and "_series" not in repr(report)
+    for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert clone == report and clone._series is None and clone._bound is None
+    with pytest.raises(TypeError):
+        InvariantReport(report.a_hat, 0.0, 1, 0, 0.5)
+    with pytest.raises(AttributeError):
+        report._bound = 0.0
+
+
 def test_records_of_different_classes_are_never_equal():
     for (a, _, _), (b, _, _) in itertools.permutations(RECORDS, 2):
         assert a != b

@@ -1,10 +1,11 @@
 """The window kernel: the operations over every window i, i+m, i+2m, i+3m of a
 series on a grid of step 1/m, run over blocks of _BLOCK windows.
 
-Each block takes the series slice g[i : i + _BLOCK + 3m] and computes its windows'
-scales and pair sums; past the block only what its caller keeps stays, the ratios'
-parts in array('d')s of 16 bytes a window or the flagged windows, and callers see
-the windows in window order.  core's estimate_invariant and the fit's base stage
+Each block takes the series slice g[i : i + _BLOCK + 3m] and computes its samples'
+magnitudes and its windows' pair sums, and its windows' scales where its caller needs
+them; past the block only what its caller keeps stays, the ratios' parts in
+array('d')s of 16 bytes a window or the flagged windows, and callers see the windows
+in window order.  core's estimate_invariant and the fit's base stage
 (pair-sum ratios) and codec's sweeps (residuals) share it.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 from itertools import chain, islice, repeat
 from math import inf, isfinite, isqrt
-from operator import sub
+from operator import add, sub, truediv
 
 from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
 from .errors import DomainError, NoValidWindows
@@ -52,34 +53,36 @@ def _check_finite(g) -> None:
         raise DomainError(_NOT_FINITE)
 
 
-def _window_terms(g, m: int, lags, fn, overflow: str, extent=None):
-    """The window kernel: fn of a zip of the (S_{i+j}, S_{i+k}, scale), (j, k) = lags, of
-    the windows i of each block of _BLOCK windows of g at stride m, in window order (once,
-    of an empty zip, if g has no window), with pair sums S_i = g_i + g_{i+m} and scales
-    max(|g_i|, |g_{i+m}|, |g_{i+2m}|, |g_{i+3m}|); a list extent, if given, gets the least
-    and the greatest scale of each block (g must have a window): the scales exist only
-    here, a block at a time, and the estimate's screen needs their range, which would
-    otherwise take a second pass over the series.  As if every sample were
-    checked first, a block with a non-finite magnitude and an OverflowError of fn run
-    _check_finite(g): a magnitude past the float range anywhere wins over a nan anywhere,
-    and both over the DomainError(overflow) that replaces the OverflowError."""
+def _window_terms(g, m: int, lags, fn, overflow: str):
+    """The window kernel: fn(xs, ys, mags) of each block of _BLOCK windows of g at stride
+    m, in window order (once, of no window, if g has none), with xs and ys the lists of
+    the block's windows' pair sums S_{i+j} and S_{i+k}, (j, k) = lags, S_i = g_i + g_{i+m},
+    and mags the magnitudes of the block's samples, whose _scales are its windows'.  As
+    if every sample were checked first, a block with a non-finite magnitude and an
+    OverflowError of fn run _check_finite(g): a magnitude past the float range anywhere
+    wins over a nan anywhere, and both over the DomainError(overflow) that replaces the
+    OverflowError."""
     j, k = lags
     for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
         block = g[i:i + _BLOCK + 3 * m]
-        scales = _magnitudes(block)  # each list replaces the one before it
-        if not all(map(isfinite, scales)):
+        mags = _magnitudes(block)
+        if not all(map(isfinite, mags)):
             _check_finite(g)
-        scales = [x if x >= y else y for x, y in zip(scales, islice(scales, m, None))]
-        scales = [x if x >= y else y for x, y in zip(scales, islice(scales, 2 * m, None))]
-        if extent is not None:
-            extent += min(scales), max(scales)
-        sums = [x + y for x, y in zip(block, islice(block, m, None))]
+        n = max(len(block) - 3 * m, 0)  # the block's windows
+        sums = list(map(add, block, islice(block, m, None)))
         try:
-            out = fn(zip(islice(sums, j, None), islice(sums, k, None), scales))
+            out = fn(sums[j:j + n], sums[k:k + n], mags)
         except OverflowError:
             _check_finite(g)
             raise DomainError(overflow) from None
         yield out
+
+
+def _scales(mags, m: int) -> list[float]:
+    """The scales max(|g_i|, |g_{i+m}|, |g_{i+2m}|, |g_{i+3m}|) of the windows i of a block
+    whose samples' magnitudes are mags."""
+    scales = [x if x >= y else y for x, y in zip(mags, islice(mags, m, None))]
+    return [x if x >= y else y for x, y in zip(scales, islice(scales, 2 * m, None))]
 
 
 _PAIR_SUM_OVERFLOW = "a window's pair sum or defect exceeds the float range in magnitude"
@@ -96,22 +99,42 @@ def _window_residuals(g, a: complex, m: int):
     """
     if not cmath.isfinite(a):
         raise DomainError(f"the invariant must be finite, got {a}")
-    return chain.from_iterable(_window_terms(g, m, (0, 2 * m), lambda terms: [
-        abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR) for x, y, c in terms],
-        _PAIR_SUM_OVERFLOW))
+    return chain.from_iterable(_window_terms(g, m, (0, 2 * m), lambda xs, ys, mags: [
+        abs(x - a * y) / (c if c > _SCALE_FLOOR else _SCALE_FLOOR)
+        for x, y, c in zip(xs, ys, _scales(mags, m))], _PAIR_SUM_OVERFLOW))
 
 
 def _ratio_parts(g, m: int, lags, overflow: str, extent=None) -> tuple:
     """(re, im): array('d')s of the parts of the pair-sum ratios S_{i+j} / S_{i+k},
-    (j, k) = lags, of the windows i of g at stride m, skipping as near-singular each
-    whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.  DomainError(overflow)
-    where |S_{i+k}| leaves the float range; extent as in _window_terms."""
+    (j, k) = lags, of the windows i of g at stride m (g must have one), skipping as
+    near-singular each whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.
+    DomainError(overflow) where |S_{i+k}| leaves the float range.  A window's scale
+    lies between its block's least and greatest magnitude, so only a block with an
+    |S_{i+k}| of 0 or below SKIP_THRESHOLD times the greatest takes its windows' scales;
+    a list extent, if given, gets the block's least and greatest magnitude where both
+    are in _SCREEN_SCALES, else its least and greatest scale: in range exactly where
+    every window scale of the block is."""
     from array import array  # here, not at the top: a shared library only the ratios need
+    lo, hi = _SCREEN_SCALES
+
+    def ratios(xs, ys, mags):
+        least, top, scales = min(map(abs, ys)), max(mags), None
+        if least and not least < SKIP_THRESHOLD * top:  # no window is skipped
+            kept = list(map(truediv, xs, ys))
+        else:
+            scales = _scales(mags, m)
+            kept = [x / y for x, y, c in zip(xs, ys, scales)
+                    if y and not abs(y) < SKIP_THRESHOLD * c]
+        if extent is not None:
+            if not (lo <= min(mags) and top <= hi):
+                mags = scales or _scales(mags, m)
+            extent.extend((min(mags), max(mags)))
+        return kept
+
     re, im = array("d"), array("d")
-    for ratios in _window_terms(g, m, lags, lambda terms: [
-            x / y for x, y, c in terms if y and not abs(y) < SKIP_THRESHOLD * c], overflow, extent):
-        re.fromlist([r.real for r in ratios])
-        im.fromlist([r.imag for r in ratios])
+    for kept in _window_terms(g, m, lags, ratios, overflow):
+        re.fromlist([r.real for r in kept])
+        im.fromlist([r.imag for r in kept])
     return re, im
 
 

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
-from ._windows import _window_residuals
 from .core import (ENCODE_TOL, InvariantReport, SampleSeries, _FLOAT_FMT, _Record, _checked_tol,
                    _checked_values, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
-from .reconstruct import Window, predict_next, recover_missing
 
 __all__ = [
     "EncodedStream",
@@ -81,6 +79,12 @@ class IntegrityFinding(_Record):
     verdict = "flagged"  # the same for every finding; perfbench/traced.py filters on it
 
 
+def _window_residuals(g, a: complex, m: int):
+    """_windows._window_residuals, imported on first use: decode compiles no window kernel."""
+    from ._windows import _window_residuals
+    return _window_residuals(g, a, m)
+
+
 def _screened(series: SampleSeries, a, tol: float) -> tuple[complex, bool]:
     """(the invariant a gives, whether it proves every window of series within tol): the
     report estimate_invariant returned for this very series bounds every residual at
@@ -126,7 +130,10 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
     window i that starts in a block of 4m samples.
 
     A rebuilt sample that overflows to nan or inf raises DomainError naming its block.
+    The stored samples are taken as they are, complex as encode_stream and
+    load_stasc1 give them.
     """
+    from .reconstruct import predict_next  # here, not at the top: check and encode need none
     m = _steps_per_unit(enc.step)
     span = enc.count - enc.count % (q := 4 * m)
     kept = span - span // 4
@@ -140,7 +147,7 @@ def decode_stream(enc: EncodedStream) -> SampleSeries:
     if not all(map(cmath.isfinite, chain.from_iterable(values[c:span:q] for c in rebuilt))):
         i = next(i for i, v in enumerate(values) if not cmath.isfinite(v))  # stored ones are finite
         raise DomainError(f"block {i // q}: reconstructed slot 3 is not finite ({values[i]})")
-    return SampleSeries(enc.t0, values, step=enc.step)
+    return SampleSeries._of(enc.t0, values, step=enc.step)
 
 
 def detect_errors(series: SampleSeries, a, tol: float) -> list[IntegrityFinding]:
@@ -199,6 +206,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     has none, as can happen below 4m samples), raises DomainError naming the
     sample, as does a step that is not 1/m; below 3m + 1 samples, NoValidWindows.
     """
+    from .reconstruct import Window, recover_missing
     values, m = _checked_values(series, 4, "repair")
     values = list(values)
     for j in implicated:
@@ -208,7 +216,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
         values[j] = recover_missing(Window(tuple(slots), missing=(j - i) // m), a)
         if not cmath.isfinite(values[j]):
             raise DomainError(f"sample {j}: repaired value is not finite ({values[j]})")
-    return SampleSeries(series.t0, values, step=series.step)
+    return SampleSeries._of(series.t0, values, step=series.step)
 
 
 # -- text serialization -------------------------------------------------------
@@ -216,8 +224,8 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 # The bytes a file command reads per block of lines (cli._load) and the fewest
 # characters _line_blocks splits per block of text.
 _BLOCK = 4096
-# The samples, in whole lines, of one '%' of _formatted and of one group of STASC1
-# block lines; a '%' of 1024 holds about 0.16 MiB of floats and text besides the series.
+# The samples, in whole lines, of one '%' of _formatted; a '%' of 1024 holds about
+# 0.16 MiB of floats and text besides the series.
 _SAMPLES = 1024
 
 
@@ -231,19 +239,37 @@ def _line_blocks(text: str):
         start = end
 
 
-def _parse_samples(lines, count: int, what: str) -> list[complex]:
-    """The count non-blank lines of a body, one 're,im' sample each, in one
-    pass; a wrong line count is reported before a bad literal, and an error that
-    taking the lines raises (a non-ASCII byte in a file) before either."""
-    body = filter(str.strip, lines)
+def _complexes(fields) -> list[complex] | None:
+    """[_parse_complex(f) for f in fields], parsed at once: None unless each field holds
+    one ',' and both its parts parse as floats (a blank or bad field, or no field)."""
+    if {*map(str.count, fields, repeat(","))} != {1}:
+        return None
+    parts = map(float, ",".join(fields).split(","))
+    try:
+        return list(map(complex, parts, parts))
+    except ValueError:
+        return None
+
+
+def _parse_samples(blocks, count: int, what: str) -> list[complex]:
+    """The count non-blank lines of a body, one 're,im' sample each, from an iterator
+    over its blocks of lines: each block parsed at once, or line by line where it holds
+    a blank or bad line.  A wrong line count is reported before a bad literal, and an
+    error that taking the blocks raises (a non-ASCII byte in a file) before either."""
     values = []
-    for line in body:
-        try:
-            values.append(_parse_complex(line))
-        except FormatError:
-            if (found := len(values) + 1 + sum(1 for _ in body)) == count:
-                raise
-            raise FormatError(f"expected {count} {what} lines, found {found}") from None
+    for lines in blocks:
+        if (parsed := _complexes(lines)) is not None:
+            values += parsed
+            continue
+        body = filter(str.strip, lines)
+        for line in body:
+            try:
+                values.append(_parse_complex(line))
+            except FormatError:
+                rest = chain(body, filter(str.strip, chain.from_iterable(blocks)))
+                if (found := len(values) + 1 + sum(1 for _ in rest)) == count:
+                    raise
+                raise FormatError(f"expected {count} {what} lines, found {found}") from None
     if len(values) != count:
         raise FormatError(f"expected {count} {what} lines, found {len(values)}")
     return values
@@ -262,17 +288,27 @@ def _formatted(values, start: int, stop: int, k: int):
         yield line * (len(block) // k) % tuple(parts)
 
 
+def _next_line(blocks) -> tuple:
+    """(the first line of an iterator over blocks of lines, or None, and an iterator
+    over the blocks of the lines after it)."""
+    for block in blocks:
+        if block:
+            return block[0], chain([block[1:]], blocks)
+    return None, blocks
+
+
 def _read_header(blocks, magic: str, expected: tuple[str, ...]
                  ) -> tuple[chain, dict[str, str], float, int, float]:
-    """The lines after the magic and header lines, as an iterator over blocks of
-    lines (lists, as _line_blocks yields them), the key=value fields of the header
-    line and the parsed t0, count and step (1 unless given).  FormatError unless
-    every expected key, the optional step and no other one is there, the numbers
-    parse and count is non-negative."""
-    lines = chain.from_iterable(blocks)
-    if next(lines, None) != magic:
+    """The lines after the magic and header lines of the blocks of lines (lists, as
+    _line_blocks yields them), as an iterator over blocks of lines, the key=value
+    fields of the header line and the parsed t0, count and step (1 unless given).
+    FormatError unless every expected key, the optional step and no other one is
+    there, the numbers parse and count is non-negative."""
+    line, blocks = _next_line(iter(blocks))
+    if line != magic:
         raise FormatError(f"missing {magic} magic line")
-    if (header := next(lines, None)) is None:
+    header, blocks = _next_line(blocks)
+    if header is None:
         raise FormatError(f"missing {magic} header line")
     fields = {}
     for token in header.split():
@@ -291,7 +327,7 @@ def _read_header(blocks, magic: str, expected: tuple[str, ...]
         step = float(fields.get("step", "1"))
     except ValueError as exc:
         raise FormatError(f"bad {magic} header: {header!r}") from exc
-    return lines, fields, t0, count, step
+    return blocks, fields, t0, count, step
 
 
 def _step_token(step: float) -> str:
@@ -316,14 +352,14 @@ def load_sig1(text: str) -> SampleSeries:
 
 def _sig1(blocks) -> SampleSeries:
     """load_sig1 of the text whose lines the blocks of lines hold, in order."""
-    lines, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
+    blocks, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
-    values = _parse_samples(lines, count, "sample")
+    values = _parse_samples(blocks, count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
-    return SampleSeries(t0, values, step=step)
+    return SampleSeries._of(t0, values, step=step)
 
 
 def _stasc1_parts(enc: EncodedStream):
@@ -347,29 +383,33 @@ def load_stasc1(text: str) -> EncodedStream:
 
 def _stasc1(blocks) -> EncodedStream:
     """load_stasc1 of the text whose lines the blocks of lines hold, in order.  Block
-    lines are parsed as they arrive; a structural error (a truncated block section,
-    a block line without 3 fields, a bad rem= line) wins over a bad literal before it."""
-    lines, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
+    lines are parsed block by block as they arrive; a structural error (a truncated
+    block section, a block line without 3 fields, a bad rem= line) wins over a bad
+    literal before it."""
+    blocks, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
     if not (m := _steps_per_unit(step)):  # before the body, whose layout depends on m
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
-    stored, bad_line, bad_literal = [], None, None
-    while group := list(islice(lines, min(n_lines, max(1, _SAMPLES // 3)))):  # about _SAMPLES
+    stored, bad_line, bad_literal, rest = [], None, None, []
+    while n_lines and (block := next(blocks, None)) is not None:
+        group, rest = block[:n_lines], block[n_lines:]
         n_lines -= len(group)
-        bad_line = bad_line or next((FormatError(f"block line needs 3 samples, got {line!r}")
-                                     for line in group if line.count(";") != 2), None)
-        if not (bad_line or bad_literal):
+        if not bad_line and {*map(str.count, group, repeat(";"))} - {2}:
+            line = next(line for line in group if line.count(";") != 2)
+            bad_line = FormatError(f"block line needs 3 samples, got {line!r}")
+        if group and not (bad_line or bad_literal):
+            samples = ";".join(group).split(";")
             try:
-                stored += [z for line in group for z in map(_parse_complex, line.split(";"))]
+                stored += _complexes(samples) or list(map(_parse_complex, samples))
             except FormatError as exc:
                 bad_literal = exc
     if n_lines:
         raise FormatError("truncated STASC1 block section")
     if bad_line:
         raise bad_line
-    rem = next(lines, "")
-    if not rem.startswith("rem="):
+    rem, blocks = _next_line(chain([rest], blocks))
+    if not (rem or "").startswith("rem="):
         raise FormatError("missing rem= line")
     try:
         k = int(rem[4:])
@@ -379,5 +419,5 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError(f"rem={k} inconsistent with count={count}")
     if bad_literal:
         raise bad_literal
-    stored += _parse_samples(lines, k, "remainder")
+    stored += _parse_samples(blocks, k, "remainder")
     return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored), step=step)

@@ -135,7 +135,17 @@ class SampleSeries(_Record):
     __slots__ = ("t0", "values", "step")
 
     def __init__(self, t0: float, values: tuple[complex, ...], step: float = 1.0):
-        values = tuple(map(complex, values))
+        self._set(t0, tuple(map(complex, values)), step)
+
+    @classmethod
+    def _of(cls, t0: float, values, step: float = 1.0) -> "SampleSeries":
+        """cls(t0, values, step) of values that are all complex: the same checks,
+        without the complex() of every value."""
+        series = cls.__new__(cls)
+        series._set(t0, tuple(values), step)
+        return series
+
+    def _set(self, t0: float, values: tuple[complex, ...], step: float) -> None:
         if not (math.isfinite(t0) and math.isfinite(step)):
             raise DomainError(f"t0 and step must be finite, got t0={t0}, step={step}")
         if step == 0:
@@ -149,7 +159,7 @@ class SampleSeries(_Record):
         grid = _grid(t0, step, len(values))
         if 0.0 in grid:
             raise DomainError("s-value series has a grid point at t = 0")
-        return cls(t0, [t * complex(v) for t, v in zip(grid, values)], step=step)
+        return cls._of(t0, [t * complex(v) for t, v in zip(grid, values)], step=step)
 
     def grid(self) -> list[float]:
         return _grid(self.t0, self.step, len(self.values))
@@ -381,7 +391,7 @@ def sample_series(params: StasParams, t0: float, count: int,
     trig = cycle(_trig(params, grid[:m]))
     values = [w + (-x if i // m % 2 else x)
               for i, (w, x) in enumerate(zip(_powers(params.p, grid), trig))]
-    return SampleSeries(t0, values, step=step)
+    return SampleSeries._of(t0, values, step=step)
 
 
 def _checked_tol(tol: float) -> None:

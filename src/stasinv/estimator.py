@@ -301,7 +301,7 @@ def fit_series(series: SampleSeries, r_max: int = DEFAULT_R_MAX) -> FitResult:
     """
     values, m = _checked_values(series, 4, "fitting")
     _check_finite(values)
-    unit = SampleSeries(series.t0, values[::m])
+    unit = SampleSeries._of(series.t0, values[::m])
     report = estimate_invariant(unit)
     # rebuilt from its fields, so the fit does not keep unit alive in the report's private slots
     report = InvariantReport(report.a_hat, report.max_rel_dev, report.windows_used,

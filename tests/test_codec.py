@@ -467,21 +467,32 @@ class TestWindowKernelOracle:
         flagged = [(f.window_index, f.residual) for f in detect_errors(series, a, 1e-6)]
         assert repr(flagged) == repr([(i, r) for i, r in enumerate(want) if not r <= 1e-6])
 
+    @pytest.mark.parametrize("block", [1, 2, _windows._BLOCK])
     @given(kernel_streams)
     @example(([0j] * 4, 4.0))
     @example(([1 + 0j, 2 + 0j, 1 + 0j, -1 + 0j], 4.0))
     @example(([1 + 0j, 2 + 0j, 1 + 0j, -1 + 1e-12j, 1 + 0j], 4.0))
     @example(([1 + 0j, 0j, 1e-9 + 0j, 0j], 4.0))  # |hi| equals the skip bound: kept
-    def test_estimate_invariant(self, case):
+    # also where window 1's zero |hi| makes their block take its windows' scales
+    @example(([1 + 0j, 0j, 1e-9 + 0j, 0j, 0j], 4.0))
+    # window 0's |hi| = 2e-9 is above 1e-9 times its scale 1, below 1e-9 times the 100 of
+    # its block: kept, as the block takes its windows' scales
+    @example(([1 + 0j, 0j, 2e-9 + 0j, 0j, 100 + 0j, 1 + 0j, 2 + 0j], 4.0))
+    @example(([1 + 0j, -1 + 0j, 1 + 0j, -1 + 0j, 2 + 0j, 3 + 0j, 1 + 0j], 4.0))  # hi exactly 0
+    @example(([0j] * 6 + [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j, 5 + 0j], 4.0))  # all-zero blocks
+    @example(([3e-320 + 0j, 1e-320 + 0j, 5e-324 + 0j, 5e-324j, 1e-321 + 0j, 2e-322 + 0j,
+               1e-323 + 0j], 4.0))  # subnormal magnitudes: the skip bound underflows to 0
+    def test_estimate_invariant(self, block, case):
         values, _ = case
         series = SampleSeries(1.0, values)
-        try:
-            want = InvariantReport(*ref_estimate_invariant(series.values))
-        except RefNoValidWindows:
-            with pytest.raises(NoValidWindows):
-                estimate_invariant(series)
-        else:
-            assert repr(estimate_invariant(series)) == repr(want)
+        with mock.patch.object(_windows, "_BLOCK", block):
+            try:
+                want = InvariantReport(*ref_estimate_invariant(series.values))
+            except RefNoValidWindows:
+                with pytest.raises(NoValidWindows):
+                    estimate_invariant(series)
+            else:
+                assert repr(estimate_invariant(series)) == repr(want)
 
     @pytest.mark.parametrize("values", [
         [1e308] * 4 + [1.0] * 8,  # ratios nan, inf, inf, 5e307, then 1: the first is nan

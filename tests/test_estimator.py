@@ -187,6 +187,39 @@ class TestDisambiguatePBlocks:
     def test_streams(self, series, block):
         _assert_block_free(series, block)
 
+    @pytest.mark.parametrize("block", [1, 2, _windows._BLOCK])
+    @given(base_streams())
+    # S_0 = 2e-9 is above 1e-9 times window 0's scale 1, below 1e-9 times the 100 of its
+    # block: kept, as the block takes its windows' scales
+    @example(SampleSeries(1.0, (1, -1 + 2e-9, 0.5, 0.25, 100, 1, 2)))
+    @example(SampleSeries(1.0, (1, 1, -1, 2, 1, -2, 3, 0, 1), step=0.5))  # S_i exactly 0
+    # |S_0| equals the skip bound, 1e-9 times its scale, in a block with S_1 = 0: kept
+    @example(SampleSeries(1.0, (1e-9, 0, 0, 1, 1)))
+    @example(SampleSeries(1.0, (0,) * 6 + (1, 2, 3, 4, 5)))  # all-zero blocks
+    @example(SampleSeries(1.0, (3e-320, 1e-320, 5e-324, 5e-324j, 1e-321, 2e-322, 1e-323)))
+    def test_ratios_are_those_of_each_window(self, block, series):
+        # the base's kept ratios S_{i+m} / S_i, against a window-by-window oracle
+        g, m = series.values, round(1 / series.step)
+        try:
+            want = [(g[i + m] + g[i + 2 * m]) / (g[i] + g[i + m])
+                    for i in range(len(g) - 3 * m) if _ref_kept(g, i, m)]
+        except OverflowError:  # |S_i| past the float range
+            want = None
+        with mock.patch.object(_windows, "_BLOCK", block):
+            if want is None:
+                with pytest.raises(DomainError):
+                    _windows._ratio_parts(g, m, (m, 0), "")
+                return
+            re, im = _windows._ratio_parts(g, m, (m, 0), "")
+        assert repr([*map(complex, re, im)]) == repr(want)
+
+
+def _ref_kept(g, i, m):
+    """Whether window i of g at stride m keeps its base ratio: S_i is not 0 and not
+    below SKIP_THRESHOLD times the window's scale."""
+    den = g[i] + g[i + m]
+    return den != 0 and not abs(den) < 1e-9 * max(abs(g[i + s * m]) for s in range(4))
+
 
 class TestFitTrig:
     def test_half_step_grid_example(self):

@@ -50,6 +50,35 @@ def _blocks(block: int):
         yield
 
 
+GOOD = "1.2345678901234567,-2.3456789012345678"  # 38 characters: about 107 lines a block
+BAD = "1.2345678901234567,-2.345678901234567x"  # as long, so that no block edge moves
+BLANK = " " * len(GOOD)
+GOOD3, BAD3, BLANK3 = ";".join([GOOD] * 3), ";".join([GOOD, BAD, GOOD]), " " * 116
+TWO = ";".join([GOOD] * 2)
+
+
+def _long_sig1(count, body):
+    return f"SIG1\nt0=0 kind=f count={count}\n" + "\n".join(body) + "\n"
+
+
+def _long_stasc1(body, rem):
+    return "STASC1\na=2,0 t0=0 count=401\n" + "\n".join([*body, rem, GOOD]) + "\n"
+
+
+def _assert_loads(text, parse, tmp_path, message):
+    """The text, as a string and as a file the CLI reads, loads as 299 samples of GOOD
+    (message None) or raises FormatError(message)."""
+    from stasinv.cli import _load
+    path = tmp_path / "in"
+    path.write_text(text)
+    for load in (lambda: parse(codec._line_blocks(text)), lambda: _load(str(path), parse)):
+        if message is None:
+            assert load().values == (_parse_complex(GOOD),) * 299
+        else:
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                load()
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_complexes = st.builds(complex, finite_floats, finite_floats)
 
@@ -300,6 +329,48 @@ class TestBlocks:
         with _blocks(block):
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
                 load(text)
+
+    @pytest.mark.parametrize("edits, count, message", [
+        ({"first": BAD}, 300, f"bad complex literal {BAD!r}"),
+        ({"last": BAD}, 300, f"bad complex literal {BAD!r}"),
+        ({"middle": BAD}, 301, "expected 301 sample lines, found 300"),
+        ({"last": BAD}, 299, "expected 299 sample lines, found 300"),  # counted to the end
+        ({"first": BLANK}, 299, None),
+        ({"first": BLANK}, 300, "expected 300 sample lines, found 299"),
+        ({"last": BLANK, "third": BAD}, 299, f"bad complex literal {BAD!r}"),
+        ({"last": BLANK, "third": BAD}, 300, "expected 300 sample lines, found 299"),
+        ({"middle": BAD, "third": BAD.replace("x", "y")}, 300, f"bad complex literal {BAD!r}"),
+    ])
+    def test_sig1_errors_in_later_parse_blocks(self, edits, count, message, tmp_path):
+        # 300 lines of 38 characters, three blocks of lines as the text and the file are
+        # read: an edit at the last line of the first block, the first or a middle line
+        # of the second, or the first of the third; each is as long as the line it replaces
+        lines = [GOOD] * 300
+        first, second, _ = map(len, codec._line_blocks(_long_sig1(300, lines)))
+        at = {"last": first - 3, "first": first - 2, "middle": first + 48,
+              "third": first + second - 2}
+        for where, line in edits.items():
+            lines[at[where]] = line
+        _assert_loads(_long_sig1(count, lines), codec._sig1, tmp_path, message)
+
+    @pytest.mark.parametrize("edits, rem, message", [
+        ({"first": BAD3}, "rem=1", f"bad complex literal {BAD!r}"),
+        ({"last": BAD3}, "rem=1", f"bad complex literal {BAD!r}"),
+        ({"first": BAD3, "third": TWO}, "rem=1", f"block line needs 3 samples, got {TWO!r}"),
+        ({"first": BLANK3}, "rem=1", f"block line needs 3 samples, got {BLANK3!r}"),
+        ({"middle": BAD3}, "rem=x", "bad rem= line: 'rem=x'"),
+        ({"third": BAD3}, "rem=2", "rem=2 inconsistent with count=401"),
+        ({"last": BAD3, "third": BAD3.replace("x", "y")}, "rem=1", f"bad complex literal {BAD!r}"),
+    ])
+    def test_stasc1_errors_in_later_parse_blocks(self, edits, rem, message, tmp_path):
+        # 100 block lines of 116 characters, three blocks of lines as for SIG1 above
+        lines = [GOOD3] * 100
+        first, second, _ = map(len, codec._line_blocks(_long_stasc1(lines, rem)))
+        at = {"last": first - 3, "first": first - 2, "middle": first + 15,
+              "third": first + second - 2}
+        for where, line in edits.items():
+            lines[at[where]] = line
+        _assert_loads(_long_stasc1(lines, rem), codec._stasc1, tmp_path, message)
 
     def test_truncated_block_section_is_named(self):
         # count=8 needs 2 block lines and 1 is there: 1 < 8 // 4, but not below 8 // 5

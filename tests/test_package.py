@@ -12,8 +12,8 @@ import pytest
 
 import stasinv
 from stasinv import (EncodedStream, FitResult, IntegrityFinding, InvariantReport, SampleSeries,
-                     SplitMix64, StasError, StasParams, sample_series)
-from stasinv.codec import dump_sig1
+                     SplitMix64, StasError, StasParams, encode_stream, sample_series)
+from stasinv.codec import dump_sig1, dump_stasc1
 from stasinv.core import _Record
 from stasinv.reconstruct import Window
 
@@ -166,6 +166,31 @@ def test_only_the_file_commands_load_the_codec(tmp_path):
     assert CODEC.isdisjoint(after_run)
     assert CODEC.isdisjoint(after_help)
     assert "stasinv.codec" in after_check
+
+
+def test_decode_loads_no_window_kernel_and_a_clean_check_no_reconstruct(tmp_path):
+    """Start-up guard: decode runs without the window kernel (stasinv._windows); a
+    clean check or encode runs without stasinv.reconstruct, which decode and a repair
+    load."""
+    series = sample_series(StasParams(p=0.5, q2=1), 1.0, 16)
+    src, enc, bad = tmp_path / "in.sig", tmp_path / "in.stasc1", tmp_path / "bad.sig"
+    src.write_text(dump_sig1(series))
+    enc.write_text(dump_stasc1(encode_stream(series, 4.0)))
+    bad.write_text(dump_sig1(SampleSeries(1.0, series.values[:8] + (9,) + series.values[9:])))
+    (after_decode,) = fresh_modules(
+        "from stasinv import cli\n"
+        "assert cli.main(['decode', '--input', sys.argv[1], '--output', sys.argv[1] + '.sig'])"
+        " == 0\nreport()", str(enc))
+    after_checks, after_repair = fresh_modules(
+        "from stasinv import cli\n"
+        "assert cli.main(['check', '--estimate', '--input', sys.argv[1]]) == 0\n"
+        "assert cli.main(['encode', '--estimate', '--input', sys.argv[1],"
+        " '--output', sys.argv[1] + '.stasc1']) == 0\nreport()\n"
+        "assert cli.main(['check', '--p', '0.5,0', '--repair', '--input', sys.argv[2],"
+        " '--output', sys.argv[2] + '.out']) == 1\nreport()", str(src), str(bad))
+    assert "stasinv.reconstruct" in after_decode and "stasinv._windows" not in after_decode
+    assert "stasinv._windows" in after_checks and "stasinv.reconstruct" not in after_checks
+    assert "stasinv.reconstruct" in after_repair
 
 
 def test_per_sample_text_helpers_are_never_traced(monkeypatch):

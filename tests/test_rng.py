@@ -1,7 +1,7 @@
 """Determinism and distribution sanity of the SplitMix64 generator."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stasinv.errors import DomainError
@@ -69,3 +69,32 @@ def test_uniform_complex_draw_order():
     b = SplitMix64(42)
     z = a.uniform_complex(0.0, 1.0, 2.0, 3.0)
     assert z == complex(b.uniform(0.0, 1.0), b.uniform(2.0, 3.0))
+
+
+SEED0_FIRST = 16294208416658607535  # the first output of seed 0, pinned above
+
+
+def test_trial_stream_starts_from_the_root_streams_output():
+    # the substream of trial i is seeded with the (i+1)-th raw output of the root stream
+    root = SplitMix64(7)
+    for i in range(4):
+        assert SplitMix64.for_trial(7, i).next_u64() == SplitMix64(root.next_u64()).next_u64()
+    assert SplitMix64.for_trial(0, 0).next_u64() == SplitMix64(SEED0_FIRST).next_u64()
+
+
+def test_uniform_is_the_top_53_bits():
+    assert SplitMix64(0).uniform(0.0, 1.0) == (SEED0_FIRST >> 11) * 2.0 ** -53
+    assert SplitMix64(0).uniform(-3.0, 7.0) == -3.0 + (SEED0_FIRST >> 11) * 2.0 ** -53 * 10.0
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(-20, 20), st.integers(0, 20))
+@example(0, 1, 2)  # seed 0 draws index 1 of [1, 3]: the upper bound itself
+@example(0, 1, 13)  # an even upper bound: 15 is outside [1, 14]
+def test_odd_int_draws_by_modulo_over_the_odd_integers(seed, lo, width):
+    hi = lo + width
+    odds = [r for r in range(lo, hi + 1) if r % 2]
+    if not odds:
+        with pytest.raises(DomainError):
+            SplitMix64(seed).odd_int(lo, hi)
+        return
+    assert SplitMix64(seed).odd_int(lo, hi) == odds[SplitMix64(seed).next_u64() % len(odds)]

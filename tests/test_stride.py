@@ -35,7 +35,7 @@ from stasinv import (
 import stasinv._windows as _windows
 from stasinv.cli import main
 from stasinv.codec import EncodedStream, dump_stasc1, load_stasc1
-from stasinv._windows import _estimate, _median, _window_residuals, _window_terms
+from stasinv._windows import _estimate, _median, _scales, _window_residuals, _window_terms
 from stasinv.core import ENCODE_TOL
 from stasinv.errors import FormatError, StasError
 
@@ -48,7 +48,9 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 def _terms(g, m):
     """The window kernel's (S_i, S_{i+2m}, scale) of every window of g at stride m."""
-    return [term for block in _window_terms(g, m, (0, 2 * m), list, "") for term in block]
+    return [term for block in _window_terms(g, m, (0, 2 * m),
+                                            lambda xs, ys, mags: zip(xs, ys, _scales(mags, m)), "")
+            for term in block]
 
 
 def _faulted(values, faults):

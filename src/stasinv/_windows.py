@@ -36,13 +36,6 @@ def _abs_each(g):
     return map(abs, g)
 
 
-def _magnitudes(g) -> list[float]:
-    """|g_i| of every sample; DomainError for a magnitude past the float range.
-    A sample with a nan or inf part has a nan or inf one, which the callers refuse."""
-    with _in_range(_MAGNITUDE_OVERFLOW):
-        return list(_abs_each(g))
-
-
 def _check_finite(g) -> None:
     """DomainError for a sample whose magnitude is past the float range, else for a
     nan or inf sample: the magnitude error wins wherever the two samples are.  min
@@ -65,7 +58,9 @@ def _window_terms(g, m: int, lags, fn, overflow: str):
     j, k = lags
     for i in range(0, max(len(g) - 3 * m, 1), _BLOCK):  # with no window, once for every sample
         block = g[i:i + _BLOCK + 3 * m]
-        mags = _magnitudes(block)
+        # DomainError past the float range; a nan or inf part gives a nan or inf, refused below
+        with _in_range(_MAGNITUDE_OVERFLOW):
+            mags = list(_abs_each(block))
         if not all(map(isfinite, mags)):
             _check_finite(g)
         n = max(len(block) - 3 * m, 0)  # the block's windows

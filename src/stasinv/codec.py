@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .core import (ENCODE_TOL, InvariantReport, SampleSeries, _FLOAT_FMT, _Record, _checked_tol,
                    _checked_values, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
@@ -212,8 +212,7 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     for j in implicated:
         if not (0 <= j and (i := max(j % m, j - 3 * m)) + 3 * m < len(values)):
             raise DomainError(f"sample {j} is in no window of the series of {len(values)} samples")
-        slots = [None if i + k * m == j else values[i + k * m] for k in range(4)]
-        values[j] = recover_missing(Window(tuple(slots), missing=(j - i) // m), a)
+        values[j] = recover_missing(Window(values[i:i + 3 * m + 1:m], missing=(j - i) // m), a)
         if not cmath.isfinite(values[j]):
             raise DomainError(f"sample {j}: repaired value is not finite ({values[j]})")
     return SampleSeries._of(series.t0, values, step=series.step)
@@ -224,8 +223,8 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
 # The bytes a file command reads per block of lines (cli._load) and the fewest
 # characters _line_blocks splits per block of text.
 _BLOCK = 4096
-# The samples, in whole lines, of one '%' of _formatted; a '%' of 1024 holds about
-# 0.16 MiB of floats and text besides the series.
+# The samples, in whole lines, of one '%' of _formatted and of each chunk the loaders
+# parse at once; a '%' of 1024 holds about 0.16 MiB of floats and text besides the series.
 _SAMPLES = 1024
 
 
@@ -251,22 +250,22 @@ def _complexes(fields) -> list[complex] | None:
         return None
 
 
-def _parse_samples(blocks, count: int, what: str) -> list[complex]:
+def _parse_samples(lines, count: int, what: str) -> list[complex]:
     """The count non-blank lines of a body, one 're,im' sample each, from an iterator
-    over its blocks of lines: each block parsed at once, or line by line where it holds
-    a blank or bad line.  A wrong line count is reported before a bad literal, and an
-    error that taking the blocks raises (a non-ASCII byte in a file) before either."""
+    over its lines: _SAMPLES lines parsed at once, or line by line where they hold a
+    blank or bad line.  A wrong line count is reported before a bad literal, and an
+    error that taking the lines raises (a non-ASCII byte in a file) before either."""
     values = []
-    for lines in blocks:
-        if (parsed := _complexes(lines)) is not None:
+    while chunk := list(islice(lines, _SAMPLES)):
+        if (parsed := _complexes(chunk)) is not None:
             values += parsed
             continue
-        body = filter(str.strip, lines)
+        body = filter(str.strip, chunk)
         for line in body:
             try:
                 values.append(_parse_complex(line))
             except FormatError:
-                rest = chain(body, filter(str.strip, chain.from_iterable(blocks)))
+                rest = chain(body, filter(str.strip, lines))
                 if (found := len(values) + 1 + sum(1 for _ in rest)) == count:
                     raise
                 raise FormatError(f"expected {count} {what} lines, found {found}") from None
@@ -288,27 +287,17 @@ def _formatted(values, start: int, stop: int, k: int):
         yield line * (len(block) // k) % tuple(parts)
 
 
-def _next_line(blocks) -> tuple:
-    """(the first line of an iterator over blocks of lines, or None, and an iterator
-    over the blocks of the lines after it)."""
-    for block in blocks:
-        if block:
-            return block[0], chain([block[1:]], blocks)
-    return None, blocks
-
-
 def _read_header(blocks, magic: str, expected: tuple[str, ...]
                  ) -> tuple[chain, dict[str, str], float, int, float]:
-    """The lines after the magic and header lines of the blocks of lines (lists, as
-    _line_blocks yields them), as an iterator over blocks of lines, the key=value
-    fields of the header line and the parsed t0, count and step (1 unless given).
-    FormatError unless every expected key, the optional step and no other one is
-    there, the numbers parse and count is non-negative."""
-    line, blocks = _next_line(iter(blocks))
-    if line != magic:
+    """An iterator over the lines after the magic and header lines of the blocks of
+    lines (lists, as _line_blocks yields them), the key=value fields of the header line
+    and the parsed t0, count and step (1 unless given).  FormatError unless every
+    expected key, the optional step and no other one is there, the numbers parse and
+    count is non-negative."""
+    lines = chain.from_iterable(blocks)
+    if next(lines, None) != magic:
         raise FormatError(f"missing {magic} magic line")
-    header, blocks = _next_line(blocks)
-    if header is None:
+    if (header := next(lines, None)) is None:
         raise FormatError(f"missing {magic} header line")
     fields = {}
     for token in header.split():
@@ -327,7 +316,7 @@ def _read_header(blocks, magic: str, expected: tuple[str, ...]
         step = float(fields.get("step", "1"))
     except ValueError as exc:
         raise FormatError(f"bad {magic} header: {header!r}") from exc
-    return blocks, fields, t0, count, step
+    return lines, fields, t0, count, step
 
 
 def _step_token(step: float) -> str:
@@ -352,11 +341,11 @@ def load_sig1(text: str) -> SampleSeries:
 
 def _sig1(blocks) -> SampleSeries:
     """load_sig1 of the text whose lines the blocks of lines hold, in order."""
-    blocks, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
+    lines, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
-    values = _parse_samples(blocks, count, "sample")
+    values = _parse_samples(lines, count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
     return SampleSeries._of(t0, values, step=step)
@@ -383,22 +372,22 @@ def load_stasc1(text: str) -> EncodedStream:
 
 def _stasc1(blocks) -> EncodedStream:
     """load_stasc1 of the text whose lines the blocks of lines hold, in order.  Block
-    lines are parsed block by block as they arrive; a structural error (a truncated
-    block section, a block line without 3 fields, a bad rem= line) wins over a bad
-    literal before it."""
-    blocks, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
+    lines are parsed as they arrive, _SAMPLES // 3 (at least 1) at a time, the lines of
+    a '%' of _formatted; a structural error (a truncated block section, a block line
+    without 3 fields, a bad rem= line) wins over a bad literal before it."""
+    lines, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
     if not (m := _steps_per_unit(step)):  # before the body, whose layout depends on m
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
-    stored, bad_line, bad_literal, rest = [], None, None, []
-    while n_lines and (block := next(blocks, None)) is not None:
-        group, rest = block[:n_lines], block[n_lines:]
+    section = islice(lines, n_lines)
+    stored, bad_line, bad_literal = [], None, None
+    while group := list(islice(section, max(1, _SAMPLES // 3))):
         n_lines -= len(group)
         if not bad_line and {*map(str.count, group, repeat(";"))} - {2}:
             line = next(line for line in group if line.count(";") != 2)
             bad_line = FormatError(f"block line needs 3 samples, got {line!r}")
-        if group and not (bad_line or bad_literal):
+        if not (bad_line or bad_literal):
             samples = ";".join(group).split(";")
             try:
                 stored += _complexes(samples) or list(map(_parse_complex, samples))
@@ -408,7 +397,7 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError("truncated STASC1 block section")
     if bad_line:
         raise bad_line
-    rem, blocks = _next_line(chain([rest], blocks))
+    rem = next(lines, None)
     if not (rem or "").startswith("rem="):
         raise FormatError("missing rem= line")
     try:
@@ -419,5 +408,5 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError(f"rem={k} inconsistent with count={count}")
     if bad_literal:
         raise bad_literal
-    stored += _parse_samples(blocks, k, "remainder")
+    stored += _parse_samples(lines, k, "remainder")
     return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored), step=step)

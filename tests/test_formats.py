@@ -44,8 +44,9 @@ from _reference import (
 @contextmanager
 def _blocks(block: int):
     """Text blocks of block characters or bytes (codec._BLOCK: _line_blocks and the
-    CLI's reads) and of block samples (codec._SAMPLES: each '%' of the writers and
-    each group of STASC1 block lines), so block edges fall everywhere."""
+    CLI's reads) and of block samples (codec._SAMPLES: each '%' of the writers and each
+    chunk the loaders parse at once, block SIG1 lines or block // 3, at least 1, STASC1
+    block lines), so block edges fall everywhere."""
     with mock.patch.object(codec, "_BLOCK", block), mock.patch.object(codec, "_SAMPLES", block):
         yield
 
@@ -344,14 +345,17 @@ class TestBlocks:
     def test_sig1_errors_in_later_parse_blocks(self, edits, count, message, tmp_path):
         # 300 lines of 38 characters, three blocks of lines as the text and the file are
         # read: an edit at the last line of the first block, the first or a middle line
-        # of the second, or the first of the third; each is as long as the line it replaces
+        # of the second, or the first of the third; each is as long as the line it replaces.
+        # Parsed in one chunk, and in chunks whose first ends on the first block's last line
         lines = [GOOD] * 300
         first, second, _ = map(len, codec._line_blocks(_long_sig1(300, lines)))
         at = {"last": first - 3, "first": first - 2, "middle": first + 48,
               "third": first + second - 2}
         for where, line in edits.items():
             lines[at[where]] = line
-        _assert_loads(_long_sig1(count, lines), codec._sig1, tmp_path, message)
+        for samples in (codec._SAMPLES, first - 2):
+            with mock.patch.object(codec, "_SAMPLES", samples):
+                _assert_loads(_long_sig1(count, lines), codec._sig1, tmp_path, message)
 
     @pytest.mark.parametrize("edits, rem, message", [
         ({"first": BAD3}, "rem=1", f"bad complex literal {BAD!r}"),
@@ -363,14 +367,17 @@ class TestBlocks:
         ({"last": BAD3, "third": BAD3.replace("x", "y")}, "rem=1", f"bad complex literal {BAD!r}"),
     ])
     def test_stasc1_errors_in_later_parse_blocks(self, edits, rem, message, tmp_path):
-        # 100 block lines of 116 characters, three blocks of lines as for SIG1 above
+        # 100 block lines of 116 characters, three blocks of lines and two chunkings as
+        # for SIG1 above
         lines = [GOOD3] * 100
         first, second, _ = map(len, codec._line_blocks(_long_stasc1(lines, rem)))
         at = {"last": first - 3, "first": first - 2, "middle": first + 15,
               "third": first + second - 2}
         for where, line in edits.items():
             lines[at[where]] = line
-        _assert_loads(_long_stasc1(lines, rem), codec._stasc1, tmp_path, message)
+        for samples in (codec._SAMPLES, 3 * (first - 2)):
+            with mock.patch.object(codec, "_SAMPLES", samples):
+                _assert_loads(_long_stasc1(lines, rem), codec._stasc1, tmp_path, message)
 
     def test_truncated_block_section_is_named(self):
         # count=8 needs 2 block lines and 1 is there: 1 < 8 // 4, but not below 8 // 5

@@ -12,7 +12,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "rng", "core", "reconstruct", "codec", "estimator")
+_MODULES = ("errors", "core", "rng", "reconstruct", "codec", "estimator")
 
 
 def __getattr__(name: str):

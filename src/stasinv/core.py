@@ -52,11 +52,6 @@ _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
 
-P_RE_BOUNDS = (0.3, 1.0)
-P_IM_BOUNDS = (-1.5, 1.5)
-Q_BOUNDS = (-2.0, 2.0)
-R_BOUNDS = (1, 15)
-
 
 class _Record:
     """Immutable record of its __slots__, equal only within its class, repr Name(f=v, ...).
@@ -289,12 +284,8 @@ def draw_trial_params(rng) -> StasParams:
     """One random family member, drawn from the SplitMix64 rng in the order p,
     q1, q2, r1, r2; p needs no redraw, as Re p >= 0.3 keeps it far from the
     excluded -1: |1 + p| >= 1.3."""
-    p = rng.uniform_complex(*P_RE_BOUNDS, *P_IM_BOUNDS)
-    q1 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
-    q2 = rng.uniform_complex(*Q_BOUNDS, *Q_BOUNDS)
-    r1 = rng.odd_int(*R_BOUNDS)
-    r2 = rng.odd_int(*R_BOUNDS)
-    return StasParams(p=p, q1=q1, q2=q2, r1=r1, r2=r2)
+    from .rng import _trial_params  # the one implementation of the draw, for verify's batches too
+    return next(_trial_params([(rng.next_u64(),) for _ in range(8)]))
 
 
 def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
@@ -311,17 +302,12 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     # A positive, finite span also rules out a nan or infinite bound.
     if not 0.0 < t_max - t_min < math.inf:
         raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
-    from .rng import SplitMix64  # here, not at the top: only verify draws trials
+    from .rng import _trials  # here, not at the top: only verify draws trials
     worst = 0.0
-    for trial in range(trials):
-        rng = SplitMix64.for_trial(seed, trial)
-        params = draw_trial_params(rng)
+    for params, ts in _trials(seed, trials, t_min, t_max, points):
         a = closed_form_invariant(params)
         rows = []
-        for _ in range(points):
-            t = rng.uniform(t_min, t_max)
-            while t in EXCLUDED_T:
-                t = rng.uniform(t_min, t_max)
+        for t in ts:
             ratio = invariant_ratio(params, t)
             dev = abs(ratio - a) / abs(a)
             # max() keeps a nan first argument but drops a nan second one

@@ -17,22 +17,102 @@ Per-trial substreams are derived from (seed, index) alone so trials can be
 evaluated in any order: the substream state is the mixed value of
 (seed + (index + 1) * 0x9E3779B97F4A7C15) mod 2^64, i.e. the (index+1)-th
 raw output of the root stream.
+
+`verify` draws its trials (`_trials`) 64 at a time: one int holds the 64
+trials' substream states, 128 bits a lane, and each addition, shift and
+multiply of the mixer runs on every lane at once (`_lanes`).  Every output is
+the one that `next_u64` gives on the trial's own stream.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import filterfalse, islice, repeat
+
+from .core import EXCLUDED_T, StasParams
 from .errors import DomainError
 
 __all__ = ["SplitMix64"]
 
+# The family members of verify's trials (README): the bounds of Re p, Im p, both
+# parts of q1 and of q2, then of the odd r1 and r2.
+P_RE_BOUNDS = (0.3, 1.0)
+P_IM_BOUNDS = (-1.5, 1.5)
+Q_BOUNDS = (-2.0, 2.0)
+R_BOUNDS = (1, 15)
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_LANES = 64  # trials a batch
+_LANE = 128  # bits a lane: a 64-bit state times a 64-bit constant fits in it
+_ONES = sum(1 << _LANE * k for k in range(_LANES))  # 1 in every lane
+_LANE_MASK = _MASK * _ONES  # the low 64 bits of every lane
+_INDEX = sum(k << _LANE * k for k in range(_LANES))  # k in lane k
+# each lane's low 64 bits as an unsigned 64-bit value, lane 0 first
+_LOW = slice(None, None, _LANE // 64 if sys.byteorder == "little" else -_LANE // 64)
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+def _mix(z: int, mask: int = _MASK) -> int:
+    """The avalanche on one state (mask 2^64 - 1) or on the lanes of `_lanes`
+    (mask `_LANE_MASK`): the mask before each multiply clears the bits that a
+    shift moved in from the next lane, and leaves a product that fits in its lane."""
+    z = (z ^ (z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27) & mask) * 0x94D049BB133111EB & mask
     return z ^ (z >> 31)
+
+
+def _lanes(seed: int, first: int, count: int, draws: int) -> list:
+    """The first `draws` outputs of the substreams of trials first .. first +
+    count - 1 (count <= _LANES), as `draws` columns of `count` outputs in trial order:
+    column j, row k is output j + 1 of SplitMix64.for_trial(seed, first + k).
+    Trial first + k is lane k; the lanes past `count` are computed and dropped."""
+    root = (seed + (first + 1) * _GAMMA) & _MASK
+    state = _mix(root * _ONES + _GAMMA * _INDEX & _LANE_MASK, _LANE_MASK)
+    step = _GAMMA * _ONES
+    columns = []
+    for _ in range(draws):
+        state = state + step & _LANE_MASK
+        z = _mix(state, _LANE_MASK).to_bytes(_LANES * _LANE // 8, sys.byteorder)
+        columns.append(memoryview(z).cast("Q")[_LOW][:count])
+    return columns
+
+
+def _uniforms(outputs, lo: float, hi: float) -> list[float]:
+    """A uniform double in [lo, hi) for each output: its top 53 bits, scaled."""
+    span = hi - lo
+    return [lo + (x >> 11) * 2.0**-53 * span for x in outputs]
+
+
+def _odd_ints(outputs, lo: int, hi: int) -> list[int]:
+    """A uniform odd integer in [lo, hi] for each output, by modulo selection;
+    the range is checked before the first output is taken."""
+    odds = range(lo if lo % 2 else lo + 1, hi + 1, 2)
+    if len(odds) == 0:
+        raise DomainError(f"no odd integers in [{lo}, {hi}]")
+    return [odds[x % len(odds)] for x in outputs]
+
+
+def _trial_params(draws):
+    """The family members of core.draw_trial_params, one per row of `draws`, 8
+    columns of outputs: Re p, Im p, Re q1, Im q1, Re q2, Im q2, r1, r2."""
+    parts = [_uniforms(c, *b) for c, b in zip(draws, (P_RE_BOUNDS, P_IM_BOUNDS) + (Q_BOUNDS,) * 4)]
+    p, q1, q2 = map(map, (complex,) * 3, parts[::2], parts[1::2])
+    return map(StasParams, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))
+
+
+def _trials(seed: int, trials: int, t_min: float, t_max: float, points: int):
+    """(params, [t, ...]) of each trial of core.verify_trials: the first 8 + points
+    outputs of each trial come from _lanes, a batch at a time; only a t in
+    EXCLUDED_T takes the trial's own stream past them."""
+    excluded = frozenset(EXCLUDED_T)
+    for first in range(0, trials, _LANES):
+        draws = _lanes(seed, first, min(_LANES, trials - first), 8 + points)
+        t_rows = zip(*(_uniforms(c, t_min, t_max) for c in draws[8:]))
+        for trial, params, ts in zip(range(first, trials), _trial_params(draws), t_rows):
+            if not excluded.isdisjoint(ts):  # the trial's t again, each redrawn while excluded
+                us = map(SplitMix64.for_trial(seed, trial).uniform, repeat(t_min), repeat(t_max))
+                ts = list(islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points))
+            yield params, ts
 
 
 class SplitMix64:
@@ -54,8 +134,7 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform double in [lo, hi)."""
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + u * (hi - lo)
+        return _uniforms((self.next_u64(),), lo, hi)[0]
 
     def uniform_complex(self, re_lo: float, re_hi: float,
                         im_lo: float, im_hi: float) -> complex:
@@ -66,7 +145,5 @@ class SplitMix64:
 
     def odd_int(self, lo: int, hi: int) -> int:
         """Uniform odd integer in [lo, hi] (draws one u64; modulo selection)."""
-        odds = range(lo if lo % 2 else lo + 1, hi + 1, 2)
-        if len(odds) == 0:
-            raise DomainError(f"no odd integers in [{lo}, {hi}]")
-        return odds[self.next_u64() % len(odds)]
+        # map is lazy: the output is drawn once the range is known to hold an odd integer
+        return _odd_ints(map(SplitMix64.next_u64, (self,)), lo, hi)[0]

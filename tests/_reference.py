@@ -38,6 +38,48 @@ def ref_seq(n):
     return (Fraction(1, 2) ** n + (-1) ** n) / n
 
 
+# -- verify's draws -------------------------------------------------------------
+
+_REF_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _ref_mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def ref_verify_draws(seed, trials, t_min, t_max, points):
+    """Per trial of `verify`: ((p, q1, q2, r1, r2), [t, ...], the number of t drawn),
+    one scalar SplitMix64 stream a trial, as the rng module's docstring states it.
+    The draws follow the README: p (Re in [0.3, 1], Im in [-1.5, 1.5]), q1, q2 (in
+    [-2, 2]^2, real part first), odd r1, r2 in [1, 15], then each t in [t_min, t_max),
+    drawn again while in {0, -1, -2, -3}."""
+    for index in range(trials):
+        state = _ref_mix((seed + (index + 1) * _REF_GAMMA) % 2**64)  # the trial's substream
+
+        def output():
+            nonlocal state
+            state = (state + _REF_GAMMA) % 2**64
+            return _ref_mix(state)
+
+        def uniform(lo, hi):
+            return lo + (output() >> 11) * 2.0**-53 * (hi - lo)
+
+        p = complex(uniform(0.3, 1.0), uniform(-1.5, 1.5))
+        q1 = complex(uniform(-2.0, 2.0), uniform(-2.0, 2.0))
+        q2 = complex(uniform(-2.0, 2.0), uniform(-2.0, 2.0))
+        r1 = [1, 3, 5, 7, 9, 11, 13, 15][output() % 8]
+        r2 = [1, 3, 5, 7, 9, 11, 13, 15][output() % 8]
+        ts, drawn = [], 0
+        while len(ts) < points:
+            t = uniform(t_min, t_max)
+            drawn += 1
+            if t not in (0.0, -1.0, -2.0, -3.0):
+                ts.append(t)
+        yield (p, q1, q2, r1, r2), ts, drawn
+
+
 # -- integrity localization ---------------------------------------------------
 
 def ref_localize(flagged, n):

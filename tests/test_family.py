@@ -22,7 +22,8 @@ from stasinv.core import _phases, draw_trial_params, verify_trials
 from stasinv.rng import SplitMix64
 
 from conftest import complexes, odd_ints, params_st
-from _reference import _ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent
+from _reference import (_ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent,
+                        ref_verify_draws)
 
 BASE = StasParams(p=0.5, q2=1.0)  # the discrete alternating-decay specialization
 
@@ -236,6 +237,11 @@ class TestInvariantProperties:
         assert abs(lhs - rhs) <= budget
 
 
+def _bits(*zs):
+    """The binary64 bits of the real and imaginary parts of zs."""
+    return struct.pack(f"<{2 * len(zs)}d", *(x for z in zs for x in (z.real, z.imag)))
+
+
 class TestVerifyTrials:
     def test_excluded_t_is_redrawn(self):
         # about half the draws in [-3, -3 + ulp) land on the excluded -3.0
@@ -243,6 +249,29 @@ class TestVerifyTrials:
         for _, _, rows, _ in verify_trials(1, 3, -3.0, t_max):
             assert [t for t, _, _ in rows] == [t_max] * 5
             assert all(cmath.isfinite(ratio) for _, ratio, _ in rows)
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5])
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])  # the edges of 64-trial batches
+    @pytest.mark.parametrize("points", [1, 5, 7])
+    @pytest.mark.parametrize("t_min, t_max", [(-20.0, -10.0), (-3.0, -3.0 + 8 * math.ulp(3.0))])
+    def test_draws_match_a_scalar_oracle_bit_for_bit(self, seed, trials, points, t_min, t_max):
+        # in [-3, -3 + 8 ulp) about one t in 16 lands on -3 and is drawn again, often
+        # past the 8 + points outputs that a batch takes of each trial
+        got = list(verify_trials(seed, trials, t_min, t_max, points))
+        expected = list(ref_verify_draws(seed, trials, t_min, t_max, points))
+        assert len(got) == len(expected) == trials
+        worst = 0.0
+        for (params, a, rows, got_worst), ((p, q1, q2, r1, r2), ts, _) in zip(got, expected):
+            assert _bits(params.p, params.q1, params.q2) == _bits(p, q1, q2)
+            assert (params.r1, params.r2) == (r1, r2)
+            assert _bits(*(t for t, _, _ in rows)) == _bits(*ts)
+            assert _bits(a) == _bits(closed_form_invariant(params))
+            for t, ratio, dev in rows:
+                assert _bits(ratio, dev) == _bits(invariant_ratio(params, t), abs(ratio - a) / abs(a))
+                worst = max(worst, dev)
+            assert _bits(got_worst) == _bits(worst)
+        if t_min == -3.0 and trials >= 63:
+            assert any(drawn > points for *_, drawn in expected)
 
     def test_one_point_per_trial(self):
         (_, a, rows, worst), = verify_trials(1, 1, -20.0, -10.0, points=1)
@@ -253,6 +282,16 @@ class TestVerifyTrials:
         # -20 is not excluded, so accepting the empty span would yield trials at t = -20
         with pytest.raises(DomainError, match="^need --t-min < --t-max with a finite span"):
             next(verify_trials(1, 1, -20.0, -20.0))
+
+    @given(st.integers(-2**65, 2**65), st.integers(0, 70))
+    @example(0, 0)
+    def test_draw_trial_params_takes_the_first_eight_outputs(self, seed, trial):
+        # the oracle's member, and the rng left at the output of the trial's first t
+        rng = SplitMix64.for_trial(seed, trial)
+        params = draw_trial_params(rng)
+        *_, (member, [t], _) = ref_verify_draws(seed, trial + 1, -20.0, -10.0, 1)
+        assert (params.p, params.q1, params.q2, params.r1, params.r2) == member
+        assert rng.uniform(-20.0, -10.0) == t
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32))
     def test_drawn_p_stays_far_from_minus_one(self, seed, trial):

@@ -384,6 +384,24 @@ class TestBlocks:
         with pytest.raises(FormatError, match="^truncated STASC1 block section$"):
             load_stasc1("STASC1\na=2,0 t0=0 count=8\n1,0;2,0;3,0\n")
 
+    def test_loaders_parse_in_chunks_of_the_writers_blocks(self, monkeypatch):
+        # results do not depend on where chunks end, so only this pins their size: 1024
+        # SIG1 lines a chunk, 341 STASC1 block lines (1023 fields), then the remainder lines
+        fields = []
+
+        def recorded(chunk):
+            fields.append(len(chunk))
+            return complexes(chunk)
+
+        complexes = codec._complexes
+        monkeypatch.setattr(codec, "_complexes", recorded)
+        assert len(load_sig1(_long_sig1(2500, [GOOD] * 2500))) == 2500
+        assert fields == [1024, 1024, 452]
+        fields.clear()
+        text = "STASC1\na=2,0 t0=0 count=4003\n" + "\n".join([GOOD3] * 1000 + ["rem=3"] + [GOOD] * 3)
+        assert len(load_stasc1(text + "\n").stored) == 3003
+        assert fields == [1023, 1023, 954, 3]
+
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 6, 7])
     def test_parts_join_to_the_dumped_text(self, block):
         values = sample_series(StasParams(p=0.9 + 0.2j, q1=0.5, r1=3), 1.0, 4 * block + 8).values

@@ -39,13 +39,13 @@ SRC = os.path.join(ROOT, "src")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def fresh_modules(code: str, *args: str) -> list[list[str]]:
-    """Run code in a new interpreter that imports stasinv from this checkout's
-    src/; every `report()` in it records the names in sys.modules, and the
-    records come back in order."""
+def fresh_modules(code: str, *args: str, flags: tuple[str, ...] = ()) -> list[list[str]]:
+    """Run code in a new interpreter, started with the given flags, that imports
+    stasinv from this checkout's src/; every `report()` in it records the names in
+    sys.modules, and the records come back in order."""
     prelude = "import sys\ndef report():\n    print('MODULES', *sorted(sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", prelude + code, *args], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", prelude + code, *args], env=env,
                          capture_output=True, text=True, check=True).stdout
     return [line.split()[1:] for line in out.splitlines() if line.startswith("MODULES ")]
 
@@ -142,6 +142,16 @@ def test_only_verify_loads_the_rng(tmp_path):
     assert "stasinv.rng" not in after_files
     assert "stasinv.rng" not in after_help
     assert "stasinv.rng" in after_verify
+
+
+def test_verify_loads_neither_array_nor_struct():
+    """Start-up guard: verify unpacks its batches of draws with memoryview, so it
+    loads neither array nor struct.  The interpreter starts without site (-S),
+    whose .pth files may load struct themselves."""
+    (loaded,) = fresh_modules("from stasinv import cli\n"
+                              "cli.main(['verify', '--trials', '65'])\nreport()", flags=("-S",))
+    assert "stasinv.rng" in loaded
+    assert {"array", "struct", "_struct"}.isdisjoint(loaded)
 
 
 def test_only_the_file_commands_load_the_codec(tmp_path):

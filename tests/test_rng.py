@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stasinv.errors import DomainError
-from stasinv.rng import SplitMix64
+from stasinv.rng import SplitMix64, _lanes
 
 
 def test_stream_is_deterministic():
@@ -98,3 +98,14 @@ def test_odd_int_draws_by_modulo_over_the_odd_integers(seed, lo, width):
             SplitMix64(seed).odd_int(lo, hi)
         return
     assert SplitMix64(seed).odd_int(lo, hi) == odds[SplitMix64(seed).next_u64() % len(odds)]
+
+
+@given(st.integers(-2**65, 2**65), st.integers(0, 2**64), st.integers(1, 64), st.integers(0, 12))
+@example(2**64 - 1, 2**64 - 64, 64, 3)  # every lane full, the root states wrap past 2^64
+@example(0, 0, 1, 1)
+def test_lanes_give_each_trials_scalar_outputs(seed, first, count, draws):
+    columns = _lanes(seed, first, count, draws)
+    assert [len(column) for column in columns] == [count] * draws
+    for k in range(count):
+        rng = SplitMix64.for_trial(seed, first + k)
+        assert [column[k] for column in columns] == [rng.next_u64() for _ in range(draws)]

@@ -99,38 +99,29 @@ def _window_residuals(g, a: complex, m: int):
         for x, y, c in zip(xs, ys, _scales(mags, m))], _PAIR_SUM_OVERFLOW))
 
 
-def _ratio_parts(g, m: int, lags, overflow: str, extent=None) -> tuple:
-    """(re, im): array('d')s of the parts of the pair-sum ratios S_{i+j} / S_{i+k},
-    (j, k) = lags, of the windows i of g at stride m (g must have one), skipping as
-    near-singular each whose S_{i+k} is 0 or below SKIP_THRESHOLD times its scale.
-    DomainError(overflow) where |S_{i+k}| leaves the float range.  A window's scale
-    lies between its block's least and greatest magnitude, so only a block with an
-    |S_{i+k}| of 0 or below SKIP_THRESHOLD times the greatest takes its windows' scales;
-    a list extent, if given, gets the block's least and greatest magnitude where both
-    are in _SCREEN_SCALES, else its least and greatest scale: in range exactly where
-    every window scale of the block is."""
+def _ratio_parts(g, m: int, lags, overflow: str) -> tuple:
+    """(re, im, least, top): array('d')s of the parts of the pair-sum ratios
+    S_{i+j} / S_{i+k}, (j, k) = lags, of the windows i of g at stride m (g must have
+    one), skipping as near-singular each whose S_{i+k} is 0 or below SKIP_THRESHOLD
+    times its scale, with the least |S_{i+k}| and the greatest sample magnitude.
+    DomainError(overflow) where |S_{i+k}| leaves the float range.  A window's scale is
+    at most its block's greatest magnitude, so only a block with an |S_{i+k}| of 0 or
+    below SKIP_THRESHOLD times the greatest takes its windows' scales."""
     from array import array  # here, not at the top: a shared library only the ratios need
-    lo, hi = _SCREEN_SCALES
 
     def ratios(xs, ys, mags):
-        least, top, scales = min(map(abs, ys)), max(mags), None
+        least, top = min(map(abs, ys)), max(mags)
         if least and not least < SKIP_THRESHOLD * top:  # no window is skipped
-            kept = list(map(truediv, xs, ys))
-        else:
-            scales = _scales(mags, m)
-            kept = [x / y for x, y, c in zip(xs, ys, scales)
-                    if y and not abs(y) < SKIP_THRESHOLD * c]
-        if extent is not None:
-            if not (lo <= min(mags) and top <= hi):
-                mags = scales or _scales(mags, m)
-            extent.extend((min(mags), max(mags)))
-        return kept
+            return list(map(truediv, xs, ys)), least, top
+        return [x / y for x, y, c in zip(xs, ys, _scales(mags, m))
+                if y and not abs(y) < SKIP_THRESHOLD * c], least, top
 
-    re, im = array("d"), array("d")
-    for kept in _window_terms(g, m, lags, ratios, overflow):
+    re, im, least, top = array("d"), array("d"), inf, 0.0
+    for kept, block_least, block_top in _window_terms(g, m, lags, ratios, overflow):
         re.fromlist([r.real for r in kept])
         im.fromlist([r.imag for r in kept])
-    return re, im
+        least, top = min(least, block_least), max(top, block_top)
+    return re, im, least, top
 
 
 def _median(xs) -> float:
@@ -176,18 +167,22 @@ def _median(xs) -> float:
 # range: |a*y| is then about |x| <= 2**1001, so nothing overflows, and a rounding that
 # underflows errs by at most 2**-1074 absolutely, which reaches a residual at most
 # doubled and divided by c >= 2**-969: 2**-104 for each of the under 16 roundings of a
-# window, 2**-100 in all.  A skipped window has no deviation, so with one B is inf.
+# window, 2**-100 in all.  Every scale is in that range where the least computed |y| is
+# at least 2**-967 and the greatest sample magnitude at most 2**1000: each computed |y| is
+# at most 2c(1 + 5u), and c is a sample's magnitude.  A skipped window has no deviation,
+# so with one B is inf.
 _EPS = 2.0 ** -52
-_SCREEN_SCALES = (2.0 ** -969, 2.0 ** 1000)
+_SCREEN_SCALES = (2.0 ** -967, 2.0 ** 1000)
 _SCREEN_MAX_DEV = 2.0 ** -20
 
 
-def _residual_bound(max_dev: float, a_hat: complex, skipped: int, extent) -> float:
-    """B, above, from the estimate's largest deviation max_dev, its skipped windows and
-    the extent of its window scales (each block's least and greatest); inf where the
-    analysis does not hold."""
+def _residual_bound(max_dev: float, a_hat: complex, skipped: int, least: float,
+                    top: float) -> float:
+    """B, above, from the estimate's largest deviation max_dev, its skipped windows, its
+    least |S_{i+2m}| and its greatest sample magnitude; inf where the analysis does not
+    hold."""
     lo, hi = _SCREEN_SCALES
-    if skipped or not (max_dev <= _SCREEN_MAX_DEV and lo <= min(extent) and max(extent) <= hi):
+    if skipped or not (max_dev <= _SCREEN_MAX_DEV and lo <= least and top <= hi):
         return inf
     return 2 * (1 + 16 * _EPS) * (max_dev * (1 + 32 * _EPS) + 32 * _EPS * abs(a_hat)) + 2.0 ** -100
 
@@ -195,8 +190,7 @@ def _residual_bound(max_dev: float, a_hat: complex, skipped: int, extent) -> flo
 def _estimate(series: SampleSeries) -> InvariantReport:
     """estimate_invariant(series), holding series and _residual_bound in its private slots."""
     g, m = _checked_values(series, 4, "invariant estimation")
-    extent = []
-    re, im = _ratio_parts(g, m, (0, 2 * m), _PAIR_SUM_OVERFLOW, extent)
+    re, im, least, top = _ratio_parts(g, m, (0, 2 * m), _PAIR_SUM_OVERFLOW)
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))
@@ -208,6 +202,6 @@ def _estimate(series: SampleSeries) -> InvariantReport:
     skipped = len(g) - 3 * m - len(re)
     report = InvariantReport(a_hat=a_hat, max_rel_dev=max_rel_dev, windows_used=len(re),
                              windows_skipped=skipped)
-    object.__setattr__(report, "_bound", _residual_bound(max_dev, a_hat, skipped, extent))
+    object.__setattr__(report, "_bound", _residual_bound(max_dev, a_hat, skipped, least, top))
     object.__setattr__(report, "_series", series)
     return report

@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
     core._checked_tol(args.tol)
     for *_, max_dev in core.verify_trials(args.seed, args.trials, args.t_min, args.t_max):
         pass
-    # resampled= is always 0: no trial's p needs a redraw (see core.draw_trial_params)
+    # resampled= is always 0: no trial's p needs a redraw (see rng._trial_params)
     print(f"trials={args.trials} seed={args.seed} "
           f"t_min={core._fmt_float(args.t_min)} t_max={core._fmt_float(args.t_max)} "
           f"resampled=0")
@@ -171,9 +171,9 @@ def cmd_check(args) -> int:
         print(f"window={f.window_index} residual={f.residual:.6e} samples=[{samples}]")
     if args.repair and flagged:
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
-        a = invariant.a_hat if args.estimate else invariant
         if implicated:  # with nothing implicated there is nothing to write
-            _write(args.output, codec._sig1_parts(codec.repair_samples(series, implicated, a)))
+            repaired = codec.repair_samples(series, implicated, invariant)
+            _write(args.output, codec._sig1_parts(repaired))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")
     return 1 if flagged else 0
 

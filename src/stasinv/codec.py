@@ -196,7 +196,7 @@ def detect_errors(series: SampleSeries, a, tol: float) -> list[IntegrityFinding]
             for i, r in flagged]
 
 
-def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries:
+def repair_samples(series: SampleSeries, implicated, a) -> SampleSeries:
     """Recompute each implicated sample from a covering window.
 
     On a grid of step 1/m, sample j is solved from the four-point identity of
@@ -205,8 +205,10 @@ def repair_samples(series: SampleSeries, implicated, a: complex) -> SampleSeries
     finite, or a j in no window (outside the series, or in a residue class that
     has none, as can happen below 4m samples), raises DomainError naming the
     sample, as does a step that is not 1/m; below 3m + 1 samples, NoValidWindows.
+    a is the invariant or an InvariantReport, taken as its a_hat.
     """
     from .reconstruct import Window, recover_missing
+    a = _screened(series, a, 0.0)[0]
     values, m = _checked_values(series, 4, "repair")
     values = list(values)
     for j in implicated:

@@ -280,19 +280,11 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     return num / den
 
 
-def draw_trial_params(rng) -> StasParams:
-    """One random family member, drawn from the SplitMix64 rng in the order p,
-    q1, q2, r1, r2; p needs no redraw, as Re p >= 0.3 keeps it far from the
-    excluded -1: |1 + p| >= 1.3."""
-    from .rng import _trial_params  # the one implementation of the draw, for verify's batches too
-    return next(_trial_params([(rng.next_u64(),) for _ in range(8)]))
-
-
 def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
-    """The trials of `stasinv verify`: per trial, draw_trial_params on
-    SplitMix64.for_trial(seed, trial), then the ratio at `points` t uniform in
-    [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields, per trial,
-    (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
+    """The trials of `stasinv verify`: per trial, the family member rng._trial_params
+    draws from the first 8 outputs of SplitMix64.for_trial(seed, trial), then the ratio
+    at `points` t uniform in [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields,
+    per trial, (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
     dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
     """
     if trials < 1:
@@ -415,9 +407,9 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     The report also holds, privately, this series and a bound on every window's
-    residual at a_hat (inf with a skipped window, a deviation past 2**-20 or a window
-    scale outside [2**-969, 2**1000]); detect_errors and encode_stream, given this
-    report with this series, skip their sweep where the bound is within their tol.
+    residual at a_hat (inf with a skipped window, a deviation past 2**-20, a denominator
+    below 2**-967 or a sample magnitude above 2**1000); detect_errors and encode_stream,
+    given this report with this series, skip their sweep where the bound is within their tol.
     So the report keeps the series alive as long as it lives; a report rebuilt from
     its four fields, or copied or pickled, does not.
     """

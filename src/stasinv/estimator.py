@@ -93,7 +93,7 @@ def disambiguate_p(series: SampleSeries) -> complex:
     is 0, -1 or not finite.
     """
     g, m = _checked_values(series, 4, "base recovery")
-    re, im = _ratio_parts(g, m, (m, 0), _FIT_SUMS)
+    re, im, _, _ = _ratio_parts(g, m, (m, 0), _FIT_SUMS)
     if not re:
         raise NoValidWindows("every pair-sum ratio was skipped as near-singular")
     return StasParams(p=complex(_median(re), _median(im))).p

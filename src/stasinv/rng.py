@@ -93,8 +93,9 @@ def _odd_ints(outputs, lo: int, hi: int) -> list[int]:
 
 
 def _trial_params(draws):
-    """The family members of core.draw_trial_params, one per row of `draws`, 8
-    columns of outputs: Re p, Im p, Re q1, Im q1, Re q2, Im q2, r1, r2."""
+    """The family members of verify's trials, one per row of `draws`, 8 columns of
+    outputs: Re p, Im p, Re q1, Im q1, Re q2, Im q2, r1, r2.  p needs no redraw, as
+    Re p >= 0.3 keeps it far from the excluded -1: |1 + p| >= 1.3."""
     parts = [_uniforms(c, *b) for c, b in zip(draws, (P_RE_BOUNDS, P_IM_BOUNDS) + (Q_BOUNDS,) * 4)]
     p, q1, q2 = map(map, (complex,) * 3, parts[::2], parts[1::2])
     return map(StasParams, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))

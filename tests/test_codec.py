@@ -2,6 +2,7 @@
 
 import builtins
 import cmath
+import copy
 import math
 import random
 import re
@@ -339,6 +340,17 @@ class TestRepair:
             with pytest.raises(DomainError,
                                match=f"^sample {j} is in no window of the series of 16 samples$"):
                 repair_samples(series, [j], 4.0)
+
+    def test_takes_a_report_as_its_a_hat(self):
+        # as detect_errors and encode_stream do: the series' own report, another's, a copy
+        series = sample_series(BASE, 1.0, 16)
+        values = list(series.values)
+        values[5] += 0.25
+        faulted = SampleSeries(1.0, tuple(values))
+        for report in (estimate_invariant(faulted), estimate_invariant(series)):
+            for a in (report, copy.copy(report)):
+                assert repair_samples(faulted, [5], a) == repair_samples(faulted, [5], report.a_hat)
+        assert repair_samples(faulted, [5], estimate_invariant(series)) == series
 
 
 def _corrupted(n, faults):

@@ -210,8 +210,11 @@ class TestDisambiguatePBlocks:
                 with pytest.raises(DomainError):
                     _windows._ratio_parts(g, m, (m, 0), "")
                 return
-            re, im = _windows._ratio_parts(g, m, (m, 0), "")
+            re, im, least, top = _windows._ratio_parts(g, m, (m, 0), "")
         assert repr([*map(complex, re, im)]) == repr(want)
+        # the least denominator of every window and the greatest magnitude of every sample
+        assert least == min(abs(g[i] + g[i + m]) for i in range(len(g) - 3 * m))
+        assert top == max(map(abs, g))
 
 
 def _ref_kept(g, i, m):

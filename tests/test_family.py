@@ -18,8 +18,8 @@ from stasinv import (
     eval_s,
     invariant_ratio,
 )
-from stasinv.core import _phases, draw_trial_params, verify_trials
-from stasinv.rng import SplitMix64
+from stasinv.core import _phases, verify_trials
+from stasinv.rng import SplitMix64, _lanes, _trial_params
 
 from conftest import complexes, odd_ints, params_st
 from _reference import (_ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent,
@@ -285,16 +285,14 @@ class TestVerifyTrials:
 
     @given(st.integers(-2**65, 2**65), st.integers(0, 70))
     @example(0, 0)
-    def test_draw_trial_params_takes_the_first_eight_outputs(self, seed, trial):
-        # the oracle's member, and the rng left at the output of the trial's first t
-        rng = SplitMix64.for_trial(seed, trial)
-        params = draw_trial_params(rng)
-        *_, (member, [t], _) = ref_verify_draws(seed, trial + 1, -20.0, -10.0, 1)
+    def test_trial_params_takes_the_first_eight_outputs(self, seed, trial):
+        # the oracle's member from the trial's own stream
+        [params] = _trial_params(_lanes(seed, trial, 1, 8))
+        *_, (member, _, _) = ref_verify_draws(seed, trial + 1, -20.0, -10.0, 1)
         assert (params.p, params.q1, params.q2, params.r1, params.r2) == member
-        assert rng.uniform(-20.0, -10.0) == t
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32))
     def test_drawn_p_stays_far_from_minus_one(self, seed, trial):
-        # why draw_trial_params needs no redraw: p = -1 is excluded from the family
-        p = draw_trial_params(SplitMix64.for_trial(seed, trial)).p
-        assert p.real >= 0.3 and abs(1 + p) >= 1.3
+        # why _trial_params needs no redraw: p = -1 is excluded from the family
+        [params] = _trial_params(_lanes(seed, trial, 1, 8))
+        assert params.p.real >= 0.3 and abs(1 + params.p) >= 1.3

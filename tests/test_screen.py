@@ -44,10 +44,12 @@ from conftest import params_st
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
-# Both ends of the scale range the bound accepts, each reached by exactly one window:
-# halving samples 2**1000 .. 2**993 give window 0 the scale 2**1000; 2**-965 .. 2**-972,
-# window 4 the scale 2**-969.  Relative noise of 1e-15 leaves residuals to bound, those
-# near 2**-969 in the subnormal range.
+# Both ends of the scale range the bound's derivation covers, each reached by exactly one
+# window: halving samples 2**1000 .. 2**993 give window 0 the scale 2**1000, the greatest
+# sample magnitude the bound accepts; 2**-965 .. 2**-972, window 4 the scale 2**-969, whose
+# least pair sum, 1.5 * 2**-971, is below the 2**-967 the bound asks of every denominator.
+# Relative noise of 1e-15 leaves residuals to bound, those near 2**-969 in the subnormal
+# range.
 TOP_EDGE = (1, [2.0 ** (1000 - i) * (1 + 1e-15j * (-1) ** i) for i in range(8)])
 BOTTOM_EDGE = (1, [2.0 ** (-965 - i) * (1 + 1e-15j * (-1) ** i) for i in range(8)])
 
@@ -96,15 +98,26 @@ def test_bound_covers_every_residual(case):
     assert max(residuals) <= report._bound
 
 
+# BOTTOM_EDGE times 16 has the least pair sum 1.5 * 2**-967, and times 8, 1.5 * 2**-968
 @pytest.mark.parametrize("case, finite", [
-    (TOP_EDGE, True), (BOTTOM_EDGE, True),
-    ((1, [2 * v for v in TOP_EDGE[1]]), False), ((1, [v / 2 for v in BOTTOM_EDGE[1]]), False),
+    (TOP_EDGE, True), ((1, [2 * v for v in TOP_EDGE[1]]), False),
+    ((1, [16 * v for v in BOTTOM_EDGE[1]]), True), ((1, [8 * v for v in BOTTOM_EDGE[1]]), False),
+    (BOTTOM_EDGE, False),
 ])
 def test_bound_refuses_scales_outside_its_range(case, finite):
     m, values = case
-    report = estimate_invariant(SampleSeries(1.0, values, step=1 / m))
+    series = SampleSeries(1.0, values, step=1 / m)
+    report = estimate_invariant(series)
     assert report.windows_skipped == 0 and report.max_rel_dev <= 1e-14
     assert (report._bound < 1e-12) == finite and (report._bound == math.inf) != finite
+    assert max(_windows._window_residuals(series.values, report.a_hat, m)) <= report._bound
+
+
+def test_bound_takes_its_range_from_the_least_denominator_and_the_greatest_magnitude():
+    least, top = 2.0 ** -967, 2.0 ** 1000
+    assert _windows._residual_bound(0.0, 1.0, 0, least, top) < 1e-12
+    assert _windows._residual_bound(0.0, 1.0, 0, math.nextafter(least, 0.0), top) == math.inf
+    assert _windows._residual_bound(0.0, 1.0, 0, least, math.nextafter(top, math.inf)) == math.inf
 
 
 @pytest.mark.parametrize("dev, a", [(0.0, 0j), (2.0 ** -30, 3 + 4j), (1e-12, 1e-300j)])
@@ -113,12 +126,12 @@ def test_bound_is_the_documented_formula(dev, a):
     # only the allowance for underflowing roundings is left
     e = 2.0 ** -52
     want = 2 * (1 + 16 * e) * (dev * (1 + 32 * e) + 32 * e * abs(a)) + 2.0 ** -100
-    assert _windows._residual_bound(dev, a, 0, [1.0, 1.0]) == want
+    assert _windows._residual_bound(dev, a, 0, 1.0, 1.0) == want
 
 
 def test_bound_refuses_a_deviation_past_2_to_the_minus_20():
-    at = _windows._residual_bound(2.0 ** -20, 4.0, 0, [1.0, 1.0])
-    past = _windows._residual_bound(math.nextafter(2.0 ** -20, 1.0), 4.0, 0, [1.0, 1.0])
+    at = _windows._residual_bound(2.0 ** -20, 4.0, 0, 1.0, 1.0)
+    past = _windows._residual_bound(math.nextafter(2.0 ** -20, 1.0), 4.0, 0, 1.0, 1.0)
     assert 2.0 ** -19 < at < 2.0 ** -18 and past == math.inf
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Randomized invariant experiment with per-trial detail.
 
-Prints each trial of `stasinv verify` (stasinv.core.verify_trials): the random
+Prints each trial of `stasinv verify` (stasinv.rng.verify_trials): the random
 family member (complex base with Re in [0.3, 1], Im in [-1.5, 1.5], amplitudes
 in [-2, 2]^2, odd frequencies up to 15), its closed form 1/p^2, and the ratio
 and its spread at several random t.  Errors exit 2, as in the CLI.
@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv.cli import _guarded
-from stasinv.core import verify_trials
+from stasinv.rng import verify_trials
 
 
 def sweep(args) -> int:

@@ -14,8 +14,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stasinv import sample_series
-from stasinv.cli import _add_param_flags, _guarded, _params_from, _write
-from stasinv.codec import _sig1_parts
+from stasinv.cli import _add_param_flags, _guarded, _params_from
+from stasinv.codec import _sig1_parts, _write
 
 
 def write_series(args) -> int:

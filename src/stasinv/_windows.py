@@ -16,11 +16,12 @@ from itertools import chain, islice, repeat
 from math import inf, isfinite, isqrt
 from operator import add, sub, truediv
 
-from .core import SKIP_THRESHOLD, InvariantReport, SampleSeries, _checked_values, _in_range
+from .core import InvariantReport, SampleSeries, _checked_values, _in_range
 from .errors import DomainError, NoValidWindows
 
 _SELECT_MIN = 2048  # from this many values on, _median selects the middle instead of sorting all
 _BLOCK = 1024  # windows per block of the window kernel
+SKIP_THRESHOLD = 1e-9  # a window whose |S| is below this times its scale is near-singular
 # Floor on a window's scale, so an all-zero window has residual 0, not 0/0.
 _SCALE_FLOOR = 1e-300
 _NOT_FINITE = "samples must be finite, found nan or inf"

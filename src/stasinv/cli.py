@@ -56,47 +56,10 @@ def _read_with_invariant(args):
     if args.estimate == (args.p is not None):
         raise DomainError("need exactly one of --p and --estimate to determine the invariant")
     from . import codec  # here, not at the top: only the file commands load the codec
-    series = _load(args.input, codec._sig1)
+    series = codec._load(args.input, codec._sig1)
     if args.estimate:
         return series, core.estimate_invariant(series)
     return series, core.closed_form_invariant(core.StasParams(p=args.p))
-
-
-def _load(path: str, load):
-    """load(blocks of lines) of the file at path, read and decoded as ASCII one block at
-    a time: codec._BLOCK bytes and the rest of the last line, so no CRLF is cut.  A
-    non-ASCII byte is a FormatError naming its offset; it wins over any error of load,
-    so on one the rest of the file is decoded too."""
-    from . import codec
-    with open(path, "rb") as fh:
-        blocks = _ascii_lines(fh, codec._BLOCK)
-        try:
-            return load(blocks)
-        except StasError:
-            for _ in blocks:
-                pass
-            raise
-
-
-def _ascii_lines(fh, size: int):
-    """The lines of the binary file fh, as str.splitlines gives them, one list per block
-    of size bytes and the rest of its last line: each block but the last ends just
-    after a LF."""
-    offset = 0
-    while data := fh.read(size) + fh.readline():
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"non-ASCII byte {data[exc.start]:#04x} "
-                              f"at offset {offset + exc.start}") from None
-        offset += len(data)
-        yield text.splitlines()
-
-
-def _write(path: str, parts) -> None:
-    """Write the strings of parts in turn; callers check all first, so a failure writes no file."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(parts)
 
 
 def cmd_eval(args) -> int:
@@ -130,7 +93,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     core._checked_tol(args.tol)
-    for *_, max_dev in core.verify_trials(args.seed, args.trials, args.t_min, args.t_max):
+    from .rng import verify_trials  # here, not at the top: only verify draws trials
+    for *_, max_dev in verify_trials(args.seed, args.trials, args.t_min, args.t_max):
         pass
     # resampled= is always 0: no trial's p needs a redraw (see rng._trial_params)
     print(f"trials={args.trials} seed={args.seed} "
@@ -147,14 +111,14 @@ def cmd_verify(args) -> int:
 def cmd_encode(args) -> int:
     from . import codec
     enc = codec.encode_stream(*_read_with_invariant(args))
-    _write(args.output, codec._stasc1_parts(enc))
+    codec._write(args.output, codec._stasc1_parts(enc))
     return 0
 
 
 def cmd_decode(args) -> int:
     from . import codec
-    series = codec.decode_stream(_load(args.input, codec._stasc1))
-    _write(args.output, codec._sig1_parts(series))
+    series = codec.decode_stream(codec._load(args.input, codec._stasc1))
+    codec._write(args.output, codec._sig1_parts(series))
     return 0
 
 
@@ -173,14 +137,14 @@ def cmd_check(args) -> int:
         implicated = sorted({j for f in flagged for j in f.implicated_samples})
         if implicated:  # with nothing implicated there is nothing to write
             repaired = codec.repair_samples(series, implicated, invariant)
-            _write(args.output, codec._sig1_parts(repaired))
+            codec._write(args.output, codec._sig1_parts(repaired))
         print(f"repaired=[{','.join(str(j) for j in implicated)}]")
     return 1 if flagged else 0
 
 
 def cmd_fit(args) -> int:
     from . import codec, estimator  # here, not at the top: only fit loads the estimator
-    series = _load(args.input, codec._sig1)
+    series = codec._load(args.input, codec._sig1)
     result = estimator.fit_series(series, r_max=args.r_max)
     p = result.params
     print(f"a_hat={core._fmt_complex(result.invariant.a_hat)}")

@@ -30,8 +30,9 @@ import math
 from itertools import chain, islice, repeat
 
 from .core import (ENCODE_TOL, InvariantReport, SampleSeries, _FLOAT_FMT, _Record, _checked_tol,
-                   _checked_values, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
-from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation
+                   _checked_values, _complexes, _fmt_complex, _fmt_float, _parse_complex,
+                   _steps_per_unit)
+from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation, StasError
 
 __all__ = [
     "EncodedStream",
@@ -222,8 +223,8 @@ def repair_samples(series: SampleSeries, implicated, a) -> SampleSeries:
 
 # -- text serialization -------------------------------------------------------
 
-# The bytes a file command reads per block of lines (cli._load) and the fewest
-# characters _line_blocks splits per block of text.
+# The bytes _load reads per block of lines and the fewest characters _line_blocks
+# splits per block of text.
 _BLOCK = 4096
 # The samples, in whole lines, of one '%' of _formatted and of each chunk the loaders
 # parse at once; a '%' of 1024 holds about 0.16 MiB of floats and text besides the series.
@@ -232,7 +233,11 @@ _SAMPLES = 1024
 
 def _line_blocks(text: str):
     """text.splitlines(), one block of at least _BLOCK characters at a time;
-    each block but the last ends just after a '\n', so no '\r\n' is cut."""
+    each block but the last ends just after a '\n', so no '\r\n' is cut.  A
+    non-ASCII character is a FormatError naming its offset, raised before any block."""
+    if not text.isascii():
+        at = next(i for i, c in enumerate(text) if not c.isascii())
+        raise FormatError(f"non-ASCII character U+{ord(text[at]):04X} at offset {at}")
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
@@ -240,16 +245,40 @@ def _line_blocks(text: str):
         start = end
 
 
-def _complexes(fields) -> list[complex] | None:
-    """[_parse_complex(f) for f in fields], parsed at once: None unless each field holds
-    one ',' and both its parts parse as floats (a blank or bad field, or no field)."""
-    if {*map(str.count, fields, repeat(","))} != {1}:
-        return None
-    parts = map(float, ",".join(fields).split(","))
-    try:
-        return list(map(complex, parts, parts))
-    except ValueError:
-        return None
+def _load(path: str, load):
+    """load(blocks of lines) of the file at path, read and decoded as ASCII one block at
+    a time: _BLOCK bytes and the rest of the last line, so no CRLF is cut.  A
+    non-ASCII byte is a FormatError naming its offset; it wins over any error of load,
+    so on one the rest of the file is decoded too."""
+    with open(path, "rb") as fh:
+        blocks = _ascii_lines(fh)
+        try:
+            return load(blocks)
+        except StasError:
+            for _ in blocks:
+                pass
+            raise
+
+
+def _ascii_lines(fh):
+    """The lines of the binary file fh, as str.splitlines gives them, one list per block
+    of _BLOCK bytes and the rest of its last line: each block but the last ends just
+    after a LF."""
+    offset = 0
+    while data := fh.read(_BLOCK) + fh.readline():
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte {data[exc.start]:#04x} "
+                              f"at offset {offset + exc.start}") from None
+        offset += len(data)
+        yield text.splitlines()
+
+
+def _write(path: str, parts) -> None:
+    """Write the strings of parts in turn; callers check all first, so a failure writes no file."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(parts)
 
 
 def _parse_samples(lines, count: int, what: str) -> list[complex]:

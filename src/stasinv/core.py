@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from itertools import cycle
+from itertools import cycle, repeat
 from math import isfinite
 
 from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
@@ -44,7 +44,6 @@ __all__ = [
     "estimate_invariant",
 ]
 
-SKIP_THRESHOLD = 1e-9
 DEFAULT_R_MAX = 15  # the fit's largest odd frequency; here so the CLI parser need not load it
 ENCODE_TOL = 1e-6  # the codec's window tolerance, check's default --tol; here for the same reason
 _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the same binary64
@@ -280,34 +279,6 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     return num / den
 
 
-def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
-    """The trials of `stasinv verify`: per trial, the family member rng._trial_params
-    draws from the first 8 outputs of SplitMix64.for_trial(seed, trial), then the ratio
-    at `points` t uniform in [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields,
-    per trial, (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
-    dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
-    """
-    if trials < 1:
-        raise DomainError(f"--trials must be >= 1, got {trials}")
-    if points < 1:
-        raise DomainError(f"--points must be >= 1, got {points}")
-    # A positive, finite span also rules out a nan or infinite bound.
-    if not 0.0 < t_max - t_min < math.inf:
-        raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
-    from .rng import _trials  # here, not at the top: only verify draws trials
-    worst = 0.0
-    for params, ts in _trials(seed, trials, t_min, t_max, points):
-        a = closed_form_invariant(params)
-        rows = []
-        for t in ts:
-            ratio = invariant_ratio(params, t)
-            dev = abs(ratio - a) / abs(a)
-            # max() keeps a nan first argument but drops a nan second one
-            worst = dev if math.isnan(dev) else max(worst, dev)
-            rows.append((t, ratio, dev))
-        yield params, a, rows, worst
-
-
 # -- exact discrete sequence -------------------------------------------------
 
 def seq_a(n: int) -> Fraction:
@@ -402,8 +373,8 @@ def estimate_invariant(series: SampleSeries) -> InvariantReport:
     """Estimate the invariant from data: component-wise median over windows.
 
     Window i of a step-1/m grid contributes ratio_i = (g_i + g_{i+m}) / (g_{i+2m}
-    + g_{i+3m}); windows whose denominator magnitude falls below SKIP_THRESHOLD
-    times the window's max slot magnitude (or is exactly zero) are skipped as
+    + g_{i+3m}); windows whose denominator magnitude falls below _windows.SKIP_THRESHOLD
+    (1e-9) times the window's max slot magnitude (or is exactly zero) are skipped as
     near-singular.  max_rel_dev is max |ratio_i - a_hat| / max(|a_hat|, 1)
     over retained windows.  A non-finite sample, a_hat or max_rel_dev raises DomainError.
     The report also holds, privately, this series and a bound on every window's
@@ -434,3 +405,15 @@ def _parse_complex(text: str) -> complex:
         return complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise FormatError(f"bad complex literal {text!r}") from exc
+
+
+def _complexes(fields) -> list[complex] | None:
+    """[_parse_complex(f) for f in fields], parsed at once: None unless each field holds
+    one ',' and both its parts parse as floats (a blank or bad field, or no field)."""
+    if {*map(str.count, fields, repeat(","))} != {1}:
+        return None
+    parts = map(float, ",".join(fields).split(","))
+    try:
+        return list(map(complex, parts, parts))
+    except ValueError:
+        return None

@@ -20,13 +20,12 @@ tie.
 from __future__ import annotations
 
 import cmath
-import sys
 from array import array
 from itertools import chain, cycle, repeat
 from math import cos, fsum, inf, sin, sqrt
 from operator import mul
 
-from ._windows import _check_finite, _median, _ratio_parts
+from ._windows import _EPS, _check_finite, _median, _ratio_parts
 from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
                    _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
@@ -56,7 +55,6 @@ COND_LIMIT = 1e12
 # Each constant is at least twice its bound, which also covers the roundings
 # of the bounds themselves.  A pair whose |T_k| sum past _SCREEN_LIMIT, or are
 # not finite, is kept, so a pass that would overflow still runs and raises.
-_EPS = sys.float_info.epsilon
 _CF_ERR = 16 * _EPS
 _PASS_ERR = 8 * _EPS
 _SCREEN_LIMIT = 1e300

@@ -18,18 +18,19 @@ evaluated in any order: the substream state is the mixed value of
 (seed + (index + 1) * 0x9E3779B97F4A7C15) mod 2^64, i.e. the (index+1)-th
 raw output of the root stream.
 
-`verify` draws its trials (`_trials`) 64 at a time: one int holds the 64
-trials' substream states, 128 bits a lane, and each addition, shift and
-multiply of the mixer runs on every lane at once (`_lanes`).  Every output is
-the one that `next_u64` gives on the trial's own stream.
+`verify`'s whole trial loop is here, in `verify_trials`.  It draws the trials
+64 at a time: one int holds the 64 trials' substream states, 128 bits a lane,
+and each addition, shift and multiply of the mixer runs on every lane at once
+(`_lanes`).  Every output is the one that `next_u64` gives on the trial's own stream.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import filterfalse, islice, repeat
 
-from .core import EXCLUDED_T, StasParams
+from . import core
 from .errors import DomainError
 
 __all__ = ["SplitMix64"]
@@ -98,14 +99,28 @@ def _trial_params(draws):
     Re p >= 0.3 keeps it far from the excluded -1: |1 + p| >= 1.3."""
     parts = [_uniforms(c, *b) for c, b in zip(draws, (P_RE_BOUNDS, P_IM_BOUNDS) + (Q_BOUNDS,) * 4)]
     p, q1, q2 = map(map, (complex,) * 3, parts[::2], parts[1::2])
-    return map(StasParams, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))
+    return map(core.StasParams, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))
 
 
-def _trials(seed: int, trials: int, t_min: float, t_max: float, points: int):
-    """(params, [t, ...]) of each trial of core.verify_trials: the first 8 + points
-    outputs of each trial come from _lanes, a batch at a time; only a t in
-    EXCLUDED_T takes the trial's own stream past them."""
-    excluded = frozenset(EXCLUDED_T)
+def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
+    """The trials of `stasinv verify`: per trial, the family member _trial_params draws
+    from the first 8 outputs of SplitMix64.for_trial(seed, trial), then the ratio at
+    `points` t uniform in [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields,
+    per trial, (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
+    dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
+    The first 8 + points outputs of each trial come from _lanes, a batch at a time;
+    only a t in EXCLUDED_T takes the trial's own stream past them.  a and each ratio
+    come from core's functions as they are when the trial runs, replaced ones included.
+    """
+    if trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {trials}")
+    if points < 1:
+        raise DomainError(f"--points must be >= 1, got {points}")
+    # A positive, finite span also rules out a nan or infinite bound.
+    if not 0.0 < t_max - t_min < math.inf:
+        raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
+    excluded = frozenset(core.EXCLUDED_T)
+    worst = 0.0
     for first in range(0, trials, _LANES):
         draws = _lanes(seed, first, min(_LANES, trials - first), 8 + points)
         t_rows = zip(*(_uniforms(c, t_min, t_max) for c in draws[8:]))
@@ -113,7 +128,15 @@ def _trials(seed: int, trials: int, t_min: float, t_max: float, points: int):
             if not excluded.isdisjoint(ts):  # the trial's t again, each redrawn while excluded
                 us = map(SplitMix64.for_trial(seed, trial).uniform, repeat(t_min), repeat(t_max))
                 ts = list(islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points))
-            yield params, ts
+            a = core.closed_form_invariant(params)
+            rows = []
+            for t in ts:
+                ratio = core.invariant_ratio(params, t)
+                dev = abs(ratio - a) / abs(a)
+                # max() keeps a nan first argument but drops a nan second one
+                worst = dev if math.isnan(dev) else max(worst, dev)
+                rows.append((t, ratio, dev))
+            yield params, a, rows, worst
 
 
 class SplitMix64:

@@ -32,3 +32,15 @@ params_st = st.builds(
     r1=odd_ints,
     r2=odd_ints,
 )
+
+
+def draw_params(rng, r_hi=15, q_min=0.0):
+    """A family member drawn from the SplitMix64 rng within the bounds above, odd
+    frequencies up to r_hi: p, then q1 and q2, each redrawn while |q| < q_min, then
+    r1 and r2.  p needs no redraw: Re p >= 0.3 keeps |1 + p| >= 1.3."""
+    p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
+    q = []
+    while len(q) < 2:
+        if abs(z := rng.uniform_complex(-2, 2, -2, 2)) >= q_min:
+            q.append(z)
+    return StasParams(p, *q, rng.odd_int(1, r_hi), rng.odd_int(1, r_hi))

@@ -35,6 +35,8 @@ from stasinv import (
 from stasinv.cli import main
 from stasinv.rng import SplitMix64
 
+from conftest import draw_params
+
 BASE = StasParams(p=0.5, q2=1.0)
 
 
@@ -43,24 +45,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {name}: {state}{suffix}")
     assert ok, f"{name}: {detail}"
-
-
-def _draw_params(rng: SplitMix64, r_hi: int = 15, q_min: float = 0.0) -> StasParams:
-    """Random family member within the randomized-experiment bounds."""
-    while True:
-        p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
-        if abs(1 + p) >= 1e-6:
-            break
-    while True:
-        q1 = rng.uniform_complex(-2, 2, -2, 2)
-        if abs(q1) >= q_min:
-            break
-    while True:
-        q2 = rng.uniform_complex(-2, 2, -2, 2)
-        if abs(q2) >= q_min:
-            break
-    return StasParams(p=p, q1=q1, q2=q2,
-                      r1=rng.odd_int(1, r_hi), r2=rng.odd_int(1, r_hi))
 
 
 def test_table_reproduction_exact(capsys):
@@ -125,7 +109,7 @@ def test_pair_sum_cancellation():
     worst = 0.0
     for trial in range(500):
         rng = SplitMix64.for_trial(606, trial)
-        params = _draw_params(rng)
+        params = draw_params(rng)
         t = rng.uniform(-20.0, 20.0)
         lhs = eval_f(params, t) + eval_f(params, t + 1)
         p_t = params.p ** int(t) if t.is_integer() else cmath.exp(t * cmath.log(params.p))
@@ -142,7 +126,7 @@ def test_reconstruction_round_trip():
     worst = 0.0
     for trial in range(500):
         rng = SplitMix64.for_trial(101, trial)
-        params = _draw_params(rng)
+        params = draw_params(rng)
         t = rng.uniform(-10.0, 10.0)
         g = sample_series(params, t, 4).values
         a = closed_form_invariant(params)
@@ -171,7 +155,7 @@ def test_codec_round_trip_and_storage():
     storage_ok = True
     for trial in range(100):
         rng = SplitMix64.for_trial(202, trial)
-        params = _draw_params(rng)
+        params = draw_params(rng)
         count = 4 + rng.next_u64() % 61  # lengths 4..64, all residues mod 4
         t0 = rng.uniform(-20.0, 20.0)
         series = sample_series(params, t0, count)
@@ -193,7 +177,7 @@ def test_fault_injection_detection_and_localization():
     n_trials = 1000
     for trial in range(n_trials):
         rng = SplitMix64.for_trial(303, trial)
-        params = _draw_params(rng)
+        params = draw_params(rng)
         count = 16 + rng.next_u64() % 49  # lengths 16..64
         t0 = rng.uniform(-20.0, 20.0 - count)
         series = sample_series(params, t0, count)
@@ -222,7 +206,7 @@ def _pipeline_cases(n: int = 100):
     cases = []
     for trial in range(n):
         rng = SplitMix64.for_trial(404, trial)
-        params = _draw_params(rng, r_hi=9, q_min=0.1)
+        params = draw_params(rng, r_hi=9, q_min=0.1)
         cases.append((params, sample_series(params, 0.25, 24)))
     return cases
 

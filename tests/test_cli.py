@@ -15,6 +15,7 @@ from stasinv import (DomainError, SampleSeries, StasParams, closed_form_invarian
                      encode_stream, load_sig1, sample_series)
 from stasinv.cli import main
 from stasinv.codec import dump_sig1, dump_stasc1
+from stasinv.rng import verify_trials
 
 from conftest import params_st
 
@@ -152,7 +153,7 @@ class TestVerify:
         assert "DomainError" in err
         # the t draws per trial, fixed at 5 here, are an option of scripts/invariant_sweep.py
         with pytest.raises(DomainError, match="^--points must be >= 1, got 0$"):
-            next(core.verify_trials(0, 1, -10.0, 10.0, 0))
+            next(verify_trials(0, 1, -10.0, 10.0, 0))
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--tol", "1e-30")
@@ -161,7 +162,7 @@ class TestVerify:
 
     def test_deviation_equal_to_tol_fails(self, capsys):
         # PASS needs max_rel_dev strictly below --tol
-        *_, worst = list(core.verify_trials(3, 5, -20.0, -10.0))[-1]
+        *_, worst = list(verify_trials(3, 5, -20.0, -10.0))[-1]
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3",
                                f"--tol={worst!r}")
         assert (code, out.splitlines()[-1]) == (1, "FAIL")

@@ -38,7 +38,7 @@ from stasinv.core import ENCODE_TOL, _checked_tol
 from stasinv.errors import FormatError
 from stasinv.rng import SplitMix64
 
-from conftest import complexes, params_st
+from conftest import complexes, draw_params, params_st
 from _reference import (
     RefIdentityViolation,
     RefNoValidWindows,
@@ -49,20 +49,6 @@ from _reference import (
 )
 
 BASE = StasParams(p=0.5, q2=1.0)
-
-
-def draw_params(rng, r_hi=15):
-    while True:
-        p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
-        if abs(1 + p) >= 1e-6:
-            break
-    return StasParams(
-        p=p,
-        q1=rng.uniform_complex(-2, 2, -2, 2),
-        q2=rng.uniform_complex(-2, 2, -2, 2),
-        r1=rng.odd_int(1, r_hi),
-        r2=rng.odd_int(1, r_hi),
-    )
 
 
 class TestEncodedStream:

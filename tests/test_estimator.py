@@ -37,27 +37,10 @@ from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
 from _reference import RefIllConditioned, ref_period, ref_rms_bounds, ref_search_frequencies
-from conftest import complexes, odd_ints, params_st
+from conftest import complexes, draw_params, odd_ints, params_st
 from test_codec import kernel_values
 
 BASE = StasParams(p=0.5, q2=1.0)
-
-
-def draw_params(rng, r_hi=9, q_min=0.1):
-    while True:
-        p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
-        if abs(1 + p) >= 1e-6:
-            break
-    while True:
-        q1 = rng.uniform_complex(-2, 2, -2, 2)
-        if abs(q1) >= q_min:
-            break
-    while True:
-        q2 = rng.uniform_complex(-2, 2, -2, 2)
-        if abs(q2) >= q_min:
-            break
-    return StasParams(p=p, q1=q1, q2=q2,
-                      r1=rng.odd_int(1, r_hi), r2=rng.odd_int(1, r_hi))
 
 
 class TestDisambiguateP:
@@ -76,7 +59,7 @@ class TestDisambiguateP:
     def test_sign_soundness_randomized(self):
         for trial in range(40):
             rng = SplitMix64.for_trial(41, trial)
-            params = draw_params(rng)
+            params = draw_params(rng, r_hi=9, q_min=0.1)
             p = disambiguate_p(sample_series(params, 0.25, 16))
             assert abs(p - params.p) <= 1e-12 * abs(params.p)
 
@@ -737,7 +720,7 @@ class TestFitSeries:
         alias_class = {(7, 7), (7, 9), (9, 7), (9, 9)}
         for trial in range(25):
             rng = SplitMix64.for_trial(51, trial)
-            params = draw_params(rng)
+            params = draw_params(rng, r_hi=9, q_min=0.1)
             series = sample_series(params, 0.1, 64, step=0.125)
             result = fit_series(series, r_max=9)
             true_pair = (params.r1, params.r2)

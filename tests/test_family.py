@@ -18,8 +18,8 @@ from stasinv import (
     eval_s,
     invariant_ratio,
 )
-from stasinv.core import _phases, verify_trials
-from stasinv.rng import SplitMix64, _lanes, _trial_params
+from stasinv.core import _phases
+from stasinv.rng import SplitMix64, _lanes, _trial_params, verify_trials
 
 from conftest import complexes, odd_ints, params_st
 from _reference import (_ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent,

@@ -69,10 +69,9 @@ def _long_stasc1(body, rem):
 def _assert_loads(text, parse, tmp_path, message):
     """The text, as a string and as a file the CLI reads, loads as 299 samples of GOOD
     (message None) or raises FormatError(message)."""
-    from stasinv.cli import _load
     path = tmp_path / "in"
     path.write_text(text)
-    for load in (lambda: parse(codec._line_blocks(text)), lambda: _load(str(path), parse)):
+    for load in (lambda: parse(codec._line_blocks(text)), lambda: codec._load(str(path), parse)):
         if message is None:
             assert load().values == (_parse_complex(GOOD),) * 299
         else:
@@ -284,6 +283,19 @@ class TestStasc1:
 def test_header_errors_are_named(load, magic, text, message):
     with pytest.raises(FormatError, match=f"^{message.format(magic)}$"):
         load(text.format(magic))
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_sig1, "SIG1\nt0=0 kind=f count=1\n\u0661,0\n", "U+0661 at offset 25"),  # body
+    (load_sig1, "SIG1\nt0=\u0661 kind=f count=0\n", "U+0661 at offset 8"),  # header value
+    (load_stasc1, "STASC1\na=\u0662,0 t0=0 count=0\nrem=0\n", "U+0662 at offset 9"),
+    (load_sig1, "SIG2\nt0=0 kind=f count=1\n" + "1,0\n" * 2000 + "1,0\xa0\n",  # past a block
+     "U+00A0 at offset 8028"),
+])
+def test_non_ascii_text_is_refused_before_any_other_error(load, text, message):
+    # float() takes non-ASCII digits and spaces; the files, and so the loaders, are ASCII
+    with pytest.raises(FormatError, match=f"^non-ASCII character {re.escape(message)}$"):
+        load(text)
 
 
 class TestBodyGrammar:
@@ -581,7 +593,7 @@ def text_files(draw):
 
 
 class TestParseFromTheFile:
-    """cli._load of a file gives what load_sig1 / load_stasc1 give on its text: the same
+    """codec._load of a file gives what load_sig1 / load_stasc1 give on its text: the same
     series or stream, bit for bit, or the same error and message.  A non-ASCII byte
     wins over any format error, wherever it is; in STASC1 a truncated block section,
     a block line without 3 fields and a bad rem= line win over a bad literal."""
@@ -601,7 +613,6 @@ class TestParseFromTheFile:
     @example(b"STASC1\na=2,0 t0=1 count=5\n1,0;2,0;3,0\nrem=1\n4,\x800\n", 64)
     @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", 1)  # the first wins
     def test_same_result_or_error_as_the_whole_text(self, data, block):
-        from stasinv.cli import _load
         load, parse = ((load_sig1, codec._sig1) if data.startswith(b"SIG") else
                        (load_stasc1, codec._stasc1))
         with tempfile.TemporaryDirectory() as tmp:
@@ -610,4 +621,4 @@ class TestParseFromTheFile:
                 fh.write(data)
             with _blocks(block):
                 want = _message_or_bits(lambda: load(_text_of(path)))
-                assert _message_or_bits(lambda: _load(path, parse)) == want
+                assert _message_or_bits(lambda: codec._load(path, parse)) == want

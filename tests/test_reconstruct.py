@@ -18,7 +18,7 @@ from stasinv import (
 )
 from stasinv.rng import SplitMix64
 
-from conftest import complexes, params_st
+from conftest import complexes, draw_params, params_st
 
 # weighted samples of the base sequence: g(n) = n * a_n = (1/2)^n + (-1)^n
 G14 = (-0.5, 1.25, -0.875, 1.0625)
@@ -111,14 +111,7 @@ class TestPredictNext:
     def test_streaming_prediction(self):
         for trial in range(30):
             rng = SplitMix64.for_trial(21, trial)
-            from stasinv import StasParams
-            params = StasParams(
-                p=rng.uniform_complex(0.3, 1.0, -1.5, 1.5),
-                q1=rng.uniform_complex(-2, 2, -2, 2),
-                q2=rng.uniform_complex(-2, 2, -2, 2),
-                r1=rng.odd_int(1, 15),
-                r2=rng.odd_int(1, 15),
-            )
+            params = draw_params(rng)
             series = sample_series(params, rng.uniform(-8.0, 4.0), 12)
             a = closed_form_invariant(params)
             g = series.values

@@ -27,9 +27,9 @@ from stasinv import (
     sample_series,
 )
 from stasinv import estimator
-from stasinv.cli import _load, _write, main
-from stasinv.codec import (_sig1, _sig1_parts, _stasc1, _stasc1_parts, decode_stream, dump_sig1,
-                           dump_stasc1, load_sig1, load_stasc1)
+from stasinv.cli import main
+from stasinv.codec import (_load, _sig1, _sig1_parts, _stasc1, _stasc1_parts, _write, decode_stream,
+                           dump_sig1, dump_stasc1, load_sig1, load_stasc1)
 from stasinv.estimator import _TrigBasis
 
 RATIO_LIMIT = 10.0

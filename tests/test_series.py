@@ -20,7 +20,7 @@ from stasinv import (
 )
 from stasinv.rng import SplitMix64
 
-from conftest import params_st
+from conftest import draw_params, params_st
 
 BASE = StasParams(p=0.5, q2=1.0)
 EPS = sys.float_info.epsilon
@@ -101,13 +101,7 @@ class TestEstimateInvariant:
     def test_random_params_match_closed_form(self):
         for trial in range(50):
             rng = SplitMix64.for_trial(11, trial)
-            params = StasParams(
-                p=rng.uniform_complex(0.3, 1.0, -1.5, 1.5),
-                q1=rng.uniform_complex(-2, 2, -2, 2),
-                q2=rng.uniform_complex(-2, 2, -2, 2),
-                r1=rng.odd_int(1, 15),
-                r2=rng.odd_int(1, 15),
-            )
+            params = draw_params(rng)
             series = sample_series(params, 0.25, 12)
             a = closed_form_invariant(params)
             report = estimate_invariant(series)

@@ -4,8 +4,11 @@ The pipeline inverts the family definition step by step: the oscillatory
 terms cancel in pair sums one unit apart, S_i = g_i + g_{i+m} = p^{t_i} * (1 + p)
 on a grid of step 1/m, so S_{i+m} / S_i = p exactly, sign included; the residual after removing p^t
 is a linear model in (q1, q2) for fixed frequencies, solved by 2x2 normal
-equations; frequencies are found by exhaustive search over odd pairs.  The
-empirical invariant a = 1/p^2 is estimated alongside and reported.
+equations; frequencies are found by exhaustive search over odd pairs.  Odd-r
+columns change sign over one unit of t, so on a step-1/m grid the residual
+folds into m signed class sums, and each pair of the search is an m-point solve
+and an m-point residual.  The empirical invariant a = 1/p^2 is estimated
+alongside and reported.
 
 Identifiability caveat: on a unit-spaced grid both sin(r1*pi*(t0+k)) and
 cos(r2*pi*(t0+k)) reduce to a constant times (-1)^k for every odd r, so the
@@ -21,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 from array import array
-from itertools import chain, cycle, repeat
+from itertools import chain, repeat
 from math import cos, fsum, inf, sin, sqrt
-from operator import mul
+from operator import mul, neg, sub, truediv
 
-from ._windows import _EPS, _check_finite, _median, _ratio_parts
+from ._windows import _check_finite, _median, _ratio_parts
 from .core import (DEFAULT_R_MAX, InvariantReport, SampleSeries, StasParams, estimate_invariant,
-                   _Record, _checked_values, _in_range, _phases, _powers, _steps_per_unit)
+                   _Record, _checked_values, _grid, _in_range, _phases, _powers, _steps_per_unit)
 from .errors import DomainError, IllConditioned, NoValidWindows
 
 __all__ = [
@@ -39,25 +42,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-
-# Bounds of the closed-form screen in search_frequencies, by first-order error
-# analysis with unit roundoff u = _EPS / 2:
-# - fsum(T0 .. T5) is within 16u * sum |T_k| of the exact squared norm: yy,
-#   m00, m11, m01 are within 2u of their absolute sums, b0, b1 within 3u (the
-#   fold in _TrigBasis), and 2|q1|*sqrt(m00*yy) <= T3 + T0 (AM-GM) makes T1's
-#   error 5u * (T0 + T3), T2's 5u * (T0 + T4), T5's 5u * (T3 + T4), T3's and
-#   T4's 5u; with the fsum's u, 13u on T0 and 16u on T3 and T4;
-# - a sample of the exact pass, w + q1*s + q2*c - v, is within
-#   4u * (|w| + |q1*s| + |q2*c| + |v|), and y = v - w within u*|y|; with
-#   rms(w) <= rms(v) + rms(y) that moves the rms by less than
-#   8u * (rms(v) + rms(y) + rms(q1*s) + rms(q2*c));
-# - abs, the square, the n-term sum, /n and sqrt add a relative (n + 7) * u / 2.
-# Each constant is at least twice its bound, which also covers the roundings
-# of the bounds themselves.  A pair whose |T_k| sum past _SCREEN_LIMIT, or are
-# not finite, is kept, so a pass that would overflow still runs and raises.
-_CF_ERR = 16 * _EPS
-_PASS_ERR = 8 * _EPS
-_SCREEN_LIMIT = 1e300
 
 _FIT_SUMS = "a sum of the fit exceeds the float range"
 
@@ -99,101 +83,82 @@ def disambiguate_p(series: SampleSeries) -> complex:
 
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series, base p
-    and set of odd frequencies, all built on construction: p^t, yy = ||g - p^t||^2,
-    sine[r] and cosine[r] = (column, squared norm, projection on y = g - p^t)
-    from one list of _phases per r, and cross[r1, r2], the inner product of the
-    sine column of r1 and the cosine column of r2.  A non-finite sample or
-    g - p^t raises DomainError.
+    and set of odd frequencies, all built on construction.  A non-finite sample
+    or g - p^t raises DomainError.
 
-    Odd-r columns repeat every 2m samples on a step-1/m grid, so with P = 2m
-    there (if 2m < n) and P = n elsewhere, a column holds one period: sample i's
-    entry is column[i mod P], its phase taken at t0 + (i mod P)*step.  Norms and
-    cross products take product k n // P + (k < n % P) times in exact power-of-two
-    multiples, bit for bit the fsum over the n samples.  Projections sum the P
-    products column[k] * fsum(y[k::P]): within 3u of sum |column[i] * y_i|
-    (u = _EPS / 2), against 2u per sample, whose last bits they may not match.
+    On a step-1/m grid every odd-r column changes sign over one unit of t, as
+    the oscillatory part of sample_series' data does, so y = g - p^t folds into
+    m signed class sums: sums[k] = T_k = sum over j of (-1)^j y_{k+jm}, over
+    counts[k] = n_k samples.  Off the 1/m grids, and where m >= n, m = n and
+    each class is one sample.  sine[r] and cosine[r] are (column, norm,
+    projection): the m values sin or cos of _phases(r, grid[:m]), the points
+    sample_series evaluates, sum n_k s_k^2 and sum s_k T_k; cross[r1, r2] is
+    sum n_k s_k c_k, the sine column of r1 against the cosine column of r2.
+    spread is W = sum |y_i - (-1)^j T_k / n_k|^2 over every sample, the part of
+    each pair's squared residual that no pair changes, or inf past the float
+    range.  Each sum is one fsum, so T_k is correctly rounded, and a projection,
+    rounded three times, is within 3u of sum |s_k T_k| (u = 2^-53).
     """
 
     def __init__(self, series: SampleSeries, p: complex, freqs):
-        self.series = series
-        grid = series.grid()
-        self.pt = _powers(p, grid)
-        y = [v - w for v, w in zip(series.values, self.pt)]
+        y = [v - w for v, w in zip(series.values, _powers(p, series.grid()))]
         _check_finite(y)
-        y_re, y_im = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
+        n = self.n = len(y)
+        m = min(_steps_per_unit(series.step) or n, n)
+        parts = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
         del y  # only the two arrays are needed from here on
+
+        def signed(part, k):  # class k, each sample times (-1)^j
+            return chain(part[k::2 * m], map(neg, part[k + m::2 * m]))
+
+        self.counts = [len(range(k, n, m)) for k in range(m)]
+        re, im = ([fsum(signed(part, k)) for k in range(m)] for part in parts)
+        self.sums = list(map(complex, re, im))
         try:
-            self.yy = fsum(chain(map(mul, y_re, y_re), map(mul, y_im, y_im)))
+            self.spread = fsum(d * d for part, sums in zip(parts, (re, im))
+                               for k, mean in enumerate(map(truediv, sums, self.counts))
+                               for d in map(sub, signed(part, k), repeat(mean)))
         except OverflowError:
-            self.yy = inf
-        n = len(grid)
-        period = min(2 * _steps_per_unit(series.step) or n, n)
-        if period < n:  # without a period each class is one sample: y itself
-            y_re, y_im = ([fsum(part[k::period]) for k in range(period)] for part in (y_re, y_im))
-        copies, rest = divmod(n, period)
-        weights = [float(1 << j) for j in range(copies.bit_length()) if copies >> j & 1]
+            self.spread = inf
 
-        def period_sum(a, b) -> float:
-            products = list(map(mul, a, b))
-            return fsum(chain(*[map(mul, products, repeat(w)) for w in weights],
-                              products[:rest]))
+        def weighted(a, b) -> float:
+            return fsum(map(mul, self.counts, map(mul, a, b)))
 
-        def column(values) -> tuple[array, float, complex]:
-            head = array("d", values)
-            proj = complex(fsum(map(mul, head, y_re)), fsum(map(mul, head, y_im)))
-            return head, period_sum(head, head), proj
+        def column(values) -> tuple[list[float], float, complex]:
+            col = list(values)
+            return col, weighted(col, col), complex(fsum(map(mul, col, re)),
+                                                    fsum(map(mul, col, im)))
 
         self.sine, self.cosine = {}, {}
+        head = _grid(series.t0, series.step, m)  # series.grid()[:m]
         for r in freqs:
-            phases = _phases(r, grid[:period])
+            phases = _phases(r, head)
             self.sine[r] = column(map(sin, phases))
             self.cosine[r] = column(map(cos, phases))
-        self.cross = {(r1, r2): period_sum(self.sine[r1][0], self.cosine[r2][0])
+        self.cross = {(r1, r2): weighted(self.sine[r1][0], self.cosine[r2][0])
                       for r1 in freqs for r2 in freqs}
 
-    def rms_bounds(self, params: StasParams, data_scale: float) -> tuple[float, float]:
-        """(lo, hi) with lo <= residual_rms(params) <= hi, from the closed form
-        in search_frequencies' docstring: its six terms T0 .. T5, in that
-        order, summed with fsum.  The error bounds are derived above _CF_ERR;
-        data_scale is rms |g|.  A pair past _SCREEN_LIMIT gets (-inf, inf).
-        """
-        q1, q2, r1, r2 = params.q1, params.q2, params.r1, params.r2
-        _, m00, b0 = self.sine[r1]
-        _, m11, b1 = self.cosine[r2]
-        t3 = (q1.real * q1.real + q1.imag * q1.imag) * m00
-        t4 = (q2.real * q2.real + q2.imag * q2.imag) * m11
-        terms = (self.yy,
-                 -2.0 * (q1.real * b0.real + q1.imag * b0.imag),
-                 -2.0 * (q2.real * b1.real + q2.imag * b1.imag),
-                 t3, t4,
-                 2.0 * self.cross[r1, r2] * (q1.real * q2.real + q1.imag * q2.imag))
-        size = sum(map(abs, terms))
-        if not size <= _SCREEN_LIMIT:
-            return -inf, inf
-        n = len(self.pt)
-        total = fsum(terms)
-        err = _CF_ERR * size
-        pass_err = _PASS_ERR * (data_scale + sqrt(self.yy / n) + sqrt(t3 / n) + sqrt(t4 / n))
-        rel = (n + 8) * _EPS
-        lo = (sqrt(max(total - err, 0.0) / n) - pass_err) * (1.0 - rel)
-        hi = (sqrt(max(total + err, 0.0) / n) + pass_err) * (1.0 + rel)
-        return lo, hi
-
     def residual_rms(self, params: StasParams) -> float:
-        """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid."""
+        """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid, by the
+        exact identity ||y - q1 s - q2 c||^2 = W + sum_k |T_k - n_k (q1 s_k + q2 c_k)|^2
+        / n_k.  Past the float range, OverflowError, as from the basis' own sums."""
         q1, q2 = params.q1, params.q2
-        total = 0.0
-        for w, x, z, v in zip(self.pt, cycle(self.sine[params.r1][0]),
-                              cycle(self.cosine[params.r2][0]), self.series.values):
-            total += abs(w + q1 * x + q2 * z - v) ** 2
-        return sqrt(total / len(self.pt))
+        misses = (t - k * (q1 * x + q2 * z) for t, k, x, z in
+                  zip(self.sums, self.counts, self.sine[params.r1][0], self.cosine[params.r2][0]))
+        total = fsum(chain([self.spread], ((e.real * e.real + e.imag * e.imag) / k
+                                           for e, k in zip(misses, self.counts))))
+        if not total < inf:
+            raise OverflowError
+        return sqrt(total / self.n)
 
 
 def fit_trig(series: SampleSeries, p: complex, r1: int, r2: int, *,
              basis: _TrigBasis | None = None) -> tuple[complex, complex]:
     """Least-squares (q1, q2) for fixed p, r1, r2 via 2x2 normal equations.
 
-    Minimizes sum |g_i - p^{t_i} - q1*sin(r1*pi*t_i) - q2*cos(r2*pi*t_i)|^2.
+    Minimizes sum |g_i - p^{t_i} - q1*sin(r1*pi*t_i) - q2*cos(r2*pi*t_i)|^2,
+    whose normal equations _TrigBasis holds exactly as m-point sums over the
+    signed class sums of y = g - p^t.
     Raises IllConditioned when the normal matrix condition exceeds 1e12,
     which happens in particular on integer grids (the sine column vanishes
     for every odd r) and on unit-spaced grids (the two columns are
@@ -237,23 +202,12 @@ def search_frequencies(series: SampleSeries, p: complex,
     Raises IllConditioned only when every pair fails, and DomainError where
     a sum leaves the float range.
 
-    One _TrigBasis over every odd frequency holds p^t, ||y||^2 for y = g - p^t,
-    each frequency's columns, from 2m phases on a step-1/m grid, their norms and
-    their projections on y folded by residue class mod 2m, and each pair's cross
-    product, all summed over one period, so a pair costs the 2x2 solve.
-    Every float is that of a fit_trig or residual_rms call on its own basis.
-
-    The per-sample residual pass is screened.  For each solved (q1, q2) the
-    closed form
-        ||y - q1 s - q2 c||^2 = ||y||^2 - 2Re(conj(q1) b0) - 2Re(conj(q2) b1)
-                                + |q1|^2 m00 + |q2|^2 m11 + 2 m01 Re(conj(q1) q2)
-    holds for any (q1, q2), so it needs no optimality of the rounded solve.
-    It costs a few products, and with first-order bounds on its rounding and
-    on that of the pass it gives lo <= residual_rms <= hi
-    (_TrigBasis.rms_bounds).  A pair whose lo exceeds the least hi plus the
-    tie band's 1e-9 * max(rms |g|, 1) can neither win nor tie, and is
-    dropped; the others, always including the winner and every tie, take the
-    exact pass, and the result comes from the exact residuals alone.
+    One _TrigBasis over every odd frequency folds y = g - p^t into its m signed
+    class sums and holds each frequency's m-point columns, their weighted norms,
+    their projections and each pair's cross product, so a pair costs the 2x2
+    solve and an m-point residual, exact through the basis' W; every solved
+    pair's residual is taken.  Every float is that of a fit_trig or
+    residual_rms call on its own basis.
     """
     if r_max < 1 or r_max % 2 == 0:
         raise DomainError(f"r_max must be a positive odd integer, got {r_max}")
@@ -276,13 +230,9 @@ def search_frequencies(series: SampleSeries, p: complex,
             raise failure
         # pow(x, 2) is abs(v) ** 2: the same float_pow, so the same libm pow call
         data_scale = sqrt(fsum(map(pow, map(abs, series.values), repeat(2))) / len(series))
-        tie_slack = 1e-9 * max(data_scale, 1.0)
-        bounds = [basis.rms_bounds(params, data_scale) for params in solved]
-        bar = min(hi for _, hi in bounds) + tie_slack
-        fits = [(basis.residual_rms(params), (params.r1, params.r2), params)
-                for params, (lo, _) in zip(solved, bounds) if not lo > bar]
+        fits = [(basis.residual_rms(params), (params.r1, params.r2), params) for params in solved]
         best_rms, best_pair, best_params = min(fits, key=lambda item: (item[0], item[1]))
-        tie_band = best_rms + tie_slack
+        tie_band = best_rms + 1e-9 * max(data_scale, 1.0)
         ties = tuple(pair for rms, pair, _ in fits if rms <= tie_band)
     return FitResult(params=best_params, residual_rms=best_rms, tied_frequencies=ties)
 

@@ -63,8 +63,8 @@ def _mix(z: int, mask: int = _MASK) -> int:
 
 
 def _lanes(seed: int, first: int, count: int, draws: int) -> list:
-    """The first `draws` outputs of the substreams of trials first .. first +
-    count - 1 (count <= _LANES), as `draws` columns of `count` outputs in trial order:
+    """The first `draws` outputs of the substreams of trials first .. first + count - 1,
+    the first _LANES of them where count is larger, as `draws` columns in trial order:
     column j, row k is output j + 1 of SplitMix64.for_trial(seed, first + k).
     Trial first + k is lane k; the lanes past `count` are computed and dropped."""
     root = (seed + (first + 1) * _GAMMA) & _MASK
@@ -122,7 +122,7 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     excluded = frozenset(core.EXCLUDED_T)
     worst = 0.0
     for first in range(0, trials, _LANES):
-        draws = _lanes(seed, first, min(_LANES, trials - first), 8 + points)
+        draws = _lanes(seed, first, trials - first, 8 + points)
         t_rows = zip(*(_uniforms(c, t_min, t_max) for c in draws[8:]))
         for trial, params, ts in zip(range(first, trials), _trial_params(draws), t_rows):
             if not excluded.isdisjoint(ts):  # the trial's t again, each redrawn while excluded

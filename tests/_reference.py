@@ -8,7 +8,6 @@ package, so agreement between the two routes is meaningful.
 import cmath
 import math
 import statistics
-import sys
 from fractions import Fraction
 
 
@@ -135,48 +134,58 @@ def ref_invariant_ratio_coherent(p, q1, q2, r1, r2, t):
     return csum([e[0], trig, e[1], -trig]) / csum([e[2], trig, e[3], -trig])
 
 
-def ref_period(step, n):
-    """2m for the first integer m with m * step == 1 and 2m < n, else n.
-
-    sin(r*pi*t) and cos(r*pi*t) with odd r repeat when t grows by 2, so on a
-    step-1/m grid the column entry at sample i is the one at i mod 2m.
-    """
-    m = 1
-    while 2 * m < n:
+def ref_classes(step, n):
+    """m, the first integer with m * step == 1 and m < n, else n: the residue
+    classes of the fit's fold, each one sample where m is n."""
+    for m in range(1, n):
         if m * step == 1.0:
-            return 2 * m
-        m += 1
+            return m
     return n
 
 
-def _ref_trig_args(t0, step, n):
-    """The argument of each sample's trig columns: t0 + (i mod P) * step."""
-    period = ref_period(step, n)
-    return [t0 + (i % period) * step for i in range(n)]
+def ref_fold(t0, step, g, p):
+    """The fit's fold, built sample by sample: (m, counts, sums, spread) with
+    y = g - p^t, sample i in class i mod m with sign (-1)^(i // m), sums[k] the
+    fsum of class k's signed samples (real and imaginary parts apart), counts[k]
+    its size, and spread the fsum of every sample's squared parts of
+    sign * y_i - sums[k] / counts[k], or inf where that sum overflows."""
+    n = len(g)
+    m = ref_classes(step, n)
+    y = [g[i] - _ref_pow(p, t0 + i * step) for i in range(n)]
+    signed = [-y[i] if i // m % 2 else y[i] for i in range(n)]
+    counts = [0] * m
+    re, im = [[] for _ in range(m)], [[] for _ in range(m)]
+    for i, z in enumerate(signed):
+        counts[i % m] += 1
+        re[i % m].append(z.real)
+        im[i % m].append(z.imag)
+    sums = [complex(math.fsum(re[k]), math.fsum(im[k])) for k in range(m)]
+    squares = []
+    for i, z in enumerate(signed):
+        k = i % m
+        for d in (z.real - sums[k].real / counts[k], z.imag - sums[k].imag / counts[k]):
+            squares.append(d * d)
+    try:
+        spread = math.fsum(squares)
+    except OverflowError:
+        spread = math.inf
+    return m, counts, sums, spread
 
 
-def _ref_projection(col, y, step):
-    """sum col_i * y_i folded by residue class: with P = ref_period, the fsum over
-    k < P of col_k times the fsum of the y_i with i = k (mod P), real and
-    imaginary parts apart."""
-    period = ref_period(step, len(y))
-    classes = [y[k::period] for k in range(period)]
-    re = [math.fsum(z.real for z in ys) for ys in classes]
-    im = [math.fsum(z.imag for z in ys) for ys in classes]
-    return complex(math.fsum(col[k] * re[k] for k in range(period)),
-                   math.fsum(col[k] * im[k] for k in range(period)))
+def ref_columns(t0, step, m, r1, r2):
+    """sin(r1*pi*t) and cos(r2*pi*t) at the first m grid points, t0 + k * step."""
+    args = [t0 + k * step for k in range(m)]
+    return ([math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in args],
+            [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args])
 
 
 def ref_fit_trig(t0, step, g, p, r1, r2):
-    """Least-squares (q1, q2) for one pair, every column built from scratch."""
-    grid = [t0 + i * step for i in range(len(g))]
-    args = _ref_trig_args(t0, step, len(g))
-    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in args]
-    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args]
-    y = [g[i] - _ref_pow(p, grid[i]) for i in range(len(g))]
-    m00 = math.fsum(x * x for x in s)
-    m01 = math.fsum(x * z for x, z in zip(s, c))
-    m11 = math.fsum(z * z for z in c)
+    """Least-squares (q1, q2) for one pair on the fold, every part from scratch."""
+    m, counts, sums, _ = ref_fold(t0, step, g, p)
+    s, c = ref_columns(t0, step, m, r1, r2)
+    m00 = math.fsum(counts[k] * (s[k] * s[k]) for k in range(m))
+    m01 = math.fsum(counts[k] * (s[k] * c[k]) for k in range(m))
+    m11 = math.fsum(counts[k] * (c[k] * c[k]) for k in range(m))
     tr = m00 + m11
     disc = math.sqrt(max((m00 - m11) ** 2 + 4.0 * m01 * m01, 0.0))
     lo = (tr - disc) / 2.0
@@ -184,58 +193,56 @@ def ref_fit_trig(t0, step, g, p, r1, r2):
     cond = hi / lo if lo > 0.0 else math.inf
     if cond > 1e12:
         raise RefIllConditioned((r1, r2))
-    b0 = _ref_projection(s, y, step)
-    b1 = _ref_projection(c, y, step)
+    b0 = complex(math.fsum(s[k] * sums[k].real for k in range(m)),
+                 math.fsum(s[k] * sums[k].imag for k in range(m)))
+    b1 = complex(math.fsum(c[k] * sums[k].real for k in range(m)),
+                 math.fsum(c[k] * sums[k].imag for k in range(m)))
     det = m00 * m11 - m01 * m01
     return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m01 * b0) / det
 
 
 def ref_residual_rms(t0, step, g, p, q1, q2, r1, r2):
-    total = 0.0
-    args = _ref_trig_args(t0, step, len(g))
-    for i in range(len(g)):
-        t = t0 + i * step
-        arg = args[i]
-        s = math.sin(math.pi * _ref_reduced_phase(r1, arg))
-        c = math.cos(math.pi * _ref_reduced_phase(r2, arg))
-        model = _ref_pow(p, t) + q1 * s + q2 * c
-        total += abs(model - g[i]) ** 2
-    return math.sqrt(total / len(g))
+    """The rms residual by the fold's identity: spread plus, per class,
+    |sums[k] - counts[k] * (q1 s_k + q2 c_k)|^2 / counts[k], in one fsum."""
+    m, counts, sums, spread = ref_fold(t0, step, g, p)
+    s, c = ref_columns(t0, step, m, r1, r2)
+    terms = [spread]
+    for k in range(m):
+        e = sums[k] - counts[k] * (q1 * s[k] + q2 * c[k])
+        terms.append((e.real * e.real + e.imag * e.imag) / counts[k])
+    return math.sqrt(math.fsum(terms) / len(g))
 
 
-def ref_rms_bounds(t0, step, g, p, q1, q2, r1, r2, data_scale):
-    """(lo, hi) around ref_residual_rms by the screen's closed form: the six terms
-    ||y||^2, -2Re(conj(q1) b0), -2Re(conj(q2) b1), |q1|^2 m00, |q2|^2 m11 and
-    2 m01 Re(conj(q1) q2), their fsum within 16 eps times the sum of their
-    magnitudes, the pass within 8 eps (data_scale + rms y + rms q1 s + rms q2 c),
-    and a relative (n + 8) eps; (-inf, inf) once that sum passes 1e300."""
-    eps = sys.float_info.epsilon
+def ref_least_squares(t0, step, g, p, r1, r2):
+    """(q1, q2, rms) of the least squares over all n samples, exact in Fraction:
+    y = g - p^t in floats, each sample's columns (-1)^(i // m) times those of
+    ref_columns at i mod m, as sample_series evaluates them, and the normal
+    equations, their solve and the residual sum of squares as exact rationals;
+    q1 and q2 are (real, imaginary) pairs of Fractions, and only the rms is
+    rounded, to a float and by its square root.  None where the normal matrix
+    is singular."""
     n = len(g)
-    args = _ref_trig_args(t0, step, n)
-    s = [math.sin(math.pi * _ref_reduced_phase(r1, t)) for t in args]
-    c = [math.cos(math.pi * _ref_reduced_phase(r2, t)) for t in args]
+    m = ref_classes(step, n)
+    s, c = ref_columns(t0, step, m, r1, r2)
+    sign = [(-1) ** (i // m) for i in range(n)]
+    cs = [Fraction(sign[i] * s[i % m]) for i in range(n)]
+    cc = [Fraction(sign[i] * c[i % m]) for i in range(n)]
     y = [g[i] - _ref_pow(p, t0 + i * step) for i in range(n)]
-    yy = math.fsum([z.real * z.real for z in y] + [z.imag * z.imag for z in y])
-    b0 = _ref_projection(s, y, step)
-    b1 = _ref_projection(c, y, step)
-    t3 = (q1.real * q1.real + q1.imag * q1.imag) * math.fsum(x * x for x in s)
-    t4 = (q2.real * q2.real + q2.imag * q2.imag) * math.fsum(z * z for z in c)
-    m01 = math.fsum(x * z for x, z in zip(s, c))
-    terms = [yy,
-             -2.0 * (q1.real * b0.real + q1.imag * b0.imag),
-             -2.0 * (q2.real * b1.real + q2.imag * b1.imag),
-             t3, t4,
-             2.0 * m01 * (q1.real * q2.real + q1.imag * q2.imag)]
-    size = sum(abs(x) for x in terms)
-    if not size <= 1e300:
-        return -math.inf, math.inf
-    total = math.fsum(terms)
-    err = 16 * eps * size
-    pass_err = 8 * eps * (data_scale + math.sqrt(yy / n) + math.sqrt(t3 / n)
-                          + math.sqrt(t4 / n))
-    rel = (n + 8) * eps
-    return ((math.sqrt(max(total - err, 0.0) / n) - pass_err) * (1.0 - rel),
-            (math.sqrt(max(total + err, 0.0) / n) + pass_err) * (1.0 + rel))
+    m00 = sum(x * x for x in cs)
+    m01 = sum(x * z for x, z in zip(cs, cc))
+    m11 = sum(z * z for z in cc)
+    det = m00 * m11 - m01 * m01
+    if det == 0:
+        return None
+    q1, q2, total = [], [], Fraction(0)
+    for part in ([Fraction(z.real) for z in y], [Fraction(z.imag) for z in y]):
+        b0 = sum(x * v for x, v in zip(cs, part))
+        b1 = sum(z * v for z, v in zip(cc, part))
+        a1, a2 = (m11 * b0 - m01 * b1) / det, (m00 * b1 - m01 * b0) / det
+        total += sum((v - a1 * x - a2 * z) ** 2 for v, x, z in zip(part, cs, cc))
+        q1.append(a1)
+        q2.append(a2)
+    return tuple(q1), tuple(q2), math.sqrt(total / n)
 
 
 def ref_search_frequencies(t0, step, g, p, r_max):

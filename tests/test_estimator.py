@@ -5,7 +5,6 @@ import struct
 import sys
 from fractions import Fraction
 from math import cos, fsum, inf, pi, sin, sqrt
-from operator import mul
 from types import SimpleNamespace
 from unittest import mock
 
@@ -31,12 +30,12 @@ from stasinv import (
 )
 import stasinv._windows as _windows
 from stasinv import estimator
-from stasinv.core import _phases
+from stasinv.core import _phases, _powers
 from stasinv.errors import StasError
 from stasinv.estimator import _TrigBasis
 from stasinv.rng import SplitMix64
 
-from _reference import RefIllConditioned, ref_period, ref_rms_bounds, ref_search_frequencies
+from _reference import RefIllConditioned, ref_classes, ref_least_squares, ref_search_frequencies
 from conftest import complexes, draw_params, odd_ints, params_st
 from test_codec import kernel_values
 
@@ -256,6 +255,14 @@ class TestFitTrig:
         series = SampleSeries(0.1, (1, 2, 3, 4), step=0.125)
         assert fit_trig(series, 0.5 + 0j, 1, 1, basis=basis) == (1, 1)
 
+    def test_small_normal_matrix_is_solved(self):
+        # m00 = m11 = 2^-10 and m01 = 0 give the eigenvalue 2^-10 twice, condition
+        # 1: the eigenvalue gap is floored at 0 only, whatever the matrix's scale
+        basis = SimpleNamespace(sine={1: (None, 2.0 ** -10, 2.0 ** -10 + 0j)},
+                                cosine={1: (None, 2.0 ** -10, 2.0 ** -9 + 0j)}, cross={(1, 1): 0.0})
+        series = SampleSeries(0.1, (1, 2, 3, 4), step=0.125)
+        assert fit_trig(series, 0.5 + 0j, 1, 1, basis=basis) == (1, 2)
+
     def test_overflowing_solve_names_the_pair(self):
         # finite sums, but m11*b0 overflows in the 2x2 solve
         series = sample_series(StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7),
@@ -298,31 +305,39 @@ class TestFitTrig:
         with pytest.raises(NoValidWindows):
             fit_trig(SampleSeries(0.1, (1, 2, 3), step=0.5), 0.5 + 0j, 1, 1)
 
-    def test_overflowing_yy_leaves_the_fit_finite(self):
-        # at 3e153 the sum of |g - p^t|^2 overflows, so _TrigBasis falls back to
-        # yy = inf; the projections stay finite, so fit_trig still solves the pair,
-        # and the search's own sums of squares refuse with DomainError, not OverflowError
+    def test_overflowing_spread_leaves_the_fit_finite(self):
+        # 1e154 added to every sample cancels in the signed class sums but not in
+        # W, whose squares sum past the float range, so _TrigBasis falls back to
+        # W = inf; the projections stay finite, so fit_trig still solves the pair,
+        # and the search refuses with DomainError, not OverflowError
         params = StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7)
         unit = sample_series(params, 0.1, 64, step=0.125)
-        series = SampleSeries(unit.t0, tuple(3e153 * v for v in unit.values), step=0.125)
-        assert _TrigBasis(series, params.p, {5, 7}).yy == inf
+        series = SampleSeries(unit.t0, tuple(3e153 * v + 1e154 for v in unit.values), step=0.125)
+        assert _TrigBasis(series, params.p, {5, 7}).spread == inf
         q1, q2 = fit_trig(series, params.p, 5, 7)
         assert cmath.isfinite(q1) and cmath.isfinite(q2)
         with pytest.raises(DomainError, match="exceeds the float range"):
             search_frequencies(series, params.p, 9)
 
     def test_huge_samples_are_domain_errors(self):
-        # finite samples whose projection sums overflow
-        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 16, step=0.125)
+        # finite samples that change sign every m = 8 samples, against the sign
+        # flip of the fold: each of the 8 classes sums 1.5e308 + 1.5e308
+        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 8 + (-1.5e308 + 0j,) * 8, step=0.125)
         with pytest.raises(DomainError, match="exceeds the float range"):
             fit_trig(huge, 0.5 + 0j, 3, 5)
 
     def test_overflowing_class_sum_is_domain_error(self):
-        # at step 1/8 the 32 samples fold into 16 classes of two, whose sums
+        # at step 1/8 the 32 samples fold into 8 classes of four, whose signed sums
         # pass the float range though every sample and product is finite
-        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 32, step=0.125)
+        huge = SampleSeries(0.1, ((1.5e308 + 0j,) * 8 + (-1.5e308 + 0j,) * 8) * 2, step=0.125)
         with pytest.raises(DomainError, match="a sum of the fit exceeds the float range"):
             fit_trig(huge, 0.5 + 0j, 3, 5)
+
+    def test_huge_samples_that_cancel_in_the_fold_are_fitted(self):
+        # the same 1.5e308 at every sample cancels exactly in each signed class
+        # sum, so the least squares is q1 = q2 = 0, though W is inf
+        huge = SampleSeries(0.1, (1.5e308 + 0j,) * 16, step=0.125)
+        assert fit_trig(huge, 0.5 + 0j, 3, 5) == (0j, 0j)
 
 
 class TestSearchFrequencies:
@@ -331,6 +346,14 @@ class TestSearchFrequencies:
         huge = SampleSeries(0.1, (1e300 + 1e300j, -1e300 + 0j) * 8, step=0.125)
         with pytest.raises(DomainError, match="exceeds the float range"):
             search_frequencies(huge, 0.5, 15)
+
+    def test_overflowing_spread_is_refused(self):
+        # p = 2 at t near 1000 makes y = g - p^t about -2^t: the signed class sums
+        # and every solve stay finite, and so does rms |g|, but W is inf
+        series = sample_series(StasParams(p=0.5, q1=1.0, r1=3), 1000.0, 64, step=0.125)
+        assert _TrigBasis(series, 2 + 0j, {3}).spread == inf
+        with pytest.raises(DomainError, match="^a sum of the fit exceeds the float range$"):
+            search_frequencies(series, 2 + 0j, 3)
 
     def test_recovers_five_seven(self):
         params = StasParams(p=0.5, q1=1.5, q2=0.5, r1=5, r2=7)
@@ -486,7 +509,7 @@ class TestSearchOracle:
         assert set(result.tied_frequencies) == ALIAS_CLASS
 
 
-class TestSearchScreen:
+class TestSearchPairs:
     def test_every_pair_calls_fit_trig_once(self, monkeypatch):
         # the benchmark's pair counters count these calls
         calls = []
@@ -503,49 +526,9 @@ class TestSearchScreen:
         assert len(calls) == 64
         assert calls == [(r1, r2) for r1 in odd for r2 in odd]
 
-    @pytest.fixture
-    def exact_passes(self, monkeypatch):
-        calls = []
-        exact = _TrigBasis.residual_rms
-
-        def counted(basis, params):
-            calls.append((params.r1, params.r2))
-            return exact(basis, params)
-
-        monkeypatch.setattr(_TrigBasis, "residual_rms", counted)
-        return calls
-
-    @pytest.mark.parametrize("params, count", [
-        (StasParams(p=0.999 * cmath.exp(0.7j), q1=1.2 + 0.4j, q2=-0.3 + 0.9j, r1=3, r2=5),
-         4096),
-        (ALIAS_PARAMS, 128),
-    ])
-    def test_only_candidates_take_the_exact_pass(self, exact_passes, params, count):
-        series = sample_series(params, 0.1, count, step=0.125)
-        result = search_frequencies(series, params.p, 15)
-        assert set(result.tied_frequencies) <= set(exact_passes)
-        assert len(result.tied_frequencies) <= len(exact_passes) <= 8
-
-    def test_pairs_past_the_screen_limit_all_take_the_exact_pass(self, exact_passes):
-        # at 1e150 the closed form's terms sum past _SCREEN_LIMIT for every pair
-        params = StasParams(p=0.7 + 0.3j, q1=1.2 - 0.4j, q2=-0.8 + 0.6j, r1=5, r2=3)
-        unit = sample_series(params, 0.1, 64, step=0.125)
-        series = SampleSeries(unit.t0, tuple(1e150 * v for v in unit.values), step=unit.step)
-        odd = range(1, 10, 2)
-        basis = _TrigBasis(series, params.p, odd)
-        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / len(series))
-        for r1 in odd:
-            for r2 in odd:
-                q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
-                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
-                assert basis.rms_bounds(pair, data_scale) == (-inf, inf)
-        assert_search_matches_oracle(series, params.p, 9)
-        assert len(exact_passes) == 25
-
     def test_tie_band_is_closed(self, monkeypatch):
-        # at 1e150 every pair takes the exact pass, whose residuals are set
-        # here: a pair exactly 1e-9 * rms |g| behind the best ties, one twice
-        # that far does not
+        # every pair's residual is set here: a pair exactly 1e-9 * rms |g|
+        # behind the best ties, one twice that far does not
         params = StasParams(p=0.7 + 0.3j, q1=1.2 - 0.4j, q2=-0.8 + 0.6j, r1=1, r2=3)
         unit = sample_series(params, 0.1, 64, step=0.125)
         series = SampleSeries(unit.t0, tuple(1e150 * v for v in unit.values), step=unit.step)
@@ -556,62 +539,17 @@ class TestSearchScreen:
         result = search_frequencies(series, params.p, 3)
         assert (result.residual_rms, result.tied_frequencies) == (0.0, ((1, 1), (1, 3)))
 
-    @given(params_st,
-           st.sampled_from([0.125, 0.0625]),
-           st.integers(8, 64),
-           st.floats(-3, 3),
-           st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
-    @settings(max_examples=40)
-    def test_bounds_enclose_the_exact_pass(self, params, step, count, t0, noise):
-        series = noisy(sample_series(params, t0, count, step=step), noise, count)
-        basis = _TrigBasis(series, params.p, range(1, 16, 2))
-        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / count)
-        for r1 in range(1, 16, 2):
-            for r2 in range(1, 16, 2):
-                try:
-                    q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
-                except IllConditioned:
-                    continue
-                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
-                lo, hi = basis.rms_bounds(pair, data_scale)
-                assert lo <= basis.residual_rms(pair) <= hi
-
-    @given(params_st,
-           st.sampled_from([0.125, 0.0625, 0.3]),
-           st.integers(8, 48),
-           st.floats(-3, 3),
-           st.sampled_from([0.0, 1e-6, 1.0]))
-    @settings(max_examples=30)
-    @example(StasParams(p=0.8 + 0.3j, q1=1.5 - 0.5j, q2=-0.7 + 1.2j, r1=5, r2=11),
-             0.125, 40, 1 / 3, 1e-6)
-    def test_bounds_follow_the_closed_form(self, params, step, count, t0, noise):
-        # term by term against the reference, so that no term of the bound
-        # is dropped or loosened unseen while the bounds still enclose
-        series = noisy(sample_series(params, t0, count, step=step), noise, count)
-        basis = _TrigBasis(series, params.p, range(1, 16, 2))
-        data_scale = sqrt(fsum(abs(v) ** 2 for v in series.values) / count)
-        for r1 in range(1, 16, 2):
-            for r2 in range(1, 16, 2):
-                try:
-                    q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
-                except IllConditioned:
-                    continue
-                pair = StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2)
-                want = ref_rms_bounds(series.t0, series.step, series.values, params.p,
-                                      q1, q2, r1, r2, data_scale)
-                assert bits(basis.rms_bounds(pair, data_scale)) == bits(want)
-
-    def test_terms_summing_to_the_screen_limit_are_still_bounded(self):
-        # only a sum past _SCREEN_LIMIT gets (-inf, inf): with q1 = q2 = 0 the
-        # sum is yy, here exactly 1e300
-        a = 0.99e150
-        series = SampleSeries(0.0, (complex(a), complex(sqrt(1e300 - a * a))))
-        basis = _TrigBasis(series, 0.5 + 0j, {1})
-        assert basis.yy == estimator._SCREEN_LIMIT
-        pair = StasParams(p=0.5)
-        data_scale = sqrt(basis.yy / 2)
-        lo, hi = basis.rms_bounds(pair, data_scale)
-        assert 0.0 < lo <= basis.residual_rms(pair) <= hi < inf
+    def test_tie_band_is_at_least_1e_9(self, monkeypatch):
+        # rms |g| is about 1e-3 here, so the band is 1e-9 * max(rms |g|, 1) = 1e-9:
+        # a pair 1e-9 behind the best ties, one 1.25e-9 behind does not
+        params = StasParams(p=0.7 + 0.3j, q1=1.2 - 0.4j, q2=-0.8 + 0.6j, r1=1, r2=3)
+        unit = sample_series(params, 0.1, 64, step=0.125)
+        series = SampleSeries(unit.t0, tuple(1e-3 * v for v in unit.values), step=unit.step)
+        residuals = {(1, 1): 0.0, (1, 3): 1e-9, (3, 1): 1.25e-9, (3, 3): 1.0}
+        monkeypatch.setattr(_TrigBasis, "residual_rms",
+                            lambda basis, pair: residuals[pair.r1, pair.r2])
+        result = search_frequencies(series, params.p, 3)
+        assert result.tied_frequencies == ((1, 1), (1, 3))
 
 
 _signed = st.builds(lambda x, negative: -x if negative else x,
@@ -620,7 +558,8 @@ _signed = st.builds(lambda x, negative: -x if negative else x,
 
 def _folded_inputs():
     """(step, values): at step 1/m, n values with 2m < n and n not a multiple
-    of 2m; at step 0.3, which has no period, n from 11 to 39."""
+    of 2m, so the classes differ in size and in their count of flipped samples;
+    at step 0.3, where each class is one sample, n from 11 to 39."""
     def draw(step, block):
         counts = st.builds(lambda k, rest: k * block + rest,
                            st.integers(1, 3), st.integers(1, block - 1))
@@ -635,80 +574,130 @@ def bits(values):
     return [struct.pack("<d", x) for x in values]
 
 
-class TestPeriodicColumns:
+class TestFold:
     def test_columns_within_5e_14_of_the_exact_phase(self):
         # Fraction(t0) + i/8 is the exact sample argument.  The rounded grid
         # fl(t0 + i/8) drifts by up to half an ulp of 512, which put per-sample
-        # columns 1.2e-13 (r = 1) to 2.6e-12 (r = 15) off; one period of
-        # arguments below 2.5 stays within 8.4e-15.
-        # Every sample i is checked, through its column entry i mod 16.
+        # columns 1.2e-13 (r = 1) to 2.6e-12 (r = 15) off; the m = 8 arguments
+        # below 1.3, sign-flipped every 8 samples, stay within 4.7e-15.
+        # Every sample i is checked, through its column entry i mod 8.
         t0, n = 1 / 3, 4096
         series = sample_series(BASE, t0, n, step=0.125)
         basis = _TrigBasis(series, BASE.p, range(1, 16, 2))
         exact = [Fraction(t0) + Fraction(i, 8) for i in range(n)]
         for r in range(1, 16, 2):
             sine, cosine = basis.sine[r][0], basis.cosine[r][0]
-            assert len(sine) == len(cosine) == 16
+            assert len(sine) == len(cosine) == 8
             phases = [pi * float(r * x % 2) for x in exact]
-            worst = max(max(abs(sine[i % 16] - sin(w)), abs(cosine[i % 16] - cos(w)))
+            worst = max(max(abs((-1) ** (i // 8) * sine[i % 8] - sin(w)),
+                            abs((-1) ** (i // 8) * cosine[i % 8] - cos(w)))
                         for i, w in enumerate(phases))
             assert worst < 5e-14, (r, worst)
 
     @given(st.sampled_from([1.0, 0.5, 0.125, 0.0625, 0.3]), st.integers(1, 80), st.floats(-3, 3))
-    @example(1.0, 4, 0.1)  # 2m = 2: two copies
-    @example(1.0, 5, 0.1)  # two copies and one sample
-    @example(0.125, 16, 0.1)  # n = 2m: one period, untiled
-    @example(0.125, 17, 0.1)  # one period and one sample
-    @example(0.125, 48, 0.1)  # three copies
-    @example(0.0625, 79, 0.1)  # two copies and 15 samples
-    @example(0.3, 80, 0.1)  # no period
-    def test_period_sums_equal_the_sums_over_every_sample(self, step, n, t0):
+    @example(1.0, 4, 0.1)  # m = 1: one class of four
+    @example(1.0, 5, 0.1)  # one class of five, three of them flipped
+    @example(0.125, 8, 0.1)  # n = m: classes of one
+    @example(0.125, 9, 0.1)  # one class of two, its second sample flipped
+    @example(0.125, 48, 0.1)  # classes of six
+    @example(0.0625, 79, 0.1)  # classes of five and of four
+    @example(0.3, 80, 0.1)  # off the 1/m grids: classes of one
+    def test_columns_norms_and_cross_products_are_the_weighted_sums(self, step, n, t0):
         series = sample_series(ALIAS_PARAMS, t0, n, step=step)
         odd = range(1, 16, 2)
         basis = _TrigBasis(series, ALIAS_PARAMS.p, odd)
-        period = ref_period(step, n)
-        grid = series.grid()[:period]
-
-        def tiled(head):
-            return [head[i % period] for i in range(n)]
-
+        m = ref_classes(step, n)
+        counts = [sum(1 for i in range(n) if i % m == k) for k in range(m)]
+        assert basis.counts == counts
+        grid = series.grid()[:m]
         for r in odd:
-            for (head, norm, _), f in ((basis.sine[r], sin), (basis.cosine[r], cos)):
-                assert len(head) == period
-                assert bits(head) == bits(map(f, _phases(r, grid)))
-                col = tiled(head)
-                assert bits([norm]) == bits([fsum(map(mul, col, col))])
+            for (col, norm, _), f in ((basis.sine[r], sin), (basis.cosine[r], cos)):
+                assert bits(col) == bits(map(f, _phases(r, grid)))
+                assert bits([norm]) == bits([fsum(k * (x * x) for k, x in zip(counts, col))])
         for r1 in odd:
             for r2 in odd:
-                want = fsum(map(mul, tiled(basis.sine[r1][0]), tiled(basis.cosine[r2][0])))
+                want = fsum(k * (x * z) for k, x, z in
+                            zip(counts, basis.sine[r1][0], basis.cosine[r2][0]))
                 assert bits([basis.cross[r1, r2]]) == bits([want])
 
     @given(_folded_inputs(), st.floats(-3, 3), complexes(0.3, 1.0, -1.5, 1.5))
     @settings(max_examples=40)
     @example((1.0, [1e300, 1.0, -1e300]), 0.1, 0.5 + 0j)  # a class that cancels
     @example((0.125, [1e300 if i % 2 else 1e-100 for i in range(17)]), 0.1, 0.9 + 0.1j)
-    @example((0.0625, [complex(i, -i) for i in range(17)]), 0.1, 0.5 + 0j)  # 2m > n: no fold
-    @example((0.0625, [complex(i, -i) for i in range(33)]), 0.1, 0.5 + 0j)  # one class of two
-    @example((0.3, [1e300 * (-1) ** i for i in range(11)]), -0.2, 0.5 + 0j)  # no period
-    def test_projections_within_3u_of_the_exact_sums(self, inputs, t0, p):
-        # Each fold rounds three times (class sum, product, sum over classes),
-        # each within u/(1+u) of its exact value: together below 3u times
-        # sum |c_i * y_i|, against the exact sum of c_i * y_i over every sample.
+    @example((0.125, [complex(i, 1) for i in range(8)]), 0.1, 0.5 + 0j)  # n = m: classes of one
+    @example((0.0625, [complex(i, -i) for i in range(17)]), 0.1, 0.5 + 0j)  # one class of two
+    @example((0.0625, [complex(i, -i) for i in range(33)]), 0.1, 0.5 + 0j)  # one class of three
+    @example((0.3, [1e300 * (-1) ** i for i in range(11)]), -0.2, 0.5 + 0j)  # classes of one
+    def test_class_sums_and_projections_within_their_rounding(self, inputs, t0, p):
+        # A signed class sum is one fsum, so within u/(1+u) of its exact value
+        # (u = eps/2).  A projection rounds three times (class sum, product, sum
+        # over classes), each within u/(1+u) of its exact value: together below
+        # 3u times sum |s_k * T_k| with T_k exact, against the exact sum of
+        # col_i * y_i over every sample, which is sum s_k * T_k.
         step, values = inputs
         series = SampleSeries(t0, tuple(map(complex, values)), step=step)
         basis = _TrigBasis(series, p, range(1, 16, 2))
-        y = [v - w for v, w in zip(series.values, basis.pt)]
-        n, period = len(y), ref_period(step, len(y))
+        y = [v - w for v, w in zip(series.values, _powers(p, series.grid()))]
+        n, m = len(y), ref_classes(step, len(y))
         u = Fraction(sys.float_info.epsilon) / 2
-        parts = ([Fraction(z.real) for z in y], [Fraction(z.imag) for z in y])
+        exact = [[sum((-1) ** (i // m) * Fraction(getattr(y[i], part)) for i in range(k, n, m))
+                  for k in range(m)] for part in ("real", "imag")]
+        for got, want in zip(([t.real for t in basis.sums], [t.imag for t in basis.sums]), exact):
+            assert len(got) == m
+            for t, e in zip(got, want):
+                assert abs(Fraction(t) - e) <= u * abs(e), (t, e)
         for r in range(1, 16, 2):
-            for head, _, proj in (basis.sine[r], basis.cosine[r]):
-                assert len(head) == period
-                col = [Fraction(head[i % period]) for i in range(n)]
-                for got, part in zip((proj.real, proj.imag), parts):
-                    products = list(map(mul, col, part))
-                    size = sum(map(abs, products))
-                    assert abs(Fraction(got) - sum(products)) <= 3 * u * size, (r, got)
+            for col, _, proj in (basis.sine[r], basis.cosine[r]):
+                for got, sums in zip((proj.real, proj.imag), exact):
+                    products = [Fraction(x) * t for x, t in zip(col, sums)]
+                    assert abs(Fraction(got) - sum(products)) <= 3 * u * sum(map(abs, products))
+
+
+class TestPerSampleLeastSquares:
+    @given(params_st,
+           st.sampled_from([0.5, 0.125, 0.0625, 0.3]),
+           st.integers(8, 48),
+           st.floats(-3, 3),
+           st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+           st.one_of(st.none(), st.tuples(odd_ints, odd_ints)))
+    @settings(max_examples=60)
+    @example(ALIAS_PARAMS, 0.5, 8, 0.1, 0.0, None)  # m = 2: classes of four
+    @example(ALIAS_PARAMS, 0.125, 40, 0.1, 1e-6, (3, 5))  # classes of five, a wrong pair
+    @example(ALIAS_PARAMS, 0.0625, 48, -1.7, 1.0, None)  # classes of three
+    @example(ALIAS_PARAMS, 0.3, 16, 0.1, 1e-12, None)  # classes of one
+    def test_fold_matches_the_exact_per_sample_fit(self, params, step, count, t0, noise, pair):
+        # Against the least squares over every sample in exact rationals
+        # (ref_least_squares), by first-order bounds with the normal matrix's
+        # eigenvalues lo <= hi and condition k = hi / lo: the norms, cross product
+        # and projections within 3u of their absolute sums (u = eps/2) and the
+        # 2x2 solve put each of q1, q2 within 4 eps * (k * (|q1| + |q2|) +
+        # sqrt(hi) * ||y|| / lo).  The residual's parts are each within a few u
+        # of rms |y| + |q1| + |q2|, so residual_rms is within 4 eps of that sum
+        # plus the rms at the exact minimum, and the rounded (q1, q2) add at most
+        # sqrt(hi / n) * (|dq1| + |dq2|) to that minimum.
+        series = noisy(sample_series(params, t0, count, step=step), noise, count)
+        r1, r2 = pair or (params.r1, params.r2)
+        basis = _TrigBasis(series, params.p, {r1, r2})
+        try:
+            q1, q2 = fit_trig(series, params.p, r1, r2, basis=basis)
+        except IllConditioned:
+            return
+        rms = basis.residual_rms(StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2))
+        exact = ref_least_squares(series.t0, step, series.values, params.p, r1, r2)
+        assert exact is not None
+        (re1, im1), (re2, im2), want_rms = exact
+        want1, want2 = complex(re1, im1), complex(re2, im2)
+        m00, m11, m01 = basis.sine[r1][1], basis.cosine[r2][1], basis.cross[r1, r2]
+        disc = sqrt((m00 - m11) ** 2 + 4.0 * m01 * m01)
+        lo, hi = (m00 + m11 - disc) / 2.0, (m00 + m11 + disc) / 2.0
+        y = [v - w for v, w in zip(series.values, _powers(params.p, series.grid()))]
+        norm_y = sqrt(fsum(abs(z) ** 2 for z in y))
+        eps = sys.float_info.epsilon
+        tol = 4 * eps * (hi / lo * (abs(want1) + abs(want2)) + sqrt(hi) * norm_y / lo)
+        assert abs(q1 - want1) <= tol and abs(q2 - want2) <= tol
+        slack = sqrt(hi / count) * (abs(q1 - want1) + abs(q2 - want2))
+        bound = 4 * eps * (want_rms + norm_y / sqrt(count) + abs(q1) + abs(q2)) + slack
+        assert abs(rms - want_rms) <= bound
 
 
 class TestFitSeries:

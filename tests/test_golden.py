@@ -191,7 +191,7 @@ GOLDEN = {
     "stream-crlf": "bd2a42f11807ec46a31fbb55b2124703febff7649052159212f20ae693ba7893",
     "stream-step8": "65b387ab3b79e25bb17a58353149daee46c070404cd226ddb31cf2711920fe69",
     "check-faulted": "bbc35772d9254a40011eaa87d64fe70e960caec6985819c19d2d29d41838c0d6",
-    "fit-dense": "2a016f4247cca6c7aa7a69e8d71e0ad1f545762f0facb45872e3646c4b3b630a",
+    "fit-dense": "010874cb3fc743d8f388a4a9a3d9bcee51248fd0453693f7a5e0a0e15a0de219",
     "table": "344484ed3c5e19acc14f71ca8b9155f569f0426a22ec98861b880908a43e861f",
     "verify-seed1": "dbf4cba8c49b4bf7329c5a7dbe7b0d122f2ef69e45bd000795650a89ce35c923",
     "verify-seed2": "9a9345e67936a1ffd8c14d244c7256da12e15b6b753c4dfd7d710c6bae44c07c",

@@ -7,9 +7,9 @@ memory guards: reading and writing hold about the series, not copies of its text
 the CLI parses a file as it reads it and writes it a block of the window kernel's
 samples at a time, and an estimate and the sweep or encoding after it, like the
 fit's base stage, hold one block of window terms at a time.
-The fit's trig basis has a counting guard: on a step-1/m grid only its sum of
-squares and its residue-class sums of y take a number of terms that grows with
-N; and a memory guard: its columns hold one period.
+The fit's trig basis has a counting guard: on a step-1/m grid only its signed
+class sums of y and its sum of squares W take a number of terms that grows with
+N; and a memory guard: its columns hold m points.
 """
 
 import math
@@ -104,24 +104,24 @@ def _basis_fsum_sizes(monkeypatch, series, p):
 
 
 def test_trig_basis_norm_and_cross_sums_do_not_grow_with_length(monkeypatch):
-    # counted, not timed: of the basis's fsum calls only yy (2N terms) and the
-    # 2P = 32 class sums of y (2N terms between them) grow with N; the 32
-    # projections, 16 norms and 64 cross products each sum one period of
-    # P = 16 products.  Per-sample projections took N terms each.
+    # counted, not timed: of the basis's fsum calls only the 2m = 16 signed
+    # class sums of y (2N terms between them) and W (2N terms) grow with N;
+    # the 32 projections, 16 norms and 64 cross products each sum m = 8
+    # products.  Per-sample projections took N terms each.
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
     for n in (4096, 16384):
         sizes = _basis_fsum_sizes(monkeypatch, sample_series(params, 1.3, n, step=0.125), params.p)
-        assert sizes[:-33] == [16] * (32 + 16 + 64)
-        assert sum(sizes[-33:]) == 4 * n
+        assert sizes[:-17] == [8] * (32 + 16 + 64)
+        assert sizes[-17:] == [n // 8] * 16 + [2 * n]
 
 
-def test_trig_basis_without_a_period_makes_no_class_sums(monkeypatch):
-    # at step 0.3, and at step 1/8 with 2m = n, the period is the whole grid:
-    # y is its own fold, with no one-term class sums
+def test_trig_basis_with_classes_of_one_sample(monkeypatch):
+    # at step 0.3, and at step 1/8 with m = n, each class is one sample: its
+    # signed sum has one term, and every per-frequency sum has n
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
-    for step, n in ((0.3, 100), (0.125, 16)):
+    for step, n in ((0.3, 100), (0.125, 8)):
         sizes = _basis_fsum_sizes(monkeypatch, sample_series(params, 1.3, n, step=step), params.p)
-        assert sizes == [n] * (32 + 16 + 64) + [2 * n]
+        assert sizes == [1] * (2 * n) + [n] * (32 + 16 + 64) + [2 * n]
 
 
 def _encoded(n):
@@ -246,11 +246,12 @@ def test_decode_path_peaks_near_the_series_it_returns(tmp_path):
     assert peak <= 1.5 * held
 
 
-def test_trig_basis_peak_at_most_3_mib():
+def test_trig_basis_peak_at_most_2_mib():
     # 16384 samples at step 1/8: n-sample columns, tiled from one period,
-    # peaked at 3.51 MiB; one period per column, at 2.52 MiB
+    # peaked at 3.51 MiB; one period per column, at 2.52 MiB; m points per
+    # column over the signed class sums, with no grid held past p^t, at 1.39 MiB
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
     series = sample_series(params, 1.3, 16384, step=0.125)
     basis, _, peak = _traced(lambda: _TrigBasis(series, params.p, range(1, 16, 2)))
-    assert peak <= 3 * 2**20
-    assert len(basis.sine[1][0]) == 16
+    assert peak <= 2 * 2**20
+    assert len(basis.sine[1][0]) == 8

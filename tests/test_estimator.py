@@ -699,6 +699,45 @@ class TestPerSampleLeastSquares:
         bound = 4 * eps * (want_rms + norm_y / sqrt(count) + abs(q1) + abs(q2)) + slack
         assert abs(rms - want_rms) <= bound
 
+    @given(params_st,
+           st.sampled_from([1.0, 0.5, 0.125, 0.0625, 0.3]),
+           st.integers(4, 48),
+           st.floats(-3, 3),
+           st.tuples(odd_ints, odd_ints),
+           complexes(-3, 3, -3, 3),
+           complexes(-3, 3, -3, 3))
+    @settings(max_examples=60)
+    @example(ALIAS_PARAMS, 0.125, 40, 0.1, (3, 5), 0j, 0j)  # q = 0: the rms of y itself
+    @example(ALIAS_PARAMS, 1.0, 5, 0.1, (1, 1), 1 + 1j, -2j)  # m = 1: one class of five
+    @example(ALIAS_PARAMS, 0.0625, 48, -1.7, (7, 9), 2.5, -1.5)  # classes of three
+    @example(ALIAS_PARAMS, 0.3, 16, 0.1, (15, 1), -1j, 0.5)  # classes of one
+    def test_residual_at_any_amplitudes_is_the_per_sample_sum(self, params, step, count, t0,
+                                                              pair, q1, q2):
+        # The fold identity ||y - q1 s - q2 c||^2 = W + sum_k |T_k - n_k (q1 s_k +
+        # q2 c_k)|^2 / n_k holds for every (q1, q2), not only the least squares:
+        # against the sum over every sample in exact rationals, with each sample's
+        # columns (-1)^(i // m) times the basis' column entry i mod m.  Each part
+        # of the residual is within a few u of rms |y| + |q1| + |q2|, as in
+        # test_fold_matches_the_exact_per_sample_fit.
+        series = sample_series(params, t0, count, step=step)
+        r1, r2 = pair
+        basis = _TrigBasis(series, params.p, {r1, r2})
+        rms = basis.residual_rms(StasParams(p=params.p, q1=q1, q2=q2, r1=r1, r2=r2))
+        y = [v - w for v, w in zip(series.values, _powers(params.p, series.grid()))]
+        m = ref_classes(step, count)
+        sine, cosine = basis.sine[r1][0], basis.cosine[r2][0]
+        total = Fraction(0)
+        for i, v in enumerate(y):
+            sign = (-1) ** (i // m)
+            x, z = sign * Fraction(sine[i % m]), sign * Fraction(cosine[i % m])
+            for part, a1, a2 in ((v.real, q1.real, q2.real), (v.imag, q1.imag, q2.imag)):
+                total += (Fraction(part) - Fraction(a1) * x - Fraction(a2) * z) ** 2
+        want_rms = sqrt(total / count)
+        norm_y = sqrt(fsum(abs(z) ** 2 for z in y))
+        eps = sys.float_info.epsilon
+        bound = 4 * eps * (want_rms + norm_y / sqrt(count) + abs(q1) + abs(q2))
+        assert abs(rms - want_rms) <= bound, (rms, want_rms, bound)
+
 
 class TestFitSeries:
     def test_full_pipeline_on_eighth_grid(self):

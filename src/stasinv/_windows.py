@@ -6,7 +6,8 @@ magnitudes and its windows' pair sums, and its windows' scales where its caller 
 them; past the block only what its caller keeps stays, the ratios' parts in
 array('d')s of 16 bytes a window or the flagged windows, and callers see the windows
 in window order.  core's estimate_invariant and the fit's base stage
-(pair-sum ratios) and codec's sweeps (residuals) share it.
+(pair-sum ratios) and codec's sweeps (residuals) share it.  The screen is here too:
+the bound _estimate keeps on every residual, and _screened, the one check that reads it.
 """
 
 from __future__ import annotations
@@ -206,3 +207,12 @@ def _estimate(series: SampleSeries) -> InvariantReport:
     object.__setattr__(report, "_bound", _residual_bound(max_dev, a_hat, skipped, least, top))
     object.__setattr__(report, "_series", series)
     return report
+
+
+def _screened(series: SampleSeries, a, tol: float) -> tuple[complex, bool]:
+    """(the invariant a gives, whether it proves every window of series within tol): the
+    report estimate_invariant returned for this very series bounds every residual at
+    its a_hat, and any other report gives only its a_hat."""
+    if isinstance(a, InvariantReport):
+        return a.a_hat, a._series is series and a._bound <= tol
+    return a, False

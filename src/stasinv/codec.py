@@ -29,9 +29,8 @@ import cmath
 import math
 from itertools import chain, islice, repeat
 
-from .core import (ENCODE_TOL, InvariantReport, SampleSeries, _FLOAT_FMT, _Record, _checked_tol,
-                   _checked_values, _complexes, _fmt_complex, _fmt_float, _parse_complex,
-                   _steps_per_unit)
+from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
+                   _complexes, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
 from .errors import DegenerateParameter, DomainError, FormatError, IdentityViolation, StasError
 
 __all__ = [
@@ -80,21 +79,6 @@ class IntegrityFinding(_Record):
     verdict = "flagged"  # the same for every finding; perfbench/traced.py filters on it
 
 
-def _window_residuals(g, a: complex, m: int):
-    """_windows._window_residuals, imported on first use: decode compiles no window kernel."""
-    from ._windows import _window_residuals
-    return _window_residuals(g, a, m)
-
-
-def _screened(series: SampleSeries, a, tol: float) -> tuple[complex, bool]:
-    """(the invariant a gives, whether it proves every window of series within tol): the
-    report estimate_invariant returned for this very series bounds every residual at
-    its a_hat, and any other report gives only its a_hat."""
-    if isinstance(a, InvariantReport):
-        return a.a_hat, a._series is series and a._bound <= tol
-    return a, False
-
-
 def encode_stream(series: SampleSeries, a) -> EncodedStream:
     """Compress disjoint blocks of 4m samples, on a grid of step 1/m, to their first 3m.
 
@@ -110,6 +94,7 @@ def encode_stream(series: SampleSeries, a) -> EncodedStream:
     estimate_invariant returned for this series skips the sweep where its bound
     on every residual is within 1e-6, as detect_errors does.
     """
+    from ._windows import _screened, _window_residuals  # here, not at the top: decode needs none
     a, screened = _screened(series, a, ENCODE_TOL)
     if a == 0:
         raise DegenerateParameter("a = 0 cannot encode (slot 3 would be unrecoverable)")
@@ -179,6 +164,7 @@ def detect_errors(series: SampleSeries, a, tol: float) -> list[IntegrityFinding]
     """
     _checked_tol(tol)
     g, m = _checked_values(series, 4, "integrity checking")
+    from ._windows import _screened, _window_residuals
     a, screened = _screened(series, a, tol)
     if screened:
         return []
@@ -208,6 +194,7 @@ def repair_samples(series: SampleSeries, implicated, a) -> SampleSeries:
     sample, as does a step that is not 1/m; below 3m + 1 samples, NoValidWindows.
     a is the invariant or an InvariantReport, taken as its a_hat.
     """
+    from ._windows import _screened
     from .reconstruct import Window, recover_missing
     a = _screened(series, a, 0.0)[0]
     values, m = _checked_values(series, 4, "repair")

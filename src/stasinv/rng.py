@@ -85,11 +85,8 @@ def _uniforms(outputs, lo: float, hi: float) -> list[float]:
 
 
 def _odd_ints(outputs, lo: int, hi: int) -> list[int]:
-    """A uniform odd integer in [lo, hi] for each output, by modulo selection;
-    the range is checked before the first output is taken."""
+    """A uniform odd integer in [lo, hi] for each output, by modulo selection."""
     odds = range(lo if lo % 2 else lo + 1, hi + 1, 2)
-    if len(odds) == 0:
-        raise DomainError(f"no odd integers in [{lo}, {hi}]")
     return [odds[x % len(odds)] for x in outputs]
 
 
@@ -159,15 +156,3 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform double in [lo, hi)."""
         return _uniforms((self.next_u64(),), lo, hi)[0]
-
-    def uniform_complex(self, re_lo: float, re_hi: float,
-                        im_lo: float, im_hi: float) -> complex:
-        """Complex with independent uniform real and imaginary parts (real drawn first)."""
-        re = self.uniform(re_lo, re_hi)
-        im = self.uniform(im_lo, im_hi)
-        return complex(re, im)
-
-    def odd_int(self, lo: int, hi: int) -> int:
-        """Uniform odd integer in [lo, hi] (draws one u64; modulo selection)."""
-        # map is lazy: the output is drawn once the range is known to hold an odd integer
-        return _odd_ints(map(SplitMix64.next_u64, (self,)), lo, hi)[0]

@@ -37,10 +37,12 @@ params_st = st.builds(
 def draw_params(rng, r_hi=15, q_min=0.0):
     """A family member drawn from the SplitMix64 rng within the bounds above, odd
     frequencies up to r_hi: p, then q1 and q2, each redrawn while |q| < q_min, then
-    r1 and r2.  p needs no redraw: Re p >= 0.3 keeps |1 + p| >= 1.3."""
-    p = rng.uniform_complex(0.3, 1.0, -1.5, 1.5)
+    r1 and r2.  Each complex takes its real part first, each r one output modulo the
+    odd integers in [1, r_hi].  p needs no redraw: Re p >= 0.3 keeps |1 + p| >= 1.3."""
+    p = complex(rng.uniform(0.3, 1.0), rng.uniform(-1.5, 1.5))
     q = []
     while len(q) < 2:
-        if abs(z := rng.uniform_complex(-2, 2, -2, 2)) >= q_min:
+        if abs(z := complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) >= q_min:
             q.append(z)
-    return StasParams(p, *q, rng.odd_int(1, r_hi), rng.odd_int(1, r_hi))
+    odds = range(1, r_hi + 1, 2)
+    return StasParams(p, *q, odds[rng.next_u64() % len(odds)], odds[rng.next_u64() % len(odds)])

@@ -430,7 +430,8 @@ def noisy(series, relative, seed):
     """series plus seeded uniform noise of `relative` times its largest magnitude."""
     size = relative * max(abs(v) for v in series.values)
     rng = SplitMix64(seed)
-    values = tuple(v + size * rng.uniform_complex(-1, 1, -1, 1) for v in series.values)
+    values = tuple(v + size * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for v in series.values)
     return SampleSeries(series.t0, values, step=series.step)
 
 

@@ -1,6 +1,7 @@
 """The package's public names: each module's __all__ is the only list of them.
 The package loads its modules on first use, and its records are immutable."""
 
+import ast
 import copy
 import itertools
 import os
@@ -336,6 +337,33 @@ def test_private_slots_stay_out_of_the_record():
         InvariantReport(report.a_hat, 0.0, 1, 0, 0.5)
     with pytest.raises(AttributeError):
         report._bound = 0.0
+
+
+def test_only_the_window_kernel_touches_the_reports_private_slots():
+    """The screen's state, InvariantReport's '_' slots, is written by _windows._estimate
+    and read by _windows._screened: no other module names a slot, as an attribute or a
+    string, but for core's __slots__ that declares them."""
+    names = InvariantReport._private
+    package = os.path.join(SRC, "stasinv")
+    touched = {}
+    for module in sorted(os.listdir(package)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(package, module), encoding="ascii") as fh:
+            tree = ast.parse(fh.read())
+        declared = set()
+        if module == "core.py":
+            report = next(node for node in tree.body
+                          if isinstance(node, ast.ClassDef) and node.name == "InvariantReport")
+            slots = next(node for node in report.body if isinstance(node, ast.Assign)
+                         and [ast.unparse(t) for t in node.targets] == ["__slots__"])
+            declared = set(map(id, ast.walk(slots)))
+        lines = [node.lineno for node in ast.walk(tree) if id(node) not in declared
+                 and (isinstance(node, ast.Attribute) and node.attr in names
+                      or isinstance(node, ast.Constant) and node.value in names)]
+        if lines:
+            touched[module] = lines
+    assert list(touched) == ["_windows.py"], touched
 
 
 def test_records_of_different_classes_are_never_equal():

@@ -1,11 +1,14 @@
 """Determinism and distribution sanity of the SplitMix64 generator."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from stasinv import StasParams
 from stasinv.errors import DomainError
-from stasinv.rng import SplitMix64, _lanes
+from stasinv.rng import SplitMix64, _lanes, _odd_ints
+
+from conftest import draw_params
 
 
 def test_stream_is_deterministic():
@@ -53,22 +56,8 @@ def test_uniform_in_range(seed):
 @given(st.integers(0, 2**64 - 1))
 def test_odd_int_is_odd_and_bounded(seed):
     rng = SplitMix64(seed)
-    for _ in range(10):
-        r = rng.odd_int(1, 15)
+    for r in _odd_ints([rng.next_u64() for _ in range(10)], 1, 15):
         assert 1 <= r <= 15 and r % 2 == 1
-
-
-def test_odd_int_empty_range_rejected():
-    with pytest.raises(DomainError):
-        SplitMix64(0).odd_int(2, 2)
-
-
-def test_uniform_complex_draw_order():
-    # real part drawn first, then imaginary: matches two scalar draws
-    a = SplitMix64(42)
-    b = SplitMix64(42)
-    z = a.uniform_complex(0.0, 1.0, 2.0, 3.0)
-    assert z == complex(b.uniform(0.0, 1.0), b.uniform(2.0, 3.0))
 
 
 SEED0_FIRST = 16294208416658607535  # the first output of seed 0, pinned above
@@ -93,11 +82,9 @@ def test_uniform_is_the_top_53_bits():
 def test_odd_int_draws_by_modulo_over_the_odd_integers(seed, lo, width):
     hi = lo + width
     odds = [r for r in range(lo, hi + 1) if r % 2]
-    if not odds:
-        with pytest.raises(DomainError):
-            SplitMix64(seed).odd_int(lo, hi)
-        return
-    assert SplitMix64(seed).odd_int(lo, hi) == odds[SplitMix64(seed).next_u64() % len(odds)]
+    assume(odds)  # verify's one range, R_BOUNDS, holds odd integers
+    x = SplitMix64(seed).next_u64()
+    assert _odd_ints([x], lo, hi) == [odds[x % len(odds)]]
 
 
 @given(st.integers(-2**65, 2**65), st.integers(0, 2**64), st.integers(1, 64), st.integers(0, 12))
@@ -109,3 +96,32 @@ def test_lanes_give_each_trials_scalar_outputs(seed, first, count, draws):
     for k in range(count):
         rng = SplitMix64.for_trial(seed, first + k)
         assert [column[k] for column in columns] == [rng.next_u64() for _ in range(draws)]
+
+
+# (seed, trial, r_hi, q_min), the outputs draw_params takes, and the member it gives
+DRAWN = [
+    ((11, 0, 15, 0.0), 8, StasParams(p=0.6992151382933496 - 0.6999727923956057j,
+                                     q1=-1.2197358196212642 + 1.2913833362799294j,
+                                     q2=-0.06373763956135159 - 1.8324143740426084j, r1=3, r2=11)),
+    ((5, 2, 9, 0.1), 8, StasParams(p=0.539894029779293 + 0.3772757485508822j,
+                                   q1=-1.4754077493311364 - 1.9130710036353094j,
+                                   q2=1.0632773144519265 - 1.3751920519915148j, r1=7, r2=5)),
+    ((0, 2, 9, 1.5), 16, StasParams(p=0.9512012246974748 + 0.941616495669714j,
+                                    q1=-1.8102757019722375 + 1.2699700483006806j,
+                                    q2=-0.04566259952628471 - 1.5404508247535817j, r1=7, r2=9)),
+    ((7, 5, 3, 2.2), 42, StasParams(p=0.6020573136222678 - 1.3775429319198154j,
+                                    q1=-1.9740328590591547 + 1.0711703956490166j,
+                                    q2=1.4992529421155805 - 1.9367873901547354j, r1=3, r2=1)),
+]
+
+
+@pytest.mark.parametrize("case, outputs, member", DRAWN)
+def test_draw_params_gives_its_pinned_members(case, outputs, member):
+    # the tests' data: the members, and the outputs taken with the redraws of q
+    seed, trial, r_hi, q_min = case
+    rng = SplitMix64.for_trial(seed, trial)
+    assert repr(draw_params(rng, r_hi, q_min)) == repr(member)
+    after = SplitMix64.for_trial(seed, trial)
+    for _ in range(outputs):
+        after.next_u64()
+    assert rng.next_u64() == after.next_u64()

@@ -34,7 +34,6 @@ from stasinv import (
     sample_series,
 )
 import stasinv._windows as _windows
-from stasinv import codec
 from stasinv.cli import main
 from stasinv.core import ENCODE_TOL
 from stasinv.errors import DomainError
@@ -143,13 +142,13 @@ def _clean(n, step=1.0):
 def sweeps(monkeypatch):
     """The number of sweeps detect_errors and encode_stream have run, as a one-item list."""
     count = [0]
-    sweep = codec._window_residuals
+    sweep = _windows._window_residuals
 
     def counted(*args):
         count[0] += 1
         return sweep(*args)
 
-    monkeypatch.setattr(codec, "_window_residuals", counted)
+    monkeypatch.setattr(_windows, "_window_residuals", counted)
     return count
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 from itertools import chain, islice, repeat
-from math import inf, isfinite, isqrt
+from math import hypot, inf, isfinite, isqrt
 from operator import add, sub, truediv
 
 from .core import InvariantReport, SampleSeries, _checked_values, _in_range
@@ -152,7 +152,7 @@ def _median(xs) -> float:
 # floats in the estimate and in the sweep.  Take the estimate's ratio rho = fl(x / y), its
 # largest deviation D = max fl(|fl(rho - a)|), a = a_hat, and the unit roundoff u = _EPS / 2.
 # By first-order error analysis:
-# - the deviation's difference errs by u and its abs (hypot, under 1 ulp) by 2u, so
+# - the deviation's differences err by u and their math.hypot (under 1 ulp) by 2u, so
 #   |rho - a| <= D(1 + 3u);
 # - CPython's complex division (Smith's) errs by at most 7u |x/y| normwise: 3u in its
 #   numerators, 3u in its denominator and u in the quotient (under 2.7u measured against
@@ -196,8 +196,9 @@ def _estimate(series: SampleSeries) -> InvariantReport:
     if not re:
         raise NoValidWindows("every window was skipped as near-singular")
     a_hat = complex(_median(re), _median(im))
-    # dividing by norm >= 1 keeps the order of the deviations, so it can follow the max
-    max_dev = max(map(abs, map(sub, map(complex, re, im), repeat(a_hat))))
+    # |ratio - a_hat| as hypot of the parts' differences, with no complex built; dividing
+    # by norm >= 1 keeps the order of the deviations, so it can follow the max
+    max_dev = max(map(hypot, map(sub, re, repeat(a_hat.real)), map(sub, im, repeat(a_hat.imag))))
     max_rel_dev = max_dev / max(abs(a_hat), 1.0)
     if not (cmath.isfinite(a_hat) and isfinite(max_rel_dev)):
         raise DomainError(f"the estimate is not finite: a_hat={a_hat}, max_rel_dev={max_rel_dev}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .core import (ENCODE_TOL, SampleSeries, _FLOAT_FMT, _Record, _checked_tol, _checked_values,
                    _complexes, _fmt_complex, _fmt_float, _parse_complex, _steps_per_unit)
@@ -210,35 +210,35 @@ def repair_samples(series: SampleSeries, implicated, a) -> SampleSeries:
 
 # -- text serialization -------------------------------------------------------
 
-# The bytes _load reads per block of lines and the fewest characters _line_blocks
-# splits per block of text.
-_BLOCK = 4096
-# The samples, in whole lines, of one '%' of _formatted and of each chunk the loaders
-# parse at once; a '%' of 1024 holds about 0.16 MiB of floats and text besides the series.
+# The bytes, or characters, of each block of whole lines that _load reads and _line_blocks
+# cuts, and the rest of its last line: about _SAMPLES samples of the writers' text, 40
+# bytes a SIG1 line and 120 a STASC1 block line.  The loaders parse a block at once.
+_BLOCK = 40 * 1024
+# The samples, in whole lines, of one '%' of _formatted; a '%' of 1024 holds about
+# 0.16 MiB of floats and text besides the series.
 _SAMPLES = 1024
 
 
 def _line_blocks(text: str):
-    """text.splitlines(), one block of at least _BLOCK characters at a time;
-    each block but the last ends just after a '\n', so no '\r\n' is cut.  A
-    non-ASCII character is a FormatError naming its offset, raised before any block."""
+    """The text as ASCII bytes, one block of at least _BLOCK characters at a time; each
+    block but the last ends just after a '\n', so no '\r\n' is cut.  A non-ASCII
+    character is a FormatError naming its offset, raised before any block."""
     if not text.isascii():
         at = next(i for i, c in enumerate(text) if not c.isascii())
         raise FormatError(f"non-ASCII character U+{ord(text[at]):04X} at offset {at}")
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        yield text[start:end].splitlines()
+        yield text[start:end].encode("ascii")
         start = end
 
 
 def _load(path: str, load):
-    """load(blocks of lines) of the file at path, read and decoded as ASCII one block at
-    a time: _BLOCK bytes and the rest of the last line, so no CRLF is cut.  A
-    non-ASCII byte is a FormatError naming its offset; it wins over any error of load,
-    so on one the rest of the file is decoded too."""
+    """load(blocks) of the file at path, as _ascii_blocks reads it.  A non-ASCII byte is
+    a FormatError naming its offset; it wins over any error of load, so on one the rest
+    of the file is read too."""
     with open(path, "rb") as fh:
-        blocks = _ascii_lines(fh)
+        blocks = _ascii_blocks(fh)
         try:
             return load(blocks)
         except StasError:
@@ -247,19 +247,27 @@ def _load(path: str, load):
             raise
 
 
-def _ascii_lines(fh):
-    """The lines of the binary file fh, as str.splitlines gives them, one list per block
-    of _BLOCK bytes and the rest of its last line: each block but the last ends just
-    after a LF."""
+def _ascii_blocks(fh):
+    """The binary file fh, one block of _BLOCK bytes and the rest of its last line at a
+    time: each block but the last ends just after a LF.  A non-ASCII byte is a
+    FormatError naming its offset, raised in place of its block."""
     offset = 0
     while data := fh.read(_BLOCK) + fh.readline():
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"non-ASCII byte {data[exc.start]:#04x} "
-                              f"at offset {offset + exc.start}") from None
+        if not data.isascii():
+            at = next(i for i, byte in enumerate(data) if byte > 127)
+            raise FormatError(f"non-ASCII byte {data[at]:#04x} at offset {offset + at}")
         offset += len(data)
-        yield text.splitlines()
+        yield data
+
+
+def _take_line(blocks):
+    """(the first line of the blocks, non-empty ASCII bytes, as str.splitlines gives it,
+    or None if they hold none; an iterator over the non-empty blocks of the rest)."""
+    for data in blocks:
+        line = data[:data.find(b"\n") + 1 or None].decode("ascii").splitlines(True)[0]
+        rest = data[len(line):]
+        return line.splitlines()[0], chain((rest,) if rest else (), blocks)
+    return None, blocks
 
 
 def _write(path: str, parts) -> None:
@@ -268,22 +276,24 @@ def _write(path: str, parts) -> None:
         fh.writelines(parts)
 
 
-def _parse_samples(lines, count: int, what: str) -> list[complex]:
-    """The count non-blank lines of a body, one 're,im' sample each, from an iterator
-    over its lines: _SAMPLES lines parsed at once, or line by line where they hold a
-    blank or bad line.  A wrong line count is reported before a bad literal, and an
-    error that taking the lines raises (a non-ASCII byte in a file) before either."""
+def _parse_samples(blocks, count: int, what: str) -> list[complex]:
+    """The count non-blank lines of a body, one 're,im' sample each, from its blocks of
+    whole lines: each block parsed at once, or line by line where it is not canonical
+    (it holds a blank or bad line, say).  A wrong line count is reported before a bad
+    literal, and an error that taking the blocks raises (a non-ASCII byte in a file)
+    before either."""
     values = []
-    while chunk := list(islice(lines, _SAMPLES)):
-        if (parsed := _complexes(chunk)) is not None:
+    for data in blocks:
+        if (parsed := _complexes(data, b",\n")) is not None:
             values += parsed
             continue
-        body = filter(str.strip, chunk)
+        body = filter(str.strip, data.decode("ascii").splitlines())
         for line in body:
             try:
                 values.append(_parse_complex(line))
             except FormatError:
-                rest = chain(body, filter(str.strip, lines))
+                rest = chain(body, (line for data in blocks
+                                    for line in data.decode("ascii").splitlines() if line.strip()))
                 if (found := len(values) + 1 + sum(1 for _ in rest)) == count:
                     raise
                 raise FormatError(f"expected {count} {what} lines, found {found}") from None
@@ -307,15 +317,16 @@ def _formatted(values, start: int, stop: int, k: int):
 
 def _read_header(blocks, magic: str, expected: tuple[str, ...]
                  ) -> tuple[chain, dict[str, str], float, int, float]:
-    """An iterator over the lines after the magic and header lines of the blocks of
-    lines (lists, as _line_blocks yields them), the key=value fields of the header line
-    and the parsed t0, count and step (1 unless given).  FormatError unless every
+    """An iterator over the blocks of the text after the magic and header lines of the
+    blocks (ASCII bytes, as _line_blocks yields them), the key=value fields of the header
+    line and the parsed t0, count and step (1 unless given).  FormatError unless every
     expected key, the optional step and no other one is there, the numbers parse and
     count is non-negative."""
-    lines = chain.from_iterable(blocks)
-    if next(lines, None) != magic:
+    line, blocks = _take_line(blocks)
+    if line != magic:
         raise FormatError(f"missing {magic} magic line")
-    if (header := next(lines, None)) is None:
+    header, blocks = _take_line(blocks)
+    if header is None:
         raise FormatError(f"missing {magic} header line")
     fields = {}
     for token in header.split():
@@ -334,7 +345,7 @@ def _read_header(blocks, magic: str, expected: tuple[str, ...]
         step = float(fields.get("step", "1"))
     except ValueError as exc:
         raise FormatError(f"bad {magic} header: {header!r}") from exc
-    return lines, fields, t0, count, step
+    return blocks, fields, t0, count, step
 
 
 def _step_token(step: float) -> str:
@@ -358,12 +369,12 @@ def load_sig1(text: str) -> SampleSeries:
 
 
 def _sig1(blocks) -> SampleSeries:
-    """load_sig1 of the text whose lines the blocks of lines hold, in order."""
-    lines, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
+    """load_sig1 of the text the blocks of bytes hold, in order."""
+    blocks, fields, t0, count, step = _read_header(blocks, "SIG1", ("t0", "kind", "count"))
     kind = fields["kind"]
     if kind not in ("f", "s"):
         raise FormatError(f"kind must be 'f' or 's', got {kind!r}")
-    values = _parse_samples(lines, count, "sample")
+    values = _parse_samples(blocks, count, "sample")
     if kind == "s":
         return SampleSeries.from_s(t0, values, step=step)
     return SampleSeries._of(t0, values, step=step)
@@ -389,33 +400,43 @@ def load_stasc1(text: str) -> EncodedStream:
 
 
 def _stasc1(blocks) -> EncodedStream:
-    """load_stasc1 of the text whose lines the blocks of lines hold, in order.  Block
-    lines are parsed as they arrive, _SAMPLES // 3 (at least 1) at a time, the lines of
-    a '%' of _formatted; a structural error (a truncated block section, a block line
-    without 3 fields, a bad rem= line) wins over a bad literal before it."""
-    lines, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
+    """load_stasc1 of the text the blocks of bytes hold, in order.  Block lines are
+    parsed as they arrive, the section's lines of a block at once; a structural error (a
+    truncated block section, a block line without 3 fields, a bad rem= line) wins over
+    a bad literal before it."""
+    blocks, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
     if not (m := _steps_per_unit(step)):  # before the body, whose layout depends on m
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
-    section = islice(lines, n_lines)
     stored, bad_line, bad_literal = [], None, None
-    while group := list(islice(section, max(1, _SAMPLES // 3))):
-        n_lines -= len(group)
-        if not bad_line and {*map(str.count, group, repeat(";"))} - {2}:
-            line = next(line for line in group if line.count(";") != 2)
-            bad_line = FormatError(f"block line needs 3 samples, got {line!r}")
-        if not (bad_line or bad_literal):
-            samples = ";".join(group).split(";")
-            try:
-                stored += _complexes(samples) or list(map(_parse_complex, samples))
-            except FormatError as exc:
-                bad_literal = exc
+    while n_lines and (data := next(blocks, None)) is not None:
+        end = len(data)  # where canonical, the section ends just after its n_lines-th LF
+        if data.count(b"\n") > n_lines:
+            end -= len(data.split(b"\n", n_lines)[-1])
+        if (parsed := _complexes(data[:end], b",;,;,\n")) is not None:
+            n_lines -= len(parsed) // 3
+            stored += parsed
+        else:  # line by line: the section's first n_lines lines, as str.splitlines counts them
+            text = data.decode("ascii")
+            end = sum(map(len, text.splitlines(True)[:n_lines]))
+            group = text[:end].splitlines()
+            n_lines -= len(group)
+            line = next((s for s in group if s.count(";") != 2), None)
+            if not bad_line and line is not None:
+                bad_line = FormatError(f"block line needs 3 samples, got {line!r}")
+            if not (bad_line or bad_literal):
+                try:
+                    stored += map(_parse_complex, ";".join(group).split(";"))
+                except FormatError as exc:
+                    bad_literal = exc
+        if end < len(data):  # the section ended in this block
+            blocks = chain((data[end:],), blocks)
     if n_lines:
         raise FormatError("truncated STASC1 block section")
     if bad_line:
         raise bad_line
-    rem = next(lines, None)
+    rem, blocks = _take_line(blocks)
     if not (rem or "").startswith("rem="):
         raise FormatError("missing rem= line")
     try:
@@ -426,5 +447,5 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError(f"rem={k} inconsistent with count={count}")
     if bad_literal:
         raise bad_literal
-    stored += _parse_samples(lines, k, "remainder")
+    stored += _parse_samples(blocks, k, "remainder")
     return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored), step=step)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from itertools import cycle, repeat
+from itertools import cycle
 from math import isfinite
 
 from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
@@ -407,12 +407,23 @@ def _parse_complex(text: str) -> complex:
         raise FormatError(f"bad complex literal {text!r}") from exc
 
 
-def _complexes(fields) -> list[complex] | None:
-    """[_parse_complex(f) for f in fields], parsed at once: None unless each field holds
-    one ',' and both its parts parse as floats (a blank or bad field, or no field)."""
-    if {*map(str.count, fields, repeat(","))} != {1}:
+_NUMERIC = b"0123456789.+-eE"  # what a canonical float field holds
+
+
+def _complexes(data: bytes, line: bytes) -> list[complex] | None:
+    """The samples of data, ASCII lines, parsed at once: None unless, with CRLF made LF,
+    data ends with a LF, each line is line (b",\\n" or b",;,;,\\n") once the fields'
+    digits, points, signs and exponents are deleted, and every field parses as a float.
+    So a blank line, a space, a letter, a lone CR, an empty field or a line of another
+    shape is None, and the samples are those _parse_complex gives each 're,im'."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    shape = data.translate(None, _NUMERIC)
+    if not data.endswith(b"\n") or shape != line * (len(shape) // len(line)):
         return None
-    parts = map(float, ",".join(fields).split(","))
+    fields = data.replace(b";", b",").replace(b"\n", b",").split(b",")
+    fields.pop()  # the empty field after the last line's LF
+    parts = map(float, fields)
     try:
         return list(map(complex, parts, parts))
     except ValueError:

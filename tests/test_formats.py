@@ -43,15 +43,15 @@ from _reference import (
 
 @contextmanager
 def _blocks(block: int):
-    """Text blocks of block characters or bytes (codec._BLOCK: _line_blocks and the
-    CLI's reads) and of block samples (codec._SAMPLES: each '%' of the writers and each
-    chunk the loaders parse at once, block SIG1 lines or block // 3, at least 1, STASC1
-    block lines), so block edges fall everywhere."""
+    """Blocks of block characters or bytes and the rest of their last line
+    (codec._BLOCK: _line_blocks and the CLI's reads, each block the loaders parse at
+    once) and of block samples (codec._SAMPLES: each '%' of the writers), so block
+    edges fall everywhere."""
     with mock.patch.object(codec, "_BLOCK", block), mock.patch.object(codec, "_SAMPLES", block):
         yield
 
 
-GOOD = "1.2345678901234567,-2.3456789012345678"  # 38 characters: about 107 lines a block
+GOOD = "1.2345678901234567,-2.3456789012345678"  # 38 characters: about 107 lines a block of 4096
 BAD = "1.2345678901234567,-2.345678901234567x"  # as long, so that no block edge moves
 BLANK = " " * len(GOOD)
 GOOD3, BAD3, BLANK3 = ";".join([GOOD] * 3), ";".join([GOOD, BAD, GOOD]), " " * 116
@@ -323,11 +323,19 @@ class TestBlocks:
     @example([("a", "\r\n"), ("", "\r\n")], "", 1)
     @example([("a", "\r\n"), ("b", "\r\n")], "c", 2)
     def test_line_blocks_split_like_splitlines(self, lines, tail, block):
+        # the blocks' lines are the text's lines, and _take_line takes them one at a time;
         # an empty tail leaves the text's last separator final
         text = "".join(line + sep for line, sep in lines) + tail
         with mock.patch.object(codec, "_BLOCK", block):
             blocks = list(codec._line_blocks(text))
-        assert list(chain.from_iterable(blocks)) == text.splitlines()
+        assert b"".join(blocks) == text.encode()
+        assert list(chain.from_iterable(b.decode().splitlines() for b in blocks)) == text.splitlines()
+        taken = []
+        line, rest = codec._take_line(iter(blocks))
+        while line is not None:
+            taken.append(line)
+            line, rest = codec._take_line(rest)
+        assert taken == text.splitlines()
 
     @pytest.mark.parametrize("block", [1, 4, codec._SAMPLES, codec._BLOCK])
     @pytest.mark.parametrize("text, message", [
@@ -355,18 +363,20 @@ class TestBlocks:
         ({"middle": BAD, "third": BAD.replace("x", "y")}, 300, f"bad complex literal {BAD!r}"),
     ])
     def test_sig1_errors_in_later_parse_blocks(self, edits, count, message, tmp_path):
-        # 300 lines of 38 characters, three blocks of lines as the text and the file are
-        # read: an edit at the last line of the first block, the first or a middle line
-        # of the second, or the first of the third; each is as long as the line it replaces.
-        # Parsed in one chunk, and in chunks whose first ends on the first block's last line
+        # 300 lines of 38 characters, three blocks of 4096 characters or bytes and the
+        # rest of their last line as the text and the file are read and parsed: an edit at
+        # the last line of the first block, the first or a middle line of the second, or
+        # the first of the third; each is as long as the line it replaces.  Parsed in those
+        # blocks, and in one block of codec._BLOCK
         lines = [GOOD] * 300
-        first, second, _ = map(len, codec._line_blocks(_long_sig1(300, lines)))
+        with mock.patch.object(codec, "_BLOCK", 4096):
+            first, second, _ = (b.count(b"\n") for b in codec._line_blocks(_long_sig1(300, lines)))
         at = {"last": first - 3, "first": first - 2, "middle": first + 48,
               "third": first + second - 2}
         for where, line in edits.items():
             lines[at[where]] = line
-        for samples in (codec._SAMPLES, first - 2):
-            with mock.patch.object(codec, "_SAMPLES", samples):
+        for block in (4096, codec._BLOCK):
+            with mock.patch.object(codec, "_BLOCK", block):
                 _assert_loads(_long_sig1(count, lines), codec._sig1, tmp_path, message)
 
     @pytest.mark.parametrize("edits, rem, message", [
@@ -379,16 +389,16 @@ class TestBlocks:
         ({"last": BAD3, "third": BAD3.replace("x", "y")}, "rem=1", f"bad complex literal {BAD!r}"),
     ])
     def test_stasc1_errors_in_later_parse_blocks(self, edits, rem, message, tmp_path):
-        # 100 block lines of 116 characters, three blocks of lines and two chunkings as
-        # for SIG1 above
+        # 100 block lines of 116 characters, in three blocks and in one as for SIG1 above
         lines = [GOOD3] * 100
-        first, second, _ = map(len, codec._line_blocks(_long_stasc1(lines, rem)))
+        with mock.patch.object(codec, "_BLOCK", 4096):
+            first, second, _ = (b.count(b"\n") for b in codec._line_blocks(_long_stasc1(lines, rem)))
         at = {"last": first - 3, "first": first - 2, "middle": first + 15,
               "third": first + second - 2}
         for where, line in edits.items():
             lines[at[where]] = line
-        for samples in (codec._SAMPLES, 3 * (first - 2)):
-            with mock.patch.object(codec, "_SAMPLES", samples):
+        for block in (4096, codec._BLOCK):
+            with mock.patch.object(codec, "_BLOCK", block):
                 _assert_loads(_long_stasc1(lines, rem), codec._stasc1, tmp_path, message)
 
     def test_truncated_block_section_is_named(self):
@@ -396,23 +406,27 @@ class TestBlocks:
         with pytest.raises(FormatError, match="^truncated STASC1 block section$"):
             load_stasc1("STASC1\na=2,0 t0=0 count=8\n1,0;2,0;3,0\n")
 
-    def test_loaders_parse_in_chunks_of_the_writers_blocks(self, monkeypatch):
-        # results do not depend on where chunks end, so only this pins their size: 1024
-        # SIG1 lines a chunk, 341 STASC1 block lines (1023 fields), then the remainder lines
-        fields = []
-
-        def recorded(chunk):
-            fields.append(len(chunk))
-            return complexes(chunk)
-
+    def test_loaders_parse_in_chunks_of_the_writers_blocks(self, monkeypatch, tmp_path):
+        # results do not depend on where blocks end, so only this pins their size: text
+        # and file alike are parsed in blocks of 40960 bytes and the rest of their last
+        # line, about the writers' 1024 samples: the 1050 SIG1 lines after the header,
+        # 1051, then the rest; 350 STASC1 block lines, 351, the 299 left in the section,
+        # cut off before the rem= line, then the remainder lines
+        lines = []
         complexes = codec._complexes
-        monkeypatch.setattr(codec, "_complexes", recorded)
-        assert len(load_sig1(_long_sig1(2500, [GOOD] * 2500))) == 2500
-        assert fields == [1024, 1024, 452]
-        fields.clear()
-        text = "STASC1\na=2,0 t0=0 count=4003\n" + "\n".join([GOOD3] * 1000 + ["rem=3"] + [GOOD] * 3)
-        assert len(load_stasc1(text + "\n").stored) == 3003
-        assert fields == [1023, 1023, 954, 3]
+        monkeypatch.setattr(codec, "_complexes", lambda data, line: (
+            lines.append(data.count(b"\n")) or complexes(data, line)))
+        sig1 = _long_sig1(2500, [GOOD] * 2500)
+        stasc1 = ("STASC1\na=2,0 t0=0 count=4003\n"
+                  + "\n".join([GOOD3] * 1000 + ["rem=3"] + [GOOD] * 3) + "\n")
+        path = tmp_path / "in"
+        for text, parse, want in ((sig1, codec._sig1, [1050, 1051, 399]),
+                                  (stasc1, codec._stasc1, [350, 351, 299, 3])):
+            path.write_text(text)
+            for load in (lambda: parse(codec._line_blocks(text)), lambda: codec._load(path, parse)):
+                lines.clear()
+                load()
+                assert lines == want
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 6, 7])
     def test_parts_join_to_the_dumped_text(self, block):
@@ -517,6 +531,41 @@ any_complexes = st.builds(complex, any_floats, any_floats)
 finite_any_complexes = any_complexes.filter(cmath.isfinite)
 
 
+# Lines at a block's edge: CRLF, which the block parse takes once it is made LF, and
+# lines it leaves to the line-by-line parse: a blank line, spaces, an underscore, a
+# vertical tab and a lone CR (line ends to str.splitlines, not to the block's LF count)
+# and an empty field; in STASC1 also the rem= line, past the block section's end
+ODD_SIG1_LINES = ["3,0\r\n", "\n", " 2 ,0\n", "1_0,0\n", "1,\x0b2\n", "1,\r2\n", ",5\n"]
+ODD_STASC1_LINES = ["7,0;8,0;9,0\r\n", "\n", "7,0;8,\r0;9,0\n"]
+
+
+def _at_block_edges(head, odd, tail):
+    """(text, block) of head + odd + tail where, in blocks of block characters or bytes and
+    the rest of their last line, the line odd is the first of a block, and then the last."""
+    return [(head + odd + tail, len(head) - 1), (head + odd + tail, len(head))]
+
+
+def _sig1_at_block_edges(odd, tail="4,0\n"):
+    count = sum(1 for line in (odd + tail).splitlines() if line.strip()) + 1
+    return _at_block_edges(f"SIG1\nt0=0 kind=f count={count}\n1,0\n", odd, tail)
+
+
+SIG1_EDGES = [case for odd in ODD_SIG1_LINES for case in _sig1_at_block_edges(odd)]
+STASC1_EDGES = [
+    *(case for odd in ODD_STASC1_LINES for case in _at_block_edges(
+        "STASC1\na=2,0 t0=1 count=9\n1,0;2,0;3,0\n", odd, "rem=1\n4,0\n")),
+    *_at_block_edges("STASC1\na=2,0 t0=1 count=9\n1,0;2,0;3,0\n7,0;8,0;9,0\n", "rem=1\n", "4,0\n")]
+
+
+def _with_examples(cases):
+    """The test with an @example of each case."""
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return add
+
+
 class TestAgainstLineByLineReference:
     @given(complex_tokens)
     def test_parse_complex(self, text):
@@ -525,6 +574,8 @@ class TestAgainstLineByLineReference:
     @settings(max_examples=300)
     @given(sig1_texts(), blocks)
     @example("SIG1\nt0=0 kind=f count=2\n1,2,3\n4\n", codec._BLOCK)
+    @example("SIG1\nt0=0 kind=f count=0\n4", codec._BLOCK)  # a last line without a LF
+    @_with_examples(SIG1_EDGES)
     def test_load_sig1(self, text, block):
         with _blocks(block):
             assert _outcome(load_sig1, text) == _outcome(_ref_sig1, text)
@@ -532,6 +583,7 @@ class TestAgainstLineByLineReference:
     @settings(max_examples=300)
     @given(stasc1_texts(), blocks)
     @example("STASC1\na=2,0 t0=1 count=8\n1,0;2,0\n3,0;4,0;5,0;6,0\nrem=0\n", codec._BLOCK)
+    @_with_examples(STASC1_EDGES)
     def test_load_stasc1(self, text, block):
         with _blocks(block):
             assert _outcome(load_stasc1, text) == _outcome(_ref_stasc1, text)
@@ -604,7 +656,9 @@ class TestParseFromTheFile:
     @example(b"SIG1\r\nt0=0 kind=f count=2\r\n1,0\r\n2,0\r\n", 7)
     @example(b"SIG1\rt0=0 kind=f count=2\r1,0\r2,0", 7)  # lone CRs, no line end at the end
     @example(b"SIG1\nt0=0 kind=f count=2\n\n1,0\n\n\n2,0", 64)  # blank lines
+    @example(b"SIG1\nt0=0 kind=f count=1\n5,6\n7", 64)  # a last line without a LF
     @example(b"SIG1\nt0=0 kind=f count=2\n1,\xe90\nx,0\n", 7)  # non-ASCII before a bad line
+    @example(b"SIG1\nt0=0 kind=f count=1\n1,\x7f0\xe9\n", 64)  # DEL is ASCII: 0xe9 is named
     @example(b"SIG1\nt0=0 kind=f count=2\nx,0\n2,0\n" + b"3,0\n" * 40 + b"\xff\n", 7)  # after
     @example(b"SIG2\nt0=0 kind=f count=1\n" + b"1,0\n" * 40 + b"\x80", 1)  # after a bad magic
     @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n", 7)  # truncated beats the literal
@@ -612,6 +666,9 @@ class TestParseFromTheFile:
     @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n1,0;2,0\nrem=0\n", 1)  # so do 2 fields
     @example(b"STASC1\na=2,0 t0=1 count=5\n1,0;2,0;3,0\nrem=1\n4,\x800\n", 64)
     @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", 1)  # the first wins
+    # each odd line first and last in a block, and a non-ASCII byte in a block after a bad one
+    @_with_examples((text.encode("latin-1"), block) for text, block in [
+        *SIG1_EDGES, *STASC1_EDGES, *_sig1_at_block_edges("x,0\n", "3,0\n" * 20 + "\xe9\n")])
     def test_same_result_or_error_as_the_whole_text(self, data, block):
         load, parse = ((load_sig1, codec._sig1) if data.startswith(b"SIG") else
                        (load_stasc1, codec._stasc1))

@@ -9,10 +9,13 @@ samples at a time, and an estimate and the sweep or encoding after it, like the
 fit's base stage, hold one block of window terms at a time.
 The fit's trig basis has a counting guard: on a step-1/m grid only its signed
 class sums of y and its sum of squares W take a number of terms that grows with
-N; and a memory guard: its columns hold m points.
+N; and a memory guard: its columns hold m points.  The text parse has a counting
+guard too: canonical text, as the writers and the benchmark write it, never reaches
+the line-by-line parse.
 """
 
 import math
+import os
 import time
 import tracemalloc
 
@@ -26,11 +29,15 @@ from stasinv import (
     fit_series,
     sample_series,
 )
-from stasinv import estimator
+from stasinv import codec, estimator
 from stasinv.cli import main
-from stasinv.codec import (_load, _sig1, _sig1_parts, _stasc1, _stasc1_parts, _write, decode_stream,
-                           dump_sig1, dump_stasc1, load_sig1, load_stasc1)
+from stasinv.codec import (_line_blocks, _load, _sig1, _sig1_parts, _stasc1, _stasc1_parts, _write,
+                           decode_stream, dump_sig1, dump_stasc1, load_sig1, load_stasc1)
+from stasinv.core import _fmt_complex
 from stasinv.estimator import _TrigBasis
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 RATIO_LIMIT = 10.0
 REPEATS = 3
@@ -147,6 +154,28 @@ def test_load_stasc1_linear_in_sample_count():
 def test_dump_stasc1_linear_in_sample_count():
     small, large = _best_times(dump_stasc1, [_encoded(2500), _encoded(10000)])
     assert large / small < RATIO_LIMIT
+
+
+def test_written_text_is_never_parsed_line_by_line(monkeypatch, tmp_path):
+    # counted, not timed: the text the writers and perfbench's workloads.sig1_text write
+    # is canonical, so each block of it, from a string or a file, is parsed at once and
+    # _parse_complex takes no body line; it parses only a STASC1 header's a=
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import sig1_text
+    taken = []
+    parse_complex = codec._parse_complex
+    monkeypatch.setattr(codec, "_parse_complex", lambda text: taken.append(text) or parse_complex(text))
+    path = tmp_path / "in"
+    for n in (1000, 4000):
+        series, enc = _clean(n), _encoded(n)
+        for text, parse, header in (("".join(_sig1_parts(series)), _sig1, []),
+                                    (sig1_text(series.t0, series.values), _sig1, []),
+                                    ("".join(_stasc1_parts(enc)), _stasc1, [_fmt_complex(enc.a)])):
+            path.write_text(text)
+            for load in (lambda: parse(_line_blocks(text)), lambda: _load(path, parse)):
+                taken.clear()
+                load()
+                assert taken == header
 
 
 def _traced(fn):

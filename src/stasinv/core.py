@@ -50,6 +50,7 @@ _FLOAT_FMT = "%.17g"  # a float as text: 17 significant digits parse back to the
 
 # Arguments where the s-form of the four-point ratio has a pole.
 EXCLUDED_T = (0.0, -1.0, -2.0, -3.0)
+_EXCLUDED = frozenset(EXCLUDED_T)
 
 
 class _Record:
@@ -115,6 +116,14 @@ class StasParams(_Record):
             if r % 2 == 0:
                 raise DomainError(f"{name} must be odd, got {r}")
         super().__init__(p, q1, q2, r1, r2)
+
+    @classmethod
+    def _of(cls, p: complex, q1: complex, q2: complex, r1: int, r2: int) -> "StasParams":
+        """cls(p, q1, q2, r1, r2) of values that pass its checks as they are: finite
+        complex p, q1 and q2, p not 0 or -1, odd int r1 and r2; built without the checks."""
+        params = cls.__new__(cls)
+        _Record.__init__(params, p, q1, q2, r1, r2)
+        return params
 
 
 class SampleSeries(_Record):
@@ -267,16 +276,36 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     ratio is independent of q1, q2, r1 and r2 by construction, and large
     amplitudes cannot overflow it; a pair sum past the float range is a DomainError.
     """
-    if t in EXCLUDED_T:
-        raise DomainError(f"t = {t} is outside the invariant's domain")
-    e0, e1, e2, e3 = _powers(params.p, (t, t + 1, t + 2, t + 3))
-    num = e0 + e1 + 0j
-    den = e2 + e3 + 0j
-    if cmath.isinf(num) or cmath.isinf(den):
-        raise DomainError("a pair sum exceeds the float range")
-    if den == 0:
-        raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
-    return num / den
+    return _ratios(params.p, (t,))[0]
+
+
+def _ratios(p: complex, ts) -> list[complex]:
+    """invariant_ratio of base p at each t of the sequence ts, from one _powers call over
+    the 4 * len(ts) arguments t, t + 1, t + 2, t + 3, so one log p.  Each window keeps
+    invariant_ratio's checks and messages, and the error raised is that of the first
+    window that fails: where an excluded t or a power past the float range keeps the
+    joint call from running, the windows are taken one at a time."""
+    powers = None
+    if _EXCLUDED.isdisjoint(ts):
+        try:
+            powers = _powers(p, [u for t in ts for u in (t, t + 1, t + 2, t + 3)])
+        except DomainError:
+            if len(ts) == 1:
+                raise
+    elif len(ts) == 1:
+        raise DomainError(f"t = {ts[0]} is outside the invariant's domain")
+    if powers is None:  # outside the handler, so the error raised carries no other as context
+        return [ratio for t in ts for ratio in _ratios(p, (t,))]
+    ratios = []
+    for t, e0, e1, e2, e3 in zip(ts, *[iter(powers)] * 4):
+        num = e0 + e1 + 0j
+        den = e2 + e3 + 0j
+        if cmath.isinf(num) or cmath.isinf(den):
+            raise DomainError("a pair sum exceeds the float range")
+        if den == 0:
+            raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
+        ratios.append(num / den)
+    return ratios
 
 
 # -- exact discrete sequence -------------------------------------------------

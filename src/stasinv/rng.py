@@ -90,13 +90,15 @@ def _odd_ints(outputs, lo: int, hi: int) -> list[int]:
     return [odds[x % len(odds)] for x in outputs]
 
 
-def _trial_params(draws):
+def _trial_params(draws) -> list:
     """The family members of verify's trials, one per row of `draws`, 8 columns of
-    outputs: Re p, Im p, Re q1, Im q1, Re q2, Im q2, r1, r2.  p needs no redraw, as
-    Re p >= 0.3 keeps it far from the excluded -1: |1 + p| >= 1.3."""
+    outputs: Re p, Im p, Re q1, Im q1, Re q2, Im q2, r1, r2.  Built by StasParams._of,
+    as the draw bounds hold every check of StasParams: the parts are finite, r1 and r2
+    odd ints, and p needs no redraw, as Re p >= 0.3 keeps it from 0 and far from the
+    excluded -1: |1 + p| >= 1.3."""
     parts = [_uniforms(c, *b) for c, b in zip(draws, (P_RE_BOUNDS, P_IM_BOUNDS) + (Q_BOUNDS,) * 4)]
     p, q1, q2 = map(map, (complex,) * 3, parts[::2], parts[1::2])
-    return map(core.StasParams, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))
+    return list(map(core.StasParams._of, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8])))
 
 
 def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
@@ -105,9 +107,11 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     `points` t uniform in [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields,
     per trial, (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
     dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
-    The first 8 + points outputs of each trial come from _lanes, a batch at a time;
-    only a t in EXCLUDED_T takes the trial's own stream past them.  a and each ratio
-    come from core's functions as they are when the trial runs, replaced ones included.
+    The first 8 + points outputs of each trial come from _lanes, a batch at a time, and
+    a batch's members and t rows are built before its first trial runs; only a t in
+    EXCLUDED_T takes the trial's own stream past them.  a comes from
+    core.closed_form_invariant and a trial's ratios from one core._ratios call, one p^t
+    pass with one log p, each as it is when the trial runs, a replaced one included.
     """
     if trials < 1:
         raise DomainError(f"--trials must be >= 1, got {trials}")
@@ -116,24 +120,25 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     # A positive, finite span also rules out a nan or infinite bound.
     if not 0.0 < t_max - t_min < math.inf:
         raise DomainError(f"need --t-min < --t-max with a finite span, got {t_min}, {t_max}")
-    excluded = frozenset(core.EXCLUDED_T)
+    excluded = core._EXCLUDED
     worst = 0.0
     for first in range(0, trials, _LANES):
         draws = _lanes(seed, first, trials - first, 8 + points)
-        t_rows = zip(*(_uniforms(c, t_min, t_max) for c in draws[8:]))
-        for trial, params, ts in zip(range(first, trials), _trial_params(draws), t_rows):
+        members = _trial_params(draws)
+        t_rows = list(zip(*(_uniforms(c, t_min, t_max) for c in draws[8:])))
+        for k, ts in enumerate(t_rows):
             if not excluded.isdisjoint(ts):  # the trial's t again, each redrawn while excluded
-                us = map(SplitMix64.for_trial(seed, trial).uniform, repeat(t_min), repeat(t_max))
-                ts = list(islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points))
+                us = map(SplitMix64.for_trial(seed, first + k).uniform, repeat(t_min), repeat(t_max))
+                t_rows[k] = list(islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points))
+        for params, ts in zip(members, t_rows):
             a = core.closed_form_invariant(params)
-            rows = []
-            for t in ts:
-                ratio = core.invariant_ratio(params, t)
-                dev = abs(ratio - a) / abs(a)
-                # max() keeps a nan first argument but drops a nan second one
-                worst = dev if math.isnan(dev) else max(worst, dev)
-                rows.append((t, ratio, dev))
-            yield params, a, rows, worst
+            scale = abs(a)
+            ratios = core._ratios(params.p, ts)
+            devs = [abs(ratio - a) / scale for ratio in ratios]
+            for dev in devs:
+                if dev > worst or dev != dev:  # a nan stays: no dev compares above it
+                    worst = dev
+            yield params, a, list(zip(ts, ratios, devs)), worst
 
 
 class SplitMix64:

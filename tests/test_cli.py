@@ -616,14 +616,15 @@ class TestNonFiniteInput:
         assert err.startswith("DomainError: ") and "Traceback" not in err
 
     def test_verify_nan_deviation_fails(self, capsys, monkeypatch):
-        ratio = core.invariant_ratio
+        ratios = core._ratios
         calls = []
 
-        def nan_first(params, t):
-            calls.append(t)
-            return complex("nan") if len(calls) == 1 else ratio(params, t)
+        def nan_first(p, ts):  # the first trial's first ratio is nan
+            calls.append(ts)
+            got = ratios(p, ts)
+            return [complex("nan")] + got[1:] if len(calls) == 1 else got
 
-        monkeypatch.setattr(core, "invariant_ratio", nan_first)
+        monkeypatch.setattr(core, "_ratios", nan_first)
         code, out, _ = run_cli(capsys, "verify", "--trials", "3")
         assert code == 1
         assert out.splitlines()[1:] == ["max_rel_dev=nan", "FAIL"]

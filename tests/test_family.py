@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import struct
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +19,7 @@ from stasinv import (
     eval_s,
     invariant_ratio,
 )
-from stasinv.core import _phases
+from stasinv.core import _phases, _ratios
 from stasinv.rng import SplitMix64, _lanes, _trial_params, verify_trials
 
 from conftest import complexes, odd_ints, params_st
@@ -156,6 +157,45 @@ class TestInvariantRatio:
             invariant_ratio(params, 2.0)
 
 
+def _outcome(fn):
+    """fn()'s value as bits, or the type and message of the error it raises."""
+    try:
+        return _bits(*fn())
+    except (DomainError, SingularWindow) as exc:
+        return type(exc), str(exc)
+
+
+class TestRatios:
+    @given(st.one_of(complexes(0.3, 1.0, -1.5, 1.5), complexes(-4, 4, -4, 4)),
+           st.lists(st.one_of(st.floats(-20, 20), st.sampled_from([0.0, -1.0, -2.0, -3.0]),
+                              st.floats(-1100, 1100), st.floats(-1e300, 1e300)),
+                    min_size=1, max_size=6))
+    # window 0 overflows a pair sum only, window 1 a power: the pair sum is raised
+    @example(0.5 + 0j, [-1023.5, -1030.5])
+    def test_each_window_is_invariant_ratio_and_the_first_error_wins(self, p, ts):
+        assume(p not in (0, -1))
+        params = StasParams(p)
+        assert _outcome(lambda: _ratios(p, ts)) == \
+            _outcome(lambda: [invariant_ratio(params, t) for t in ts])
+
+    @pytest.mark.parametrize("p, ts, error", [
+        (0.5, [-1023.5, -1030.5], "^a pair sum exceeds the float range$"),
+        (0.5, [-1030.5, -1023.5], "^p\\^t exceeds the float range"),
+        (0.5, [-1030.5, -3.0], "^p\\^t exceeds the float range"),
+        (0.5, [-10.5, -3.0, -1030.5], "^t = -3.0 is outside the invariant's domain$"),
+        (1e-300, [-2.5, 2.0], "^p\\^t exceeds the float range"),
+    ])
+    def test_the_first_failing_window_raises(self, p, ts, error):
+        with pytest.raises(DomainError, match=error) as info:
+            _ratios(complex(p), ts)
+        assert not isinstance(info.value.__context__, DomainError)  # not the joint call's error
+
+    def test_a_singular_window_after_a_good_one(self):
+        # p^(t+2) underflows to 0 from t = -0.93 on, and p^t overflows below t = -1.02
+        with pytest.raises(SingularWindow, match="^f\\(t\\+2\\) \\+ f\\(t\\+3\\) = 0 at t = 2.0$"):
+            _ratios(1e-300 + 0j, [-0.98, 2.0, -2.5])
+
+
 class TestClosedForm:
     def test_base_value(self):
         assert closed_form_invariant(BASE) == 4.0
@@ -265,13 +305,34 @@ class TestVerifyTrials:
             assert _bits(params.p, params.q1, params.q2) == _bits(p, q1, q2)
             assert (params.r1, params.r2) == (r1, r2)
             assert _bits(*(t for t, _, _ in rows)) == _bits(*ts)
-            assert _bits(a) == _bits(closed_form_invariant(params))
-            for t, ratio, dev in rows:
-                assert _bits(ratio, dev) == _bits(invariant_ratio(params, t), abs(ratio - a) / abs(a))
+            ref_a = 1.0 / (p * p)
+            assert _bits(a) == _bits(ref_a)
+            for (_, ratio, dev), t in zip(rows, ts):
+                ref_ratio = ref_invariant_ratio_coherent(p, q1, q2, r1, r2, t)
+                assert _bits(ratio, dev) == _bits(ref_ratio, abs(ref_ratio - ref_a) / abs(ref_a))
                 worst = max(worst, dev)
             assert _bits(got_worst) == _bits(worst)
         if t_min == -3.0 and trials >= 63:
             assert any(drawn > points for *_, drawn in expected)
+
+    @pytest.mark.parametrize("seed, yielded, error", [
+        (0, 88, "^a pair sum exceeds the float range$"),
+        (2, 27, "^p\\^t exceeds the float range for p = "),  # inside the first batch
+    ])
+    def test_a_failing_trial_raises_after_the_trials_before_it(self, seed, yielded, error):
+        # at t in [-800, -700) a small |p| takes p^t, or only a pair sum, past the float range
+        trials = verify_trials(seed, 200, -800.0, -700.0)
+        assert sum(1 for _ in islice(trials, yielded)) == yielded
+        with pytest.raises(DomainError, match=error):
+            next(trials)
+
+    @given(st.integers(-2**65, 2**65), st.integers(1, 130))
+    @example(0, 130)  # every trial index up to the third batch's second
+    def test_unchecked_members_pass_the_checked_constructor(self, seed, trials):
+        # _trial_params builds its members without StasParams' checks, which the draw bounds hold
+        for params, _, _, _ in verify_trials(seed, trials, -20.0, -10.0, points=1):
+            checked = StasParams(params.p, params.q1, params.q2, params.r1, params.r2)
+            assert params == checked and repr(params) == repr(checked)
 
     def test_one_point_per_trial(self):
         (_, a, rows, worst), = verify_trials(1, 1, -20.0, -10.0, points=1)

@@ -29,12 +29,13 @@ from stasinv import (
     fit_series,
     sample_series,
 )
-from stasinv import codec, estimator
+from stasinv import codec, core, estimator
 from stasinv.cli import main
 from stasinv.codec import (_line_blocks, _load, _sig1, _sig1_parts, _stasc1, _stasc1_parts, _write,
                            decode_stream, dump_sig1, dump_stasc1, load_sig1, load_stasc1)
 from stasinv.core import _fmt_complex
-from stasinv.estimator import _TrigBasis
+from stasinv.estimator import _TrigBasis, fit_trig, search_frequencies
+from stasinv.rng import verify_trials
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -95,9 +96,8 @@ def test_fit_series_linear_in_eighth_grid_length():
     assert large / small < RATIO_LIMIT
 
 
-def _basis_fsum_sizes(monkeypatch, series, p):
-    """The term count of every fsum call that building a _TrigBasis over the
-    odd frequencies up to 15 makes, sorted."""
+def _fsum_sizes(monkeypatch, fn):
+    """The term count of every fsum call of the estimator that fn() makes, sorted."""
     sizes = []
 
     def counted(terms):
@@ -106,8 +106,14 @@ def _basis_fsum_sizes(monkeypatch, series, p):
         return math.fsum(terms)
 
     monkeypatch.setattr(estimator, "fsum", counted)
-    _TrigBasis(series, p, range(1, 16, 2))
+    fn()
     return sorted(sizes)
+
+
+def _basis_fsum_sizes(monkeypatch, series, p):
+    """The term count of every fsum call that building a _TrigBasis over the
+    odd frequencies up to 15 and reading its W makes, sorted."""
+    return _fsum_sizes(monkeypatch, lambda: _TrigBasis(series, p, range(1, 16, 2)).spread)
 
 
 def test_trig_basis_norm_and_cross_sums_do_not_grow_with_length(monkeypatch):
@@ -129,6 +135,32 @@ def test_trig_basis_with_classes_of_one_sample(monkeypatch):
     for step, n in ((0.3, 100), (0.125, 8)):
         sizes = _basis_fsum_sizes(monkeypatch, sample_series(params, 1.3, n, step=step), params.p)
         assert sizes == [1] * (2 * n) + [n] * (32 + 16 + 64) + [2 * n]
+
+
+def test_only_the_residuals_sum_w(monkeypatch):
+    # counted, not timed: W, the one 2N-term sum, is summed when a residual first needs
+    # it, so a standalone fit_trig, which only solves, never sums it, and the search's
+    # 64 residuals sum it once between them
+    params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
+    n = 4096
+    series = sample_series(params, 1.3, n, step=0.125)
+    alone = _fsum_sizes(monkeypatch, lambda: fit_trig(series, params.p, 3, 5))
+    # 4 columns of m = 8 points, each a norm and two projection parts, and 4 cross sums
+    assert alone == [8] * (4 * 3 + 4) + [n // 8] * 16
+    searched = _fsum_sizes(monkeypatch, lambda: search_frequencies(series, params.p))
+    assert searched.count(2 * n) == 1
+
+
+def test_verify_takes_one_powers_call_a_trial(monkeypatch):
+    # counted, not timed: each trial's ratios come from one p^t pass over its
+    # 4 * 5 arguments, so one log p a trial, across the edges of 64-trial batches
+    calls = []
+    powers = core._powers
+    monkeypatch.setattr(core, "_powers", lambda p, ts: calls.append(len(ts)) or powers(p, ts))
+    for seed in (0, 1, 2**64 + 5):
+        calls.clear()
+        assert sum(1 for _ in verify_trials(seed, 130, -20.0, -10.0)) == 130
+        assert calls == [20] * 130
 
 
 def _encoded(n):

@@ -24,8 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from itertools import cycle
+from itertools import cycle, repeat
 from math import isfinite
+from operator import mul
 
 from .errors import DomainError, FormatError, NoValidWindows, SingularWindow
 
@@ -118,12 +119,14 @@ class StasParams(_Record):
         super().__init__(p, q1, q2, r1, r2)
 
     @classmethod
-    def _of(cls, p: complex, q1: complex, q2: complex, r1: int, r2: int) -> "StasParams":
-        """cls(p, q1, q2, r1, r2) of values that pass its checks as they are: finite
-        complex p, q1 and q2, p not 0 or -1, odd int r1 and r2; built without the checks."""
-        params = cls.__new__(cls)
-        _Record.__init__(params, p, q1, q2, r1, r2)
-        return params
+    def _of(cls, *columns) -> list["StasParams"]:
+        """[cls(*row) for row in zip(*columns)] for the lists p, q1, q2, r1 and r2 of values
+        that pass its checks as they are: finite complex p, q1 and q2, p not 0 or -1, odd
+        int r1 and r2; built without the checks, a field of every member at a time."""
+        members = list(map(cls.__new__, repeat(cls, len(columns[0]))))
+        for name, column in zip(cls._fields, columns, strict=True):
+            any(map(getattr(cls, name).__set__, members, column))  # every __set__ gives None
+        return members
 
 
 class SampleSeries(_Record):
@@ -202,17 +205,22 @@ def _grid(t0: float, step: float, count: int) -> list[float]:
     return [t0 + i * step for i in range(count)]
 
 
-def _powers(p: complex, ts) -> list[complex]:
+def _powers(p: complex, ts, logs=None) -> list[complex] | None:
     """p^t for each t in ts, on the principal branch: exp(t*(ln|p| + i*Arg p)),
-    Arg p in (-pi, pi].
+    Arg p in (-pi, pi], in one pass where no t is integer-valued.  logs, where
+    given, is the log of each t's own base, and then an integer-valued t gives None.
 
     Integer t uses exact integer powering, which agrees with the principal
     branch there (e^{i*pi*n} = (-1)^n) and is exact for dyadic bases; where
     an intermediate product overflows it gives nan (z != z), and the principal
     branch decides.  A power past the float range raises DomainError.
     """
-    log_p = cmath.log(p)
     try:
+        if not any(map(float.is_integer, map(float, ts))):
+            return list(map(cmath.exp, map(mul, ts, repeat(cmath.log(p)) if logs is None else logs)))
+        if logs is not None:
+            return None
+        log_p = cmath.log(p)
         return [z if float(t).is_integer() and (z := p ** int(t)) == z
                 else cmath.exp(t * log_p) for t in ts]
     except (OverflowError, ZeroDivisionError):  # the latter: 1 / (p^-t underflowed to 0)

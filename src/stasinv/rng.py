@@ -26,9 +26,11 @@ and each addition, shift and multiply of the mixer runs on every lane at once
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from itertools import filterfalse, islice, repeat
+from itertools import accumulate, chain, filterfalse, islice, repeat
+from operator import add, mul, sub, truediv
 
 from . import core
 from .errors import DomainError
@@ -79,7 +81,8 @@ def _lanes(seed: int, first: int, count: int, draws: int) -> list:
 
 
 def _uniforms(outputs, lo: float, hi: float) -> list[float]:
-    """A uniform double in [lo, hi) for each output: its top 53 bits, scaled."""
+    """A uniform double in [lo, hi] for each output: lo + u * (hi - lo), u its top 53
+    bits scaled to [0, 1), where the rounded sum can reach hi."""
     span = hi - lo
     return [lo + (x >> 11) * 2.0**-53 * span for x in outputs]
 
@@ -97,21 +100,71 @@ def _trial_params(draws) -> list:
     odd ints, and p needs no redraw, as Re p >= 0.3 keeps it from 0 and far from the
     excluded -1: |1 + p| >= 1.3."""
     parts = [_uniforms(c, *b) for c, b in zip(draws, (P_RE_BOUNDS, P_IM_BOUNDS) + (Q_BOUNDS,) * 4)]
-    p, q1, q2 = map(map, (complex,) * 3, parts[::2], parts[1::2])
-    return list(map(core.StasParams._of, p, q1, q2, *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8])))
+    return core.StasParams._of(*map(list, map(map, (complex,) * 3, parts[::2], parts[1::2])),
+                               *(_odd_ints(c, *R_BOUNDS) for c in draws[6:8]))
+
+
+def _flat_pass(members, ts, points: int, worst: float):
+    """The trials of a batch, its t `points` a trial in a row, as _one_by_one yields
+    them, bit for bit, from one core._powers pass over every trial's arguments t, t + 1,
+    t + 2, t + 3 with one log p a trial, then a pass each for the pair sums, the ratios
+    and the deviations.  None where that cannot give them so: an integer-valued argument
+    (exact powering), a power or a pair sum past the float range, a zero denominator or
+    a nan deviation (which max does not keep), each of which _one_by_one takes, or
+    raises, at its own trial."""
+    ps = [params.p for params in members]
+    args = [0.0] * (4 * len(ts))
+    args[0::4] = ts
+    for j in 1, 2, 3:
+        args[j::4] = map(add, ts, repeat(float(j)))
+    logs = chain.from_iterable(map(repeat, map(cmath.log, ps), repeat(4 * points)))
+    try:
+        powers = core._powers(None, args, logs)
+        if powers is None:
+            return None
+        sums = list(map(add, map(add, powers[0::2], powers[1::2]), repeat(0j)))  # num, den of each t
+        if any(map(cmath.isinf, sums)):
+            return None
+        ratios = list(map(truediv, sums[0::2], sums[1::2]))
+        a_s = list(map(truediv, repeat(1.0), map(mul, ps, ps)))
+    except (DomainError, ZeroDivisionError):
+        return None
+    devs = [abs(ratio - a) / scale
+            for a, scale, row in zip(a_s, map(abs, a_s), zip(*[iter(ratios)] * points)) for ratio in row]
+    if (total := sum(devs)) != total:
+        return None
+    worsts = accumulate(map(max, zip(*[iter(devs)] * points)), max, initial=worst)
+    next(worsts)
+    return zip(members, a_s, map(list, zip(*[iter(zip(ts, ratios, devs))] * points)), worsts)
+
+
+def _one_by_one(members, ts, points: int, worst: float):
+    """The trials of a batch, its t `points` a trial in a row, one at a time: a from
+    core.closed_form_invariant and the ratios from one core._ratios call, each as it
+    is when the trial runs."""
+    for params, k in zip(members, range(0, len(ts), points)):
+        a = core.closed_form_invariant(params)
+        scale = abs(a)
+        ratios = core._ratios(params.p, row := ts[k:k + points])
+        devs = [abs(ratio - a) / scale for ratio in ratios]
+        for dev in devs:
+            if dev > worst or dev != dev:  # a nan stays: no dev compares above it
+                worst = dev
+        yield params, a, list(zip(row, ratios, devs)), worst
 
 
 def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: int = 5):
     """The trials of `stasinv verify`: per trial, the family member _trial_params draws
     from the first 8 outputs of SplitMix64.for_trial(seed, trial), then the ratio at
-    `points` t uniform in [t_min, t_max), each redrawn while in EXCLUDED_T.  Yields,
+    `points` t uniform in [t_min, t_max], each redrawn while in EXCLUDED_T.  Yields,
     per trial, (params, a, [(t, ratio, dev), ...], worst): a = 1/p^2,
     dev = |ratio - a| / |a|, worst the running maximum dev, nan once any is nan.
     The first 8 + points outputs of each trial come from _lanes, a batch at a time, and
-    a batch's members and t rows are built before its first trial runs; only a t in
-    EXCLUDED_T takes the trial's own stream past them.  a comes from
-    core.closed_form_invariant and a trial's ratios from one core._ratios call, one p^t
-    pass with one log p, each as it is when the trial runs, a replaced one included.
+    a batch's members and t are built before its first trial is yielded; only a t in
+    EXCLUDED_T takes the trial's own stream past them.  A batch's trials come from
+    _flat_pass, one p^t pass for all of them, or, where it cannot give them exactly,
+    from _one_by_one, one trial at a time, which raises a failing trial's error after
+    yielding the trials before it.
     """
     if trials < 1:
         raise DomainError(f"--trials must be >= 1, got {trials}")
@@ -125,20 +178,18 @@ def verify_trials(seed: int, trials: int, t_min: float, t_max: float, points: in
     for first in range(0, trials, _LANES):
         draws = _lanes(seed, first, trials - first, 8 + points)
         members = _trial_params(draws)
-        t_rows = list(zip(*(_uniforms(c, t_min, t_max) for c in draws[8:])))
-        for k, ts in enumerate(t_rows):
-            if not excluded.isdisjoint(ts):  # the trial's t again, each redrawn while excluded
-                us = map(SplitMix64.for_trial(seed, first + k).uniform, repeat(t_min), repeat(t_max))
-                t_rows[k] = list(islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points))
-        for params, ts in zip(members, t_rows):
-            a = core.closed_form_invariant(params)
-            scale = abs(a)
-            ratios = core._ratios(params.p, ts)
-            devs = [abs(ratio - a) / scale for ratio in ratios]
-            for dev in devs:
-                if dev > worst or dev != dev:  # a nan stays: no dev compares above it
-                    worst = dev
-            yield params, a, list(zip(ts, ratios, devs)), worst
+        ts = [0.0] * (len(members) * points)  # trial k's t from k * points on
+        for j, column in enumerate(draws[8:]):
+            ts[j::points] = _uniforms(column, t_min, t_max)
+        if not excluded.isdisjoint(ts):
+            for k in range(0, len(ts), points):  # the trial's t again, each redrawn while excluded
+                if not excluded.isdisjoint(ts[k:k + points]):
+                    stream = SplitMix64.for_trial(seed, first + k // points)
+                    us = map(stream.uniform, repeat(t_min), repeat(t_max))
+                    ts[k:k + points] = islice(filterfalse(excluded.__contains__, islice(us, 8, None)), points)
+        for trial in _flat_pass(members, ts, points, worst) or _one_by_one(members, ts, points, worst):
+            yield trial
+        worst = trial[3]
 
 
 class SplitMix64:
@@ -159,5 +210,5 @@ class SplitMix64:
         return _mix(self._state)
 
     def uniform(self, lo: float, hi: float) -> float:
-        """Uniform double in [lo, hi)."""
+        """Uniform double in [lo, hi], as _uniforms draws it."""
         return _uniforms((self.next_u64(),), lo, hi)[0]

@@ -616,18 +616,18 @@ class TestNonFiniteInput:
         assert err.startswith("DomainError: ") and "Traceback" not in err
 
     def test_verify_nan_deviation_fails(self, capsys, monkeypatch):
-        ratios = core._ratios
+        powers = core._powers
         calls = []
 
-        def nan_first(p, ts):  # the first trial's first ratio is nan
-            calls.append(ts)
-            got = ratios(p, ts)
-            return [complex("nan")] + got[1:] if len(calls) == 1 else got
+        def nan_first(p, ts, logs=None):  # the first power of every pass is nan
+            calls.append(len(ts))
+            return [complex("nan")] + powers(p, ts, logs)[1:]
 
-        monkeypatch.setattr(core, "_ratios", nan_first)
+        monkeypatch.setattr(core, "_powers", nan_first)
         code, out, _ = run_cli(capsys, "verify", "--trials", "3")
         assert code == 1
         assert out.splitlines()[1:] == ["max_rel_dev=nan", "FAIL"]
+        assert calls == [60, 20, 20, 20]  # the batch's pass, then its trials one at a time
 
 
 # -- fuzzing the command-line boundary ------------------------------------------

@@ -20,7 +20,7 @@ from stasinv import (
     invariant_ratio,
 )
 from stasinv.core import _phases, _ratios
-from stasinv.rng import SplitMix64, _lanes, _trial_params, verify_trials
+from stasinv.rng import SplitMix64, _flat_pass, _lanes, _one_by_one, _trial_params, verify_trials
 
 from conftest import complexes, odd_ints, params_st
 from _reference import (_ref_reduced_phase, ref_f, ref_invariant, ref_invariant_ratio_coherent,
@@ -80,6 +80,14 @@ class TestEvalF:
 
     def test_integer_exponent_is_exact(self):
         assert eval_f(StasParams(p=2.0), 3.0) == 8.0
+
+    def test_an_int_t_is_its_float(self):
+        # p^t finds the integer-valued t by float(t), so an int t, too large for a float included
+        params = StasParams(p=0.7 + 0.2j, q2=1.0)
+        assert eval_f(params, 3) == eval_f(params, 3.0)
+        assert invariant_ratio(params, 5) == invariant_ratio(params, 5.0)
+        with pytest.raises(DomainError, match="^p\\^t exceeds the float range"):
+            eval_f(params, 10**400)
 
     @given(params_st, st.floats(-20, 20, allow_nan=False))
     def test_matches_reference_pointwise(self, params, t):
@@ -282,6 +290,18 @@ def _bits(*zs):
     return struct.pack(f"<{2 * len(zs)}d", *(x for z in zs for x in (z.real, z.imag)))
 
 
+@st.composite
+def flat_batches(draw):
+    """Bases (of verify's range, real, or wide), the points of a trial, and that many t a base."""
+    ps = draw(st.lists(st.one_of(complexes(0.3, 1.0, -1.5, 1.5), complexes(0.3, 1.0, 0.0, 0.0),
+                                 complexes(-4, 4, -4, 4)), min_size=1, max_size=4))
+    points = draw(st.integers(1, 3))
+    ts = draw(st.lists(st.one_of(st.floats(-20, 20), st.integers(-30, 30).map(float),
+                                 st.floats(-1100, 1100)),
+                       min_size=points * len(ps), max_size=points * len(ps)))
+    return ps, points, ts
+
+
 class TestVerifyTrials:
     def test_excluded_t_is_redrawn(self):
         # about half the draws in [-3, -3 + ulp) land on the excluded -3.0
@@ -293,10 +313,12 @@ class TestVerifyTrials:
     @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5])
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])  # the edges of 64-trial batches
     @pytest.mark.parametrize("points", [1, 5, 7])
-    @pytest.mark.parametrize("t_min, t_max", [(-20.0, -10.0), (-3.0, -3.0 + 8 * math.ulp(3.0))])
+    @pytest.mark.parametrize("t_min, t_max", [(-20.0, -10.0), (-3.0, -3.0 + 8 * math.ulp(3.0)),
+                                              (-20.0, -20.0 + 8 * math.ulp(20.0))])
     def test_draws_match_a_scalar_oracle_bit_for_bit(self, seed, trials, points, t_min, t_max):
         # in [-3, -3 + 8 ulp) about one t in 16 lands on -3 and is drawn again, often
-        # past the 8 + points outputs that a batch takes of each trial
+        # past the 8 + points outputs that a batch takes of each trial; in [-20, -20 + 8 ulp]
+        # about one t in 16 is exactly -20, which takes exact integer powering
         got = list(verify_trials(seed, trials, t_min, t_max, points))
         expected = list(ref_verify_draws(seed, trials, t_min, t_max, points))
         assert len(got) == len(expected) == trials
@@ -326,6 +348,14 @@ class TestVerifyTrials:
         with pytest.raises(DomainError, match=error):
             next(trials)
 
+    def test_a_zero_denominator_raises_after_the_trials_before_it(self):
+        # at t in [1000, 1100) both powers of a pair underflow to 0 for a small |p|
+        trials = verify_trials(0, 70, 1000.0, 1100.0, points=2)
+        assert sum(1 for _ in islice(trials, 50)) == 50  # inside the first batch
+        message = "f(t+2) + f(t+3) = 0 at t = 1099.446764759893"
+        with pytest.raises(SingularWindow, match="^" + re.escape(message) + "$"):
+            next(trials)
+
     @given(st.integers(-2**65, 2**65), st.integers(1, 130))
     @example(0, 130)  # every trial index up to the third batch's second
     def test_unchecked_members_pass_the_checked_constructor(self, seed, trials):
@@ -333,6 +363,32 @@ class TestVerifyTrials:
         for params, _, _, _ in verify_trials(seed, trials, -20.0, -10.0, points=1):
             checked = StasParams(params.p, params.q1, params.q2, params.r1, params.r2)
             assert params == checked and repr(params) == repr(checked)
+
+    @given(flat_batches(), st.sampled_from([0.0, 1e-3, math.inf]))
+    # a real base: a power's imaginary part is -0.0 at t < 0, so at t = -2.5 the
+    # numerator's is -0.0 until `+ 0j`, and the ratio's follows it
+    @example(([0.5 + 0j, 0.5 - 1j], 2, [-2.5, -10.25, 3.25, -0.5]), 0.0)
+    # t + 1 is not (t + 0.5) + 0.5, and the ratio tells them apart
+    @example(([0.9097230778575793 - 0.4079567164578919j], 1, [0.27593028151026616]), 0.0)
+    def test_the_flat_pass_is_one_trial_at_a_time(self, batch, worst):
+        # bit for bit, or None where it cannot be: an integer-valued argument, a power or
+        # a pair sum past the float range, a zero denominator
+        ps, points, ts = batch
+        assume(all(p not in (0, -1) for p in ps))
+        members = [StasParams(p, 1j, -1.0, 3, 5) for p in ps]
+        flat = _flat_pass(members, ts, points, worst)
+        got, error = [], None
+        try:
+            for params, a, rows, trial_worst in _one_by_one(members, ts, points, worst):
+                got.append((params, _bits(a, trial_worst, *(x for row in rows for x in row))))
+        except (DomainError, SingularWindow) as exc:
+            error = exc
+        if flat is not None:
+            assert error is None
+            assert [(params, _bits(a, w, *(x for row in rows for x in row)))
+                    for params, a, rows, w in flat] == got
+        else:  # one trial at a time raises or takes an exact integer power
+            assert error is not None or any((t + j).is_integer() for t in ts for j in range(4))
 
     def test_one_point_per_trial(self):
         (_, a, rows, worst), = verify_trials(1, 1, -20.0, -10.0, points=1)

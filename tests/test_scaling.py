@@ -35,7 +35,7 @@ from stasinv.codec import (_line_blocks, _load, _sig1, _sig1_parts, _stasc1, _st
                            decode_stream, dump_sig1, dump_stasc1, load_sig1, load_stasc1)
 from stasinv.core import _fmt_complex
 from stasinv.estimator import _TrigBasis, fit_trig, search_frequencies
-from stasinv.rng import verify_trials
+from stasinv.rng import SplitMix64, verify_trials
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -151,16 +151,29 @@ def test_only_the_residuals_sum_w(monkeypatch):
     assert searched.count(2 * n) == 1
 
 
-def test_verify_takes_one_powers_call_a_trial(monkeypatch):
-    # counted, not timed: each trial's ratios come from one p^t pass over its
-    # 4 * 5 arguments, so one log p a trial, across the edges of 64-trial batches
-    calls = []
-    powers = core._powers
-    monkeypatch.setattr(core, "_powers", lambda p, ts: calls.append(len(ts)) or powers(p, ts))
+def test_verify_takes_one_powers_pass_a_batch(monkeypatch):
+    # counted, not timed: a 64-trial batch's ratios come from one p^t pass over its
+    # trials' 4 * 5 arguments, with one log p a trial, and no trial falls back to
+    # core._ratios where no argument is integer-valued, redrawn t included; only a
+    # trial with an excluded t draws again from its own stream
+    calls, redraws = [], []
+    powers, for_trial = core._powers, SplitMix64.for_trial
+
+    def counted(p, ts, logs=None):
+        logs = list(logs)
+        calls.append((len(ts), len(set(logs))))
+        return powers(p, ts, logs)
+
+    monkeypatch.setattr(core, "_powers", counted)
+    monkeypatch.setattr(core, "_ratios", None)
+    monkeypatch.setattr(SplitMix64, "for_trial", lambda seed, k: redraws.append(k) or for_trial(seed, k))
     for seed in (0, 1, 2**64 + 5):
-        calls.clear()
-        assert sum(1 for _ in verify_trials(seed, 130, -20.0, -10.0)) == 130
-        assert calls == [20] * 130
+        for t_min, t_max in (-20.0, -10.0), (-3.0, -3.0 + 8 * math.ulp(3.0)):
+            calls.clear()
+            redraws.clear()
+            assert sum(1 for _ in verify_trials(seed, 130, t_min, t_max)) == 130
+            assert calls == [(1280, 64), (1280, 64), (40, 2)]
+            assert (len(redraws) > 0) == (t_min == -3.0)
 
 
 def _encoded(n):

@@ -318,10 +318,10 @@ def _formatted(values, start: int, stop: int, k: int):
 def _read_header(blocks, magic: str, expected: tuple[str, ...]
                  ) -> tuple[chain, dict[str, str], float, int, float]:
     """An iterator over the blocks of the text after the magic and header lines of the
-    blocks (ASCII bytes, as _line_blocks yields them), the key=value fields of the header
-    line and the parsed t0, count and step (1 unless given).  FormatError unless every
-    expected key, the optional step and no other one is there, the numbers parse and
-    count is non-negative."""
+    blocks (ASCII bytes, as _ascii_blocks yields them from a file, through _load, and
+    _line_blocks from a str), the key=value fields of the header line and the parsed t0,
+    count and step (1 unless given).  FormatError unless every expected key, the optional
+    step and no other one is there, the numbers parse and count is non-negative."""
     line, blocks = _take_line(blocks)
     if line != magic:
         raise FormatError(f"missing {magic} magic line")

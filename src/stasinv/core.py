@@ -284,36 +284,16 @@ def invariant_ratio(params: StasParams, t: float) -> complex:
     ratio is independent of q1, q2, r1 and r2 by construction, and large
     amplitudes cannot overflow it; a pair sum past the float range is a DomainError.
     """
-    return _ratios(params.p, (t,))[0]
-
-
-def _ratios(p: complex, ts) -> list[complex]:
-    """invariant_ratio of base p at each t of the sequence ts, from one _powers call over
-    the 4 * len(ts) arguments t, t + 1, t + 2, t + 3, so one log p.  Each window keeps
-    invariant_ratio's checks and messages, and the error raised is that of the first
-    window that fails: where an excluded t or a power past the float range keeps the
-    joint call from running, the windows are taken one at a time."""
-    powers = None
-    if _EXCLUDED.isdisjoint(ts):
-        try:
-            powers = _powers(p, [u for t in ts for u in (t, t + 1, t + 2, t + 3)])
-        except DomainError:
-            if len(ts) == 1:
-                raise
-    elif len(ts) == 1:
-        raise DomainError(f"t = {ts[0]} is outside the invariant's domain")
-    if powers is None:  # outside the handler, so the error raised carries no other as context
-        return [ratio for t in ts for ratio in _ratios(p, (t,))]
-    ratios = []
-    for t, e0, e1, e2, e3 in zip(ts, *[iter(powers)] * 4):
-        num = e0 + e1 + 0j
-        den = e2 + e3 + 0j
-        if cmath.isinf(num) or cmath.isinf(den):
-            raise DomainError("a pair sum exceeds the float range")
-        if den == 0:
-            raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
-        ratios.append(num / den)
-    return ratios
+    if t in _EXCLUDED:
+        raise DomainError(f"t = {t} is outside the invariant's domain")
+    e0, e1, e2, e3 = _powers(params.p, (t, t + 1, t + 2, t + 3))
+    num = e0 + e1 + 0j
+    den = e2 + e3 + 0j
+    if cmath.isinf(num) or cmath.isinf(den):
+        raise DomainError("a pair sum exceeds the float range")
+    if den == 0:
+        raise SingularWindow(f"f(t+2) + f(t+3) = 0 at t = {t}")
+    return num / den
 
 
 # -- exact discrete sequence -------------------------------------------------

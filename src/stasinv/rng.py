@@ -140,12 +140,12 @@ def _flat_pass(members, ts, points: int, worst: float):
 
 def _one_by_one(members, ts, points: int, worst: float):
     """The trials of a batch, its t `points` a trial in a row, one at a time: a from
-    core.closed_form_invariant and the ratios from one core._ratios call, each as it
-    is when the trial runs."""
+    core.closed_form_invariant and each ratio from core.invariant_ratio, each as it is
+    when the trial runs."""
     for params, k in zip(members, range(0, len(ts), points)):
         a = core.closed_form_invariant(params)
         scale = abs(a)
-        ratios = core._ratios(params.p, row := ts[k:k + points])
+        ratios = list(map(core.invariant_ratio, repeat(params), row := ts[k:k + points]))
         devs = [abs(ratio - a) / scale for ratio in ratios]
         for dev in devs:
             if dev > worst or dev != dev:  # a nan stays: no dev compares above it

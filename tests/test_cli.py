@@ -627,7 +627,7 @@ class TestNonFiniteInput:
         code, out, _ = run_cli(capsys, "verify", "--trials", "3")
         assert code == 1
         assert out.splitlines()[1:] == ["max_rel_dev=nan", "FAIL"]
-        assert calls == [60, 20, 20, 20]  # the batch's pass, then its trials one at a time
+        assert calls == [60] + [4] * 15  # the batch's pass, then its 15 windows one at a time
 
 
 # -- fuzzing the command-line boundary ------------------------------------------

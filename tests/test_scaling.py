@@ -154,8 +154,8 @@ def test_only_the_residuals_sum_w(monkeypatch):
 def test_verify_takes_one_powers_pass_a_batch(monkeypatch):
     # counted, not timed: a 64-trial batch's ratios come from one p^t pass over its
     # trials' 4 * 5 arguments, with one log p a trial, and no trial falls back to
-    # core._ratios where no argument is integer-valued, redrawn t included; only a
-    # trial with an excluded t draws again from its own stream
+    # core.invariant_ratio where no argument is integer-valued, redrawn t included;
+    # only a trial with an excluded t draws again from its own stream
     calls, redraws = [], []
     powers, for_trial = core._powers, SplitMix64.for_trial
 
@@ -165,7 +165,7 @@ def test_verify_takes_one_powers_pass_a_batch(monkeypatch):
         return powers(p, ts, logs)
 
     monkeypatch.setattr(core, "_powers", counted)
-    monkeypatch.setattr(core, "_ratios", None)
+    monkeypatch.setattr(core, "invariant_ratio", None)
     monkeypatch.setattr(SplitMix64, "for_trial", lambda seed, k: redraws.append(k) or for_trial(seed, k))
     for seed in (0, 1, 2**64 + 5):
         for t_min, t_max in (-20.0, -10.0), (-3.0, -3.0 + 8 * math.ulp(3.0)):

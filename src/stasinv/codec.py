@@ -279,24 +279,13 @@ def _write(path: str, parts) -> None:
 def _parse_samples(blocks, count: int, what: str) -> list[complex]:
     """The count non-blank lines of a body, one 're,im' sample each, from its blocks of
     whole lines: each block parsed at once, or line by line where it is not canonical
-    (it holds a blank or bad line, say).  A wrong line count is reported before a bad
-    literal, and an error that taking the blocks raises (a non-ASCII byte in a file)
-    before either."""
+    (it holds a blank or bad line, say).  A bad literal is reported where the parse
+    reaches it, and a wrong line count once every line has parsed."""
     values = []
     for data in blocks:
-        if (parsed := _complexes(data, b",\n")) is not None:
-            values += parsed
-            continue
-        body = filter(str.strip, data.decode("ascii").splitlines())
-        for line in body:
-            try:
-                values.append(_parse_complex(line))
-            except FormatError:
-                rest = chain(body, (line for data in blocks
-                                    for line in data.decode("ascii").splitlines() if line.strip()))
-                if (found := len(values) + 1 + sum(1 for _ in rest)) == count:
-                    raise
-                raise FormatError(f"expected {count} {what} lines, found {found}") from None
+        if (parsed := _complexes(data, b",\n")) is None:
+            parsed = map(_parse_complex, filter(str.strip, data.decode("ascii").splitlines()))
+        values += parsed
     if len(values) != count:
         raise FormatError(f"expected {count} {what} lines, found {len(values)}")
     return values
@@ -401,15 +390,15 @@ def load_stasc1(text: str) -> EncodedStream:
 
 def _stasc1(blocks) -> EncodedStream:
     """load_stasc1 of the text the blocks of bytes hold, in order.  Block lines are
-    parsed as they arrive, the section's lines of a block at once; a structural error (a
-    truncated block section, a block line without 3 fields, a bad rem= line) wins over
-    a bad literal before it."""
+    parsed as they arrive, the section's lines of a block at once, and each malformed
+    one (without 3 samples, or with a bad literal) is reported where the parse reaches
+    it; a truncated block section once every block line there has parsed."""
     blocks, fields, t0, count, step = _read_header(blocks, "STASC1", ("a", "t0", "count"))
     a = _parse_complex(fields["a"])
     if not (m := _steps_per_unit(step)):  # before the body, whose layout depends on m
         raise FormatError(f"encoded stream requires a step of 1/m, got {step}")
     n_lines = m * (count // (4 * m))  # the rem= line follows these block lines, m a block
-    stored, bad_line, bad_literal = [], None, None
+    stored = []
     while n_lines and (data := next(blocks, None)) is not None:
         end = len(data)  # where canonical, the section ends just after its n_lines-th LF
         if data.count(b"\n") > n_lines:
@@ -420,22 +409,15 @@ def _stasc1(blocks) -> EncodedStream:
         else:  # line by line: the section's first n_lines lines, as str.splitlines counts them
             text = data.decode("ascii")
             end = sum(map(len, text.splitlines(True)[:n_lines]))
-            group = text[:end].splitlines()
-            n_lines -= len(group)
-            line = next((s for s in group if s.count(";") != 2), None)
-            if not bad_line and line is not None:
-                bad_line = FormatError(f"block line needs 3 samples, got {line!r}")
-            if not (bad_line or bad_literal):
-                try:
-                    stored += map(_parse_complex, ";".join(group).split(";"))
-                except FormatError as exc:
-                    bad_literal = exc
+            for line in text[:end].splitlines():
+                if line.count(";") != 2:
+                    raise FormatError(f"block line needs 3 samples, got {line!r}")
+                stored += map(_parse_complex, line.split(";"))
+                n_lines -= 1
         if end < len(data):  # the section ended in this block
             blocks = chain((data[end:],), blocks)
     if n_lines:
         raise FormatError("truncated STASC1 block section")
-    if bad_line:
-        raise bad_line
     rem, blocks = _take_line(blocks)
     if not (rem or "").startswith("rem="):
         raise FormatError("missing rem= line")
@@ -445,7 +427,5 @@ def _stasc1(blocks) -> EncodedStream:
         raise FormatError(f"bad rem= line: {rem!r}") from exc
     if k != count % (4 * m):
         raise FormatError(f"rem={k} inconsistent with count={count}")
-    if bad_literal:
-        raise bad_literal
     stored += _parse_samples(blocks, k, "remainder")
     return EncodedStream(a=a, t0=t0, count=count, stored=tuple(stored), step=step)

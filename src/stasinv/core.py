@@ -264,11 +264,14 @@ def eval_s(params: StasParams, t: float) -> complex:
 
 
 def closed_form_invariant(params: StasParams) -> complex:
-    """The constant value of the four-point ratio: 1/p^2; DomainError where p^2 underflows to 0."""
+    """The constant value of the four-point ratio: 1/p^2; DomainError where p^2 underflows
+    to 0 or 1/p^2 is not finite."""
     p2 = params.p * params.p
     if p2 == 0:
         raise DomainError(f"p^2 underflows to 0 for p = {params.p}")
-    return 1.0 / p2
+    if not cmath.isfinite(a := 1.0 / p2):
+        raise DomainError(f"1/p^2 exceeds the float range for p = {params.p}")
+    return a
 
 
 def invariant_ratio(params: StasParams, t: float) -> complex:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 from array import array
-from functools import cached_property
 from itertools import chain, repeat
 from math import cos, fsum, inf, sin, sqrt
 from operator import mul, neg, sub, truediv
@@ -84,8 +83,8 @@ def disambiguate_p(series: SampleSeries) -> complex:
 
 class _TrigBasis:
     """The pair-independent parts of the (q1, q2) fit for one series, base p
-    and set of odd frequencies, all built on construction but W, built on first use.
-    A non-finite sample or g - p^t raises DomainError.
+    and set of odd frequencies, all built on construction.  A non-finite sample
+    or g - p^t raises DomainError.
 
     On a step-1/m grid every odd-r column changes sign over one unit of t, as
     the oscillatory part of sample_series' data does, so y = g - p^t folds into
@@ -97,22 +96,30 @@ class _TrigBasis:
     sum n_k s_k c_k, the sine column of r1 against the cosine column of r2.
     spread is W = sum |y_i - (-1)^j T_k / n_k|^2 over every sample, the part of
     each pair's squared residual that no pair changes, or inf past the float
-    range; only residual_rms reads it, and fit_trig never does.  Each sum is one
-    fsum, so T_k is correctly rounded, and a projection, rounded three times, is
-    within 3u of sum |s_k T_k| (u = 2^-53).
+    range.  Each sum is one fsum, so T_k is correctly rounded, and a projection,
+    rounded three times, is within 3u of sum |s_k T_k| (u = 2^-53).
     """
 
     def __init__(self, series: SampleSeries, p: complex, freqs):
         y = [v - w for v, w in zip(series.values, _powers(p, series.grid()))]
         _check_finite(y)
         n = self.n = len(y)
-        m = self._m = min(_steps_per_unit(series.step) or n, n)
+        m = min(_steps_per_unit(series.step) or n, n)
         parts = array("d", [z.real for z in y]), array("d", [z.imag for z in y])
         del y  # only the two arrays are needed from here on
+
+        def signed(part, k):  # class k, each sample times (-1)^j
+            return chain(part[k::2 * m], map(neg, part[k + m::2 * m]))
+
         self.counts = [len(range(k, n, m)) for k in range(m)]
-        re, im = ([fsum(self._signed(part, k)) for k in range(m)] for part in parts)
+        re, im = ([fsum(signed(part, k)) for k in range(m)] for part in parts)
         self.sums = list(map(complex, re, im))
-        self._parts = (parts[0], re), (parts[1], im)  # each part of y with its class sums, for W
+        try:
+            self.spread = fsum(d * d for part, sums in zip(parts, (re, im))
+                               for k, mean in enumerate(map(truediv, sums, self.counts))
+                               for d in map(sub, signed(part, k), repeat(mean)))
+        except OverflowError:
+            self.spread = inf
 
         def weighted(a, b) -> float:
             return fsum(map(mul, self.counts, map(mul, a, b)))
@@ -130,21 +137,6 @@ class _TrigBasis:
             self.cosine[r] = column(map(cos, phases))
         self.cross = {(r1, r2): weighted(self.sine[r1][0], self.cosine[r2][0])
                       for r1 in freqs for r2 in freqs}
-
-    def _signed(self, part, k):
-        """Class k of one part of y, each sample times (-1)^j."""
-        m = self._m
-        return chain(part[k::2 * m], map(neg, part[k + m::2 * m]))
-
-    @cached_property
-    def spread(self) -> float:
-        """W (see the class docstring), summed on its first read."""
-        try:
-            return fsum(d * d for part, sums in self._parts
-                        for k, mean in enumerate(map(truediv, sums, self.counts))
-                        for d in map(sub, self._signed(part, k), repeat(mean)))
-        except OverflowError:
-            return inf
 
     def residual_rms(self, params: StasParams) -> float:
         """RMS of (p^t + q1*sin(r1*pi*t) + q2*cos(r2*pi*t)) - g over the grid, by the

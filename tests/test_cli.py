@@ -595,6 +595,8 @@ class TestNonFiniteInput:
         ("invariant", "--p", "0.5,0", "--t=-1023.5"),                 # pair sum overflows
         ("eval", "--p", "1,0", "--r1", "15", "--t", "1e308"),         # r*t is infinite
         ("invariant", "--p", "1e-320,0"),                             # p^2 underflows to 0
+        ("invariant", "--p", "1e-160,0"),                             # 1/p^2 overflows
+        ("invariant", "--p", "1e-160,1e-160"),
         ("eval", "--p", "1e200,1e200", "--t", "2"),   # integer power overflows inside, as nan
     ])
     def test_out_of_range_evaluation_is_domain_error(self, capsys, argv):

@@ -199,6 +199,18 @@ class TestClosedForm:
         value = closed_form_invariant(StasParams(p=0.6 + 0.8j))
         assert abs(value - (-0.28 - 0.96j)) < 1e-12
 
+    @pytest.mark.parametrize("p, message", [
+        (1e-320, "p^2 underflows to 0 for p = (1e-320+0j)"),
+        (1e-160, "1/p^2 exceeds the float range for p = (1e-160+0j)"),  # p^2 is subnormal
+        (1e-160 + 1e-160j, "1/p^2 exceeds the float range for p = (1e-160+1e-160j)"),
+    ])
+    def test_out_of_range_is_domain_error(self, p, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            closed_form_invariant(StasParams(p))
+
+    def test_a_value_near_the_float_maximum_is_returned(self):
+        assert closed_form_invariant(StasParams(p=7.5e-155)) == 1.7777777777777781e308
+
 
 class TestInvariantProperties:
     @given(params_st,

@@ -246,16 +246,17 @@ class TestStasc1:
     @pytest.mark.parametrize("block", [1, 2, 3, 6, codec._SAMPLES, codec._BLOCK])
     @pytest.mark.parametrize("body, message", [
         ("x,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", "bad complex literal 'x,0'"),
-        ("x,0;2,0;3,0\n", "truncated STASC1 block section"),
-        ("x,0;2,0;3,0\n1,0;2,0\nrem=0\n", "block line needs 3 samples, got '1,0;2,0'"),
+        ("x,0;2,0;3,0\n", "bad complex literal 'x,0'"),
+        ("x,0;2,0;3,0\n1,0;2,0\nrem=0\n", "bad complex literal 'x,0'"),
         ("1,0;2,0\nx,0;2,0;3,0\nrem=1\n", "block line needs 3 samples, got '1,0;2,0'"),
-        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=x\n", "bad rem= line: 'rem=x'"),
-        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=1\n", "rem=1 inconsistent with count=8"),
+        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=x\n", "bad complex literal 'x,0'"),
+        ("x,0;2,0;3,0\n1,0;2,0;3,0\nrem=1\n", "bad complex literal 'x,0'"),
     ])
-    def test_structural_errors_win_over_a_bad_literal(self, body, message, block):
-        # block lines are parsed as they arrive, a block at a time; the first bad
-        # literal is reported, and only once the block section and rem= line pass;
-        # below 6 samples a block, each group holds one of the two block lines
+    def test_the_first_malformed_block_line_is_reported(self, body, message, block):
+        # block lines are parsed as they arrive, a block at a time, and the first
+        # malformed one, without 3 samples or with a bad literal, is reported before
+        # a truncated section or a bad rem= line after it; below 6 samples a block,
+        # each block holds one of the two block lines
         with _blocks(block):
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
                 load_stasc1("STASC1\na=2,0 t0=1 count=8\n" + body)
@@ -316,6 +317,67 @@ class TestBodyGrammar:
 SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
 
+CORRUPTIONS = ["literal", "samples", "delete", "add"]
+BAD_TOKENS = ["x,0", "1.5.2,0", ",", "1,2,3", "4"]  # each a FormatError of _parse_complex
+
+
+def _corrupt(body, kind, at, field, token):
+    """Corrupt the body lines in place at line at, taken mod one more than their number:
+    one field made the bad token, a field dropped or a good one added, the line deleted,
+    or a good sample or block line added before it (or after the last)."""
+    at %= len(body) + 1
+    if kind == "add":
+        body.insert(at, "1,0" if field % 2 else "1,0;2,0;3,0")
+    elif at < len(body):
+        fields = body[at].split(";")
+        if kind == "literal":
+            fields[field % len(fields)] = token
+        elif kind == "samples":
+            fields = fields[:-1] if field % 2 and len(fields) > 1 else [*fields, "1,0"]
+        body[at:at + 1] = [] if kind == "delete" else [";".join(fields)]
+
+
+def _error_of(load):
+    """The message of the FormatError load() raises, or None."""
+    try:
+        load()
+    except FormatError as exc:
+        return str(exc)
+    return None
+
+
+def _first_literal_error(tokens):
+    """The message of the first bad literal of the tokens, or None."""
+    return next(filter(None, (_error_of(lambda: _parse_complex(t)) for t in tokens)), None)
+
+
+def _first_error_sig1(body, count, what="sample"):
+    """The first error a SIG1 body of whole lines holds in text order: a bad literal, else
+    a wrong line count (None if neither)."""
+    lines = [line for line in body if line.strip()]
+    return _first_literal_error(lines) or (
+        None if len(lines) == count else f"expected {count} {what} lines, found {len(lines)}")
+
+
+def _first_error_stasc1(body, count, step):
+    """As _first_error_sig1 for a STASC1 body: its m * (count // 4m) block lines one at a
+    time, the section's truncation, the rem= line, then the remainder as a SIG1 body."""
+    m = round(1 / step)
+    n_lines, k = m * (count // (4 * m)), count % (4 * m)
+    for line in body[:n_lines]:
+        if line.count(";") != 2:
+            return f"block line needs 3 samples, got {line!r}"
+        if error := _first_literal_error(line.split(";")):
+            return error
+    if len(body) < n_lines:
+        return "truncated STASC1 block section"
+    if not body[n_lines:] or not body[n_lines].startswith("rem="):
+        return "missing rem= line"
+    if body[n_lines] != f"rem={k}":  # the corruptions leave no other rem= line but 'rem=k;1,0'
+        return f"bad rem= line: {body[n_lines]!r}"
+    return _first_error_sig1(body[n_lines + 1:], k, "remainder")
+
+
 class TestBlocks:
     @given(st.lists(st.tuples(st.sampled_from(["", " ", " \t", "1,0", "-2.5,3e-5", "SIG1"]),
                               st.sampled_from(SEPARATORS)), max_size=12),
@@ -339,13 +401,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block", [1, 4, codec._SAMPLES, codec._BLOCK])
     @pytest.mark.parametrize("text, message", [
-        ("SIG1\nt0=0 kind=f count=3\n1,0\nx,0\n3,0\n4,0\n", "expected 3 sample lines, found 4"),
-        ("SIG1\r\nt0=0 kind=f count=3\r\nx,0\r\n\r\n2,0\r\n", "expected 3 sample lines, found 2"),
+        ("SIG1\nt0=0 kind=f count=3\n1,0\nx,0\n3,0\n4,0\n", "bad complex literal 'x,0'"),
+        ("SIG1\r\nt0=0 kind=f count=3\r\nx,0\r\n\r\n2,0\r\n", "bad complex literal 'x,0'"),
         ("SIG1\nt0=0 kind=f count=2\n1,0\n2,x\n", "bad complex literal '2,x'"),
         ("STASC1\na=2,0 t0=0 count=5\n1,0;2,0;3,0\nrem=1\n,\n4,0\n",
-         "expected 1 remainder lines, found 2"),
+         "bad complex literal ','"),
     ])
-    def test_line_count_is_reported_before_a_bad_literal(self, block, text, message):
+    def test_a_bad_literal_is_reported_before_the_line_count(self, block, text, message):
         load = load_sig1 if text.startswith("SIG1") else load_stasc1
         with _blocks(block):
             with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
@@ -354,12 +416,12 @@ class TestBlocks:
     @pytest.mark.parametrize("edits, count, message", [
         ({"first": BAD}, 300, f"bad complex literal {BAD!r}"),
         ({"last": BAD}, 300, f"bad complex literal {BAD!r}"),
-        ({"middle": BAD}, 301, "expected 301 sample lines, found 300"),
-        ({"last": BAD}, 299, "expected 299 sample lines, found 300"),  # counted to the end
+        ({"middle": BAD}, 301, f"bad complex literal {BAD!r}"),
+        ({"last": BAD}, 299, f"bad complex literal {BAD!r}"),  # before the count
         ({"first": BLANK}, 299, None),
         ({"first": BLANK}, 300, "expected 300 sample lines, found 299"),
         ({"last": BLANK, "third": BAD}, 299, f"bad complex literal {BAD!r}"),
-        ({"last": BLANK, "third": BAD}, 300, "expected 300 sample lines, found 299"),
+        ({"last": BLANK, "third": BAD}, 300, f"bad complex literal {BAD!r}"),
         ({"middle": BAD, "third": BAD.replace("x", "y")}, 300, f"bad complex literal {BAD!r}"),
     ])
     def test_sig1_errors_in_later_parse_blocks(self, edits, count, message, tmp_path):
@@ -382,10 +444,10 @@ class TestBlocks:
     @pytest.mark.parametrize("edits, rem, message", [
         ({"first": BAD3}, "rem=1", f"bad complex literal {BAD!r}"),
         ({"last": BAD3}, "rem=1", f"bad complex literal {BAD!r}"),
-        ({"first": BAD3, "third": TWO}, "rem=1", f"block line needs 3 samples, got {TWO!r}"),
+        ({"first": BAD3, "third": TWO}, "rem=1", f"bad complex literal {BAD!r}"),
         ({"first": BLANK3}, "rem=1", f"block line needs 3 samples, got {BLANK3!r}"),
-        ({"middle": BAD3}, "rem=x", "bad rem= line: 'rem=x'"),
-        ({"third": BAD3}, "rem=2", "rem=2 inconsistent with count=401"),
+        ({"middle": BAD3}, "rem=x", f"bad complex literal {BAD!r}"),
+        ({"third": BAD3}, "rem=2", f"bad complex literal {BAD!r}"),
         ({"last": BAD3, "third": BAD3.replace("x", "y")}, "rem=1", f"bad complex literal {BAD!r}"),
     ])
     def test_stasc1_errors_in_later_parse_blocks(self, edits, rem, message, tmp_path):
@@ -400,6 +462,43 @@ class TestBlocks:
         for block in (4096, codec._BLOCK):
             with mock.patch.object(codec, "_BLOCK", block):
                 _assert_loads(_long_stasc1(lines, rem), codec._stasc1, tmp_path, message)
+
+    @settings(max_examples=200)
+    @given(st.booleans(), st.integers(0, 30), st.sampled_from([1.0, 0.5]),
+           st.lists(st.tuples(st.sampled_from(CORRUPTIONS), st.integers(0, 40), st.integers(0, 3),
+                              st.sampled_from(BAD_TOKENS)), min_size=1, max_size=2))
+    @example(True, 8, 1.0, [("literal", 1, 2, "x,0"), ("delete", 0, 0, "")])
+    @example(True, 8, 1.0, [("delete", 0, 0, ""), ("literal", 2, 0, "x,0")])
+    @example(True, 4, 1.0, [("delete", 1, 0, ""), ("delete", 0, 0, "")])  # truncated
+    @example(True, 9, 1.0, [("literal", 3, 0, "x,0"), ("samples", 1, 0, "")])
+    @example(True, 9, 0.5, [("add", 0, 0, ""), ("literal", 0, 0, "x,0")])
+    @example(False, 5, 1.0, [("literal", 4, 0, "x,0"), ("add", 0, 0, "")])
+    @example(False, 5, 1.0, [("delete", 0, 0, ""), ("add", 2, 0, "")])  # the count holds
+    def test_the_first_malformed_line_is_reported(self, stasc1, n, step, corruptions):
+        # the writers' text with one or two lines corrupted loads, from a string and from
+        # a file, in every block size, with the first malformed line's error in text
+        # order, else the count or truncation error, as a parse of whole lines finds it
+        values = [complex(j, -0.25 * j) for j in range(n)]
+        if stasc1:
+            m = round(1 / step)
+            enc = EncodedStream(2.0, 0.5, n, tuple(values[:n - m * (n // (4 * m))]), step)
+            lines, parse, load = dump_stasc1(enc).splitlines(), codec._stasc1, load_stasc1
+        else:
+            lines, parse, load = dump_sig1(SampleSeries(0.5, values)).splitlines(), codec._sig1, load_sig1
+        body = lines[2:]
+        for kind, at, field, token in corruptions:
+            _corrupt(body, kind, at, field, token)
+        text = "\n".join([*lines[:2], *body]) + "\n"
+        want = (_first_error_stasc1(body, n, step) if stasc1 else
+                _first_error_sig1(body, n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/in"
+            with open(path, "w") as fh:
+                fh.write(text)
+            for block in (1, 7, 4096, codec._BLOCK):
+                with mock.patch.object(codec, "_BLOCK", block):
+                    assert _error_of(lambda: load(text)) == want
+                    assert _error_of(lambda: codec._load(path, parse)) == want
 
     def test_truncated_block_section_is_named(self):
         # count=8 needs 2 block lines and 1 is there: 1 < 8 // 4, but not below 8 // 5
@@ -647,8 +746,9 @@ def text_files(draw):
 class TestParseFromTheFile:
     """codec._load of a file gives what load_sig1 / load_stasc1 give on its text: the same
     series or stream, bit for bit, or the same error and message.  A non-ASCII byte
-    wins over any format error, wherever it is; in STASC1 a truncated block section,
-    a block line without 3 fields and a bad rem= line win over a bad literal."""
+    wins over any format error, wherever it is; else the first malformed line is
+    reported, in text order, and a wrong count or a truncated block section only
+    once every line there has parsed."""
 
     @settings(max_examples=300)
     @given(text_files(), st.sampled_from([1, 7, 64]))
@@ -661,9 +761,9 @@ class TestParseFromTheFile:
     @example(b"SIG1\nt0=0 kind=f count=1\n1,\x7f0\xe9\n", 64)  # DEL is ASCII: 0xe9 is named
     @example(b"SIG1\nt0=0 kind=f count=2\nx,0\n2,0\n" + b"3,0\n" * 40 + b"\xff\n", 7)  # after
     @example(b"SIG2\nt0=0 kind=f count=1\n" + b"1,0\n" * 40 + b"\x80", 1)  # after a bad magic
-    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n", 7)  # truncated beats the literal
-    @example(b"STASC1\na=2,0 t0=1 count=4\n1,0;x,0;3,0\nrem=x\n", 1)  # bad rem= beats it
-    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n1,0;2,0\nrem=0\n", 1)  # so do 2 fields
+    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n", 7)  # the literal, not truncated
+    @example(b"STASC1\na=2,0 t0=1 count=4\n1,0;x,0;3,0\nrem=x\n", 1)  # the literal, not rem=
+    @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\n1,0;2,0\nrem=0\n", 1)  # nor 2 fields
     @example(b"STASC1\na=2,0 t0=1 count=5\n1,0;2,0;3,0\nrem=1\n4,\x800\n", 64)
     @example(b"STASC1\na=2,0 t0=1 count=8\nx,0;2,0;3,0\ny,0;2,0;3,0\nrem=0\n", 1)  # the first wins
     # each odd line first and last in a block, and a non-ASCII byte in a block after a bad one

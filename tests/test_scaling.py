@@ -112,8 +112,8 @@ def _fsum_sizes(monkeypatch, fn):
 
 def _basis_fsum_sizes(monkeypatch, series, p):
     """The term count of every fsum call that building a _TrigBasis over the
-    odd frequencies up to 15 and reading its W makes, sorted."""
-    return _fsum_sizes(monkeypatch, lambda: _TrigBasis(series, p, range(1, 16, 2)).spread)
+    odd frequencies up to 15 makes, sorted."""
+    return _fsum_sizes(monkeypatch, lambda: _TrigBasis(series, p, range(1, 16, 2)))
 
 
 def test_trig_basis_norm_and_cross_sums_do_not_grow_with_length(monkeypatch):
@@ -137,16 +137,16 @@ def test_trig_basis_with_classes_of_one_sample(monkeypatch):
         assert sizes == [1] * (2 * n) + [n] * (32 + 16 + 64) + [2 * n]
 
 
-def test_only_the_residuals_sum_w(monkeypatch):
-    # counted, not timed: W, the one 2N-term sum, is summed when a residual first needs
-    # it, so a standalone fit_trig, which only solves, never sums it, and the search's
-    # 64 residuals sum it once between them
+def test_each_basis_sums_w_once(monkeypatch):
+    # counted, not timed: W, the one 2N-term sum, is summed once as a basis is built, so
+    # a standalone fit_trig, which reads no residual, sums it once, and the search's
+    # 64 residuals share their one basis's W
     params = StasParams(p=0.95 + 0.2j, q1=1.0, q2=0.5 - 0.5j, r1=3, r2=5)
     n = 4096
     series = sample_series(params, 1.3, n, step=0.125)
     alone = _fsum_sizes(monkeypatch, lambda: fit_trig(series, params.p, 3, 5))
     # 4 columns of m = 8 points, each a norm and two projection parts, and 4 cross sums
-    assert alone == [8] * (4 * 3 + 4) + [n // 8] * 16
+    assert alone == [8] * (4 * 3 + 4) + [n // 8] * 16 + [2 * n]
     searched = _fsum_sizes(monkeypatch, lambda: search_frequencies(series, params.p))
     assert searched.count(2 * n) == 1
 
